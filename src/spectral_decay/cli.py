@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import SpectralDecayError
 from .floquet import discriminant, discriminant_derivative
 from .potentials import (CompactPerturbation, MatrixPerturbation,
                          load_perturbation, load_potential)
-from .symbols import ellipticity_margin, gamma, load_symbol_system
+from .symbols import gamma, load_symbol_system
 
 
 def _f(x: float) -> str:
@@ -144,11 +143,10 @@ def cmd_dirac_eig(args) -> int:
 def cmd_gamma(args) -> int:
     system = load_symbol_system(_load_json(args.matrices))
     rep = gamma(system)
-    margin = ellipticity_margin(system)
     doc = {"gamma": _f(rep.gamma),
            "gamma_argmax": [_f(v) for v in rep.gamma_argmax],
-           "ellipticity_margin": _f(margin),
-           "elliptic": bool(margin > 1e-10)}
+           "ellipticity_margin": _f(rep.ellipticity_margin),
+           "elliptic": bool(rep.elliptic)}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -232,21 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("SPECTRAL_DECAY_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = cap
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

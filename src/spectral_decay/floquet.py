@@ -19,6 +19,7 @@ from . import ode
 from .errors import BandPointError
 
 TOL_EDGE = 1e-9
+CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
 
 
 def discriminant(V, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
@@ -27,9 +28,19 @@ def discriminant(V, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
     return 0.5 * (M[0, 0] + M[1, 1])
 
 
+def _monodromy_and_derivative(V, lam: float, tol: float):
+    """(M, dM/dlambda) from one complex-step monodromy evaluation.
+
+    M is entire in lambda, so Im M(lambda + ih)/h carries no
+    cancellation and matches dM/dlambda to rounding (Squire & Trapp 1998).
+    """
+    Mc = ode.monodromy(V, lam + 1j * CS_STEP, tol)
+    return Mc.real, Mc.imag / CS_STEP
+
+
 def discriminant_derivative(V, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
-    """dF/dlambda from the variational equations (not differencing)."""
-    _, dM = ode.monodromy_dlam(V, lam, tol)
+    """dF/dlambda by complex-step differentiation (not differencing)."""
+    _, dM = _monodromy_and_derivative(V, lam, tol)
     return 0.5 * (dM[0, 0] + dM[1, 1])
 
 
@@ -81,7 +92,7 @@ def floquet_solutions(V, lam: float, tol: float = ode.DEFAULT_TOL,
     Raises BandPointError when |F(lambda)| <= 1 + tol_edge, where the
     eigenvector extraction is ill-conditioned.
     """
-    M, dM = ode.monodromy_dlam(V, lam, tol)
+    M, dM = _monodromy_and_derivative(V, lam, tol)
     F = 0.5 * (M[0, 0] + M[1, 1])
     Fp = 0.5 * (dM[0, 0] + dM[1, 1])
     if abs(F) <= 1.0 + tol_edge:

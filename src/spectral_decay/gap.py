@@ -26,7 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import BandPointError, DegenerateMatch, NoSignChange, SingularWronskian
+from .errors import (BandPointError, DegenerateMatch, NoSignChange, SingularWronskian,
+                     ValidationError)
 from .floquet import FloquetData, floquet_solutions, floquet_state, floquet_values
 from .potentials import CompactPerturbation
 
@@ -106,6 +107,8 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
                               grid_size: int = 2048,
                               tol: float = ode.DEFAULT_TOL) -> BSSpectrum:
     """Nystrom (trapezoid) spectrum of G (H - lambda)^(-1) G on supp Q."""
+    if grid_size < 2:
+        raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
     fd = floquet_solutions(V, lam, tol)
     a, b = Q.support
     xs = np.linspace(a, b, grid_size)
@@ -184,15 +187,3 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
                         fitted_delta=fit.delta_hat, ln_rho=math.log(fd.rho),
                         match_residual=resid)
 
-
-def solve_lambda(V, Q: CompactPerturbation, alpha: float, lam_bracket: tuple,
-                 tol: float = ode.DEFAULT_TOL) -> float:
-    """Thin wrapper: root of the same determinant in lambda at fixed alpha."""
-    lo, hi = lam_bracket
-
-    def det(lam):
-        return matching_determinant(V, Q, alpha, lam, tol)
-
-    if det(lo) * det(hi) > 0:
-        raise NoSignChange(f"no sign change on lambda bracket [{lo}, {hi}]")
-    return brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)

@@ -9,12 +9,15 @@ Two routes are provided for the Hill equation -y'' + V y = lambda y:
 The state convention is s = (y, y').  The one-period monodromy matrix
 has columns (theta(1), theta'(1)) and (phi(1), phi'(1)), i.e. it maps
 (y(0), y'(0)) to (y(1), y'(1)); its determinant is 1 by Wronskian
-conservation.
+conservation.  Transfer matrices are entire in lambda, so monodromy
+also accepts complex lambda (used for complex-step derivatives).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,13 +37,17 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # closed forms on constant pieces
 # ---------------------------------------------------------------------
 
-def _cs(s: float, h: float):
+def _cs(s, h: float):
     """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s); entire in s."""
     z2 = s * h * h
-    if z2 > 1e-8:
+    if isinstance(s, complex):
+        if abs(z2) > 1e-8:
+            z = cmath.sqrt(s)
+            return cmath.cos(z * h), cmath.sin(z * h) / z
+    elif z2 > 1e-8:
         z = math.sqrt(s)
         return math.cos(z * h), math.sin(z * h) / z
-    if z2 < -1e-8:
+    elif z2 < -1e-8:
         z = math.sqrt(-s)
         return math.cosh(z * h), math.sinh(z * h) / z
     # series around s = 0, |s h^2| <= 1e-8 keeps truncation below 1e-25
@@ -48,27 +55,11 @@ def _cs(s: float, h: float):
             h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0))
 
 
-def constant_transfer(v: float, lam: float, h: float) -> np.ndarray:
+def constant_transfer(v: float, lam, h: float) -> np.ndarray:
     """Transfer matrix of -y'' + v y = lam y over a step of length h."""
     s = lam - v
     C, S = _cs(s, h)
     return np.array([[C, S], [-s * S, C]])
-
-
-def constant_transfer_dlam(v: float, lam: float, h: float):
-    """(T, dT/dlam) on a constant piece; derivative in closed form."""
-    s = lam - v
-    C, S = _cs(s, h)
-    T = np.array([[C, S], [-s * S, C]])
-    dC = -0.5 * h * S
-    z2 = s * h * h
-    if abs(z2) > 1e-4:
-        dS = (h * C - S) / (2.0 * s)
-    else:
-        h3 = h ** 3
-        dS = h3 * (-1.0 / 6.0 + z2 / 60.0 - z2 * z2 / 1680.0)
-    dT = np.array([[dC, dS], [-S - s * dS, dC]])
-    return T, dT
 
 
 def _piece_grid(pieces, x0: float, x1: float):
@@ -105,23 +96,67 @@ def _piece_grid(pieces, x0: float, x1: float):
             yield xa, xb, value_at(0.5 * (xa + xb))
 
 
-def piecewise_transfer(pieces, lam: float, x0: float, x1: float) -> np.ndarray:
+def piecewise_transfer(pieces, lam, x0: float, x1: float) -> np.ndarray:
     """Exact transfer matrix over [x0, x1] for piecewise-constant V."""
+    return _transfer(partial(_piece_grid, pieces), lam, x0, x1)
+
+
+def _transfer(segments, lam, x0: float, x1: float) -> np.ndarray:
+    """Product of constant_transfer over segments(x0, x1), x0 <= x1."""
     T = np.eye(2)
-    for xa, xb, v in _piece_grid(pieces, x0, x1):
+    for xa, xb, v in segments(x0, x1):
         T = constant_transfer(v, lam, xb - xa) @ T
     return T
 
 
-def piecewise_transfer_dlam(pieces, lam: float, x0: float, x1: float):
-    """(T, dT/dlam) over [x0, x1] for piecewise-constant V (product rule)."""
-    T = np.eye(2)
-    dT = np.zeros((2, 2))
-    for xa, xb, v in _piece_grid(pieces, x0, x1):
-        Tk, dTk = constant_transfer_dlam(v, lam, xb - xa)
-        dT = Tk @ dT + dTk @ T
-        T = Tk @ T
-    return T, dT
+def _exact_step(segments, lam, x0: float, x1: float, s):
+    if x1 >= x0:
+        return _transfer(segments, lam, x0, x1) @ s
+    return np.linalg.solve(_transfer(segments, lam, x1, x0), s)
+
+
+def _exact_walk(segments, lam, x0: float, x1: float, s0, dense_xs):
+    """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
+
+    segments(xa, xb) yields the constant pieces (pa, pb, v) of [xa, xb].
+    Returns the end state, or (end, states at dense_xs) when dense_xs is
+    given.
+    """
+    if dense_xs is None:
+        return _exact_step(segments, lam, x0, x1, s0)
+    out = np.empty((len(dense_xs), 2))
+    cur_x, cur_s = x0, s0
+    for i, x in enumerate(dense_xs):
+        cur_s = _exact_step(segments, lam, cur_x, x, cur_s)
+        cur_x = x
+        out[i] = cur_s
+    if abs(cur_x - x1) > 1e-15:
+        cur_s = _exact_step(segments, lam, cur_x, x1, cur_s)
+    return cur_s, out
+
+
+def _dop853(rhs, x0: float, x1: float, y0, tol: float, dense_xs, what: str):
+    """Integrate y' = rhs(x, y) from x0 to x1 with DOP853.
+
+    With dense_xs (monotone, starting on the x0 side), integrates to the
+    last sample and then finishes to x1, in whichever direction x1 lies.
+    Returns the end state, or (end, states at dense_xs).
+    """
+    def run(xa, xb, y, t_eval=None):
+        sol = solve_ivp(rhs, (xa, xb), y, method="DOP853",
+                        rtol=tol, atol=tol, t_eval=t_eval)
+        if not sol.success:
+            raise StepFailure(f"{what} failed: {sol.message}")
+        return sol
+
+    if dense_xs is None:
+        return run(x0, x1, y0).y[:, -1]
+    xs = np.asarray(dense_xs, dtype=float)
+    sol = run(x0, xs[-1], y0, t_eval=xs)
+    end = sol.y[:, -1]
+    if abs(xs[-1] - x1) >= 1e-14:
+        end = run(xs[-1], x1, end).y[:, -1]
+    return end, sol.y.T
 
 
 # ---------------------------------------------------------------------
@@ -146,47 +181,22 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
     """
     s0 = np.asarray(state, dtype=float)
     if isinstance(V, PeriodicPotential) and V.is_piecewise_constant:
-        pieces = V.cell_pieces()
-        if dense_xs is None:
-            if x1 >= x0:
-                return piecewise_transfer(pieces, lam, x0, x1) @ s0
-            T = piecewise_transfer(pieces, lam, x1, x0)
-            return np.linalg.solve(T, s0)
-        out = np.empty((len(dense_xs), 2))
-        cur_x, cur_s = x0, s0
-        for i, x in enumerate(dense_xs):
-            if x >= cur_x:
-                cur_s = piecewise_transfer(pieces, lam, cur_x, x) @ cur_s
-            else:
-                T = piecewise_transfer(pieces, lam, x, cur_x)
-                cur_s = np.linalg.solve(T, cur_s)
-            cur_x = x
-            out[i] = cur_s
-        if abs(cur_x - x1) > 1e-15:
-            cur_s = piecewise_transfer(pieces, lam, cur_x, x1) @ cur_s
-        return cur_s, out
+        return _exact_walk(partial(_piece_grid, V.cell_pieces()),
+                           lam, x0, x1, s0, dense_xs)
 
     Vf = _as_callable(V)
 
     def rhs(x, s):
         return [s[1], (Vf(x) - lam) * s[0]]
 
-    t_eval = None if dense_xs is None else np.asarray(dense_xs, dtype=float)
-    sol = solve_ivp(rhs, (x0, x1), s0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"Hill propagation failed: {sol.message}")
-    if dense_xs is None:
-        return sol.y[:, -1]
-    if abs(t_eval[-1] - x1) < 1e-14:
-        end = sol.y[:, -1]
-    else:
-        end = propagate_hill(V, lam, t_eval[-1], x1, sol.y[:, -1], tol)
-    return end, sol.y.T
+    return _dop853(rhs, x0, x1, s0, tol, dense_xs, "Hill propagation")
 
 
-def monodromy(V, lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """One-period monodromy matrix M(lambda) with columns theta, phi."""
+def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """One-period monodromy matrix M(lambda) with columns theta, phi.
+
+    lam may be complex; M is then complex.
+    """
     if isinstance(V, PeriodicPotential) and V.is_piecewise_constant:
         return piecewise_transfer(V.cell_pieces(), lam, 0.0, 1.0)
     Vf = _as_callable(V)
@@ -196,35 +206,9 @@ def monodromy(V, lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         # y = [th, th', ph, ph']
         return [y[1], a * y[0], y[3], a * y[2]]
 
-    sol = solve_ivp(rhs, (0.0, 1.0), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise StepFailure(f"monodromy integration failed: {sol.message}")
-    th, thp, ph, php = sol.y[:, -1]
+    y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.result_type(lam, float))
+    th, thp, ph, php = _dop853(rhs, 0.0, 1.0, y0, tol, None, "monodromy integration")
     return np.array([[th, ph], [thp, php]])
-
-
-def monodromy_dlam(V, lam: float, tol: float = DEFAULT_TOL):
-    """(M, dM/dlam) via variational equations (no finite differences)."""
-    if isinstance(V, PeriodicPotential) and V.is_piecewise_constant:
-        return piecewise_transfer_dlam(V.cell_pieces(), lam, 0.0, 1.0)
-    Vf = _as_callable(V)
-
-    def rhs(x, y):
-        a = Vf(x) - lam
-        th, thp, ph, php, u1, u1p, u2, u2p = y
-        # variational: -u'' + (V - lam) u = y  =>  u'' = a u - y
-        return [thp, a * th, php, a * ph,
-                u1p, a * u1 - th, u2p, a * u2 - ph]
-
-    y0 = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=tol, atol=tol)
-    if not sol.success:
-        raise StepFailure(f"variational integration failed: {sol.message}")
-    th, thp, ph, php, u1, u1p, u2, u2p = sol.y[:, -1]
-    M = np.array([[th, ph], [thp, php]])
-    dM = np.array([[u1, u2], [u1p, u2p]])
-    return M, dM
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
@@ -235,51 +219,19 @@ def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float
     Exact closed form when both V and Q are piecewise constant.
     """
     s0 = np.asarray(state, dtype=float)
-    both_pw = (isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-               and Q.is_piecewise_constant)
-    if both_pw:
-        a, b = Q.support
+    if (isinstance(V, PeriodicPotential) and V.is_piecewise_constant
+            and Q.is_piecewise_constant):
+        pieces = V.cell_pieces()
+        q_cuts = [xq for xq, _ in Q.q_pieces()] + list(Q.support)
 
-        def eff_grid(xa, xb):
+        def segments(xa, xb):
             # merge V's periodic breaks with Q's support breaks
-            cuts = {xa, xb}
-            for xq, _ in Q.q_pieces():
-                if xa < xq < xb:
-                    cuts.add(xq)
-            if xa < a < xb:
-                cuts.add(a)
-            if xa < b < xb:
-                cuts.add(b)
-            xs = sorted(cuts)
-            segs = []
+            xs = sorted({xa, xb} | {c for c in q_cuts if xa < c < xb})
             for u, w in zip(xs[:-1], xs[1:]):
-                for pa, pb, v in _piece_grid(V.cell_pieces(), u, w):
-                    mid = 0.5 * (pa + pb)
-                    segs.append((pa, pb, v - alpha * Q.q(mid)))
-            return segs
+                for pa, pb, v in _piece_grid(pieces, u, w):
+                    yield pa, pb, v - alpha * Q.q(0.5 * (pa + pb))
 
-        def transfer(xa, xb):
-            T = np.eye(2)
-            for pa, pb, veff in eff_grid(xa, xb):
-                T = constant_transfer(veff, lam, pb - pa) @ T
-            return T
-
-        if dense_xs is None:
-            if x1 >= x0:
-                return transfer(x0, x1) @ s0
-            return np.linalg.solve(transfer(x1, x0), s0)
-        out = np.empty((len(dense_xs), 2))
-        cur_x, cur_s = x0, s0
-        for i, x in enumerate(dense_xs):
-            if x >= cur_x:
-                cur_s = transfer(cur_x, x) @ cur_s
-            else:
-                cur_s = np.linalg.solve(transfer(x, cur_x), cur_s)
-            cur_x = x
-            out[i] = cur_s
-        if abs(cur_x - x1) > 1e-15:
-            cur_s = transfer(cur_x, x1) @ cur_s
-        return cur_s, out
+        return _exact_walk(segments, lam, x0, x1, s0, dense_xs)
 
     Vf = _as_callable(V)
 
@@ -325,26 +277,7 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
         B = 1j * SIGMA1 @ (lam * np.eye(2) - m * SIGMA3 - wconst)
         return expm(B * (x1 - x0)) @ s0
 
-    Wf = W if (W is None or not isinstance(W, MatrixPerturbation)) else W
-    if W is None:
-        def coef(x):
-            return dirac_coefficient(None, m, lam, x)
-    else:
-        def coef(x):
-            return dirac_coefficient(Wf, m, lam, x)
-
     def rhs(x, psi):
-        return coef(x) @ psi
+        return dirac_coefficient(W, m, lam, x) @ psi
 
-    t_eval = None if dense_xs is None else np.asarray(dense_xs, dtype=float)
-    sol = solve_ivp(rhs, (x0, x1), s0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"Dirac propagation failed: {sol.message}")
-    if dense_xs is None:
-        return sol.y[:, -1]
-    if abs(t_eval[-1] - x1) < 1e-14:
-        end = sol.y[:, -1]
-    else:
-        end = propagate_dirac(W, m, lam, t_eval[-1], x1, sol.y[:, -1], tol)
-    return end, sol.y.T
+    return _dop853(rhs, x0, x1, s0, tol, dense_xs, "Dirac propagation")

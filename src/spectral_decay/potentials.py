@@ -122,6 +122,11 @@ class PeriodicPotential:
                 "values": list(self.values)}
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number (json also parses NaN and Infinity)."""
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
 def load_potential(doc: dict) -> PeriodicPotential:
     """Build a PeriodicPotential from its JSON-schema dict.
 
@@ -137,17 +142,17 @@ def load_potential(doc: dict) -> PeriodicPotential:
         mean = doc.get("mean", 0.0)
         cos = doc.get("cos", [])
         sin = doc.get("sin", [])
-        if not isinstance(mean, (int, float)):
-            raise SchemaError("'mean' must be a number")
+        if not _is_number(mean):
+            raise SchemaError("'mean' must be a finite number")
         for name, lst in (("cos", cos), ("sin", sin)):
-            if not isinstance(lst, list) or any(not isinstance(v, (int, float)) for v in lst):
-                raise SchemaError(f"'{name}' must be a list of numbers")
+            if not isinstance(lst, list) or any(not _is_number(v) for v in lst):
+                raise SchemaError(f"'{name}' must be a list of finite numbers")
         return PeriodicPotential.fourier(mean=mean, cos=cos, sin=sin)
     if kind == "piecewise":
         for name in ("breaks", "values"):
             lst = doc.get(name)
-            if not isinstance(lst, list) or any(not isinstance(v, (int, float)) for v in lst):
-                raise SchemaError(f"'{name}' must be a list of numbers")
+            if not isinstance(lst, list) or any(not _is_number(v) for v in lst):
+                raise SchemaError(f"'{name}' must be a list of finite numbers")
         return PeriodicPotential.piecewise(doc["breaks"], doc["values"])
     raise SchemaError(f"unknown potential type {kind!r}")
 
@@ -216,8 +221,8 @@ def load_perturbation(doc: dict) -> CompactPerturbation:
         raise SchemaError("perturbation document must be an object")
     sup = doc.get("support")
     if (not isinstance(sup, list) or len(sup) != 2
-            or any(not isinstance(v, (int, float)) for v in sup)):
-        raise SchemaError("'support' must be [a, b]")
+            or any(not _is_number(v) for v in sup)):
+        raise SchemaError("'support' must be [a, b] with finite a, b")
     prof = doc.get("profile")
     if prof is None:
         raise SchemaError("missing 'profile'")

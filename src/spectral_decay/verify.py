@@ -144,18 +144,16 @@ def suite_theorem2_dirac(V=None):
     cases = []
     for i, lam in enumerate(lams):
         pair = dirac_eigenfunction(W, m, lam)
-        rate = pair.rate_exact
         d = m - abs(lam)
-        sharp_ok = abs(pair.fitted_delta - rate) <= 0.01 * rate
-        bound_ok = pair.fitted_delta >= d - 0.01 * d
+        rep = decay.bound_report(lam, d, pair.fitted_delta, pair.rate_exact)
         cases.append(_case(f"eigenvalue-{i}-sharp-rate",
                            {"m": m, "lambda": lam},
-                           pair.fitted_delta, rate, 0.01,
-                           "PASS" if sharp_ok else "FAIL"))
+                           pair.fitted_delta, pair.rate_exact, 0.01,
+                           rep.verdicts["floquet_match"]))
         cases.append(_case(f"eigenvalue-{i}-theorem-bound",
-                           {"m": m, "lambda": lam, "d_lambda": d, "gamma": 1.0},
+                           {"m": m, "lambda": lam, "d_lambda": d, "gamma": rep.gamma},
                            pair.fitted_delta, f"delta_hat >= {format(d, '.17g')}",
-                           0.01, "PASS" if bound_ok else "FAIL"))
+                           0.01, rep.verdicts["first_order_bound"]))
     return {"suite": "theorem2-dirac", "cases": cases}
 
 

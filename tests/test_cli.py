@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from spectral_decay import cli
 from spectral_decay.cli import main
-from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system
+from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
+                                    dump_symbol_system, gamma)
 
 ZERO = {"type": "zero"}
 STEP = {"type": "piecewise", "breaks": [0.0, 0.5], "values": [10.0, 0.0]}
@@ -83,6 +86,16 @@ def test_gamma_dirac(cfg, capsys):
     assert doc["elliptic"] is True
 
 
+def test_gamma_elliptic_is_the_report_verdict(tmp_path, capsys):
+    # margin 1e-8 lies between 1e-10 and the Lipschitz-scaled threshold
+    system = SymbolSystem(matrices=(np.diag([1e4, 1e-8]).astype(complex),))
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(dump_symbol_system(system)))
+    assert main(["gamma", "--matrices", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["elliptic"] == gamma(system).elliptic
+
+
 def test_verify_suite(cfg, tmp_path):
     out = tmp_path / "rep.json"
     assert main(["verify", "--suite", "propH", "-o", str(out)]) == 0
@@ -97,3 +110,26 @@ def test_usage_errors(cfg, capsys):
                  "--lambda-max", "5"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "fourier", "mean": float("nan"), "cos": [2.0]},
+    {"type": "piecewise", "breaks": [0.0], "values": [float("inf")]},
+], ids=["nan", "infinity"])
+def test_non_finite_potential_rejected(doc, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("discriminant reached with a non-finite potential")
+
+    monkeypatch.setattr(cli, "discriminant", never)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # writes the NaN / Infinity literals
+    assert main(["discriminant", "--potential", str(path), "--lambda-range", "0:1:2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_bs_spectrum_grid_too_small(cfg, capsys):
+    assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1", "--grid-size", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

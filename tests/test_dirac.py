@@ -109,3 +109,11 @@ def test_bound_chain(well_pair):
     pair = well_pair
     d = 1.0 - abs(pair.lam)
     assert pair.fitted_delta >= d * (1.0 - 0.01)
+
+
+def test_eigenfunction_support_off_the_sample_grid():
+    # b = 0.37: the last support sample lies past b
+    W = MatrixPerturbation.scalar_well(0.5, (-1.0, 0.37))
+    lam = dirac_gap_eigenvalues(W, 1.0)[0]
+    pair = dirac_eigenfunction(W, 1.0, lam)
+    assert abs(pair.fitted_delta - pair.rate_exact) <= 0.01 * pair.rate_exact

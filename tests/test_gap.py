@@ -8,8 +8,7 @@ from spectral_decay.bands import band_edges
 from spectral_decay.errors import BandPointError, NoSignChange
 from spectral_decay.floquet import floquet_solutions
 from spectral_decay.gap import (birman_schwinger_spectrum, eigenfunction,
-                                matching_determinant, solve_coupling,
-                                solve_lambda)
+                                matching_determinant, solve_coupling)
 from spectral_decay.potentials import CompactPerturbation, PeriodicPotential
 
 import oracles
@@ -163,7 +162,13 @@ def test_step_potential_gap_eigenpair():
     assert abs(pair.fitted_delta - pair.ln_rho) <= 0.01 * pair.ln_rho
 
 
-def test_solve_lambda_wrapper():
-    alpha = solve_coupling(V0, BOX, -1.0)
-    lam = solve_lambda(V0, BOX, alpha, (-1.5, -0.5))
-    assert lam == pytest.approx(-1.0, abs=1e-9)
+
+def test_eigenfunction_support_off_the_sample_grid():
+    # b = 1.37 is not a multiple of the 1/64 sample step, so the last
+    # support sample lies past b (DOP853 route)
+    V = PeriodicPotential.fourier(mean=0.0, cos=[2.0])
+    a, b = band_edges(V, 15.0).gaps[0]
+    lam = 0.5 * (a + b)
+    Q = CompactPerturbation.box(0.0, 1.37, 1.0)
+    pair = eigenfunction(V, Q, solve_coupling(V, Q, lam), lam)
+    assert abs(pair.fitted_delta - pair.ln_rho) <= 0.01 * pair.ln_rho

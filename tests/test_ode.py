@@ -77,8 +77,9 @@ def test_tolerance_monotone_vs_reference():
 
 
 def test_derivative_transfer_vs_central_difference():
-    lam, h = 30.0, 1e-5
-    _, dT = ode.piecewise_transfer_dlam(STEP.cell_pieces(), lam, 0.0, 1.0)
+    # complex step: the transfer matrix is entire in lambda
+    lam, h, hc = 30.0, 1e-5, 1e-30
+    dT = ode.piecewise_transfer(STEP.cell_pieces(), lam + 1j * hc, 0.0, 1.0).imag / hc
     Tp = ode.piecewise_transfer(STEP.cell_pieces(), lam + h, 0.0, 1.0)
     Tm = ode.piecewise_transfer(STEP.cell_pieces(), lam - h, 0.0, 1.0)
     assert np.allclose(dT, (Tp - Tm) / (2 * h), atol=1e-6)
@@ -136,3 +137,17 @@ def test_dense_output_matches_endpoint():
     assert np.allclose(dense[-1], end, atol=1e-9)
     direct = ode.propagate_hill(MATHIEU, 4.0, 0.0, 0.5, (1.0, 0.0))
     assert np.allclose(dense[8], direct, atol=1e-8)
+
+
+@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "dop853"])
+def test_dense_samples_past_the_end(V):
+    # samples may run past x1; the end state is still the state at x1
+    s0 = (1.0, 0.0)
+    xs = np.linspace(0.0, 1.05, 22)
+    end, dense = ode.propagate_hill(V, 4.0, 0.0, 1.0, s0, dense_xs=xs)
+    assert np.allclose(end, ode.propagate_hill(V, 4.0, 0.0, 1.0, s0), atol=1e-8)
+    assert np.allclose(dense[-1], ode.propagate_hill(V, 4.0, 0.0, 1.05, s0), atol=1e-8)
+    Q = CompactPerturbation.box(0.0, 0.6, 1.0)
+    end, _ = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0, dense_xs=xs)
+    direct = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0)
+    assert np.allclose(end, direct, atol=1e-8)

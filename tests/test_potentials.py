@@ -63,6 +63,10 @@ def test_load_potential_schema_errors():
         load_potential({"type": "fourier", "cos": "nope"})
     with pytest.raises(SchemaError):
         load_potential([1, 2, 3])
+    with pytest.raises(SchemaError):
+        load_potential({"type": "fourier", "mean": float("nan")})
+    with pytest.raises(SchemaError):
+        load_potential({"type": "piecewise", "breaks": [0.0], "values": [float("inf")]})
 
 
 def test_box_perturbation():
@@ -86,6 +90,9 @@ def test_perturbation_validation():
         CompactPerturbation.box(0.0, 1.0, 0.0)  # identically zero
     with pytest.raises(SchemaError):
         load_perturbation({"support": [0.0, 1.0]})
+    with pytest.raises(SchemaError):
+        load_perturbation({"support": [0.0, float("inf")],
+                           "profile": {"type": "piecewise", "breaks": [0.0], "values": [1.0]}})
 
 
 def test_matrix_perturbation():
