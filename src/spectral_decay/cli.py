@@ -42,11 +42,22 @@ def _emit(text: str, path: str | None):
             fh.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _parse_range(spec: str) -> np.ndarray:
     """start:stop:count -> inclusive linspace."""
     try:
         start, stop, count = spec.split(":")
-        start, stop, count = float(start), float(stop), int(count)
+        start, stop, count = _finite_float(start), _finite_float(stop), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"range must be start:stop:count, got {spec!r}")
@@ -120,20 +131,15 @@ def cmd_bs_spectrum(args) -> int:
 def cmd_dirac_eig(args) -> int:
     W = MatrixPerturbation.scalar_well(args.depth, tuple(args.support))
     m = args.mass
-    lams = dirac_gap_eigenvalues(W, m)
-    results = []
-    for lam in lams:
-        pair = dirac_eigenfunction(W, m, lam)
-        results.append({"m": _f(m), "lambda": _f(lam),
-                        "rate_exact": _f(pair.rate_exact),
-                        "fitted_delta": _f(pair.fitted_delta),
-                        "d_lambda": _f(m - abs(lam))})
+    pairs = [dirac_eigenfunction(W, m, lam) for lam in dirac_gap_eigenvalues(W, m)]
+    results = [{"m": _f(m), "lambda": _f(p.lam), "rate_exact": _f(p.rate_exact),
+                "fitted_delta": _f(p.fitted_delta), "d_lambda": _f(m - abs(p.lam))}
+               for p in pairs]
     _emit(json.dumps({"eigenvalues": results, "count": len(results)},
                      sort_keys=True, indent=2) + "\n", args.output)
-    if args.samples_out and results:
-        pair = dirac_eigenfunction(W, m, lams[0])
+    if args.samples_out and pairs:
         lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2"]
-        for x, (p1, p2) in zip(pair.xs, pair.psi):
+        for x, (p1, p2) in zip(pairs[0].xs, pairs[0].psi):
             lines.append(",".join([_f(x), _f(p1.real), _f(p1.imag),
                                    _f(p2.real), _f(p2.imag)]))
         _emit("\n".join(lines) + "\n", args.samples_out)
@@ -171,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="scan band edges and gaps")
     sp.add_argument("--potential", required=True, help="potential JSON path")
-    sp.add_argument("--lambda-max", type=float, required=True)
-    sp.add_argument("--grid-step", type=float, default=0.05)
+    sp.add_argument("--lambda-max", type=_finite_float, required=True)
+    sp.add_argument("--grid-step", type=_finite_float, default=0.05)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     out(sp)
     sp.set_defaults(func=cmd_bands)
@@ -190,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="place an eigenvalue at a gap point and report the pair")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--perturbation", required=True)
-    sp.add_argument("--lambda", type=float, required=True, dest="lam")
+    sp.add_argument("--lambda", type=_finite_float, required=True, dest="lam")
     sp.add_argument("--samples-out", default=None, help="CSV path for x,psi samples")
     out(sp)
     sp.set_defaults(func=cmd_gap_eig)
@@ -198,17 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bs-spectrum", help="Birman-Schwinger spectrum at a gap point")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--perturbation", required=True)
-    sp.add_argument("--lambda", type=float, required=True, dest="lam")
+    sp.add_argument("--lambda", type=_finite_float, required=True, dest="lam")
     sp.add_argument("--grid-size", type=int, default=2048)
     sp.add_argument("--count", type=int, default=8, help="eigenvalues to report")
     out(sp)
     sp.set_defaults(func=cmd_bs_spectrum)
 
     sp = sub.add_parser("dirac-eig", help="1D Dirac gap eigenvalues for a scalar well")
-    sp.add_argument("--mass", type=float, required=True)
-    sp.add_argument("--depth", type=float, required=True,
+    sp.add_argument("--mass", type=_finite_float, required=True)
+    sp.add_argument("--depth", type=_finite_float, required=True,
                     help="well depth w (W = -w*I on the support)")
-    sp.add_argument("--support", type=float, nargs=2, default=(-1.0, 1.0),
+    sp.add_argument("--support", type=_finite_float, nargs=2, default=(-1.0, 1.0),
                     metavar=("A", "B"))
     sp.add_argument("--samples-out", default=None,
                     help="CSV path for samples of the first eigenfunction")
@@ -237,7 +243,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails typed
+            return args.func(args)
     except (SpectralDecayError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

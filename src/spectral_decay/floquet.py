@@ -109,11 +109,18 @@ def floquet_solutions(V, lam: float, tol: float = ode.DEFAULT_TOL,
 
 def floquet_state(V, fd: FloquetData, x: float, side: str,
                   tol: float = ode.DEFAULT_TOL) -> np.ndarray:
-    """State (y, y') of y_+ (side='plus') or y_- (side='minus') at x.
+    """State (y, y') of y_+ (side='plus') or y_- (side='minus') at x."""
+    return floquet_values(V, fd, [x], side, tol)[0]
 
-    Normalized so that the seed at x = 0 has unit norm.  x is reduced
-    modulo the period: y(x) = mu^n * P(0 -> r) seed with x = n + r,
-    mu = sigma/rho (plus) or sigma*rho (minus).
+
+def floquet_values(V, fd: FloquetData, xs, side: str,
+                   tol: float = ode.DEFAULT_TOL) -> np.ndarray:
+    """States of y_+/- at an array of points; (len(xs), 2).
+
+    Normalized so that the seed at x = 0 has unit norm.  Each x = n + r
+    is reduced modulo the period, y(x) = mu^n * P(0 -> r) seed with
+    mu = sigma/rho (plus) or sigma*rho (minus), and one walk through the
+    sorted fractional parts r gives every P(0 -> r) seed.
     """
     if side == "plus":
         seed, mu = fd.seed_plus, fd.sigma / fd.rho
@@ -121,13 +128,12 @@ def floquet_state(V, fd: FloquetData, x: float, side: str,
         seed, mu = fd.seed_minus, fd.sigma * fd.rho
     else:
         raise ValueError("side must be 'plus' or 'minus'")
-    n = math.floor(x)
-    r = x - n
-    s = seed if r == 0.0 else ode.propagate_hill(V, fd.lam, 0.0, r, seed, tol)
-    return (mu ** n) * s
-
-
-def floquet_values(V, fd: FloquetData, xs, side: str,
-                   tol: float = ode.DEFAULT_TOL) -> np.ndarray:
-    """States of y_+/- at an array of points; (len(xs), 2)."""
-    return np.array([floquet_state(V, fd, float(x), side, tol) for x in xs])
+    xs = np.asarray(xs, dtype=float)
+    n = np.floor(xs)
+    order = np.argsort(xs - n)
+    rs = (xs - n)[order]
+    _, walked = ode.propagate_hill(V, fd.lam, 0.0, rs[-1] if len(rs) else 0.0, seed, tol,
+                                   dense_xs=rs)
+    states = np.empty((len(xs), 2))
+    states[order] = walked
+    return (mu ** n)[:, None] * states

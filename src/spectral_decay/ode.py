@@ -1,27 +1,32 @@
-"""Propagation of the Hill equation and the 1D Dirac system.
+"""Propagation of the first-order 2x2 systems s' = A(x) s of the package.
 
-Two routes are provided for the Hill equation -y'' + V y = lambda y:
+Hill, -y'' + V y = lambda y, has s = (y, y') and A = [[0, 1], [V - lambda, 0]];
+the 1D Dirac system, -i s1 psi' + m s3 psi + W psi = lambda psi, has
+s = psi and A = i s1 (lambda - m s3 - W).
 
-* exact closed-form transfer matrices on intervals where the potential
-  is constant (piecewise-constant V, also used as the oracle), and
-* adaptive DOP853 integration for everything else.
+There is one route: a potential is lowered into the segments of [x0, x1]
+between the jumps of A, and one walk multiplies closed-form 2x2
+exponentials over them, in either direction and through optional dense
+samples.  The exponential is exact where A is constant (piecewise V,
+V - alpha Q with a piecewise profile, W constant on its support);
+elsewhere the walk takes fourth-order Magnus steps with two Gauss points
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  tol sets the
+step count: it grows by powers of two until n and 2n steps agree to tol
+relative to the transfer matrix, and the 2n-step product is kept.
 
-The state convention is s = (y, y').  The one-period monodromy matrix
-has columns (theta(1), theta'(1)) and (phi(1), phi'(1)), i.e. it maps
-(y(0), y'(0)) to (y(1), y'(1)); its determinant is 1 by Wronskian
-conservation.  Transfer matrices are entire in lambda, so monodromy
-also accepts complex lambda (used for complex-step derivatives).
+The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
+columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
+1.  At a fixed step count transfer matrices are entire in lambda, so
+monodromy also accepts complex lambda (for complex-step derivatives).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 from .errors import StepFailure
 from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
@@ -32,10 +37,10 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+_I2 = np.eye(2)
+_GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+_MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 
-# ---------------------------------------------------------------------
-# closed forms on constant pieces
-# ---------------------------------------------------------------------
 
 def _cs(s, h: float):
     """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s); entire in s."""
@@ -62,188 +67,166 @@ def constant_transfer(v: float, lam, h: float) -> np.ndarray:
     return np.array([[C, S], [-s * S, C]])
 
 
-def _piece_grid(pieces, x0: float, x1: float):
-    """Split [x0, x1] at the periodic images of the piece breakpoints.
+def _expm2(X: np.ndarray) -> np.ndarray:
+    """exp(X) for a stack (k, 2, 2): e^t (C I + S Y) with t = tr X / 2,
+    Y = X - t I (so Y^2 = -det(Y) I) and C, S = _cs(det Y, 1) elementwise."""
+    t = 0.5 * (X[:, 0, 0] + X[:, 1, 1])
+    Y = X - t[:, None, None] * _I2
+    d = Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0]
+    small = np.abs(d) <= 1e-8  # series, as in _cs
+    z = np.sqrt(np.where(small, 1.0, d).astype(complex))
+    C = np.where(small, 1.0 - d / 2.0 + d * d / 24.0, np.cos(z))
+    S = np.where(small, 1.0 - d / 6.0 + d * d / 120.0, np.sin(z) / z)
+    if not np.iscomplexobj(X):
+        C, S = C.real, S.real
+    return np.exp(t)[:, None, None] * (C[:, None, None] * _I2 + S[:, None, None] * Y)
 
-    pieces: (break, value) pairs on [0,1).  Yields (xa, xb, value) with
-    x0 <= xa < xb <= x1 covering the interval left to right.
+
+def _magnus(coef, xa: float, xb: float, n: int) -> np.ndarray:
+    """Product of n fourth-order Magnus steps over [xa, xb]; coef(x) gives
+    the matrices A at the points x, shape (len(x), 2, 2)."""
+    h = (xb - xa) / n
+    x = xa + h * np.arange(n)
+    A1, A2 = coef(x + _GAUSS[0] * h), coef(x + _GAUSS[1] * h)
+    E = _expm2(0.5 * h * (A1 + A2) + (math.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2))
+    while len(E) > 1:  # E[-1] @ ... @ E[0], pairwise
+        k = len(E) - len(E) % 2
+        E = np.concatenate([E[1:k:2] @ E[0:k:2], E[k:]])
+    return E[0]
+
+
+def _product(segs, density: float) -> np.ndarray:
+    """Transfer matrix over segs at `density` Magnus steps per unit length.
+
+    segs are the segments (pa, pb, E, coef) of an interval, left to right:
+    E is the exact transfer matrix where the coefficient A is constant,
+    else None and Magnus steps use coef(x), the matrices A at the points x.
     """
-    breaks = [b for b, _ in pieces]
-    vals = [v for _, v in pieces]
-    nb = len(breaks)
+    T = _I2.copy()
+    for pa, pb, E, coef in segs:
+        if E is None:
+            E = _magnus(coef, pa, pb, max(1, math.ceil((pb - pa) * density)))
+        T = E @ T
+    return T
 
-    def value_at(x):
-        frac = x % 1.0
-        # right-continuous lookup
-        j = nb - 1
-        for k in range(nb - 1, -1, -1):
-            if frac >= breaks[k] - 1e-15:
-                j = k
-                break
-        return vals[j]
 
-    cuts = set()
-    n_lo = math.floor(x0) - 1
-    n_hi = math.floor(x1) + 1
-    for n in range(n_lo, n_hi + 1):
-        for b in breaks:
-            c = n + b
-            if x0 < c < x1:
-                cuts.add(c)
-    xs = [x0] + sorted(cuts) + [x1]
-    for xa, xb in zip(xs[:-1], xs[1:]):
-        if xb - xa > 1e-15:
-            yield xa, xb, value_at(0.5 * (xa + xb))
+def _finite(a, what: str):
+    if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
+        raise StepFailure(f"{what} is not finite (overflow)")
+    return a
+
+
+def _certify(segs, tol: float):
+    """(T, density): the product over segs and the Magnus step density
+    (steps per unit length) at which it meets tol; density 0 if all exact."""
+    density = 8
+    T = _finite(_product(segs, density), "transfer matrix")
+    if all(seg[3] is None for seg in segs):
+        return T, 0
+    while True:
+        T2 = _product(segs, 2 * density)
+        ratio = _finite(np.max(np.abs(T2 - T)) / (tol * max(1.0, np.max(np.abs(T2)))),
+                        "transfer matrix")
+        if ratio <= 1.0:
+            return T2, 2 * density
+        # fourth order: each doubling shrinks the difference ~16-fold
+        grow = 2 ** max(1, math.ceil(math.log2(ratio) / 4.0))
+        density *= grow
+        if 2 * density * (segs[-1][1] - segs[0][0]) > _MAX_STEPS:
+            raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
+        T = T2 if grow == 2 else _product(segs, density)
+
+
+def _walk(pieces, x0: float, x1: float, s0, tol: float, dense_xs=None):
+    """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
+
+    Returns the end state, or (end, states at dense_xs), walking the samples
+    at the step density certified on the range they and [x0, x1] cover.
+    """
+    stops = [x0, x1] if dense_xs is None else [x0, *dense_xs, x1]
+    segs = list(pieces(min(stops), max(stops)))
+    if dense_xs is None:
+        T = _certify(segs, tol)[0]
+        return _finite(T @ s0 if x1 >= x0 else np.linalg.solve(T, s0), "state")
+    density = _certify(segs, tol)[1]
+    states = [s0]
+    for xa, xb in zip(stops[:-1], stops[1:]):
+        if xa == xb:
+            states.append(states[-1])
+            continue
+        T = _product(pieces(min(xa, xb), max(xa, xb)), density)
+        states.append(T @ states[-1] if xb >= xa else np.linalg.solve(T, states[-1]))
+    states = _finite(np.array(states[1:]), "state")
+    return states[-1], states[:-1]
+
+
+def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.0):
+    """pieces(xa, xb), xa <= xb, yielding the segments of [xa, xb] for
+    -y'' + (V - alpha Q) y = lam y: exact where V and Q are both constant,
+    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable."""
+    flat = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
+    cells = V.cell_pieces() if flat else ()
+    a, b = Q.support if Q is not None else (math.inf, -math.inf)
+    q_smooth = Q is not None and not Q.is_piecewise_constant
+    qcuts = [] if Q is None else [a, b, *([] if q_smooth else [c for c, _ in Q.q_pieces()])]
+
+    def coef(x):
+        c = V(x) - lam if Q is None else V(x) - alpha * Q.q(x) - lam
+        A = np.zeros(x.shape + (2, 2), dtype=np.result_type(c, float))
+        A[:, 0, 1], A[:, 1, 0] = 1.0, c
+        return A
+
+    def pieces(xa, xb):
+        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in cells]
+        xs = [xa, *sorted({c for c in per + qcuts if xa < c < xb}), xb]
+        for pa, pb in zip(xs, xs[1:]):
+            if pb - pa <= 1e-15:
+                continue
+            mid = 0.5 * (pa + pb)
+            if not flat or q_smooth and a < mid < b:
+                yield pa, pb, None, coef
+                continue
+            for c, v in reversed(cells):  # right-continuous V(mid)
+                if mid % 1.0 >= c:
+                    break
+            if Q is not None:
+                v = v - alpha * Q.q(mid)
+            try:
+                E = constant_transfer(v, lam, pb - pa)
+            except OverflowError as exc:
+                raise StepFailure(f"transfer matrix overflows ({exc})") from exc
+            yield pa, pb, E, None
+
+    return pieces
 
 
 def piecewise_transfer(pieces, lam, x0: float, x1: float) -> np.ndarray:
     """Exact transfer matrix over [x0, x1] for piecewise-constant V."""
-    return _transfer(partial(_piece_grid, pieces), lam, x0, x1)
-
-
-def _transfer(segments, lam, x0: float, x1: float) -> np.ndarray:
-    """Product of constant_transfer over segments(x0, x1), x0 <= x1."""
-    T = np.eye(2)
-    for xa, xb, v in segments(x0, x1):
-        T = constant_transfer(v, lam, xb - xa) @ T
-    return T
-
-
-def _exact_step(segments, lam, x0: float, x1: float, s):
-    if x1 >= x0:
-        return _transfer(segments, lam, x0, x1) @ s
-    return np.linalg.solve(_transfer(segments, lam, x1, x0), s)
-
-
-def _exact_walk(segments, lam, x0: float, x1: float, s0, dense_xs):
-    """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
-
-    segments(xa, xb) yields the constant pieces (pa, pb, v) of [xa, xb].
-    Returns the end state, or (end, states at dense_xs) when dense_xs is
-    given.
-    """
-    if dense_xs is None:
-        return _exact_step(segments, lam, x0, x1, s0)
-    out = np.empty((len(dense_xs), 2))
-    cur_x, cur_s = x0, s0
-    for i, x in enumerate(dense_xs):
-        cur_s = _exact_step(segments, lam, cur_x, x, cur_s)
-        cur_x = x
-        out[i] = cur_s
-    if abs(cur_x - x1) > 1e-15:
-        cur_s = _exact_step(segments, lam, cur_x, x1, cur_s)
-    return cur_s, out
-
-
-def _dop853(rhs, x0: float, x1: float, y0, tol: float, dense_xs, what: str):
-    """Integrate y' = rhs(x, y) from x0 to x1 with DOP853.
-
-    With dense_xs (monotone, starting on the x0 side), integrates to the
-    last sample and then finishes to x1, in whichever direction x1 lies.
-    Returns the end state, or (end, states at dense_xs).
-    """
-    def run(xa, xb, y, t_eval=None):
-        sol = solve_ivp(rhs, (xa, xb), y, method="DOP853",
-                        rtol=tol, atol=tol, t_eval=t_eval)
-        if not sol.success:
-            raise StepFailure(f"{what} failed: {sol.message}")
-        return sol
-
-    if dense_xs is None:
-        return run(x0, x1, y0).y[:, -1]
-    xs = np.asarray(dense_xs, dtype=float)
-    sol = run(x0, xs[-1], y0, t_eval=xs)
-    end = sol.y[:, -1]
-    if abs(xs[-1] - x1) >= 1e-14:
-        end = run(xs[-1], x1, end).y[:, -1]
-    return end, sol.y.T
-
-
-# ---------------------------------------------------------------------
-# Hill propagation
-# ---------------------------------------------------------------------
-
-def _as_callable(V):
-    if isinstance(V, PeriodicPotential):
-        return V
-    if callable(V):
-        return V
-    raise TypeError("V must be a PeriodicPotential or a callable")
+    V = PeriodicPotential.piecewise([c for c, _ in pieces], [v for _, v in pieces])
+    return _product(_hill_pieces(V, lam)(x0, x1), 0.0)
 
 
 def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFAULT_TOL,
                    dense_xs=None):
     """Propagate s = (y, y') of -y'' + V y = lam y from x0 to x1.
 
-    Uses exact transfer matrices when V is piecewise constant, DOP853
-    otherwise.  If dense_xs is given (monotone array from x0 to x1),
-    returns (state_at_x1, states_at_dense_xs); else just the end state.
+    With dense_xs (monotone, from the x0 side) returns (end, states at dense_xs).
     """
-    s0 = np.asarray(state, dtype=float)
-    if isinstance(V, PeriodicPotential) and V.is_piecewise_constant:
-        return _exact_walk(partial(_piece_grid, V.cell_pieces()),
-                           lam, x0, x1, s0, dense_xs)
-
-    Vf = _as_callable(V)
-
-    def rhs(x, s):
-        return [s[1], (Vf(x) - lam) * s[0]]
-
-    return _dop853(rhs, x0, x1, s0, tol, dense_xs, "Hill propagation")
+    return _walk(_hill_pieces(V, lam), x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """One-period monodromy matrix M(lambda) with columns theta, phi.
-
-    lam may be complex; M is then complex.
-    """
-    if isinstance(V, PeriodicPotential) and V.is_piecewise_constant:
-        return piecewise_transfer(V.cell_pieces(), lam, 0.0, 1.0)
-    Vf = _as_callable(V)
-
-    def rhs(x, y):
-        a = Vf(x) - lam
-        # y = [th, th', ph, ph']
-        return [y[1], a * y[0], y[3], a * y[2]]
-
-    y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.result_type(lam, float))
-    th, thp, ph, php = _dop853(rhs, 0.0, 1.0, y0, tol, None, "monodromy integration")
-    return np.array([[th, ph], [thp, php]])
+    """One-period monodromy M(lambda), columns theta, phi; complex for complex lam."""
+    return _certify(list(_hill_pieces(V, lam)(0.0, 1.0)), tol)[0]
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
                              x0: float, x1: float, state, tol: float = DEFAULT_TOL,
                              dense_xs=None):
-    """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1.
+    """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
+    return _walk(_hill_pieces(V, lam, Q, alpha), x0, x1, np.asarray(state, dtype=float),
+                 tol, dense_xs)
 
-    Exact closed form when both V and Q are piecewise constant.
-    """
-    s0 = np.asarray(state, dtype=float)
-    if (isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-            and Q.is_piecewise_constant):
-        pieces = V.cell_pieces()
-        q_cuts = [xq for xq, _ in Q.q_pieces()] + list(Q.support)
-
-        def segments(xa, xb):
-            # merge V's periodic breaks with Q's support breaks
-            xs = sorted({xa, xb} | {c for c in q_cuts if xa < c < xb})
-            for u, w in zip(xs[:-1], xs[1:]):
-                for pa, pb, v in _piece_grid(pieces, u, w):
-                    yield pa, pb, v - alpha * Q.q(0.5 * (pa + pb))
-
-        return _exact_walk(segments, lam, x0, x1, s0, dense_xs)
-
-    Vf = _as_callable(V)
-
-    def veff(x):
-        return Vf(x) - alpha * Q.q(x)
-
-    return propagate_hill(veff, lam, x0, x1, s0, tol, dense_xs=dense_xs)
-
-
-# ---------------------------------------------------------------------
-# 1D Dirac propagation
-# ---------------------------------------------------------------------
 
 def dirac_coefficient(W, m: float, lam: float, x: float) -> np.ndarray:
     """Matrix B(x) in psi' = B psi for -i s1 psi' + m s3 psi + W psi = lam psi."""
@@ -256,28 +239,27 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
     """Propagate a spinor (psi1, psi2) of the 1D Dirac system.
 
     W may be None (free), a MatrixPerturbation, or a callable returning
-    2x2 Hermitian matrices.  Constant W on the whole interval uses the
-    exact matrix exponential.
+    2x2 Hermitian matrices.  Exact where W is constant (outside the
+    support, and inside it for a constant MatrixPerturbation).
     """
     if m <= 0:
         raise ValueError("mass m must be positive")
-    s0 = np.asarray(state, dtype=complex)
+    matrix = isinstance(W, MatrixPerturbation)
+    a, b = W.support if matrix else (math.inf, -math.inf)
 
-    wconst = None
-    if W is None:
-        wconst = np.zeros((2, 2), dtype=complex)
-    elif isinstance(W, MatrixPerturbation) and W.constant is not None:
-        a, b = W.support
-        lo, hi = min(x0, x1), max(x0, x1)
-        if a <= lo and hi <= b:
-            wconst = W.constant
-        elif hi <= a or lo >= b:
-            wconst = np.zeros((2, 2), dtype=complex)
-    if wconst is not None and dense_xs is None:
-        B = 1j * SIGMA1 @ (lam * np.eye(2) - m * SIGMA3 - wconst)
-        return expm(B * (x1 - x0)) @ s0
+    def coef(x):
+        return np.array([dirac_coefficient(W, m, lam, xi) for xi in x])
 
-    def rhs(x, psi):
-        return dirac_coefficient(W, m, lam, x) @ psi
+    def pieces(xa, xb):
+        xs = [xa, *(c for c in (a, b) if xa < c < xb), xb]
+        for pa, pb in zip(xs, xs[1:]):
+            if pb - pa <= 1e-15:
+                continue
+            mid = 0.5 * (pa + pb)
+            if W is None or matrix and (W.constant is not None or not a <= mid <= b):
+                B = (pb - pa) * dirac_coefficient(W, m, lam, mid)
+                yield pa, pb, _expm2(B[None])[0], None
+            else:
+                yield pa, pb, None, coef
 
-    return _dop853(rhs, x0, x1, s0, tol, dense_xs, "Dirac propagation")
+    return _walk(pieces, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)

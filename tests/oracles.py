@@ -1,9 +1,11 @@
 """Independent reference computations used to freeze oracle values.
 
 Everything here deliberately avoids the package's fast paths: the Hill
-reference is a fixed-step RK4 integrator, Mathieu band edges come from a
-truncated plane-wave (Fourier) matrix, and the Dirac reference is a
-staggered-grid finite-difference discretization on a large box.  Run
+reference is a fixed-step RK4 integrator, the high-precision monodromy
+comes from mpmath's Taylor-series ODE solver at 25 digits, Mathieu band
+edges come from a truncated plane-wave (Fourier) matrix, and the Dirac
+reference is a staggered-grid finite-difference discretization on a
+large box.  Run
 this module directly to regenerate the frozen constants quoted in the
 tests.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -34,6 +37,22 @@ def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return s[0], s[1]
+
+
+def mp_monodromy(mean, cos, sin, lam, dps=25):
+    """Monodromy [[theta, phi], [theta', phi']](1) of -y'' + V y = lam y for
+    the Fourier potential V = mean + sum c_k cos(2 pi k x) + s_k sin(2 pi k x),
+    by mpmath's Taylor-series odefun at dps digits; returns floats."""
+    with mpmath.workdps(dps):
+        tau = 2 * mpmath.pi
+
+        def V(x):
+            return (mean + sum(c * mpmath.cos(tau * k * x) for k, c in enumerate(cos, 1))
+                    + sum(s * mpmath.sin(tau * k * x) for k, s in enumerate(sin, 1)))
+
+        cols = [mpmath.odefun(lambda x, y: [y[1], (V(x) - lam) * y[0]], 0, y0)(1)
+                for y0 in ([1, 0], [0, 1])]
+        return [[float(cols[0][0]), float(cols[1][0])], [float(cols[0][1]), float(cols[1][1])]]
 
 
 def rk4_dirac(Wval, m, lam, x0, x1, psi, h=1e-5):
@@ -123,6 +142,13 @@ if __name__ == "__main__":
     y2, yp2 = rk4_hill(mathieu, 0.0, 0.0, 1.0, 1.0, 0.0)
     y3, yp3 = rk4_hill(mathieu, 0.0, 0.0, 1.0, 0.0, 1.0)
     print("mathieu F(0)           :", format(0.5 * (y2 + yp3), ".17g"))
+
+    three = (0.5, (2.0, -1.0, 0.5), (0.7, 0.0, -0.3))
+    for coeffs, lam in [((0.0, (2.0,), ()), 1.0), ((0.0, (2.0,), ()), 0.0),
+                        (three, -5.0), (three, 40.0), (three, 150.0)]:
+        M = mp_monodromy(*coeffs, lam)
+        print(f"mp monodromy {lam:>6}     :",
+              [[format(v, ".17g") for v in row] for row in M])
 
     psi = rk4_dirac(-2.0, 1.0, 0.3, -1.0, 1.0, np.array([1.0, 0.0]))
     print("dirac rk4 psi(1)       :", psi[0], psi[1])

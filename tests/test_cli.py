@@ -133,3 +133,39 @@ def test_bs_spectrum_grid_too_small(cfg, capsys):
                  "--lambda", "-1", "--grid-size", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("lam", ["-1e300", "-1e6"])
+@pytest.mark.parametrize("kind", ["step", "mathieu"])
+def test_overflow_fails_typed(kind, lam, cfg, capsys):
+    # one behaviour for every potential kind: the walk raises StepFailure
+    assert main(["discriminant", "--potential", cfg[kind],
+                 f"--lambda-range={lam}:{lam}:1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--potential", "zero", "--lambda-max", "inf"],
+    ["bands", "--potential", "zero", "--lambda-max", "5", "--grid-step", "nan"],
+    ["discriminant", "--potential", "mathieu", "--lambda-range", "nan:1:2"],
+    ["discriminant", "--potential", "mathieu", "--lambda-range", "inf:inf:1"],
+    ["discriminant", "--potential", "mathieu", "--lambda-range=0:-inf:2"],
+    ["gap-eig", "--potential", "zero", "--perturbation", "box", "--lambda=-inf"],
+    ["bs-spectrum", "--potential", "zero", "--perturbation", "box", "--lambda", "nan"],
+    ["dirac-eig", "--mass", "inf", "--depth", "0.5"],
+    ["dirac-eig", "--mass", "1", "--depth", "nan"],
+    ["dirac-eig", "--mass", "1", "--depth", "0.5", "--support", "-1", "inf"],
+], ids=["lambda-max", "grid-step", "range-start", "range-inf", "range-stop", "gap-eig-lambda",
+        "bs-lambda", "mass", "depth", "support"])
+def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("compute step reached with a non-finite argument")
+
+    for name in ("band_edges", "discriminant", "discriminant_derivative",
+                 "dirac_gap_eigenvalues"):
+        monkeypatch.setattr(cli, name, never)
+    for name in ("solve_coupling", "birman_schwinger_spectrum"):
+        monkeypatch.setattr(cli.gap, name, never)
+    assert main([cfg.get(a, a) for a in argv]) == 2
+    assert "expected a finite number" in capsys.readouterr().err

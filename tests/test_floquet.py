@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_decay import ode
 from spectral_decay.errors import BandPointError
 from spectral_decay.floquet import (discriminant, discriminant_derivative,
                                     floquet_solutions, floquet_state,
@@ -106,3 +107,16 @@ def test_floquet_state_free_exponential():
     for x in (0.5, 1.7, 3.2):
         s = floquet_state(V0, fd, x, "plus")
         assert s[0] == pytest.approx(s0[0] * math.exp(-x), rel=1e-9)
+
+
+def test_floquet_values_one_pass_matches_direct_walks():
+    # unsorted, repeated and negative points share one walk over [0, 1)
+    xs = np.array([2.3, -0.4, 0.0, 0.7, 2.3, 1.0, -1.75, 0.25])
+    for V, lam in ((MATHIEU, 9.5), (STEP, 14.7)):
+        fd = floquet_solutions(V, lam)
+        for side, seed in (("plus", fd.seed_plus), ("minus", fd.seed_minus)):
+            vals = floquet_values(V, fd, xs, side)
+            for x, v in zip(xs, vals):
+                assert np.allclose(v, ode.propagate_hill(V, lam, 0.0, x, seed),
+                                   rtol=1e-7, atol=1e-9)
+                assert np.allclose(v, floquet_state(V, fd, x, side), rtol=1e-9, atol=1e-12)

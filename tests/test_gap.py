@@ -165,7 +165,7 @@ def test_step_potential_gap_eigenpair():
 
 def test_eigenfunction_support_off_the_sample_grid():
     # b = 1.37 is not a multiple of the 1/64 sample step, so the last
-    # support sample lies past b (DOP853 route)
+    # support sample lies past b (Magnus route)
     V = PeriodicPotential.fourier(mean=0.0, cos=[2.0])
     a, b = band_edges(V, 15.0).gaps[0]
     lam = 0.5 * (a + b)

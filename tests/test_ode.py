@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from spectral_decay import ode
 from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
@@ -14,6 +17,22 @@ STEP = PeriodicPotential.piecewise([0.0, 0.5], [10.0, 0.0])
 # frozen fixed-step RK4 references (tests/oracles.py, h=1e-5)
 MATHIEU_THETA_LAM1 = (0.51658964911898342, -0.98363535197231156)
 DIRAC_RK4_PSI = (-0.5395697002296759 + 0.0j, -0.528440788280823j)
+
+# frozen mpmath monodromies (tests/oracles.py mp_monodromy, dps 25):
+# (mean, cos, sin), lambda -> [[theta, phi], [theta', phi']](1)
+THREE = (0.5, (2.0, -1.0, 0.5), (0.7, 0.0, -0.3))
+MP_MONODROMY = [
+    ((0.0, (2.0,), ()), 1.0, [[0.51658964911967031, 0.74533223409907678],
+                              [-0.98363535196971041, 0.51658964911967031]]),
+    ((0.0, (2.0,), ()), 0.0, [[0.97467506298018203, 0.89731829975432031],
+                              [-0.055731084073812269, 0.97467506298018203]]),
+    (THREE, -5.0, [[5.3373920220701274, 2.0733027093295271],
+                   [12.659903216004254, 5.1050796952746698]]),
+    (THREE, 40.0, [[0.99841919459707751, -0.0062079015536971229],
+                   [-0.23544355011565229, 1.0030472328656714]]),
+    (THREE, 150.0, [[0.94251193460162397, -0.027402579891667955],
+                    [4.0490896853087932, 0.94327134094654608]]),
+]
 
 
 def test_free_linear_solution():
@@ -139,7 +158,7 @@ def test_dense_output_matches_endpoint():
     assert np.allclose(dense[8], direct, atol=1e-8)
 
 
-@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "dop853"])
+@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
 def test_dense_samples_past_the_end(V):
     # samples may run past x1; the end state is still the state at x1
     s0 = (1.0, 0.0)
@@ -151,3 +170,107 @@ def test_dense_samples_past_the_end(V):
     end, _ = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0, dense_xs=xs)
     direct = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0)
     assert np.allclose(end, direct, atol=1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("coeffs, lam, M_mp", MP_MONODROMY)
+def test_discriminant_within_tol_of_mpmath(coeffs, lam, M_mp, tol):
+    # what tol means: |F - F_mp| <= 10 tol max(1, |F|)
+    M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam, tol)
+    F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
+    assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
+
+
+def test_mpmath_reference_agrees_with_rk4():
+    M = MP_MONODROMY[0][2]
+    assert abs(M[0][0] - MATHIEU_THETA_LAM1[0]) <= 1e-11
+    assert abs(M[1][0] - MATHIEU_THETA_LAM1[1]) <= 1e-11
+
+
+# random 1-3 harmonic potentials (top harmonic of amplitude >= 0.5) and
+# lambda in [-10, 100]
+coefficient = st.floats(-3.0, 3.0)
+harmonics = st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=3)
+fourier = st.builds(lambda mean, cs: (mean, [c for c, _ in cs], [s for _, s in cs]),
+                    st.floats(-2.0, 2.0),
+                    harmonics.filter(lambda cs: math.hypot(*cs[-1]) >= 0.5))
+lams = st.floats(-10.0, 100.0)
+props = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@props
+@given(fourier, lams)
+def test_property_det_monodromy_is_one(coeffs, lam):
+    # Magnus steps are exponentials of traceless matrices: det 1 to rounding
+    M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam)
+    assert abs(np.linalg.det(M) - 1.0) <= 1e-12 * max(1.0, np.max(np.abs(M))) ** 2
+
+
+@props
+@given(fourier, lams, st.floats(0.3, 2.5), st.integers(0, 2 ** 32 - 1))
+def test_property_wronskian_is_constant(coeffs, lam, x1, seed):
+    V = PeriodicPotential.fourier(*coeffs)
+    s1, s2 = np.random.default_rng(seed).normal(size=(2, 2))
+    e1 = ode.propagate_hill(V, lam, 0.0, x1, s1)
+    e2 = ode.propagate_hill(V, lam, 0.0, x1, s2)
+    w0, w1 = s1[0] * s2[1] - s1[1] * s2[0], e1[0] * e2[1] - e1[1] * e2[0]
+    assert abs(w1 - w0) <= 1e-12 * max(1.0, np.linalg.norm(e1) * np.linalg.norm(e2))
+
+
+@props
+@given(fourier, lams, st.floats(0.0, 1.0))
+def test_property_discriminant_translation_invariant(coeffs, lam, c):
+    mean, cs, ss = coeffs
+    th = 2.0 * math.pi * c * np.arange(1, len(cs) + 1)
+    cs, ss = np.array(cs), np.array(ss)
+    V = PeriodicPotential.fourier(mean, cs, ss)
+    shifted = PeriodicPotential.fourier(mean, cs * np.cos(th) + ss * np.sin(th),
+                                        ss * np.cos(th) - cs * np.sin(th))  # V(x + c)
+    tol = ode.DEFAULT_TOL
+    F = 0.5 * np.trace(ode.monodromy(V, lam, tol))
+    assert abs(0.5 * np.trace(ode.monodromy(shifted, lam, tol)) - F) <= \
+        20.0 * tol * max(1.0, abs(F))
+
+
+@props
+@given(fourier, lams)
+def test_property_magnus_is_fourth_order(coeffs, lam):
+    segs = list(ode._hill_pieces(PeriodicPotential.fourier(*coeffs), lam)(0.0, 1.0))
+    T32, T64, T128 = (ode._product(segs, n) for n in (32, 64, 128))
+    ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
+    assert abs(math.log2(ratio) - 4.0) <= 0.25
+
+
+def _dop853(rhs, x0, x1, y0):
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    return sol.y[:, -1]
+
+
+def test_perturbed_smooth_profile_vs_dop853():
+    # a Fourier profile G makes V - alpha Q smooth inside the support
+    Q = CompactPerturbation(support=(-0.3, 0.9),
+                            profile=PeriodicPotential.fourier(mean=1.0, cos=[0.5]))
+    lam, alpha, s0 = 3.0, 2.5, np.array([0.4, -1.1])
+    out = ode.propagate_hill_perturbed(MATHIEU, Q, alpha, lam, -1.0, 1.5, s0)
+    ref = _dop853(lambda x, s: [s[1], (MATHIEU(x) - alpha * Q.q(x) - lam) * s[0]],
+                  -1.0, -0.3, s0)
+    ref = _dop853(lambda x, s: [s[1], (MATHIEU(x) - alpha * Q.q(x) - lam) * s[0]],
+                  -0.3, 0.9, ref)
+    ref = _dop853(lambda x, s: [s[1], (MATHIEU(x) - lam) * s[0]], 0.9, 1.5, ref)
+    assert np.allclose(out, ref, rtol=1e-9, atol=1e-9)
+
+
+def test_dirac_smooth_w_vs_dop853():
+    def w(x):
+        return np.array([[math.cos(x), 0.3j * x], [-0.3j * x, -0.5]], dtype=complex)
+
+    W = MatrixPerturbation(support=(-1.0, 1.0), func=w)
+    s0 = np.array([1.0, 0.5j])
+    out = ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, s0)
+    ref = _dop853(lambda x, p: ode.dirac_coefficient(W, 1.0, 0.2, x) @ p, -1.0, 1.0, s0)
+    assert np.allclose(out, ref, rtol=1e-9, atol=1e-9)
+    # the same W held constant goes through the exact closed form
+    Wc = MatrixPerturbation.constant_matrix(w(0.25), (-1.0, 1.0))
+    Wf = MatrixPerturbation(support=(-1.0, 1.0), func=lambda x: w(0.25))
+    assert np.allclose(ode.propagate_dirac(Wc, 1.0, 0.2, -1.0, 1.0, s0),
+                       ode.propagate_dirac(Wf, 1.0, 0.2, -1.0, 1.0, s0), atol=1e-12)
