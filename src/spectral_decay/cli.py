@@ -18,7 +18,7 @@ import numpy as np
 from . import gap, verify
 from .bands import band_edges, csv_rows, spectral_distance
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
-from .errors import SpectralDecayError
+from .errors import SpectralDecayError, ValidationError
 from .floquet import discriminant, discriminant_derivative
 from .potentials import (CompactPerturbation, MatrixPerturbation,
                          load_perturbation, load_potential)
@@ -117,6 +117,8 @@ def cmd_gap_eig(args) -> int:
 
 
 def cmd_bs_spectrum(args) -> int:
+    if args.count < 1:
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     V = load_potential(_load_json(args.potential))
     Q = load_perturbation(_load_json(args.perturbation))
     bss = gap.birman_schwinger_spectrum(V, Q, args.lam, grid_size=args.grid_size)

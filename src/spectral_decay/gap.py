@@ -14,7 +14,13 @@ lambda:
 
 The Green kernel of the unperturbed periodic operator in a gap is
 g(x, x') = y_-(x_<) y_+(x_>) / (-W) with W the (constant) Wronskian
-y_- y_+' - y_-' y_+.
+y_- y_+' - y_-' y_+.  On a grid x_i it is a one-pair matrix, whose inverse
+is tridiagonal (Gantmacher-Krein).  With T_i the transfer matrix of the
+cell [x_i, x_{i+1}] and s_i = 1/(sqrt(w_i) G(x_i)), the Nystrom matrix has
+the Jacobi inverse J_{i,i+1} = -s_i s_{i+1}/T_i[0,1], J_ii = s_i^2 (L_i + R_i)
+with L_i = T_{i-1}[1,1]/T_{i-1}[0,1] and R_i = T_i[0,0]/T_i[0,1], closed by
+the decay conditions L_0 = y_-'/y_-(x_0) and R_{N-1} = -y_+'/y_+(x_{N-1}).
+Its eigenvalues are the couplings alpha: O(N) memory, rounding ~eps/h^2.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from . import decay, ode
@@ -106,7 +113,8 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float,
 def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
                               grid_size: int = 2048,
                               tol: float = ode.DEFAULT_TOL) -> BSSpectrum:
-    """Nystrom (trapezoid) spectrum of G (H - lambda)^(-1) G on supp Q."""
+    """Nystrom (trapezoid) spectrum of G (H - lambda)^(-1) G on supp Q, from
+    the Jacobi inverse on the nodes where G != 0; the others give mu = 0."""
     if grid_size < 2:
         raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
     fd = floquet_solutions(V, lam, tol)
@@ -115,25 +123,25 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     h = (b - a) / (grid_size - 1)
     w = np.full(grid_size, h)
     w[0] = w[-1] = 0.5 * h
-
-    ym = floquet_values(V, fd, xs, "minus", tol)[:, 0]
-    yp = floquet_values(V, fd, xs, "plus", tol)[:, 0]
-    sm = floquet_state(V, fd, a, "minus", tol)
-    sp = floquet_state(V, fd, a, "plus", tol)
-    W0 = _wronskian(sm, sp)
-    if abs(W0) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp)):
-        raise SingularWronskian("Floquet pair numerically dependent")
-
-    ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
-    lower = np.minimum(ii, jj)
-    upper = np.maximum(ii, jj)
-    green = ym[lower] * yp[upper] / (-W0)
-
     g = np.asarray(Q.g(xs), dtype=float)
-    ker = g[:, None] * green * g[None, :]
-    sw = np.sqrt(w)
-    sym = sw[:, None] * ker * sw[None, :]
-    mu = np.linalg.eigvalsh(sym)
+    keep = np.flatnonzero(g)
+    mu = np.zeros(grid_size)
+    if len(keep):
+        x = xs[keep]
+        sm = floquet_state(V, fd, x[0], "minus", tol)
+        sp0, sp = floquet_values(V, fd, x[[0, -1]], "plus", tol)
+        if abs(_wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
+            raise SingularWronskian("Floquet pair numerically dependent")
+        T = ode.cell_transfers(V, lam, x, tol)
+        t01 = T[:, 0, 1]
+        if np.any(t01[np.diff(keep) == 1] <= 0.0):
+            raise ValidationError(f"grid_size = {grid_size} leaves less than one node per "
+                                  f"half-wavelength at lambda = {lam}")
+        s = 1.0 / (np.sqrt(w[keep]) * g[keep])
+        left = np.append(sm[1] / sm[0], T[:, 1, 1] / t01)
+        right = np.append(T[:, 0, 0] / t01, -sp[1] / sp[0])
+        alpha = eigvalsh_tridiagonal(s * s * (left + right), -s[:-1] * s[1:] / t01)
+        mu[:len(keep)] = np.sort(1.0 / alpha)
     order = np.argsort(-np.abs(mu), kind="stable")
     return BSSpectrum(lam=lam, mu=mu[order], grid_size=grid_size)
 

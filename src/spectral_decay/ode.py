@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
@@ -38,6 +39,7 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _I2 = np.eye(2)
+_EPS = sys.float_info.epsilon
 _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 
@@ -95,8 +97,9 @@ def _magnus(coef, xa: float, xb: float, n: int) -> np.ndarray:
     return E[0]
 
 
-def _product(segs, density: float) -> np.ndarray:
-    """Transfer matrix over segs at `density` Magnus steps per unit length.
+def _product(segs, density: float, refine: int = 1) -> np.ndarray:
+    """Transfer matrix over segs, taking refine * max(1, ceil(length * density))
+    Magnus steps on each segment.
 
     segs are the segments (pa, pb, E, coef) of an interval, left to right:
     E is the exact transfer matrix where the coefficient A is constant,
@@ -105,7 +108,7 @@ def _product(segs, density: float) -> np.ndarray:
     T = _I2.copy()
     for pa, pb, E, coef in segs:
         if E is None:
-            E = _magnus(coef, pa, pb, max(1, math.ceil((pb - pa) * density)))
+            E = _magnus(coef, pa, pb, refine * max(1, math.ceil((pb - pa) * density)))
         T = E @ T
     return T
 
@@ -117,53 +120,53 @@ def _finite(a, what: str):
 
 
 def _certify(segs, tol: float):
-    """(T, density): the product over segs and the Magnus step density
-    (steps per unit length) at which it meets tol; density 0 if all exact."""
+    """(T, density): the product over segs at refine 2 and the Magnus step
+    density at which it meets tol (agrees with refine 1); 0 if all exact."""
     density = 8
     T = _finite(_product(segs, density), "transfer matrix")
     if all(seg[3] is None for seg in segs):
         return T, 0
     while True:
-        T2 = _product(segs, 2 * density)
+        T2 = _product(segs, density, 2)
         ratio = _finite(np.max(np.abs(T2 - T)) / (tol * max(1.0, np.max(np.abs(T2)))),
                         "transfer matrix")
         if ratio <= 1.0:
-            return T2, 2 * density
+            return T2, density
         # fourth order: each doubling shrinks the difference ~16-fold
-        grow = 2 ** max(1, math.ceil(math.log2(ratio) / 4.0))
-        density *= grow
+        density *= 2 ** max(1, math.ceil(math.log2(ratio) / 4.0))
         if 2 * density * (segs[-1][1] - segs[0][0]) > _MAX_STEPS:
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
-        T = T2 if grow == 2 else _product(segs, density)
+        T = _product(segs, density)
+
+
+def _cells(pieces, stops, tol: float) -> list:
+    """Transfer matrices over [min, max] of each pair of neighbouring stops,
+    at the step density certified on their range."""
+    T, density = _certify(list(pieces(min(stops), max(stops))), tol)
+    if len(stops) == 2:
+        return [T]
+    return [_product(pieces(min(xa, xb), max(xa, xb)), density, 2) if xa != xb else _I2
+            for xa, xb in zip(stops[:-1], stops[1:])]
 
 
 def _walk(pieces, x0: float, x1: float, s0, tol: float, dense_xs=None):
     """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
-
-    Returns the end state, or (end, states at dense_xs), walking the samples
-    at the step density certified on the range they and [x0, x1] cover.
-    """
-    stops = [x0, x1] if dense_xs is None else [x0, *dense_xs, x1]
-    segs = list(pieces(min(stops), max(stops)))
-    if dense_xs is None:
-        T = _certify(segs, tol)[0]
-        return _finite(T @ s0 if x1 >= x0 else np.linalg.solve(T, s0), "state")
-    density = _certify(segs, tol)[1]
+    Returns the end state, or (end, states at dense_xs)."""
+    stops = [x0, *(() if dense_xs is None else dense_xs), x1]
     states = [s0]
-    for xa, xb in zip(stops[:-1], stops[1:]):
-        if xa == xb:
-            states.append(states[-1])
-            continue
-        T = _product(pieces(min(xa, xb), max(xa, xb)), density)
-        states.append(T @ states[-1] if xb >= xa else np.linalg.solve(T, states[-1]))
+    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(pieces, stops, tol)):
+        s = states[-1]
+        states.append(s if xa == xb else T @ s if xb > xa else np.linalg.solve(T, s))
     states = _finite(np.array(states[1:]), "state")
-    return states[-1], states[:-1]
+    return states[-1] if dense_xs is None else (states[-1], states[:-1])
 
 
-def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.0):
+def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.0,
+                 tol: float = DEFAULT_TOL):
     """pieces(xa, xb), xa <= xb, yielding the segments of [xa, xb] for
     -y'' + (V - alpha Q) y = lam y: exact where V and Q are both constant,
-    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable."""
+    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable.
+    StepFailure where rounding the phase sqrt|lam| (xb - xa) alone exceeds tol."""
     flat = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
     cells = V.cell_pieces() if flat else ()
     a, b = Q.support if Q is not None else (math.inf, -math.inf)
@@ -177,6 +180,8 @@ def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.
         return A
 
     def pieces(xa, xb):
+        if _EPS * math.sqrt(abs(lam)) * (xb - xa) > tol:
+            raise StepFailure(f"lambda = {lam}: phase rounding over [{xa}, {xb}] > tol = {tol}")
         per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in cells]
         xs = [xa, *sorted({c for c in per + qcuts if xa < c < xb}), xb]
         for pa, pb in zip(xs, xs[1:]):
@@ -212,19 +217,27 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
 
     With dense_xs (monotone, from the x0 side) returns (end, states at dense_xs).
     """
-    return _walk(_hill_pieces(V, lam), x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
+    return _walk(_hill_pieces(V, lam, tol=tol), x0, x1, np.asarray(state, dtype=float), tol,
+                 dense_xs)
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex lam."""
-    return _certify(list(_hill_pieces(V, lam)(0.0, 1.0)), tol)[0]
+    return _certify(list(_hill_pieces(V, lam, tol=tol)(0.0, 1.0)), tol)[0]
+
+
+def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
+    of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
+    Ts = _cells(_hill_pieces(V, lam, tol=tol), np.asarray(xs, dtype=float).tolist(), tol)
+    return _finite(np.array(Ts).reshape(-1, 2, 2), "transfer matrix")
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
                              x0: float, x1: float, state, tol: float = DEFAULT_TOL,
                              dense_xs=None):
     """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
-    return _walk(_hill_pieces(V, lam, Q, alpha), x0, x1, np.asarray(state, dtype=float),
+    return _walk(_hill_pieces(V, lam, Q, alpha, tol), x0, x1, np.asarray(state, dtype=float),
                  tol, dense_xs)
 
 

@@ -5,7 +5,8 @@ reference is a fixed-step RK4 integrator, the high-precision monodromy
 comes from mpmath's Taylor-series ODE solver at 25 digits, Mathieu band
 edges come from a truncated plane-wave (Fourier) matrix, and the Dirac
 reference is a staggered-grid finite-difference discretization on a
-large box.  Run
+large box.  The Birman-Schwinger reference assembles the dense Nystrom
+matrix from the package's Floquet values and solves it densely.  Run
 this module directly to regenerate the frozen constants quoted in the
 tests.
 """
@@ -17,6 +18,8 @@ import math
 import mpmath
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+
+from spectral_decay.floquet import floquet_solutions, floquet_state, floquet_values
 
 
 def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
@@ -124,6 +127,32 @@ def hill_fd_eigenvalues(Vfun, box=40.0, n=200000, window=(-2.0, -0.5)):
     diag = 2.0 / h ** 2 + np.array([Vfun(x) for x in xs])
     off = np.full(n - 2, -1.0 / h ** 2)
     return eigvalsh_tridiagonal(diag, off, select="v", select_range=window)
+
+
+def dense_birman_schwinger(V, Q, lam, grid_size, tol=1e-10):
+    """Birman-Schwinger spectrum from the dense N x N Nystrom matrix.
+
+    The trapezoid discretization of G g G with g(x, x') =
+    y_-(x_<) y_+(x_>) / (-W), assembled from Floquet values at every node
+    and solved by a dense symmetric eigensolver; mu ordered by descending
+    |mu| (stable).  O(N^2) memory and O(N^3) time.
+    """
+    fd = floquet_solutions(V, lam, tol)
+    a, b = Q.support
+    xs = np.linspace(a, b, grid_size)
+    h = (b - a) / (grid_size - 1)
+    w = np.full(grid_size, h)
+    w[0] = w[-1] = 0.5 * h
+    ym = floquet_values(V, fd, xs, "minus", tol)[:, 0]
+    yp = floquet_values(V, fd, xs, "plus", tol)[:, 0]
+    sm = floquet_state(V, fd, a, "minus", tol)
+    sp = floquet_state(V, fd, a, "plus", tol)
+    W0 = sm[0] * sp[1] - sm[1] * sp[0]
+    ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
+    green = ym[np.minimum(ii, jj)] * yp[np.maximum(ii, jj)] / (-W0)
+    d = np.sqrt(w) * np.asarray(Q.g(xs), dtype=float)
+    mu = np.linalg.eigvalsh(d[:, None] * green * d[None, :])
+    return mu[np.argsort(-np.abs(mu), kind="stable")]
 
 
 if __name__ == "__main__":

@@ -135,6 +135,26 @@ def test_bs_spectrum_grid_too_small(cfg, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bs_spectrum_count_below_one(count, cfg, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("bs-spectrum computed with a count below 1")
+
+    monkeypatch.setattr(cli.gap, "birman_schwinger_spectrum", never)
+    assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1", "--count", count]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["step", "zero", "mathieu"])
+def test_lambda_beyond_phase_resolution_fails_typed(kind, cfg, capsys):
+    # at lambda = 1e300 the phase sqrt(lambda) of one period is rounding noise
+    assert main(["discriminant", "--potential", cfg[kind], "--lambda-range=1e300:1e300:1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 @pytest.mark.parametrize("lam", ["-1e300", "-1e6"])
 @pytest.mark.parametrize("kind", ["step", "mathieu"])
 def test_overflow_fails_typed(kind, lam, cfg, capsys):

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import BandPointError, NoSignChange
-from spectral_decay.floquet import floquet_solutions
+from spectral_decay.errors import BandPointError, NoSignChange, ValidationError
+from spectral_decay.floquet import discriminant, floquet_solutions
 from spectral_decay.gap import (birman_schwinger_spectrum, eigenfunction,
                                 matching_determinant, solve_coupling)
 from spectral_decay.potentials import CompactPerturbation, PeriodicPotential
@@ -85,6 +88,74 @@ def test_birman_schwinger_grid_convergence():
     a = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=1024)
     b = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048)
     assert abs(a.mu[0] - b.mu[0]) <= 1e-6
+
+
+def test_birman_schwinger_memory_is_linear():
+    birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=64)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_birman_schwinger_grid_below_half_wavelength():
+    a, b = band_edges(STEP, 30.0).gaps[0]
+    with pytest.raises(ValidationError, match="grid_size = 3"):
+        birman_schwinger_spectrum(STEP, CompactPerturbation.box(-1.0, 1.0), 0.5 * (a + b),
+                                  grid_size=3)
+
+
+# random piecewise and 1-3 harmonic V; lambda below the spectrum (gap 0,
+# leading mu > 0) or in gap 1 or 2 (leading mu may be negative); random
+# supports with two-level profiles G, whose levels may be 0
+levels = st.one_of(st.just(0.0), st.floats(0.2, 2.0))
+piecewise = st.builds(
+    lambda v0, rest: PeriodicPotential.piecewise([0.0, *(c for c, _ in rest)],
+                                                 [v0, *(v for _, v in rest)]),
+    st.floats(-10.0, 10.0),
+    st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(-10.0, 10.0)), max_size=3,
+             unique_by=lambda piece: piece[0]).map(sorted))
+fourier = st.builds(lambda mean, cs, ss: PeriodicPotential.fourier(mean, cs, ss),
+                    st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+                    st.lists(st.floats(-2.0, 2.0), max_size=3))
+grid_sizes = st.one_of(st.sampled_from([2, 3]), st.integers(256, 1024))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(piecewise, fourier), st.integers(0, 2), st.floats(0.3, 0.7),
+       st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.tuples(levels, levels),
+       st.floats(0.2, 0.8), grid_sizes)
+@example(STEP, 1, 0.5, -0.3, 1.4, (0.0, 1.3), 0.4, 300)  # a zero piece: nodes with G = 0
+@example(STEP, 0, 0.5, -0.3, 1.4, (1.0, 0.5), 0.4, 2)
+@example(STEP, 0, 0.5, -0.3, 1.4, (0.0, 0.5), 0.6, 3)
+def test_property_birman_schwinger_matches_dense_oracle(V, gap, u, a, length, g, cut,
+                                                        grid_size):
+    assume(max(g) > 0.0)
+    M = V.max_abs()
+    if gap == 0:
+        lam = -M - 0.5 - 3.0 * u
+    else:
+        # gap k lies in [(k pi)^2 + min V, (k pi)^2 + max V], where (-1)^k F > 1
+        lams = (gap * math.pi) ** 2 + M * np.linspace(-1.0, 1.0, 65)
+        sf = np.array([(-1) ** gap * discriminant(V, x) for x in lams])
+        assume(sf.max() > 1.0 + 1e-6)
+        lam = lams[np.argmax(sf)]
+    Q = CompactPerturbation((a, a + length), PeriodicPotential.piecewise([0.0, cut], g))
+    try:
+        mu = birman_schwinger_spectrum(V, Q, lam, grid_size=grid_size).mu
+    except BandPointError:
+        assume(False)  # a gap too narrow to resolve at the default tol
+    except ValidationError:
+        # a cell reaches half a wavelength only if (lam - min V) h^2 >= pi^2
+        assert (lam + M) * (length / (grid_size - 1)) ** 2 >= math.pi ** 2
+        return
+    dense = oracles.dense_birman_schwinger(V, Q, lam, grid_size)
+    k = min(8, grid_size)
+    assert len(mu) == grid_size
+    assert np.max(np.abs(mu[:k] - dense[:k])) <= 1e-8 * abs(dense[0])
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from spectral_decay import ode
+from spectral_decay.errors import StepFailure
 from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
                                        PeriodicPotential)
+
+import oracles
 
 V0 = PeriodicPotential.zero()
 MATHIEU = PeriodicPotential.fourier(mean=0.0, cos=[2.0])
@@ -49,6 +52,27 @@ def test_mathieu_vs_fixed_step_reference():
     out = ode.propagate_hill(MATHIEU, 1.0, 0.0, 1.0, (1.0, 0.0))
     assert out[0] == pytest.approx(MATHIEU_THETA_LAM1[0], abs=1e-9)
     assert out[1] == pytest.approx(MATHIEU_THETA_LAM1[1], abs=1e-9)
+
+
+def test_short_magnus_walk_meets_tol():
+    # [0, 1/16] gets one step at the starting density; the n-vs-2n check
+    # must still compare different step counts
+    V = PeriodicPotential.fourier(0.0, [0.0], [1.0])
+    ref = oracles.rk4_hill(V, -3.0, 0.0, 0.0625, 1.0, 0.0)
+    out = ode.propagate_hill(V, -3.0, 0.0, 0.0625, (1.0, 0.0))
+    assert np.allclose(out, ref, rtol=0.0, atol=ode.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("V", [V0, MATHIEU], ids=["exact", "magnus"])
+def test_phase_rounding_limit_follows_tol(V):
+    # eps sqrt|lam| over one period reaches tol = 1e-6 at |lam| = (1e-6 / eps)^2
+    edge = (1e-6 / np.finfo(float).eps) ** 2
+    assert np.all(np.isfinite(ode.monodromy(V, 0.9 * edge, tol=1e-6)))
+    for lam in (1.1 * edge, -1.1 * edge):
+        with pytest.raises(StepFailure, match="rounding"):
+            ode.monodromy(V, lam, tol=1e-6)
+    with pytest.raises(StepFailure):
+        ode.propagate_hill(V, 1.1 * edge, 0.0, 1.0, (1.0, 0.0), tol=1e-6)
 
 
 def test_monodromy_free_closed_forms():
