@@ -1,12 +1,18 @@
 """Band edges, spectral gaps and the distance to the essential spectrum.
 
-Band edges are the transversal roots of F(lambda) = +-1.  The scan walks
-a lambda grid, brackets every sign change, and refines by Brent's
-method; cells whose values dip toward +-1 without a sign change are
-subdivided dyadically so narrow gaps are not missed.  Double roots
-(closed gaps) only produce roundoff-level sign flutter; they are removed
-by clustering nearby root candidates and keeping only edges across which
-F - target changes sign transversally, well above the noise floor.
+Hill theory (Magnus & Winkler, Hill's Equation, 1966, sec. 2.3; Eastham
+1973): F > 1 below the spectrum, F' != 0 wherever |F| < 1, and F has
+exactly one critical point c in each gap, open or closed.  The gap is
+open iff |F(c)| > 1, and its edges are the roots of F = sign F(c) on
+either side of c.
+
+The scan samples F on a lambda grid; the bottom edge is the first sign
+change of F - 1.  Each local extremum of the samples brackets c on its
+two cells, and Brent's method finds c as a root of the complex-step F'.
+A gap counts as open when |F(c)| - 1 exceeds ten times the noise of F.
+Edges of a gap with a sample inside are refined on the cells where
+F -+ 1 changes sign; a gap narrower than a cell has no such sample, and
+c and the ends of its cell bracket the edges.
 """
 
 from __future__ import annotations
@@ -17,13 +23,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ode
-from .floquet import discriminant
+from .floquet import discriminant, discriminant_derivative
 from .errors import OutOfCertifiedRange
 from .potentials import PeriodicPotential
 
 DEFAULT_GRID_STEP = 0.05
 EDGE_XTOL = 1e-13
-DEGENERATE_TOL = 1e-6  # root pairs closer than this count as a closed gap
 
 
 @dataclass(frozen=True)
@@ -32,57 +37,23 @@ class BandStructure:
     gaps: tuple                  # open intervals (lo, hi) with |F| > 1 inside
     lambda0: float               # bottom of the essential spectrum
     scan_ceiling: float
-    incomplete: bool = False     # suspected unresolved edge pairs
+    # F' keeps its sign across some sample extremum's two grid cells: two
+    # critical points lie too close to separate, so a gap may be missing
+    incomplete: bool = False
     scan_floor: float = field(default=float("nan"))
 
 
-def _collect_roots(f, a, b, fa, fb, slope_bound, depth, min_width):
-    """Sign-change roots of f in [a, b] by pruned recursive bisection."""
-    if fa == 0.0:
-        return [a], False
-    if fa * fb < 0:
-        return [brentq(f, a, b, xtol=EDGE_XTOL, rtol=8.9e-16)], False
-    # same sign at both ends: a root pair can hide only if |f| dips to 0
-    if min(abs(fa), abs(fb)) >= slope_bound * (b - a):
-        return [], False
-    if b - a < min_width:
-        # anything unresolved at this scale is a closed gap, not a miss
-        return [], False
-    if depth <= 0:
-        return [], True
-    m = 0.5 * (a + b)
-    fm = f(m)
-    r1, s1 = _collect_roots(f, a, m, fa, fm, slope_bound, depth - 1, min_width)
-    r2, s2 = _collect_roots(f, m, b, fm, fb, slope_bound, depth - 1, min_width)
-    return r1 + r2, (s1 or s2)
-
-
-def _cluster(roots, tol):
-    """Group sorted roots closer than tol; return cluster means."""
-    if not roots:
-        return []
-    roots = sorted(roots)
-    groups = [[roots[0]]]
-    for r in roots[1:]:
-        if r - groups[-1][-1] < tol:
-            groups[-1].append(r)
-        else:
-            groups.append([r])
-    return [float(np.mean(g)) for g in groups]
+def _root(f, a: float, b: float, *args) -> float:
+    return brentq(f, a, b, args=args, xtol=EDGE_XTOL, rtol=8.9e-16)
 
 
 def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP,
-               tol: float = ode.DEFAULT_TOL, lam_min: float | None = None,
-               refine_depth: int = 24) -> BandStructure:
-    """Scan [lam_min, lam_max] for band edges of -d^2/dx^2 + V.
-
-    lam_min defaults to -max|V| - 1, below which F > 1 strictly and no
-    spectrum exists.  Gaps narrower than ~1e-6 are reported as closed.
-    """
+               tol: float = ode.DEFAULT_TOL) -> BandStructure:
+    """Scan [-max|V| - 1, lam_max] for band edges of -d^2/dx^2 + V
+    (F > 1 strictly below the floor, where no spectrum exists)."""
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    if lam_min is None:
-        lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
+    lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
     if lam_max <= lam_min:
         raise ValueError("lam_max must exceed the scan floor")
 
@@ -92,45 +63,62 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP,
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)
     Fs = np.array([discriminant(V, l, tol) for l in grid])
-    dF = np.abs(np.diff(Fs)) / np.diff(grid)
 
-    edges = []
-    incomplete = False
-    for target in (1.0, -1.0):
-        g = Fs - target
+    def f(lam, t):
+        return discriminant(V, lam, tol) - t
 
-        def f(lam, _t=target):
-            return discriminant(V, lam, tol) - _t
+    def dF(lam):
+        return discriminant_derivative(V, lam, tol)
 
-        candidates = []
-        for i in range(len(grid) - 1):
-            lo = max(i - 2, 0)
-            hi = min(i + 3, len(dF))
-            sb = 4.0 * max(dF[lo:hi].max(), 1e-8)
-            roots, susp = _collect_roots(f, grid[i], grid[i + 1], g[i], g[i + 1],
-                                         sb, refine_depth, DEGENERATE_TOL / 8)
-            candidates.extend(roots)
-            incomplete = incomplete or susp
+    g = Fs - 1.0
+    hits = np.flatnonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0.0))
+    if not hits.size:
+        return BandStructure((), (), float("nan"), lam_max, False, lam_min)
+    i = hits[0]
+    edges = [grid[i] if g[i] == 0.0 else _root(f, grid[i], grid[i + 1], 1.0)]
+    gaps, incomplete = [], False
 
-        reps = _cluster(candidates, DEGENERATE_TOL)
-        # transversality filter: drop degenerate (closed-gap) candidates
-        for j, r in enumerate(reps):
-            dist = min(
-                [abs(r - reps[k]) for k in (j - 1, j + 1) if 0 <= k < len(reps)],
-                default=np.inf)
-            h = min(1e-4, 0.4 * dist)
-            s_lo, s_hi = f(r - h), f(r + h)
-            if s_lo * s_hi < 0 and min(abs(s_lo), abs(s_hi)) > 10.0 * noise:
-                edges.append(r)
-
-    edges = sorted(edges)
-    gaps = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        if abs(discriminant(V, mid, tol)) > 1.0 + 10.0 * noise:
-            gaps.append((a, b))
-    lambda0 = edges[0] if edges else float("nan")
-    return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=lambda0,
+    d, dF_top = np.diff(Fs), dF(lam_max)
+    extrema = [j for j in range(i + 1, n - 1) if d[j - 1] * d[j] < 0]
+    if d[-1] * dF_top < 0:  # a critical point in the last cell
+        extrema.append(n - 1)
+    for j in extrema:
+        if grid[j] < edges[-1]:
+            continue  # inside the last gap
+        lo, hi = grid[j - 1], grid[min(j + 1, n - 1)]
+        d_lo, d_hi = dF(lo), (dF_top if hi == lam_max else dF(hi))
+        if d_lo * d_hi > 0:
+            incomplete = True
+            continue
+        c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else _root(dF, lo, hi))
+        Fc = discriminant(V, c, tol)
+        if abs(Fc) <= 1.0 + 10.0 * noise:
+            continue  # closed gap
+        t = 1.0 if Fc > 0 else -1.0
+        inside = t * Fs > 1.0
+        k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
+        a, b = k, k + 1
+        if not (inside[a] or inside[b]):  # narrower than a cell
+            edges += [_root(f, grid[k], c, t), _root(f, c, grid[k + 1], t)]
+            gaps.append((edges[-2], edges[-1]))
+            continue
+        while inside[a]:
+            a -= 1
+        while b < n and inside[b]:
+            b += 1
+        edges.append(_root(f, grid[a], grid[a + 1], t))
+        if b == n:  # the scan ends inside this gap
+            break
+        edges.append(_root(f, grid[b - 1], grid[b], t))
+        gaps.append((edges[-2], edges[-1]))
+    else:
+        if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap whose c lies above it
+            t = 1.0 if Fs[-1] > 0 else -1.0
+            a = n - 1
+            while t * Fs[a] > 1.0:
+                a -= 1
+            edges.append(_root(f, grid[a], grid[a + 1], t))
+    return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=edges[0],
                          scan_ceiling=lam_max, incomplete=incomplete,
                          scan_floor=lam_min)
 

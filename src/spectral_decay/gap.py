@@ -33,8 +33,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import (BandPointError, DegenerateMatch, NoSignChange, SingularWronskian,
-                     ValidationError)
+from .errors import BandPointError, NoSignChange, SingularWronskian, ValidationError
 from .floquet import FloquetData, floquet_solutions, floquet_state, floquet_values
 from .potentials import CompactPerturbation
 
@@ -172,8 +171,6 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
     denom = yp_b @ yp_b
     c_plus = float(s_b @ yp_b) / denom
     resid = float(np.linalg.norm(s_b - c_plus * yp_b) / max(np.linalg.norm(s_b), 1e-300))
-    if abs(c_plus) + abs(c_minus) < 1e-12:
-        raise DegenerateMatch("both tail coefficients vanish")
 
     xs_left = np.arange(a - n_periods, a, step)
     xs_right = np.arange(b + step, b + n_periods + 0.5 * step, step)

@@ -161,12 +161,17 @@ def _walk(pieces, x0: float, x1: float, s0, tol: float, dense_xs=None):
     return states[-1] if dense_xs is None else (states[-1], states[:-1])
 
 
+def _check_phase(rate: float, lam, xa: float, xb: float, tol: float):
+    """StepFailure where rounding the phase rate * (xb - xa) alone exceeds tol."""
+    if _EPS * rate * (xb - xa) > tol:
+        raise StepFailure(f"lambda = {lam}: phase rounding over [{xa}, {xb}] > tol = {tol}")
+
+
 def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.0,
                  tol: float = DEFAULT_TOL):
     """pieces(xa, xb), xa <= xb, yielding the segments of [xa, xb] for
     -y'' + (V - alpha Q) y = lam y: exact where V and Q are both constant,
-    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable.
-    StepFailure where rounding the phase sqrt|lam| (xb - xa) alone exceeds tol."""
+    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable."""
     flat = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
     cells = V.cell_pieces() if flat else ()
     a, b = Q.support if Q is not None else (math.inf, -math.inf)
@@ -180,8 +185,7 @@ def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.
         return A
 
     def pieces(xa, xb):
-        if _EPS * math.sqrt(abs(lam)) * (xb - xa) > tol:
-            raise StepFailure(f"lambda = {lam}: phase rounding over [{xa}, {xb}] > tol = {tol}")
+        _check_phase(math.sqrt(abs(lam)), lam, xa, xb, tol)
         per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in cells]
         xs = [xa, *sorted({c for c in per + qcuts if xa < c < xb}), xb]
         for pa, pb in zip(xs, xs[1:]):
@@ -264,6 +268,7 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
         return np.array([dirac_coefficient(W, m, lam, xi) for xi in x])
 
     def pieces(xa, xb):
+        _check_phase(abs(lam), lam, xa, xb, tol)
         xs = [xa, *(c for c in (a, b) if xa < c < xb), xb]
         for pa, pb in zip(xs, xs[1:]):
             if pb - pa <= 1e-15:

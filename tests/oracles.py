@@ -6,7 +6,9 @@ comes from mpmath's Taylor-series ODE solver at 25 digits, Mathieu band
 edges come from a truncated plane-wave (Fourier) matrix, and the Dirac
 reference is a staggered-grid finite-difference discretization on a
 large box.  The Birman-Schwinger reference assembles the dense Nystrom
-matrix from the package's Floquet values and solves it densely.  Run
+matrix from the package's Floquet values and solves it densely, and the
+band-scan reference finds band edges by pruned bisection without using
+the critical points of F.  Run
 this module directly to regenerate the frozen constants quoted in the
 tests.
 """
@@ -18,8 +20,11 @@ import math
 import mpmath
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
-from spectral_decay.floquet import floquet_solutions, floquet_state, floquet_values
+from spectral_decay.bands import EDGE_XTOL, BandStructure
+from spectral_decay.floquet import discriminant, floquet_solutions, floquet_state, floquet_values
+from spectral_decay.potentials import PeriodicPotential
 
 
 def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
@@ -153,6 +158,102 @@ def dense_birman_schwinger(V, Q, lam, grid_size, tol=1e-10):
     d = np.sqrt(w) * np.asarray(Q.g(xs), dtype=float)
     mu = np.linalg.eigvalsh(d[:, None] * green * d[None, :])
     return mu[np.argsort(-np.abs(mu), kind="stable")]
+
+
+def _collect_roots(f, a, b, fa, fb, slope_bound, depth, min_width):
+    """Sign-change roots of f in [a, b] by pruned recursive bisection."""
+    if fa == 0.0:
+        return [a], False
+    if fa * fb < 0:
+        return [brentq(f, a, b, xtol=EDGE_XTOL, rtol=8.9e-16)], False
+    # same sign at both ends: a root pair can hide only if |f| dips to 0
+    if min(abs(fa), abs(fb)) >= slope_bound * (b - a):
+        return [], False
+    if b - a < min_width:
+        # anything unresolved at this scale is a closed gap, not a miss
+        return [], False
+    if depth <= 0:
+        return [], True
+    m = 0.5 * (a + b)
+    fm = f(m)
+    r1, s1 = _collect_roots(f, a, m, fa, fm, slope_bound, depth - 1, min_width)
+    r2, s2 = _collect_roots(f, m, b, fm, fb, slope_bound, depth - 1, min_width)
+    return r1 + r2, (s1 or s2)
+
+
+def _cluster(roots, tol):
+    """Group sorted roots closer than tol; return cluster means."""
+    if not roots:
+        return []
+    roots = sorted(roots)
+    groups = [[roots[0]]]
+    for r in roots[1:]:
+        if r - groups[-1][-1] < tol:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    return [float(np.mean(g)) for g in groups]
+
+
+DEGENERATE_TOL = 1e-6  # root pairs closer than this count as a closed gap
+
+
+def bisection_band_edges(V, lam_max, grid_step=0.05, tol=1e-10):
+    """Band edges as the transversal roots of F = +-1, without F'.
+
+    Every grid cell where F -+ 1 changes sign is refined by Brent's
+    method; cells where F dips toward +-1 faster than a local slope bound
+    allows are bisected to depth 24 or width DEGENERATE_TOL / 8.  Roots
+    closer than DEGENERATE_TOL are merged, and only edges across which
+    F -+ 1 changes sign well above the noise floor are kept, so gaps
+    narrower than ~DEGENERATE_TOL count as closed.
+    """
+    lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
+    pw = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
+    noise = 1e-13 if pw else 10.0 * tol
+
+    n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
+    grid = np.linspace(lam_min, lam_max, n)
+    Fs = np.array([discriminant(V, l, tol) for l in grid])
+    dF = np.abs(np.diff(Fs)) / np.diff(grid)
+
+    edges = []
+    incomplete = False
+    for target in (1.0, -1.0):
+        g = Fs - target
+
+        def f(lam, _t=target):
+            return discriminant(V, lam, tol) - _t
+
+        candidates = []
+        for i in range(len(grid) - 1):
+            lo = max(i - 2, 0)
+            hi = min(i + 3, len(dF))
+            sb = 4.0 * max(dF[lo:hi].max(), 1e-8)
+            roots, susp = _collect_roots(f, grid[i], grid[i + 1], g[i], g[i + 1],
+                                         sb, 24, DEGENERATE_TOL / 8)
+            candidates.extend(roots)
+            incomplete = incomplete or susp
+
+        reps = _cluster(candidates, DEGENERATE_TOL)
+        # transversality filter: drop degenerate (closed-gap) candidates
+        for j, r in enumerate(reps):
+            dist = min(
+                [abs(r - reps[k]) for k in (j - 1, j + 1) if 0 <= k < len(reps)],
+                default=np.inf)
+            h = min(1e-4, 0.4 * dist)
+            s_lo, s_hi = f(r - h), f(r + h)
+            if s_lo * s_hi < 0 and min(abs(s_lo), abs(s_hi)) > 10.0 * noise:
+                edges.append(r)
+
+    edges = sorted(edges)
+    gaps = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if abs(discriminant(V, 0.5 * (a + b), tol)) > 1.0 + 10.0 * noise:
+            gaps.append((a, b))
+    lambda0 = edges[0] if edges else float("nan")
+    return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=lambda0,
+                         scan_ceiling=lam_max, incomplete=incomplete, scan_floor=lam_min)
 
 
 if __name__ == "__main__":

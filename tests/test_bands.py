@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spectral_decay.bands import band_edges, csv_rows, spectral_distance
+from spectral_decay import bands
+from spectral_decay.bands import DEFAULT_GRID_STEP, band_edges, csv_rows, spectral_distance
 from spectral_decay.errors import OutOfCertifiedRange
 from spectral_decay.floquet import discriminant, multiplicator
 from spectral_decay.potentials import PeriodicPotential
+
+import oracles
 
 V0 = PeriodicPotential.zero()
 MATHIEU = PeriodicPotential.fourier(mean=0.0, cos=[2.0])
@@ -31,8 +36,11 @@ def mathieu_bands():
     return band_edges(MATHIEU, 50.0)
 
 
-def test_mathieu_edges_vs_fourier_oracle(mathieu_bands):
-    bs = mathieu_bands
+@pytest.mark.parametrize("grid_step", [DEFAULT_GRID_STEP, 1.0, 2.0])
+def test_mathieu_edges_vs_fourier_oracle(grid_step, mathieu_bands):
+    # at grid steps 1 and 2 the second gap (width 0.05) lies inside one cell
+    bs = mathieu_bands if grid_step == DEFAULT_GRID_STEP else band_edges(
+        MATHIEU, 50.0, grid_step=grid_step)
     assert bs.lambda0 == pytest.approx(MATHIEU_LAMBDA0, abs=1e-7)
     assert len(bs.gaps) >= 2
     assert bs.gaps[0][0] == pytest.approx(MATHIEU_GAP1[0], abs=1e-7)
@@ -41,6 +49,51 @@ def test_mathieu_edges_vs_fourier_oracle(mathieu_bands):
     # (|F'| ~ 3e-3), so the ODE tolerance is amplified in the edge position
     assert bs.gaps[1][0] == pytest.approx(MATHIEU_GAP2[0], abs=1e-6)
     assert bs.gaps[1][1] == pytest.approx(MATHIEU_GAP2[1], abs=1e-6)
+
+
+def test_free_scan_evaluation_count(monkeypatch):
+    # the closed gaps of V = 0 cost one F' root each, not a bisection
+    calls = []
+    for name in ("discriminant", "discriminant_derivative"):
+        fn = getattr(bands, name)
+        monkeypatch.setattr(bands, name, lambda *a, _fn=fn: calls.append(1) or _fn(*a))
+    bs = band_edges(V0, 400.0)
+    grid_points = int(np.ceil((400.0 - bs.scan_floor) / DEFAULT_GRID_STEP)) + 1
+    assert bs.edges == (0.0,) and bs.gaps == ()
+    assert len(calls) <= grid_points + 100
+
+
+# random 1-4-step and 1-3-harmonic V.  The reference scan resolves no gap
+# narrower than ~1e-6, so every harmonic is at least 0.25; it also spends
+# tens of seconds bisecting the rounding noise of a smooth V's closed
+# gaps, so closed gaps come from V = 0 and the one-step V instead.
+piecewise = st.builds(
+    lambda v0, rest: PeriodicPotential.piecewise([0.0, *(c for c, _ in rest)],
+                                                 [v0, *(v for _, v in rest)]),
+    st.floats(-4.0, 12.0),
+    st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(-4.0, 12.0)), max_size=3,
+             unique_by=lambda piece: piece[0]).map(sorted))
+harmonic = st.one_of(st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+fourier = st.builds(lambda mean, cs, ss: PeriodicPotential.fourier(mean, cs, ss),
+                    st.floats(-2.0, 2.0), st.lists(harmonic, min_size=1, max_size=3),
+                    st.lists(harmonic, max_size=3))
+scans = st.one_of(st.tuples(piecewise, st.floats(5.0, 60.0)),
+                  st.tuples(fourier, st.floats(5.0, 20.0)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(scans, st.sampled_from([0.05, 0.5, 2.0]))
+@example((V0, 60.0), DEFAULT_GRID_STEP)  # every gap closed
+@example((MATHIEU, 39.5), DEFAULT_GRID_STEP)  # the ceiling inside gap 2
+@example((MATHIEU, 50.0), 2.0)  # gap 2 inside one cell
+def test_property_scan_matches_bisection_oracle(scan, grid_step):
+    V, lam_max = scan
+    bs = band_edges(V, lam_max, grid_step=grid_step)
+    ref = oracles.bisection_band_edges(V, lam_max, grid_step=grid_step)
+    assert (len(bs.edges), len(bs.gaps), bs.incomplete) == \
+        (len(ref.edges), len(ref.gaps), ref.incomplete)
+    for e, r in zip(bs.edges, ref.edges):
+        assert abs(e - r) <= 1e-12 * max(1.0, abs(r))
 
 
 def test_step_potential_gap_widths_decrease():

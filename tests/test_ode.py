@@ -63,16 +63,23 @@ def test_short_magnus_walk_meets_tol():
     assert np.allclose(out, ref, rtol=0.0, atol=ode.DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("V", [V0, MATHIEU], ids=["exact", "magnus"])
-def test_phase_rounding_limit_follows_tol(V):
-    # eps sqrt|lam| over one period reaches tol = 1e-6 at |lam| = (1e-6 / eps)^2
-    edge = (1e-6 / np.finfo(float).eps) ** 2
-    assert np.all(np.isfinite(ode.monodromy(V, 0.9 * edge, tol=1e-6)))
-    for lam in (1.1 * edge, -1.1 * edge):
-        with pytest.raises(StepFailure, match="rounding"):
-            ode.monodromy(V, lam, tol=1e-6)
-    with pytest.raises(StepFailure):
-        ode.propagate_hill(V, 1.1 * edge, 0.0, 1.0, (1.0, 0.0), tol=1e-6)
+HILL_WALKS = (lambda V, lam, tol: ode.monodromy(V, lam, tol),
+              lambda V, lam, tol: ode.propagate_hill(V, lam, 0.0, 1.0, (1.0, 0.0), tol))
+DIRAC_WALKS = (lambda W, lam, tol: ode.propagate_dirac(W, 1.0, lam, 0.0, 1.0, (1.0, 0.0), tol),)
+
+
+# the phase over a unit length, eps sqrt|lam| (Hill) or eps |lam| (Dirac),
+# reaches tol = 1e-6 at |lam| = (1e-6 / eps)^2 or 1e-6 / eps
+@pytest.mark.parametrize("V, walks, power", [(V0, HILL_WALKS, 2), (MATHIEU, HILL_WALKS, 2),
+                                             (None, DIRAC_WALKS, 1)],
+                         ids=["exact", "magnus", "dirac"])
+def test_phase_rounding_limit_follows_tol(V, walks, power):
+    edge = (1e-6 / np.finfo(float).eps) ** power
+    for walk in walks:
+        assert np.all(np.isfinite(walk(V, 0.9 * edge, 1e-6)))
+        for lam in (1.1 * edge, -1.1 * edge):
+            with pytest.raises(StepFailure, match="rounding"):
+                walk(V, lam, 1e-6)
 
 
 def test_monodromy_free_closed_forms():
