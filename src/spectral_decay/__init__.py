@@ -11,8 +11,8 @@ from .potentials import (
 from .floquet import FloquetData, discriminant, discriminant_derivative, \
     floquet_solutions, multiplicator
 from .bands import BandStructure, band_edges, spectral_distance
-from .symbols import SymbolSystem, SymbolReport, dirac_alpha_system, \
-    ellipticity_margin, gamma, pauli_system, symbol
+from .symbols import SymbolSystem, SymbolReport, dirac_alpha_system, gamma, \
+    pauli_system, symbol
 from .gap import BSSpectrum, GapEigenpair, birman_schwinger_spectrum, \
     eigenfunction, matching_determinant, solve_coupling
 from .dirac import DiracEigenpair, dirac_eigenfunction, dirac_gap_eigenvalues, \

@@ -47,8 +47,7 @@ def _root(f, a: float, b: float, *args) -> float:
     return brentq(f, a, b, args=args, xtol=EDGE_XTOL, rtol=8.9e-16)
 
 
-def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP,
-               tol: float = ode.DEFAULT_TOL) -> BandStructure:
+def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
     """Scan [-max|V| - 1, lam_max] for band edges of -d^2/dx^2 + V
     (F > 1 strictly below the floor, where no spectrum exists)."""
     if grid_step <= 0:
@@ -58,17 +57,17 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP,
         raise ValueError("lam_max must exceed the scan floor")
 
     pw = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-    noise = 1e-13 if pw else 10.0 * tol
+    noise = 1e-13 if pw else 10.0 * ode.DEFAULT_TOL
 
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)
-    Fs = np.array([discriminant(V, l, tol) for l in grid])
+    Fs = np.array([discriminant(V, l) for l in grid])
 
     def f(lam, t):
-        return discriminant(V, lam, tol) - t
+        return discriminant(V, lam) - t
 
     def dF(lam):
-        return discriminant_derivative(V, lam, tol)
+        return discriminant_derivative(V, lam)
 
     g = Fs - 1.0
     hits = np.flatnonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0.0))
@@ -91,7 +90,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP,
             incomplete = True
             continue
         c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else _root(dF, lo, hi))
-        Fc = discriminant(V, c, tol)
+        Fc = discriminant(V, c)
         if abs(Fc) <= 1.0 + 10.0 * noise:
             continue  # closed gap
         t = 1.0 if Fc > 0 else -1.0

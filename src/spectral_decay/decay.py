@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import ode
 from .bands import BandStructure, spectral_distance
 from .errors import ClosedGap, InsufficientApproach, InsufficientTail, PoorFit
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
 MIN_FIT_POINTS = 8
+K_MAX = 8       # edge-approach points edge + 4^-k (gap width), k = 1..K_MAX
+REL_TOL = 0.01  # relative slack of the bound_report verdicts
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,11 @@ class DecayFit:
     delta_hat: float
     r_squared: float
     window: tuple
-    sample_stride: float
 
 
-def fit_decay_rate(xs, values, period: float = 1.0, side: str = "right",
-                   window: tuple | None = None,
-                   min_points: int = MIN_FIT_POINTS) -> DecayFit:
-    """Fit |psi| ~ C exp(-delta |x|) on period-spaced tail points.
+def fit_decay_rate(xs, values, side: str = "right",
+                   window: tuple | None = None) -> DecayFit:
+    """Fit |psi| ~ C exp(-delta |x|) on tail points spaced by the period 1.
 
     xs must be dense and increasing; values may be complex or vector
     samples (the Euclidean norm is fitted).  The window defaults to the
@@ -61,11 +60,11 @@ def fit_decay_rate(xs, values, period: float = 1.0, side: str = "right",
     lo, hi = window
 
     if side == "right":
-        pts = np.arange(lo, hi + 1e-9 * period, period)
+        pts = np.arange(lo, hi + 1e-9, 1.0)
     else:
-        pts = np.arange(hi, lo - 1e-9 * period, -period)[::-1]
+        pts = np.arange(hi, lo - 1e-9, -1.0)[::-1]
     pts = pts[(pts >= xs[0] - 1e-12) & (pts <= xs[-1] + 1e-12)]
-    if len(pts) < min_points:
+    if len(pts) < MIN_FIT_POINTS:
         raise InsufficientTail(f"only {len(pts)} period-spaced points in window")
 
     m = np.interp(pts, xs, mag)
@@ -76,17 +75,16 @@ def fit_decay_rate(xs, values, period: float = 1.0, side: str = "right",
     r2 = res.rvalue ** 2
     if r2 < R2_MIN:
         raise PoorFit(f"r^2 = {r2} below {R2_MIN}")
-    return DecayFit(delta_hat=-res.slope, r_squared=r2, window=(lo, hi),
-                    sample_stride=period)
+    return DecayFit(delta_hat=-res.slope, r_squared=r2, window=(lo, hi))
 
 
-def check_prop_H(V, lambda0: float, lam_grid, tol: float = ode.DEFAULT_TOL) -> float:
+def check_prop_H(V, lambda0: float, lam_grid) -> float:
     """Worst margin of ln^2 rho(lambda) - (lambda0 - lambda) below lambda0."""
     worst = math.inf
     for lam in lam_grid:
         if lam >= lambda0:
             raise ValueError("grid must lie strictly below lambda0")
-        rho = multiplicator(discriminant(V, lam, tol))
+        rho = multiplicator(discriminant(V, lam))
         worst = min(worst, math.log(rho) ** 2 - (lambda0 - lam))
     return worst
 
@@ -100,8 +98,7 @@ class EdgeAsymptotics:
     limit: float
 
 
-def check_edge_asymptotics(V, edge: float, gap: tuple, k_max: int = 8,
-                           tol: float = ode.DEFAULT_TOL) -> EdgeAsymptotics:
+def check_edge_asymptotics(V, edge: float, gap: tuple) -> EdgeAsymptotics:
     """Ratios ln^2 rho / (2 |F'(edge)| |lambda - edge|) on a 4^-k grid.
 
     The approach grid lives inside the given gap; the limit is a
@@ -112,14 +109,14 @@ def check_edge_asymptotics(V, edge: float, gap: tuple, k_max: int = 8,
         raise InsufficientApproach("edge is not an endpoint of the gap")
     w = b - a
     into = 1.0 if math.isclose(edge, a, abs_tol=1e-7) else -1.0
-    fp = discriminant_derivative(V, edge, tol)
+    fp = discriminant_derivative(V, edge)
     if abs(fp) < 1e-10:
         raise ClosedGap(f"F'({edge}) ~ 0: degenerate (closed) edge")
 
     lams, ratios = [], []
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         lam = edge + into * (4.0 ** -k) * w
-        rho = multiplicator(discriminant(V, lam, tol))
+        rho = multiplicator(discriminant(V, lam))
         if rho <= 1.0:
             raise InsufficientApproach(f"lambda = {lam} is not a regular point")
         ratios.append(math.log(rho) ** 2 / (2.0 * abs(fp) * abs(lam - edge)))
@@ -138,7 +135,7 @@ class FprimeResiduals:
     loglog_slope: float
 
 
-def check_F_prime_asymptotics(V, lam_grid, tol: float = ode.DEFAULT_TOL) -> FprimeResiduals:
+def check_F_prime_asymptotics(V, lam_grid) -> FprimeResiduals:
     """Scaled residual lambda * |F' + sin(sqrt(lambda))/(2 sqrt(lambda))|.
 
     Bounded residuals (Theil-Sen log-log slope <= 0 up to tolerance)
@@ -147,7 +144,7 @@ def check_F_prime_asymptotics(V, lam_grid, tol: float = ode.DEFAULT_TOL) -> Fpri
     lams = np.asarray(list(lam_grid), dtype=float)
     res = np.empty_like(lams)
     for i, lam in enumerate(lams):
-        fp = discriminant_derivative(V, lam, tol)
+        fp = discriminant_derivative(V, lam)
         free = -math.sin(math.sqrt(lam)) / (2.0 * math.sqrt(lam))
         res[i] = lam * abs(fp - free)
     good = res > 0
@@ -167,16 +164,14 @@ class CounterexampleWitness:
     ratio_trace: tuple = ()
 
 
-def gap_ratio(V, bands: BandStructure, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
+def gap_ratio(V, bands: BandStructure, lam: float) -> float:
     """ln rho(lambda) / sqrt(d(lambda)) at a regular point."""
-    rho = multiplicator(discriminant(V, lam, tol))
+    rho = multiplicator(discriminant(V, lam))
     d = spectral_distance(bands, lam)
     return math.log(rho) / math.sqrt(d)
 
 
-def counterexample_search(V, bands: BandStructure, eps: float,
-                          max_gap_index: int | None = None,
-                          tol: float = ode.DEFAULT_TOL) -> CounterexampleWitness:
+def counterexample_search(V, bands: BandStructure, eps: float) -> CounterexampleWitness:
     """First gap point with ln rho < eps * sqrt(d(lambda)).
 
     Tries gap midpoints first, then a geometric edge-approach grid in
@@ -184,22 +179,21 @@ def counterexample_search(V, bands: BandStructure, eps: float,
     which decays along distant gaps).  NotFound is a valid outcome and
     is reported with the midpoint ratio trace.
     """
-    gaps = bands.gaps[:max_gap_index] if max_gap_index else bands.gaps
     trace = []
-    for n, (a, b) in enumerate(gaps, start=1):
+    for n, (a, b) in enumerate(bands.gaps, start=1):
         mid = 0.5 * (a + b)
-        r = gap_ratio(V, bands, mid, tol)
+        r = gap_ratio(V, bands, mid)
         trace.append((n, mid, r))
         if r < eps:
             return CounterexampleWitness(found=True, gap_index=n, lam=mid,
                                          ratio=r, ratio_trace=tuple(trace))
     # edge-refined pass
-    for n, (a, b) in enumerate(gaps, start=1):
+    for n, (a, b) in enumerate(bands.gaps, start=1):
         w = b - a
         for edge, sgn in ((a, 1.0), (b, -1.0)):
             for k in range(1, 7):
                 lam = edge + sgn * (4.0 ** -k) * w
-                r = gap_ratio(V, bands, lam, tol)
+                r = gap_ratio(V, bands, lam)
                 if r < eps:
                     return CounterexampleWitness(found=True, gap_index=n, lam=lam,
                                                  ratio=r, ratio_trace=tuple(trace))
@@ -223,8 +217,8 @@ class BoundReport:
 
 
 def bound_report(lam: float, d_lambda: float, delta_hat: float,
-                 sharp_rate: float, gamma: float = 1.0,
-                 below_spectrum: bool = False, rel_tol: float = 0.01) -> BoundReport:
+                 sharp_rate: float, gamma: float,
+                 below_spectrum: bool = False) -> BoundReport:
     """Assemble the per-eigenpair verdict table.
 
     sharp_rate is ln rho(lambda) for Hill gap eigenpairs and
@@ -234,15 +228,15 @@ def bound_report(lam: float, d_lambda: float, delta_hat: float,
     first_order = d_lambda / gamma
     verdicts = {}
     verdicts["floquet_match"] = (
-        "PASS" if abs(delta_hat - sharp_rate) <= rel_tol * sharp_rate else "FAIL")
+        "PASS" if abs(delta_hat - sharp_rate) <= REL_TOL * sharp_rate else "FAIL")
     if below_spectrum:
         verdicts["agmon_below_spectrum"] = (
-            "PASS" if delta_hat >= agmon - rel_tol * max(agmon, 1.0) else "FAIL")
+            "PASS" if delta_hat >= agmon - REL_TOL * max(agmon, 1.0) else "FAIL")
     else:
         # informational: the sqrt(d) baseline may legitimately fail in a gap
         verdicts["agmon_in_gap"] = "HOLDS" if delta_hat >= agmon else "FAILS-AS-EXPECTED"
     verdicts["first_order_bound"] = (
-        "PASS" if delta_hat >= (1.0 - rel_tol) * first_order else "FAIL")
+        "PASS" if delta_hat >= (1.0 - REL_TOL) * first_order else "FAIL")
     return BoundReport(lam=lam, d_lambda=d_lambda, gamma=gamma, agmon_rate=agmon,
                        first_order_rate=first_order, floquet_rate=sharp_rate,
                        delta_hat=delta_hat, verdicts=verdicts)

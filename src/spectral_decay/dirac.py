@@ -17,8 +17,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import DegenerateMatch, OutsideGap
+from .errors import DegenerateMatch, OutsideGap, ValidationError
 from .potentials import MatrixPerturbation
+
+N_SCAN = 400           # determinant samples across the gap
+VERIFY_REL = 1e-6      # a root keeps |det| below this times the scan's max |det|
+N_TAIL = 10.0          # eigenfunction tail length on each side
+SAMPLES_PER_UNIT = 64
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,8 @@ def dirac_tail(m: float, lam: float):
     Returns (rate, direction_plus, direction_minus), directions unit
     norm and proportional to (sqrt(m+lam), +-i sqrt(m-lam)).
     """
+    if m <= 0:
+        raise ValidationError(f"mass m must be positive, got {m}")
     if not (-m < lam < m):
         raise OutsideGap(f"lambda = {lam} outside (-{m}, {m})")
     rate = math.sqrt(m * m - lam * lam)
@@ -51,8 +58,7 @@ def dirac_tail(m: float, lam: float):
     return rate, dp, dm
 
 
-def matching_determinant(W: MatrixPerturbation, m: float, lam: float,
-                         tol: float = ode.DEFAULT_TOL) -> complex:
+def matching_determinant(W: MatrixPerturbation, m: float, lam: float) -> complex:
     """det[psi_L(b), d_plus] with psi_L the left-decaying mode pushed
     from the left support edge to the right one.
 
@@ -61,34 +67,25 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam: float,
     """
     _, dp, dm = dirac_tail(m, lam)
     a, b = W.support
-    psi = ode.propagate_dirac(W, m, lam, a, b, dm, tol)
+    psi = ode.propagate_dirac(W, m, lam, a, b, dm)
     return psi[0] * dp[1] - psi[1] * dp[0]
 
 
-def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float,
-                          lam_bracket: tuple | None = None, n_scan: int = 400,
-                          tol: float = ode.DEFAULT_TOL,
-                          verify_rel: float = 1e-6) -> list:
+def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     """Eigenvalues of the Dirac operator inside the gap (-m, m).
 
-    Scans the bracket, refines sign changes of Im(det) by Brent, and
-    keeps only roots at which the full complex determinant vanishes
-    (|det| below verify_rel times its scan scale).  An empty list is a
-    valid result.
+    Scans (-m, m) less 1e-9 m at each end, refines sign changes of
+    Im(det) by Brent, and keeps only roots at which the full complex
+    determinant vanishes (|det| below VERIFY_REL times its scan scale).
+    An empty list is a valid result.
     """
-    if lam_bracket is None:
-        eps = 1e-9 * m
-        lam_bracket = (-m + eps, m - eps)
-    lo, hi = lam_bracket
-    if not (-m < lo < hi < m):
-        raise OutsideGap("bracket must lie inside (-m, m)")
-
-    grid = np.linspace(lo, hi, n_scan)
-    dets = np.array([matching_determinant(W, m, l, tol) for l in grid])
+    eps = 1e-9 * m
+    grid = np.linspace(-m + eps, m - eps, N_SCAN)
+    dets = np.array([matching_determinant(W, m, l) for l in grid])
     scale = np.max(np.abs(dets))
 
     def f(lam):
-        return matching_determinant(W, m, lam, tol).imag
+        return matching_determinant(W, m, lam).imag
 
     roots = []
     vals = dets.imag
@@ -99,14 +96,12 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float,
             cand = brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
         else:
             continue
-        if abs(matching_determinant(W, m, cand, tol)) <= verify_rel * scale:
+        if abs(matching_determinant(W, m, cand)) <= VERIFY_REL * scale:
             roots.append(cand)
     return roots
 
 
-def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float,
-                        n_tail: float = 10.0, samples_per_unit: int = 64,
-                        tol: float = ode.DEFAULT_TOL) -> DiracEigenpair:
+def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEigenpair:
     """Normalized eigenfunction samples with analytic tails.
 
     lam should come from dirac_gap_eigenvalues; raises DegenerateMatch
@@ -115,11 +110,11 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float,
     """
     rate, dp, dm = dirac_tail(m, lam)
     a, b = W.support
-    step = 1.0 / samples_per_unit
+    step = 1.0 / SAMPLES_PER_UNIT
     xs_mid = np.arange(a, b + 0.5 * step, step)
     if xs_mid[-1] < b - 1e-12:
         xs_mid = np.append(xs_mid, b)
-    psi_b, mid = ode.propagate_dirac(W, m, lam, a, b, dm, tol, dense_xs=xs_mid)
+    psi_b, mid = ode.propagate_dirac(W, m, lam, a, b, dm, dense_xs=xs_mid)
 
     c_plus = complex(np.vdot(dp, psi_b))  # dp is unit norm
     mismatch = np.linalg.norm(psi_b - c_plus * dp) / max(np.linalg.norm(psi_b), 1e-300)
@@ -127,8 +122,8 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float,
         raise DegenerateMatch(
             f"state does not match the decaying direction (residual {mismatch:.2e})")
 
-    xs_left = np.arange(a - n_tail, a, step)
-    xs_right = np.arange(b + step, b + n_tail + 0.5 * step, step)
+    xs_left = np.arange(a - N_TAIL, a, step)
+    xs_right = np.arange(b + step, b + N_TAIL + 0.5 * step, step)
     left = np.exp(rate * (xs_left - a))[:, None] * dm[None, :]
     right = (c_plus * np.exp(-rate * (xs_right - b)))[:, None] * dp[None, :]
 
@@ -140,8 +135,7 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float,
     c_plus /= nrm
     c_minus = 1.0 / nrm
 
-    fit = decay.fit_decay_rate(xs, psi, period=1.0, side="right",
-                               window=(b + 0.5, xs[-1]))
+    fit = decay.fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
     return DiracEigenpair(m=m, lam=lam, xs=xs, psi=psi, rate_exact=rate,
                           direction_plus=dp, direction_minus=dm,
                           fitted_delta=fit.delta_hat,

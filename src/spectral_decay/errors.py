@@ -14,7 +14,8 @@ class ValidationError(SpectralDecayError):
 
 
 class StepFailure(SpectralDecayError):
-    """ODE propagation failed (step size underflow / solver breakdown)."""
+    """Propagation failed: a transfer matrix or state overflowed, no step
+    count up to 2**17 met tol, or rounding of the phase alone exceeds tol."""
 
 
 class BandPointError(SpectralDecayError):

@@ -22,25 +22,19 @@ TOL_EDGE = 1e-9
 CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
 
 
-def discriminant(V, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
+def discriminant(V, lam: float) -> float:
     """F(lambda) = (theta(1) + phi'(1)) / 2."""
-    M = ode.monodromy(V, lam, tol)
+    M = ode.monodromy(V, lam)
     return 0.5 * (M[0, 0] + M[1, 1])
 
 
-def _monodromy_and_derivative(V, lam: float, tol: float):
-    """(M, dM/dlambda) from one complex-step monodromy evaluation.
+def discriminant_derivative(V, lam: float) -> float:
+    """dF/dlambda by complex-step differentiation (not differencing).
 
     M is entire in lambda, so Im M(lambda + ih)/h carries no
     cancellation and matches dM/dlambda to rounding (Squire & Trapp 1998).
     """
-    Mc = ode.monodromy(V, lam + 1j * CS_STEP, tol)
-    return Mc.real, Mc.imag / CS_STEP
-
-
-def discriminant_derivative(V, lam: float, tol: float = ode.DEFAULT_TOL) -> float:
-    """dF/dlambda by complex-step differentiation (not differencing)."""
-    _, dM = _monodromy_and_derivative(V, lam, tol)
+    dM = ode.monodromy(V, lam + 1j * CS_STEP).imag / CS_STEP
     return 0.5 * (dM[0, 0] + dM[1, 1])
 
 
@@ -56,10 +50,8 @@ def multiplicator(F: float) -> float:
 class FloquetData:
     lam: float
     F: float
-    Fprime: float
     rho: float
-    kind: str              # "regular-point" | "band-point"
-    parity: str            # "periodic" | "antiperiodic" | "undefined-at-band"
+    parity: str            # "periodic" | "antiperiodic"
     seed_plus: np.ndarray  # (y_+(0), y_+'(0)), unit norm
     seed_minus: np.ndarray
     monodromy: np.ndarray
@@ -85,36 +77,31 @@ def _eigvec_2x2(M: np.ndarray, mu: float) -> np.ndarray:
     return v
 
 
-def floquet_solutions(V, lam: float, tol: float = ode.DEFAULT_TOL,
-                      tol_edge: float = TOL_EDGE) -> FloquetData:
+def floquet_solutions(V, lam: float) -> FloquetData:
     """Full Floquet data at a regular point lambda.
 
-    Raises BandPointError when |F(lambda)| <= 1 + tol_edge, where the
+    Raises BandPointError when |F(lambda)| <= 1 + TOL_EDGE, where the
     eigenvector extraction is ill-conditioned.
     """
-    M, dM = _monodromy_and_derivative(V, lam, tol)
+    M = ode.monodromy(V, lam)
     F = 0.5 * (M[0, 0] + M[1, 1])
-    Fp = 0.5 * (dM[0, 0] + dM[1, 1])
-    if abs(F) <= 1.0 + tol_edge:
-        raise BandPointError(f"|F({lam})| = {abs(F)} <= 1 + {tol_edge}")
+    if abs(F) <= 1.0 + TOL_EDGE:
+        raise BandPointError(f"|F({lam})| = {abs(F)} <= 1 + {TOL_EDGE}")
     rho = multiplicator(F)
     sigma = 1.0 if F > 0 else -1.0
     seed_plus = _eigvec_2x2(M, sigma / rho)
     seed_minus = _eigvec_2x2(M, sigma * rho)
     parity = "periodic" if F > 1 else "antiperiodic"
-    return FloquetData(lam=lam, F=F, Fprime=Fp, rho=rho, kind="regular-point",
-                       parity=parity, seed_plus=seed_plus, seed_minus=seed_minus,
-                       monodromy=M)
+    return FloquetData(lam=lam, F=F, rho=rho, parity=parity, seed_plus=seed_plus,
+                       seed_minus=seed_minus, monodromy=M)
 
 
-def floquet_state(V, fd: FloquetData, x: float, side: str,
-                  tol: float = ode.DEFAULT_TOL) -> np.ndarray:
+def floquet_state(V, fd: FloquetData, x: float, side: str) -> np.ndarray:
     """State (y, y') of y_+ (side='plus') or y_- (side='minus') at x."""
-    return floquet_values(V, fd, [x], side, tol)[0]
+    return floquet_values(V, fd, [x], side)[0]
 
 
-def floquet_values(V, fd: FloquetData, xs, side: str,
-                   tol: float = ode.DEFAULT_TOL) -> np.ndarray:
+def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:
     """States of y_+/- at an array of points; (len(xs), 2).
 
     Normalized so that the seed at x = 0 has unit norm.  Each x = n + r
@@ -132,7 +119,7 @@ def floquet_values(V, fd: FloquetData, xs, side: str,
     n = np.floor(xs)
     order = np.argsort(xs - n)
     rs = (xs - n)[order]
-    _, walked = ode.propagate_hill(V, fd.lam, 0.0, rs[-1] if len(rs) else 0.0, seed, tol,
+    _, walked = ode.propagate_hill(V, fd.lam, 0.0, rs[-1] if len(rs) else 0.0, seed,
                                    dense_xs=rs)
     states = np.empty((len(xs), 2))
     states[order] = walked

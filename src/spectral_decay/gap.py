@@ -37,6 +37,9 @@ from .errors import BandPointError, NoSignChange, SingularWronskian, ValidationE
 from .floquet import FloquetData, floquet_solutions, floquet_state, floquet_values
 from .potentials import CompactPerturbation
 
+ALPHA_MAX = 1e4          # solve_coupling's bracket expansion stops here
+SAMPLES_PER_PERIOD = 64  # eigenfunction sample spacing 1/64
+
 
 @dataclass(frozen=True)
 class GapEigenpair:
@@ -63,7 +66,6 @@ def _wronskian(sa: np.ndarray, sb: np.ndarray) -> float:
 
 
 def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float,
-                         tol: float = ode.DEFAULT_TOL,
                          fd: FloquetData | None = None) -> float:
     """Wronskian of (y_- propagated through supp Q) with y_+ at b.
 
@@ -71,27 +73,25 @@ def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float,
     when lambda is not a regular point of H.
     """
     if fd is None:
-        fd = floquet_solutions(V, lam, tol)
+        fd = floquet_solutions(V, lam)
     a, b = Q.support
-    s_left = floquet_state(V, fd, a, "minus", tol)
-    s_right = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_left, tol)
-    yp = floquet_state(V, fd, b, "plus", tol)
+    s_left = floquet_state(V, fd, a, "minus")
+    s_right = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_left)
+    yp = floquet_state(V, fd, b, "plus")
     return _wronskian(s_right, yp)
 
 
 def solve_coupling(V, Q: CompactPerturbation, lam: float,
-                   alpha_bracket: tuple | None = None,
-                   tol: float = ode.DEFAULT_TOL,
-                   alpha_max: float = 1e4) -> float:
+                   alpha_bracket: tuple | None = None) -> float:
     """Coupling alpha* > 0 making lambda an eigenvalue of H_alpha.
 
     If no bracket is given, expands [0.1, 1] geometrically up to
-    alpha_max before raising NoSignChange.
+    ALPHA_MAX before raising NoSignChange.
     """
-    fd = floquet_solutions(V, lam, tol)
+    fd = floquet_solutions(V, lam)
 
     def det(alpha):
-        return matching_determinant(V, Q, alpha, lam, tol, fd=fd)
+        return matching_determinant(V, Q, alpha, lam, fd=fd)
 
     if alpha_bracket is not None:
         lo, hi = alpha_bracket
@@ -103,20 +103,19 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float,
         while flo * fhi > 0:
             lo, flo = hi, fhi
             hi *= 2.0
-            if hi > alpha_max:
-                raise NoSignChange(f"no sign change up to alpha = {alpha_max}")
+            if hi > ALPHA_MAX:
+                raise NoSignChange(f"no sign change up to alpha = {ALPHA_MAX}")
             fhi = det(hi)
     return brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
-                              grid_size: int = 2048,
-                              tol: float = ode.DEFAULT_TOL) -> BSSpectrum:
+                              grid_size: int = 2048) -> BSSpectrum:
     """Nystrom (trapezoid) spectrum of G (H - lambda)^(-1) G on supp Q, from
     the Jacobi inverse on the nodes where G != 0; the others give mu = 0."""
     if grid_size < 2:
         raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
-    fd = floquet_solutions(V, lam, tol)
+    fd = floquet_solutions(V, lam)
     a, b = Q.support
     xs = np.linspace(a, b, grid_size)
     h = (b - a) / (grid_size - 1)
@@ -127,11 +126,11 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     mu = np.zeros(grid_size)
     if len(keep):
         x = xs[keep]
-        sm = floquet_state(V, fd, x[0], "minus", tol)
-        sp0, sp = floquet_values(V, fd, x[[0, -1]], "plus", tol)
+        sm = floquet_state(V, fd, x[0], "minus")
+        sp0, sp = floquet_values(V, fd, x[[0, -1]], "plus")
         if abs(_wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
             raise SingularWronskian("Floquet pair numerically dependent")
-        T = ode.cell_transfers(V, lam, x, tol)
+        T = ode.cell_transfers(V, lam, x)
         t01 = T[:, 0, 1]
         if np.any(t01[np.diff(keep) == 1] <= 0.0):
             raise ValidationError(f"grid_size = {grid_size} leaves less than one node per "
@@ -146,8 +145,7 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
 
 
 def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
-                  n_periods: int = 8, samples_per_period: int = 64,
-                  tol: float = ode.DEFAULT_TOL) -> GapEigenpair:
+                  n_periods: int = 8) -> GapEigenpair:
     """Normalized eigenfunction of H_alpha at (alpha, lambda) with tails.
 
     Samples cover supp Q padded by n_periods on each side.  Outside the
@@ -155,27 +153,27 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
     coefficients come from projecting the matched state on the Floquet
     seeds.
     """
-    fd = floquet_solutions(V, lam, tol)
+    fd = floquet_solutions(V, lam)
     a, b = Q.support
     c_minus = 1.0
-    s_a = floquet_state(V, fd, a, "minus", tol)
+    s_a = floquet_state(V, fd, a, "minus")
 
-    step = 1.0 / samples_per_period
+    step = 1.0 / SAMPLES_PER_PERIOD
     xs_mid = np.arange(a, b + 0.5 * step, step)
     if xs_mid[-1] < b - 1e-12:
         xs_mid = np.append(xs_mid, b)
-    s_b, mid_states = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_a, tol,
+    s_b, mid_states = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_a,
                                                    dense_xs=xs_mid)
 
-    yp_b = floquet_state(V, fd, b, "plus", tol)
+    yp_b = floquet_state(V, fd, b, "plus")
     denom = yp_b @ yp_b
     c_plus = float(s_b @ yp_b) / denom
     resid = float(np.linalg.norm(s_b - c_plus * yp_b) / max(np.linalg.norm(s_b), 1e-300))
 
     xs_left = np.arange(a - n_periods, a, step)
     xs_right = np.arange(b + step, b + n_periods + 0.5 * step, step)
-    left_vals = c_minus * floquet_values(V, fd, xs_left, "minus", tol)[:, 0]
-    right_vals = c_plus * floquet_values(V, fd, xs_right, "plus", tol)[:, 0]
+    left_vals = c_minus * floquet_values(V, fd, xs_left, "minus")[:, 0]
+    right_vals = c_plus * floquet_values(V, fd, xs_right, "plus")[:, 0]
 
     xs = np.concatenate([xs_left, xs_mid, xs_right])
     psi = np.concatenate([left_vals, mid_states[:, 0], right_vals])
@@ -185,8 +183,7 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
     c_plus /= nrm
     c_minus /= nrm
 
-    fit = decay.fit_decay_rate(xs, psi, period=1.0, side="right",
-                               window=(b + 0.5, xs[-1]))
+    fit = decay.fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
     return GapEigenpair(lam=lam, alpha=alpha, xs=xs, psi=psi,
                         c_plus=c_plus, c_minus=c_minus,
                         fitted_delta=fit.delta_hat, ln_rho=math.log(fd.rho),

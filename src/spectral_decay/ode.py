@@ -29,7 +29,7 @@ import sys
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
 
-from .errors import StepFailure
+from .errors import StepFailure, ValidationError
 from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
 
 DEFAULT_TOL = 1e-10
@@ -143,10 +143,11 @@ def _cells(pieces, stops, tol: float) -> list:
     """Transfer matrices over [min, max] of each pair of neighbouring stops,
     at the step density certified on their range."""
     T, density = _certify(list(pieces(min(stops), max(stops))), tol)
-    if len(stops) == 2:
-        return [T]
+    cells = list(zip(stops[:-1], stops[1:]))
+    if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
+        return [T if xa != xb else _I2 for xa, xb in cells]
     return [_product(pieces(min(xa, xb), max(xa, xb)), density, 2) if xa != xb else _I2
-            for xa, xb in zip(stops[:-1], stops[1:])]
+            for xa, xb in cells]
 
 
 def _walk(pieces, x0: float, x1: float, s0, tol: float, dense_xs=None):
@@ -260,7 +261,7 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
     support, and inside it for a constant MatrixPerturbation).
     """
     if m <= 0:
-        raise ValueError("mass m must be positive")
+        raise ValidationError(f"mass m must be positive, got {m}")
     matrix = isinstance(W, MatrixPerturbation)
     a, b = W.support if matrix else (math.inf, -math.inf)
 

@@ -23,13 +23,12 @@ _TWO_PI = 2.0 * math.pi
 class PeriodicPotential:
     """A real 1-periodic potential V(x) = V(x+1).
 
-    kind is one of "zero", "fourier", "piecewise".  The period field is
-    fixed to 1.0 in this version; general periods are handled by
-    caller-side rescaling x -> x/T, lambda -> T^2 lambda.
+    kind is one of "zero", "fourier", "piecewise".  The period is 1;
+    general periods T are handled by caller-side rescaling x -> x/T,
+    lambda -> T^2 lambda.
     """
 
     kind: str
-    period: float = 1.0
     mean: float = 0.0
     cos: tuple = ()
     sin: tuple = ()
@@ -39,8 +38,6 @@ class PeriodicPotential:
     def __post_init__(self):
         if self.kind not in ("zero", "fourier", "piecewise"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        if self.period != 1.0:
-            raise ValidationError("only period 1.0 is supported")
         if self.kind == "piecewise":
             br = self.breaks
             if len(br) == 0 or br[0] != 0.0:

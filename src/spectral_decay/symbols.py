@@ -3,9 +3,13 @@
 For Hermitian coefficients A_1..A_d the symbol is A(xi) = sum_j A_j xi_j.
 The maximal spectral norm of A(xi) over the unit sphere governs the
 exponential-decay bound; the minimal smallest singular value is the
-ellipticity margin.  The maximum is found by multistart alternating
-ascent (eigenvector / linearization steps, monotone) and certified by a
-quasi-uniform sphere grid with a Lipschitz bound.
+ellipticity margin.  Both start from a sphere sample: a quasi-uniform
+grid for d <= 3 and a Monte Carlo sample for d >= 4.  The maximum is
+the best of the sample and of multistart alternating ascent
+(eigenvector / linearization steps, monotone) from random points, the
+sample's best point and the axes; the minimum is refined from the
+sample's best point by Nelder-Mead.  Neither value carries an error
+certificate.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, SchemaError, ValidationError
+from .potentials import _is_number
+
+STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
+GRID_RESOLUTION = 0.02  # sphere grid spacing in radians (d = 2, 3)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -77,15 +85,15 @@ def _batch_extreme(system: SymbolSystem, xis: np.ndarray):
     return aev.max(axis=1), aev.min(axis=1)
 
 
-def _sphere_grid(d: int, resolution: float = 0.02) -> np.ndarray:
+def _sphere_grid(d: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
-        th = np.arange(0.0, 2 * np.pi, resolution)
+        th = np.arange(0.0, 2 * np.pi, GRID_RESOLUTION)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
     if d == 3:
-        # Fibonacci sphere at ~resolution rad spacing
-        npts = int(np.ceil(4.0 * np.pi / resolution ** 2))
+        # Fibonacci sphere at ~GRID_RESOLUTION rad spacing
+        npts = int(np.ceil(4.0 * np.pi / GRID_RESOLUTION ** 2))
         i = np.arange(npts) + 0.5
         phi = np.arccos(1.0 - 2.0 * i / npts)
         theta = np.pi * (1.0 + 5 ** 0.5) * i
@@ -124,9 +132,8 @@ def _ascent(system: SymbolSystem, xi0: np.ndarray, iters: int = 200,
     return val, xi
 
 
-def gamma(system: SymbolSystem, starts_per_dim: int = 32,
-          grid_resolution: float = 0.02) -> SymbolReport:
-    """Max spectral norm of A(xi) on the unit sphere, with certificate.
+def gamma(system: SymbolSystem) -> SymbolReport:
+    """Max spectral norm of A(xi) on the unit sphere.
 
     The report also carries the ellipticity margin (min smallest
     singular value on the sphere).
@@ -135,13 +142,13 @@ def gamma(system: SymbolSystem, starts_per_dim: int = 32,
     d = system.d
     best_val, best_xi = -np.inf, None
 
-    # grid pass: both the max (certificate) and the min (margin seed)
-    grid = _sphere_grid(d, grid_resolution)
+    # grid pass: both the max (ascent seed) and the min (margin seed)
+    grid = _sphere_grid(d)
     gmax, gmin = _batch_extreme(system, grid)
     k = int(np.argmax(gmax))
     best_val, best_xi = float(gmax[k]), grid[k]
 
-    starts = rng.standard_normal((starts_per_dim * d, d))
+    starts = rng.standard_normal((STARTS_PER_DIM * d, d))
     starts = np.vstack([starts, best_xi[None, :], np.eye(d)])
     for xi0 in starts:
         if np.linalg.norm(xi0) == 0:
@@ -172,13 +179,6 @@ def _margin(system: SymbolSystem, grid: np.ndarray, gmin: np.ndarray) -> float:
     return float(min(res.fun, gmin[k]))
 
 
-def ellipticity_margin(system: SymbolSystem) -> float:
-    """Min over the unit sphere of the smallest singular value of A(xi)."""
-    grid = _sphere_grid(system.d)
-    _, gmin = _batch_extreme(system, grid)
-    return _margin(system, grid, gmin)
-
-
 def dirac_alpha_system() -> SymbolSystem:
     """The three 4x4 Dirac alpha matrices in the Pauli block form."""
     mats = []
@@ -194,29 +194,29 @@ def pauli_system(indices=(1, 2)) -> SymbolSystem:
 
 
 def load_symbol_system(doc: dict) -> SymbolSystem:
-    """Parse {"n":..,"d":..,"matrices":[ [[ [re,im], ...], ...], ...]}."""
+    """Parse {"n":..,"d":..,"matrices":[ [[ [re,im], ...], ...], ...]}.
+
+    The whole document is checked before any matrix is allocated.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("symbol system document must be an object")
-    try:
-        n = int(doc["n"])
-        d = int(doc["d"])
-        raw = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad symbol system document: {exc}") from exc
+    for key in ("n", "d"):
+        v = doc.get(key)
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise SchemaError(f"'{key}' must be a positive integer, got {v!r}")
+    n, d, raw = doc["n"], doc["d"], doc.get("matrices")
     if not isinstance(raw, list) or len(raw) != d:
-        raise SchemaError("'matrices' must list d matrices")
-    mats = []
+        raise SchemaError(f"'matrices' must list d = {d} matrices")
     for rm in raw:
-        m = np.empty((n, n), dtype=complex)
-        try:
-            for i in range(n):
-                for j in range(n):
-                    re, im = rm[i][j]
-                    m[i, j] = complex(re, im)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-        mats.append(m)
-    return SymbolSystem(matrices=tuple(mats))
+        if (not isinstance(rm, list) or len(rm) != n
+                or any(not isinstance(row, list) or len(row) != n for row in rm)):
+            raise SchemaError(f"each matrix must have {n} rows of {n} entries")
+        for row in rm:
+            for e in row:
+                if not isinstance(e, list) or len(e) != 2 or not all(map(_is_number, e)):
+                    raise SchemaError("matrix entries must be [re, im] pairs of finite numbers")
+    return SymbolSystem(matrices=tuple(
+        np.array([[complex(re, im) for re, im in row] for row in rm]) for rm in raw))
 
 
 def dump_symbol_system(system: SymbolSystem) -> dict:

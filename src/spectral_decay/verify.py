@@ -18,8 +18,9 @@ import numpy as np
 from . import decay, gap
 from .bands import band_edges, spectral_distance
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
-from .floquet import discriminant, floquet_solutions, multiplicator
+from .floquet import discriminant, multiplicator
 from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
+from .symbols import gamma, pauli_system
 
 SUITES = ("theorem2-dirac", "propH", "edge-asymptotics", "fprime",
           "counterexample", "cross-method")
@@ -141,11 +142,12 @@ def suite_theorem2_dirac(V=None):
         return {"suite": "theorem2-dirac",
                 "cases": [_case("no-eigenvalue", {"m": m, "depth": 0.5}, [],
                                 "at least one gap eigenvalue", None, "WARN")]}
+    g = gamma(pauli_system((1,))).gamma  # symbol of -i s1 d/dx: sigma_1 xi
     cases = []
     for i, lam in enumerate(lams):
         pair = dirac_eigenfunction(W, m, lam)
         d = m - abs(lam)
-        rep = decay.bound_report(lam, d, pair.fitted_delta, pair.rate_exact)
+        rep = decay.bound_report(lam, d, pair.fitted_delta, pair.rate_exact, g)
         cases.append(_case(f"eigenvalue-{i}-sharp-rate",
                            {"m": m, "lambda": lam},
                            pair.fitted_delta, pair.rate_exact, 0.01,

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
+from spectral_decay import ode
 from spectral_decay.bands import EDGE_XTOL, BandStructure
 from spectral_decay.floquet import discriminant, floquet_solutions, floquet_state, floquet_values
 from spectral_decay.potentials import PeriodicPotential
@@ -134,7 +135,7 @@ def hill_fd_eigenvalues(Vfun, box=40.0, n=200000, window=(-2.0, -0.5)):
     return eigvalsh_tridiagonal(diag, off, select="v", select_range=window)
 
 
-def dense_birman_schwinger(V, Q, lam, grid_size, tol=1e-10):
+def dense_birman_schwinger(V, Q, lam, grid_size):
     """Birman-Schwinger spectrum from the dense N x N Nystrom matrix.
 
     The trapezoid discretization of G g G with g(x, x') =
@@ -142,16 +143,16 @@ def dense_birman_schwinger(V, Q, lam, grid_size, tol=1e-10):
     and solved by a dense symmetric eigensolver; mu ordered by descending
     |mu| (stable).  O(N^2) memory and O(N^3) time.
     """
-    fd = floquet_solutions(V, lam, tol)
+    fd = floquet_solutions(V, lam)
     a, b = Q.support
     xs = np.linspace(a, b, grid_size)
     h = (b - a) / (grid_size - 1)
     w = np.full(grid_size, h)
     w[0] = w[-1] = 0.5 * h
-    ym = floquet_values(V, fd, xs, "minus", tol)[:, 0]
-    yp = floquet_values(V, fd, xs, "plus", tol)[:, 0]
-    sm = floquet_state(V, fd, a, "minus", tol)
-    sp = floquet_state(V, fd, a, "plus", tol)
+    ym = floquet_values(V, fd, xs, "minus")[:, 0]
+    yp = floquet_values(V, fd, xs, "plus")[:, 0]
+    sm = floquet_state(V, fd, a, "minus")
+    sp = floquet_state(V, fd, a, "plus")
     W0 = sm[0] * sp[1] - sm[1] * sp[0]
     ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
     green = ym[np.minimum(ii, jj)] * yp[np.maximum(ii, jj)] / (-W0)
@@ -198,7 +199,7 @@ def _cluster(roots, tol):
 DEGENERATE_TOL = 1e-6  # root pairs closer than this count as a closed gap
 
 
-def bisection_band_edges(V, lam_max, grid_step=0.05, tol=1e-10):
+def bisection_band_edges(V, lam_max, grid_step=0.05):
     """Band edges as the transversal roots of F = +-1, without F'.
 
     Every grid cell where F -+ 1 changes sign is refined by Brent's
@@ -210,11 +211,11 @@ def bisection_band_edges(V, lam_max, grid_step=0.05, tol=1e-10):
     """
     lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
     pw = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-    noise = 1e-13 if pw else 10.0 * tol
+    noise = 1e-13 if pw else 10.0 * ode.DEFAULT_TOL
 
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)
-    Fs = np.array([discriminant(V, l, tol) for l in grid])
+    Fs = np.array([discriminant(V, l) for l in grid])
     dF = np.abs(np.diff(Fs)) / np.diff(grid)
 
     edges = []
@@ -223,7 +224,7 @@ def bisection_band_edges(V, lam_max, grid_step=0.05, tol=1e-10):
         g = Fs - target
 
         def f(lam, _t=target):
-            return discriminant(V, lam, tol) - _t
+            return discriminant(V, lam) - _t
 
         candidates = []
         for i in range(len(grid) - 1):
@@ -249,7 +250,7 @@ def bisection_band_edges(V, lam_max, grid_step=0.05, tol=1e-10):
     edges = sorted(edges)
     gaps = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if abs(discriminant(V, 0.5 * (a + b), tol)) > 1.0 + 10.0 * noise:
+        if abs(discriminant(V, 0.5 * (a + b))) > 1.0 + 10.0 * noise:
             gaps.append((a, b))
     lambda0 = edges[0] if edges else float("nan")
     return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=lambda0,

@@ -189,3 +189,26 @@ def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
         monkeypatch.setattr(cli.gap, name, never)
     assert main([cfg.get(a, a) for a in argv]) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "d": 1, "matrices": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                   [[0, 0], [0, 0], [6, 0]]]]},
+    {"n": 1000000, "d": 1, "matrices": [[[[1, 0]]]]},
+    {"n": 2.7, "d": 1, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    {"n": True, "d": 1, "matrices": [[[[1, 0]]]]},
+    {"n": 1, "d": 1, "matrices": [[[[float("inf"), 0]]]]},
+], ids=["rows-beyond-n", "huge-n", "fractional-n", "boolean-n", "infinite-entry"])
+def test_malformed_symbol_system_rejected(doc, tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gamma", "--matrices", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("mass", ["0", "-1"])
+def test_dirac_eig_nonpositive_mass_rejected(mass, capsys):
+    assert main(["dirac-eig", "--mass", mass, "--depth", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "mass" in err[0]

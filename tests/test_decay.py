@@ -17,8 +17,7 @@ STEP = PeriodicPotential.piecewise([0.0, 0.5], [10.0, 0.0])
 def test_fit_synthetic_modulated():
     xs = np.arange(5.0, 20.0001, 0.005)
     vals = np.exp(-0.5 * xs) * (2.0 + np.cos(2 * np.pi * xs))
-    fit = decay.fit_decay_rate(xs, vals, period=1.0, side="right",
-                               window=(5.0, 20.0))
+    fit = decay.fit_decay_rate(xs, vals, side="right", window=(5.0, 20.0))
     assert fit.delta_hat == pytest.approx(0.5, abs=1e-6)
     assert fit.r_squared >= 0.999
 
@@ -108,7 +107,7 @@ def test_counterexample_step_witness():
 
 def test_bound_report_equality_case():
     rep = decay.bound_report(lam=-1.0, d_lambda=1.0, delta_hat=1.0,
-                             sharp_rate=1.0, below_spectrum=True)
+                             sharp_rate=1.0, gamma=1.0, below_spectrum=True)
     assert rep.verdicts["floquet_match"] == "PASS"
     assert rep.verdicts["agmon_below_spectrum"] == "PASS"
     assert rep.verdicts["first_order_bound"] == "PASS"
@@ -118,13 +117,13 @@ def test_bound_report_equality_case():
 def test_bound_report_dirac_case():
     rate = math.sqrt(1.0 - 0.36)
     rep = decay.bound_report(lam=0.6, d_lambda=0.4, delta_hat=rate,
-                             sharp_rate=rate)
+                             sharp_rate=rate, gamma=1.0)
     assert rep.verdicts["floquet_match"] == "PASS"
     assert rep.verdicts["first_order_bound"] == "PASS"
 
 
 def test_bound_report_agmon_fails_in_gap_is_informational():
     rep = decay.bound_report(lam=14.7, d_lambda=0.3, delta_hat=0.5,
-                             sharp_rate=0.5)
+                             sharp_rate=0.5, gamma=1.0)
     assert rep.verdicts["agmon_in_gap"] == "FAILS-AS-EXPECTED"
     assert rep.all_pass  # informational verdict is not a failure

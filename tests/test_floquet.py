@@ -54,7 +54,6 @@ def test_free_floquet_data():
     fd = floquet_solutions(V0, -1.0)
     assert fd.rho == pytest.approx(math.e, abs=1e-12)
     assert fd.parity == "periodic"
-    assert fd.kind == "regular-point"
     # y_+ = e^{-x} has Cauchy data proportional to (1, -1)
     ratio = fd.seed_plus[1] / fd.seed_plus[0]
     assert ratio == pytest.approx(-1.0, abs=1e-12)
@@ -120,3 +119,36 @@ def test_floquet_values_one_pass_matches_direct_walks():
                 assert np.allclose(v, ode.propagate_hill(V, lam, 0.0, x, seed),
                                    rtol=1e-7, atol=1e-9)
                 assert np.allclose(v, floquet_state(V, fd, x, side), rtol=1e-9, atol=1e-12)
+
+
+def test_floquet_solutions_walks_real_lambda(monkeypatch):
+    seen = []
+    monodromy = ode.monodromy
+
+    def spy(V, lam, *args):
+        seen.append(lam)
+        return monodromy(V, lam, *args)
+
+    monkeypatch.setattr(ode, "monodromy", spy)
+    for V, lam in ((MATHIEU, 9.5), (STEP, 14.7), (V0, -2.0)):
+        floquet_solutions(V, lam)
+    assert len(seen) == 3 and not any(isinstance(lam, complex) for lam in seen)
+
+
+@pytest.mark.parametrize("V, lam", [(STEP, 14.7), (MATHIEU, 9.5)], ids=["step", "mathieu"])
+def test_floquet_state_walks_like_propagate_hill(V, lam, monkeypatch):
+    # one point at r in [0, 1) costs what one walk over [0, r] costs
+    fd = floquet_solutions(V, lam)
+    calls = [0]
+    product = ode._product
+
+    def counted(*args):
+        calls[0] += 1
+        return product(*args)
+
+    monkeypatch.setattr(ode, "_product", counted)
+    s = floquet_state(V, fd, 0.3, "plus")
+    n_state, calls[0] = calls[0], 0
+    direct = ode.propagate_hill(V, lam, 0.0, 0.3, fd.seed_plus)
+    assert n_state == calls[0]
+    assert np.array_equal(s, direct)

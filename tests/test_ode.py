@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from spectral_decay import ode
-from spectral_decay.errors import StepFailure
+from spectral_decay.errors import StepFailure, ValidationError
 from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
                                        PeriodicPotential)
 
@@ -305,3 +305,9 @@ def test_dirac_smooth_w_vs_dop853():
     Wf = MatrixPerturbation(support=(-1.0, 1.0), func=lambda x: w(0.25))
     assert np.allclose(ode.propagate_dirac(Wc, 1.0, 0.2, -1.0, 1.0, s0),
                        ode.propagate_dirac(Wf, 1.0, 0.2, -1.0, 1.0, s0), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0])
+def test_propagate_dirac_nonpositive_mass_fails_typed(m):
+    with pytest.raises(ValidationError, match="mass"):
+        ode.propagate_dirac(None, m, 0.0, 0.0, 1.0, (1.0, 0.0))

@@ -3,9 +3,8 @@ import pytest
 
 from spectral_decay.errors import DimensionMismatch
 from spectral_decay.symbols import (PAULI, SymbolSystem, dirac_alpha_system,
-                                    dump_symbol_system, ellipticity_margin,
-                                    gamma, load_symbol_system, pauli_system,
-                                    symbol)
+                                    dump_symbol_system, gamma,
+                                    load_symbol_system, pauli_system, symbol)
 
 
 def test_symbol_evaluation():
@@ -69,10 +68,10 @@ def test_homogeneity():
 
 
 def test_ellipticity_margin():
-    assert ellipticity_margin(pauli_system((1, 2))) == pytest.approx(1.0, abs=1e-10)
+    assert gamma(pauli_system((1, 2))).ellipticity_margin == pytest.approx(1.0, abs=1e-10)
     degenerate = SymbolSystem(matrices=(PAULI[2], PAULI[2]))
-    assert ellipticity_margin(degenerate) <= 1e-10
-    assert ellipticity_margin(dirac_alpha_system()) == pytest.approx(1.0, abs=1e-8)
+    assert gamma(degenerate).ellipticity_margin <= 1e-10
+    assert gamma(dirac_alpha_system()).ellipticity_margin == pytest.approx(1.0, abs=1e-8)
 
 
 def test_json_round_trip():
