@@ -25,7 +25,6 @@ from scipy.optimize import brentq
 from . import ode
 from .floquet import discriminant, discriminant_derivative
 from .errors import OutOfCertifiedRange
-from .potentials import PeriodicPotential
 
 DEFAULT_GRID_STEP = 0.05
 EDGE_XTOL = 1e-13
@@ -52,12 +51,11 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     (F > 1 strictly below the floor, where no spectrum exists)."""
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
+    lam_min = -V.max_abs() - 1.0
     if lam_max <= lam_min:
         raise ValueError("lam_max must exceed the scan floor")
 
-    pw = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-    noise = 1e-13 if pw else 10.0 * ode.DEFAULT_TOL
+    noise = 1e-13 if V.is_piecewise_constant else 10.0 * ode.DEFAULT_TOL
 
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)

@@ -16,12 +16,11 @@ import sys
 import numpy as np
 
 from . import gap, verify
-from .bands import band_edges, csv_rows, spectral_distance
+from .bands import band_edges, csv_rows
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
 from .errors import SpectralDecayError, ValidationError
 from .floquet import discriminant, discriminant_derivative
-from .potentials import (CompactPerturbation, MatrixPerturbation,
-                         load_perturbation, load_potential)
+from .potentials import MatrixPerturbation, load_perturbation, load_potential
 from .symbols import gamma, load_symbol_system
 
 

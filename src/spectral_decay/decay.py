@@ -3,7 +3,9 @@
 The fitted rate delta_hat is the negative slope of log|psi| read at
 period-spaced abscissae in a tail window; spacing by exactly one period
 cancels the periodic/antiperiodic factor of a Floquet tail, so the fit
-sees a pure exponential.  The remaining operations certify, numerically:
+sees a pure exponential.  Hill (gap) and Dirac eigenfunctions share one
+sampler and one normalize-and-fit step.  The remaining operations
+certify, numerically:
 
 * ln^2 rho(lambda) >= lambda0 - lambda for lambda below the spectrum,
 * the band-edge law ln^2 rho = 2|F'(edge)| |lambda - edge| + higher order,
@@ -27,7 +29,8 @@ from .floquet import discriminant, discriminant_derivative, multiplicator
 R2_MIN = 0.999
 MIN_FIT_POINTS = 8
 K_MAX = 8       # edge-approach points edge + 4^-k (gap width), k = 1..K_MAX
-REL_TOL = 0.01  # relative slack of the bound_report verdicts
+REL_TOL = 0.01  # relative slack of every tail-rate verdict
+SAMPLES_PER_UNIT = 64  # eigenfunction sample spacing 1/64
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,31 @@ def fit_decay_rate(xs, values, side: str = "right",
     if r2 < R2_MIN:
         raise PoorFit(f"r^2 = {r2} below {R2_MIN}")
     return DecayFit(delta_hat=-res.slope, r_squared=r2, window=(lo, hi))
+
+
+def sample_grid(a: float, b: float, tail: float):
+    """Eigenfunction abscissae at spacing 1/SAMPLES_PER_UNIT: (left tail,
+    support, right tail).  The support samples run from a, with b appended
+    when they stop short of it; each tail spans `tail` beyond its end."""
+    step = 1.0 / SAMPLES_PER_UNIT
+    mid = np.arange(a, b + 0.5 * step, step)
+    if mid[-1] < b - 1e-12:
+        mid = np.append(mid, b)
+    return (np.arange(a - tail, a, step), mid,
+            np.arange(b + step, b + tail + 0.5 * step, step))
+
+
+def normalize_and_fit(grid, pieces, b: float):
+    """Join the samples of an eigenfunction on the three parts of grid and
+    normalize them.  ||psi||^2 is the trapezoid integral of sum_k |psi_k|^2,
+    and the right tail is fitted from b + 1/2.
+
+    Returns (xs, psi / ||psi||, ||psi||, DecayFit).
+    """
+    xs, psi = np.concatenate(grid), np.concatenate(pieces)
+    nrm = math.sqrt(np.trapezoid(np.sum(np.abs(psi.reshape(len(xs), -1)) ** 2, axis=1), xs))
+    psi = psi / nrm
+    return xs, psi, nrm, fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
 
 
 def check_prop_H(V, lambda0: float, lam_grid) -> float:

@@ -23,7 +23,6 @@ from .potentials import MatrixPerturbation
 N_SCAN = 400           # determinant samples across the gap
 VERIFY_REL = 1e-6      # a root keeps |det| below this times the scan's max |det|
 N_TAIL = 10.0          # eigenfunction tail length on each side
-SAMPLES_PER_UNIT = 64
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam: float) -> complex
     _, dp, dm = dirac_tail(m, lam)
     a, b = W.support
     psi = ode.propagate_dirac(W, m, lam, a, b, dm)
-    return psi[0] * dp[1] - psi[1] * dp[0]
+    return ode.wronskian(psi, dp)
 
 
 def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
@@ -110,10 +109,7 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
     """
     rate, dp, dm = dirac_tail(m, lam)
     a, b = W.support
-    step = 1.0 / SAMPLES_PER_UNIT
-    xs_mid = np.arange(a, b + 0.5 * step, step)
-    if xs_mid[-1] < b - 1e-12:
-        xs_mid = np.append(xs_mid, b)
+    xs_left, xs_mid, xs_right = grid = decay.sample_grid(a, b, N_TAIL)
     psi_b, mid = ode.propagate_dirac(W, m, lam, a, b, dm, dense_xs=xs_mid)
 
     c_plus = complex(np.vdot(dp, psi_b))  # dp is unit norm
@@ -122,21 +118,10 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
         raise DegenerateMatch(
             f"state does not match the decaying direction (residual {mismatch:.2e})")
 
-    xs_left = np.arange(a - N_TAIL, a, step)
-    xs_right = np.arange(b + step, b + N_TAIL + 0.5 * step, step)
-    left = np.exp(rate * (xs_left - a))[:, None] * dm[None, :]
-    right = (c_plus * np.exp(-rate * (xs_right - b)))[:, None] * dp[None, :]
-
-    xs = np.concatenate([xs_left, xs_mid, xs_right])
-    psi = np.vstack([left, mid, right])
-
-    nrm = math.sqrt(np.trapezoid(np.sum(np.abs(psi) ** 2, axis=1), xs))
-    psi = psi / nrm
-    c_plus /= nrm
-    c_minus = 1.0 / nrm
-
-    fit = decay.fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
+    pieces = (np.exp(rate * (xs_left - a))[:, None] * dm[None, :], mid,
+              (c_plus * np.exp(-rate * (xs_right - b)))[:, None] * dp[None, :])
+    xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
     return DiracEigenpair(m=m, lam=lam, xs=xs, psi=psi, rate_exact=rate,
                           direction_plus=dp, direction_minus=dm,
                           fitted_delta=fit.delta_hat,
-                          c_plus=c_plus, c_minus=complex(c_minus))
+                          c_plus=c_plus / nrm, c_minus=complex(1.0 / nrm))

@@ -96,11 +96,6 @@ def floquet_solutions(V, lam: float) -> FloquetData:
                        seed_minus=seed_minus, monodromy=M)
 
 
-def floquet_state(V, fd: FloquetData, x: float, side: str) -> np.ndarray:
-    """State (y, y') of y_+ (side='plus') or y_- (side='minus') at x."""
-    return floquet_values(V, fd, [x], side)[0]
-
-
 def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:
     """States of y_+/- at an array of points; (len(xs), 2).
 

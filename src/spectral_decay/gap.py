@@ -6,7 +6,9 @@ lambda:
 * shooting: the solution that starts as y_- left of supp Q is pushed
   through the perturbation; its Wronskian with y_+ at the right support
   edge vanishes exactly at eigenvalues (matching determinant), and the
-  coupling alpha is tuned to a root;
+  coupling alpha is tuned to a root.  The Floquet end states y_-(a) and
+  y_+(b) do not depend on alpha: they are computed once per lambda, and
+  each alpha only propagates through supp Q;
 * Birman-Schwinger: the integral operator with kernel
   G(x) g(x, x'; lambda) G(x') on supp Q is discretized by the Nystrom
   trapezoid rule; every nonzero eigenvalue mu gives a coupling
@@ -33,12 +35,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import BandPointError, NoSignChange, SingularWronskian, ValidationError
-from .floquet import FloquetData, floquet_solutions, floquet_state, floquet_values
+from .errors import NoSignChange, SingularWronskian, ValidationError
+from .floquet import floquet_solutions, floquet_values
 from .potentials import CompactPerturbation
 
-ALPHA_MAX = 1e4          # solve_coupling's bracket expansion stops here
-SAMPLES_PER_PERIOD = 64  # eigenfunction sample spacing 1/64
+ALPHA_MAX = 1e4  # solve_coupling's bracket expansion stops here
 
 
 @dataclass(frozen=True)
@@ -61,24 +62,29 @@ class BSSpectrum:
     grid_size: int
 
 
-def _wronskian(sa: np.ndarray, sb: np.ndarray) -> float:
-    return sa[0] * sb[1] - sa[1] * sb[0]
+def _end_states(V, Q: CompactPerturbation, lam: float):
+    """(Floquet data at lambda, y_- at a, y_+ at b) for supp Q = [a, b];
+    none of them depends on alpha.  Raises BandPointError when lambda is
+    not a regular point of H."""
+    fd = floquet_solutions(V, lam)
+    a, b = Q.support
+    return fd, floquet_values(V, fd, [a], "minus")[0], floquet_values(V, fd, [b], "plus")[0]
 
 
-def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float,
-                         fd: FloquetData | None = None) -> float:
+def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ends) -> float:
+    """Wronskian of y_- pushed through supp Q with y_+ at b, from _end_states."""
+    _, ym, yp = ends
+    a, b = Q.support
+    return ode.wronskian(ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, ym), yp)
+
+
+def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float) -> float:
     """Wronskian of (y_- propagated through supp Q) with y_+ at b.
 
     Zero iff lambda is an eigenvalue of H_alpha.  Raises BandPointError
     when lambda is not a regular point of H.
     """
-    if fd is None:
-        fd = floquet_solutions(V, lam)
-    a, b = Q.support
-    s_left = floquet_state(V, fd, a, "minus")
-    s_right = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_left)
-    yp = floquet_state(V, fd, b, "plus")
-    return _wronskian(s_right, yp)
+    return _shoot(V, Q, alpha, lam, _end_states(V, Q, lam))
 
 
 def solve_coupling(V, Q: CompactPerturbation, lam: float,
@@ -88,10 +94,10 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float,
     If no bracket is given, expands [0.1, 1] geometrically up to
     ALPHA_MAX before raising NoSignChange.
     """
-    fd = floquet_solutions(V, lam)
+    ends = _end_states(V, Q, lam)
 
     def det(alpha):
-        return matching_determinant(V, Q, alpha, lam, fd=fd)
+        return _shoot(V, Q, alpha, lam, ends)
 
     if alpha_bracket is not None:
         lo, hi = alpha_bracket
@@ -126,9 +132,9 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     mu = np.zeros(grid_size)
     if len(keep):
         x = xs[keep]
-        sm = floquet_state(V, fd, x[0], "minus")
+        sm = floquet_values(V, fd, [x[0]], "minus")[0]
         sp0, sp = floquet_values(V, fd, x[[0, -1]], "plus")
-        if abs(_wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
+        if abs(ode.wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
             raise SingularWronskian("Floquet pair numerically dependent")
         T = ode.cell_transfers(V, lam, x)
         t01 = T[:, 0, 1]
@@ -153,39 +159,20 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
     coefficients come from projecting the matched state on the Floquet
     seeds.
     """
-    fd = floquet_solutions(V, lam)
+    fd, s_a, yp_b = _end_states(V, Q, lam)
     a, b = Q.support
-    c_minus = 1.0
-    s_a = floquet_state(V, fd, a, "minus")
-
-    step = 1.0 / SAMPLES_PER_PERIOD
-    xs_mid = np.arange(a, b + 0.5 * step, step)
-    if xs_mid[-1] < b - 1e-12:
-        xs_mid = np.append(xs_mid, b)
+    xs_left, xs_mid, xs_right = grid = decay.sample_grid(a, b, n_periods)
     s_b, mid_states = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_a,
                                                    dense_xs=xs_mid)
 
-    yp_b = floquet_state(V, fd, b, "plus")
-    denom = yp_b @ yp_b
-    c_plus = float(s_b @ yp_b) / denom
+    c_plus = float(s_b @ yp_b) / (yp_b @ yp_b)
     resid = float(np.linalg.norm(s_b - c_plus * yp_b) / max(np.linalg.norm(s_b), 1e-300))
 
-    xs_left = np.arange(a - n_periods, a, step)
-    xs_right = np.arange(b + step, b + n_periods + 0.5 * step, step)
-    left_vals = c_minus * floquet_values(V, fd, xs_left, "minus")[:, 0]
-    right_vals = c_plus * floquet_values(V, fd, xs_right, "plus")[:, 0]
-
-    xs = np.concatenate([xs_left, xs_mid, xs_right])
-    psi = np.concatenate([left_vals, mid_states[:, 0], right_vals])
-
-    nrm = math.sqrt(np.trapezoid(psi * psi, xs))
-    psi = psi / nrm
-    c_plus /= nrm
-    c_minus /= nrm
-
-    fit = decay.fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
+    pieces = (floquet_values(V, fd, xs_left, "minus")[:, 0], mid_states[:, 0],
+              c_plus * floquet_values(V, fd, xs_right, "plus")[:, 0])
+    xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
     return GapEigenpair(lam=lam, alpha=alpha, xs=xs, psi=psi,
-                        c_plus=c_plus, c_minus=c_minus,
+                        c_plus=c_plus / nrm, c_minus=1.0 / nrm,
                         fitted_delta=fit.delta_hat, ln_rho=math.log(fd.rho),
                         match_residual=resid)
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 from .errors import StepFailure, ValidationError
-from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
+from .potentials import CompactPerturbation, MatrixPerturbation
 
 DEFAULT_TOL = 1e-10
 
@@ -67,6 +67,11 @@ def constant_transfer(v: float, lam, h: float) -> np.ndarray:
     s = lam - v
     C, S = _cs(s, h)
     return np.array([[C, S], [-s * S, C]])
+
+
+def wronskian(u, v):
+    """det[u, v] of two states of a 2x2 system (constant in x for Hill)."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _expm2(X: np.ndarray) -> np.ndarray:
@@ -172,8 +177,8 @@ def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.
                  tol: float = DEFAULT_TOL):
     """pieces(xa, xb), xa <= xb, yielding the segments of [xa, xb] for
     -y'' + (V - alpha Q) y = lam y: exact where V and Q are both constant,
-    Magnus elsewhere.  V is a PeriodicPotential or a vectorized callable."""
-    flat = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
+    Magnus elsewhere."""
+    flat = V.is_piecewise_constant
     cells = V.cell_pieces() if flat else ()
     a, b = Q.support if Q is not None else (math.inf, -math.inf)
     q_smooth = Q is not None and not Q.is_piecewise_constant
@@ -208,12 +213,6 @@ def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.
             yield pa, pb, E, None
 
     return pieces
-
-
-def piecewise_transfer(pieces, lam, x0: float, x1: float) -> np.ndarray:
-    """Exact transfer matrix over [x0, x1] for piecewise-constant V."""
-    V = PeriodicPotential.piecewise([c for c, _ in pieces], [v for _, v in pieces])
-    return _product(_hill_pieces(V, lam)(x0, x1), 0.0)
 
 
 def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFAULT_TOL,

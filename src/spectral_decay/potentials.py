@@ -120,8 +120,9 @@ class PeriodicPotential:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number (json also parses NaN and Infinity)."""
-    return isinstance(v, (int, float)) and math.isfinite(v)
+    """A finite JSON number (json also parses NaN and Infinity, and a bool
+    is an int in Python)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def load_potential(doc: dict) -> PeriodicPotential:

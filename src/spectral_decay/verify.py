@@ -128,7 +128,8 @@ def suite_cross_method(V=None):
         _case("birman-schwinger-alpha", {"lambda": lam, "grid_size": bss.grid_size},
               alpha_bs, alpha_ref, 1e-4, "PASS" if e2 <= 1e-4 else "FAIL"),
         _case("fitted-tail-rate", {"lambda": lam},
-              pair.fitted_delta, 1.0, 0.01, "PASS" if e3 <= 0.01 else "FAIL"),
+              pair.fitted_delta, 1.0, decay.REL_TOL,
+              "PASS" if e3 <= decay.REL_TOL else "FAIL"),
     ]
     return {"suite": "cross-method", "cases": cases}
 
@@ -150,12 +151,12 @@ def suite_theorem2_dirac(V=None):
         rep = decay.bound_report(lam, d, pair.fitted_delta, pair.rate_exact, g)
         cases.append(_case(f"eigenvalue-{i}-sharp-rate",
                            {"m": m, "lambda": lam},
-                           pair.fitted_delta, pair.rate_exact, 0.01,
+                           pair.fitted_delta, pair.rate_exact, decay.REL_TOL,
                            rep.verdicts["floquet_match"]))
         cases.append(_case(f"eigenvalue-{i}-theorem-bound",
                            {"m": m, "lambda": lam, "d_lambda": d, "gamma": rep.gamma},
                            pair.fitted_delta, f"delta_hat >= {format(d, '.17g')}",
-                           0.01, rep.verdicts["first_order_bound"]))
+                           decay.REL_TOL, rep.verdicts["first_order_bound"]))
     return {"suite": "theorem2-dirac", "cases": cases}
 
 

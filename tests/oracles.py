@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from spectral_decay import ode
 from spectral_decay.bands import EDGE_XTOL, BandStructure
-from spectral_decay.floquet import discriminant, floquet_solutions, floquet_state, floquet_values
+from spectral_decay.floquet import discriminant, floquet_solutions, floquet_values
 from spectral_decay.potentials import PeriodicPotential
 
 
@@ -151,8 +151,8 @@ def dense_birman_schwinger(V, Q, lam, grid_size):
     w[0] = w[-1] = 0.5 * h
     ym = floquet_values(V, fd, xs, "minus")[:, 0]
     yp = floquet_values(V, fd, xs, "plus")[:, 0]
-    sm = floquet_state(V, fd, a, "minus")
-    sp = floquet_state(V, fd, a, "plus")
+    sm = floquet_values(V, fd, [a], "minus")[0]
+    sp = floquet_values(V, fd, [a], "plus")[0]
     W0 = sm[0] * sp[1] - sm[1] * sp[0]
     ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
     green = ym[np.minimum(ii, jj)] * yp[np.maximum(ii, jj)] / (-W0)

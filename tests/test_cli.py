@@ -207,6 +207,23 @@ def test_malformed_symbol_system_rejected(doc, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["discriminant", "--potential", "bad", "--lambda-range", "0:1:2"],
+     {"type": "fourier", "mean": True, "cos": [False, True]}),
+    (["bs-spectrum", "--potential", "zero", "--perturbation", "bad", "--lambda=-1"],
+     {"support": [True, 2], "profile": {"type": "piecewise", "breaks": [0.0],
+                                        "values": [1.0]}}),
+    (["gamma", "--matrices", "bad"], {"n": 1, "d": 1, "matrices": [[[[True, False]]]]}),
+], ids=["potential", "perturbation", "symbol-entry"])
+def test_booleans_are_not_numbers(argv, doc, cfg, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    paths = dict(cfg, bad=str(path))
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 @pytest.mark.parametrize("mass", ["0", "-1"])
 def test_dirac_eig_nonpositive_mass_rejected(mass, capsys):
     assert main(["dirac-eig", "--mass", mass, "--depth", "0.5"]) == 2

@@ -6,8 +6,8 @@ import pytest
 from spectral_decay import ode
 from spectral_decay.errors import BandPointError
 from spectral_decay.floquet import (discriminant, discriminant_derivative,
-                                    floquet_solutions, floquet_state,
-                                    floquet_values, multiplicator)
+                                    floquet_solutions, floquet_values,
+                                    multiplicator)
 from spectral_decay.potentials import PeriodicPotential
 
 V0 = PeriodicPotential.zero()
@@ -102,9 +102,9 @@ def test_free_ln_rho_equals_sqrt_minus_lambda():
 
 def test_floquet_state_free_exponential():
     fd = floquet_solutions(V0, -1.0)
-    s0 = floquet_state(V0, fd, 0.0, "plus")
+    s0 = floquet_values(V0, fd, [0.0], "plus")[0]
     for x in (0.5, 1.7, 3.2):
-        s = floquet_state(V0, fd, x, "plus")
+        s = floquet_values(V0, fd, [x], "plus")[0]
         assert s[0] == pytest.approx(s0[0] * math.exp(-x), rel=1e-9)
 
 
@@ -118,7 +118,8 @@ def test_floquet_values_one_pass_matches_direct_walks():
             for x, v in zip(xs, vals):
                 assert np.allclose(v, ode.propagate_hill(V, lam, 0.0, x, seed),
                                    rtol=1e-7, atol=1e-9)
-                assert np.allclose(v, floquet_state(V, fd, x, side), rtol=1e-9, atol=1e-12)
+                assert np.allclose(v, floquet_values(V, fd, [x], side)[0], rtol=1e-9,
+                                   atol=1e-12)
 
 
 def test_floquet_solutions_walks_real_lambda(monkeypatch):
@@ -136,7 +137,7 @@ def test_floquet_solutions_walks_real_lambda(monkeypatch):
 
 
 @pytest.mark.parametrize("V, lam", [(STEP, 14.7), (MATHIEU, 9.5)], ids=["step", "mathieu"])
-def test_floquet_state_walks_like_propagate_hill(V, lam, monkeypatch):
+def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
     # one point at r in [0, 1) costs what one walk over [0, r] costs
     fd = floquet_solutions(V, lam)
     calls = [0]
@@ -147,7 +148,7 @@ def test_floquet_state_walks_like_propagate_hill(V, lam, monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(ode, "_product", counted)
-    s = floquet_state(V, fd, 0.3, "plus")
+    s = floquet_values(V, fd, [0.3], "plus")[0]
     n_state, calls[0] = calls[0], 0
     direct = ode.propagate_hill(V, lam, 0.0, 0.3, fd.seed_plus)
     assert n_state == calls[0]

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from spectral_decay import gap, ode
 from spectral_decay.bands import band_edges
 from spectral_decay.errors import BandPointError, NoSignChange, ValidationError
 from spectral_decay.floquet import discriminant, floquet_solutions
@@ -34,6 +35,36 @@ def test_matching_determinant_nonzero_without_coupling():
 
 def test_matching_determinant_root_at_oracle_alpha():
     assert abs(matching_determinant(V0, BOX, square_well_alpha(), -1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("V, Q, lam", [
+    (V0, BOX, -1.0),
+    (PeriodicPotential.fourier(mean=0.0, cos=[2.0]), BOX, 9.8),
+], ids=["zero", "mathieu"])
+def test_solve_coupling_walks_floquet_once(V, Q, lam, monkeypatch):
+    # the Floquet end states do not depend on alpha: one floquet_solutions
+    # call and two one-point walks, however many determinants Brent takes
+    counts = {"solutions": 0, "dets": 0}
+    walks = []
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def walk(*args, dense_xs, **kwargs):
+        walks.append(len(dense_xs))
+        return propagate_hill(*args, dense_xs=dense_xs, **kwargs)
+
+    propagate_hill = ode.propagate_hill
+    monkeypatch.setattr(gap, "floquet_solutions", count("solutions", gap.floquet_solutions))
+    monkeypatch.setattr(ode, "propagate_hill", walk)
+    monkeypatch.setattr(ode, "propagate_hill_perturbed",
+                        count("dets", ode.propagate_hill_perturbed))
+    solve_coupling(V, Q, lam)
+    assert counts["solutions"] == 1 and walks == [1, 1]
+    assert counts["dets"] >= 5
 
 
 def test_solve_coupling_square_well():

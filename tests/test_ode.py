@@ -129,9 +129,9 @@ def test_tolerance_monotone_vs_reference():
 def test_derivative_transfer_vs_central_difference():
     # complex step: the transfer matrix is entire in lambda
     lam, h, hc = 30.0, 1e-5, 1e-30
-    dT = ode.piecewise_transfer(STEP.cell_pieces(), lam + 1j * hc, 0.0, 1.0).imag / hc
-    Tp = ode.piecewise_transfer(STEP.cell_pieces(), lam + h, 0.0, 1.0)
-    Tm = ode.piecewise_transfer(STEP.cell_pieces(), lam - h, 0.0, 1.0)
+    dT = ode.monodromy(STEP, lam + 1j * hc).imag / hc
+    Tp = ode.monodromy(STEP, lam + h)
+    Tm = ode.monodromy(STEP, lam - h)
     assert np.allclose(dT, (Tp - Tm) / (2 * h), atol=1e-6)
 
 
