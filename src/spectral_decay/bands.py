@@ -9,7 +9,9 @@ either side of c.
 The scan samples F on a lambda grid; the bottom edge is the first sign
 change of F - 1.  Each local extremum of the samples brackets c on its
 two cells, and Brent's method finds c as a root of the complex-step F'.
-A gap counts as open when |F(c)| - 1 exceeds ten times the noise of F.
+A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
+the n-vs-2n difference of its Magnus product, or the rounding of its
+closed form on piecewise V.  The whole grid is one batched evaluation.
 Edges of a gap with a sample inside are refined on the cells where
 F -+ 1 changes sign; a gap narrower than a cell has no such sample, and
 c and the ends of its cell bracket the edges.
@@ -55,11 +57,9 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     if lam_max <= lam_min:
         raise ValueError("lam_max must exceed the scan floor")
 
-    noise = 1e-13 if V.is_piecewise_constant else 10.0 * ode.DEFAULT_TOL
-
-    n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
+    n = ode.check_lambda_count(np.ceil((lam_max - lam_min) / grid_step) + 1)
     grid = np.linspace(lam_min, lam_max, n)
-    Fs = np.array([discriminant(V, l) for l in grid])
+    Fs = discriminant(V, grid)
 
     def f(lam, t):
         return discriminant(V, lam) - t
@@ -88,8 +88,9 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
             incomplete = True
             continue
         c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else _root(dF, lo, hi))
-        Fc = discriminant(V, c)
-        if abs(Fc) <= 1.0 + 10.0 * noise:
+        M, err = ode.certified_monodromy(V, [c])
+        Fc = 0.5 * (M[0, 0, 0] + M[0, 1, 1])
+        if abs(Fc) - 1.0 <= err[0]:
             continue  # closed gap
         t = 1.0 if Fc > 0 else -1.0
         inside = t * Fs > 1.0

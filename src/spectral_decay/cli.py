@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import gap, verify
+from . import gap, ode, verify
 from .bands import band_edges, csv_rows
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
 from .errors import SpectralDecayError, ValidationError
@@ -52,8 +52,8 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    """start:stop:count -> inclusive linspace."""
+def _parse_range(spec: str) -> tuple:
+    """start:stop:count of an inclusive linspace."""
     try:
         start, stop, count = spec.split(":")
         start, stop, count = _finite_float(start), _finite_float(stop), int(count)
@@ -62,7 +62,7 @@ def _parse_range(spec: str) -> np.ndarray:
             f"range must be start:stop:count, got {spec!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def cmd_bands(args) -> int:
@@ -85,15 +85,13 @@ def cmd_bands(args) -> int:
 
 def cmd_discriminant(args) -> int:
     V = load_potential(_load_json(args.potential))
-    lams = args.lambda_range
-    header = "lambda,F,Fprime" if args.derivative else "lambda,F"
-    lines = [header]
-    for lam in lams:
-        F = discriminant(V, lam)
-        if args.derivative:
-            lines.append(f"{_f(lam)},{_f(F)},{_f(discriminant_derivative(V, lam))}")
-        else:
-            lines.append(f"{_f(lam)},{_f(F)}")
+    start, stop, count = args.lambda_range
+    lams = np.linspace(start, stop, ode.check_lambda_count(count))
+    columns = [lams, discriminant(V, lams)]
+    if args.derivative:
+        columns.append(discriminant_derivative(V, lams))
+    lines = ["lambda,F,Fprime" if args.derivative else "lambda,F"]
+    lines += [",".join(_f(x) for x in row) for row in zip(*columns)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

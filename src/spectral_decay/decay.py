@@ -108,12 +108,12 @@ def normalize_and_fit(grid, pieces, b: float):
 
 def check_prop_H(V, lambda0: float, lam_grid) -> float:
     """Worst margin of ln^2 rho(lambda) - (lambda0 - lambda) below lambda0."""
+    lams = np.asarray(list(lam_grid), dtype=float)
+    if np.any(lams >= lambda0):
+        raise ValueError("grid must lie strictly below lambda0")
     worst = math.inf
-    for lam in lam_grid:
-        if lam >= lambda0:
-            raise ValueError("grid must lie strictly below lambda0")
-        rho = multiplicator(discriminant(V, lam))
-        worst = min(worst, math.log(rho) ** 2 - (lambda0 - lam))
+    for lam, F in zip(lams, discriminant(V, lams)):
+        worst = min(worst, math.log(multiplicator(F)) ** 2 - (lambda0 - lam))
     return worst
 
 
@@ -141,18 +141,17 @@ def check_edge_asymptotics(V, edge: float, gap: tuple) -> EdgeAsymptotics:
     if abs(fp) < 1e-10:
         raise ClosedGap(f"F'({edge}) ~ 0: degenerate (closed) edge")
 
-    lams, ratios = [], []
-    for k in range(1, K_MAX + 1):
-        lam = edge + into * (4.0 ** -k) * w
-        rho = multiplicator(discriminant(V, lam))
+    lams = np.array([edge + into * (4.0 ** -k) * w for k in range(1, K_MAX + 1)])
+    ratios = []
+    for lam, F in zip(lams, discriminant(V, lams)):
+        rho = multiplicator(F)
         if rho <= 1.0:
             raise InsufficientApproach(f"lambda = {lam} is not a regular point")
         ratios.append(math.log(rho) ** 2 / (2.0 * abs(fp) * abs(lam - edge)))
-        lams.append(lam)
     ratios = np.array(ratios)
     # leading error is O(sqrt|lam-edge|), halved per k step
     limit = 2.0 * ratios[-1] - ratios[-2]
-    return EdgeAsymptotics(edge=edge, Fprime_edge=fp, lambdas=np.array(lams),
+    return EdgeAsymptotics(edge=edge, Fprime_edge=fp, lambdas=lams,
                            ratios=ratios, limit=limit)
 
 
@@ -171,8 +170,7 @@ def check_F_prime_asymptotics(V, lam_grid) -> FprimeResiduals:
     """
     lams = np.asarray(list(lam_grid), dtype=float)
     res = np.empty_like(lams)
-    for i, lam in enumerate(lams):
-        fp = discriminant_derivative(V, lam)
+    for i, (lam, fp) in enumerate(zip(lams, discriminant_derivative(V, lams))):
         free = -math.sin(math.sqrt(lam)) / (2.0 * math.sqrt(lam))
         res[i] = lam * abs(fp - free)
     good = res > 0
@@ -192,11 +190,13 @@ class CounterexampleWitness:
     ratio_trace: tuple = ()
 
 
-def gap_ratio(V, bands: BandStructure, lam: float) -> float:
-    """ln rho(lambda) / sqrt(d(lambda)) at a regular point."""
-    rho = multiplicator(discriminant(V, lam))
-    d = spectral_distance(bands, lam)
-    return math.log(rho) / math.sqrt(d)
+def gap_ratio(V, bands: BandStructure, lam):
+    """ln rho(lambda) / sqrt(d(lambda)) at a regular point; a list for an
+    array of lambda, from one batched discriminant."""
+    lams = np.asarray(lam, dtype=float)
+    ratios = [math.log(multiplicator(F)) / math.sqrt(spectral_distance(bands, x))
+              for x, F in zip(lams.reshape(-1), np.reshape(discriminant(V, lams), -1))]
+    return ratios if lams.ndim else ratios[0]
 
 
 def counterexample_search(V, bands: BandStructure, eps: float) -> CounterexampleWitness:
@@ -208,23 +208,20 @@ def counterexample_search(V, bands: BandStructure, eps: float) -> Counterexample
     is reported with the midpoint ratio trace.
     """
     trace = []
-    for n, (a, b) in enumerate(bands.gaps, start=1):
-        mid = 0.5 * (a + b)
-        r = gap_ratio(V, bands, mid)
+    mids = [0.5 * (a + b) for a, b in bands.gaps]
+    for n, mid, r in zip(range(1, len(mids) + 1), mids, gap_ratio(V, bands, mids)):
         trace.append((n, mid, r))
         if r < eps:
             return CounterexampleWitness(found=True, gap_index=n, lam=mid,
                                          ratio=r, ratio_trace=tuple(trace))
     # edge-refined pass
-    for n, (a, b) in enumerate(bands.gaps, start=1):
-        w = b - a
-        for edge, sgn in ((a, 1.0), (b, -1.0)):
-            for k in range(1, 7):
-                lam = edge + sgn * (4.0 ** -k) * w
-                r = gap_ratio(V, bands, lam)
-                if r < eps:
-                    return CounterexampleWitness(found=True, gap_index=n, lam=lam,
-                                                 ratio=r, ratio_trace=tuple(trace))
+    points = [(n, edge + sgn * (4.0 ** -k) * (b - a))
+              for n, (a, b) in enumerate(bands.gaps, start=1)
+              for edge, sgn in ((a, 1.0), (b, -1.0)) for k in range(1, 7)]
+    for (n, lam), r in zip(points, gap_ratio(V, bands, [lam for _, lam in points])):
+        if r < eps:
+            return CounterexampleWitness(found=True, gap_index=n, lam=lam,
+                                         ratio=r, ratio_trace=tuple(trace))
     return CounterexampleWitness(found=False, ratio_trace=tuple(trace))
 
 

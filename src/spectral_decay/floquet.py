@@ -22,20 +22,22 @@ TOL_EDGE = 1e-9
 CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
 
 
-def discriminant(V, lam: float) -> float:
-    """F(lambda) = (theta(1) + phi'(1)) / 2."""
+def discriminant(V, lam):
+    """F(lambda) = (theta(1) + phi'(1)) / 2; elementwise over an array of
+    lambda, which one batched monodromy evaluates."""
     M = ode.monodromy(V, lam)
-    return 0.5 * (M[0, 0] + M[1, 1])
+    return 0.5 * (M[..., 0, 0] + M[..., 1, 1])
 
 
-def discriminant_derivative(V, lam: float) -> float:
-    """dF/dlambda by complex-step differentiation (not differencing).
+def discriminant_derivative(V, lam):
+    """dF/dlambda by complex-step differentiation (not differencing);
+    elementwise over an array of lambda.
 
     M is entire in lambda, so Im M(lambda + ih)/h carries no
     cancellation and matches dM/dlambda to rounding (Squire & Trapp 1998).
     """
-    dM = ode.monodromy(V, lam + 1j * CS_STEP).imag / CS_STEP
-    return 0.5 * (dM[0, 0] + dM[1, 1])
+    dM = ode.monodromy(V, np.asarray(lam) + 1j * CS_STEP).imag / CS_STEP
+    return 0.5 * (dM[..., 0, 0] + dM[..., 1, 1])
 
 
 def multiplicator(F: float) -> float:

@@ -4,15 +4,24 @@ Hill, -y'' + V y = lambda y, has s = (y, y') and A = [[0, 1], [V - lambda, 0]];
 the 1D Dirac system, -i s1 psi' + m s3 psi + W psi = lambda psi, has
 s = psi and A = i s1 (lambda - m s3 - W).
 
-There is one route: a potential is lowered into the segments of [x0, x1]
-between the jumps of A, and one walk multiplies closed-form 2x2
-exponentials over them, in either direction and through optional dense
-samples.  The exponential is exact where A is constant (piecewise V,
-V - alpha Q with a piecewise profile, W constant on its support);
-elsewhere the walk takes fourth-order Magnus steps with two Gauss points
-(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  tol sets the
-step count: it grows by powers of two until n and 2n steps agree to tol
-relative to the transfer matrix, and the 2n-step product is kept.
+There is one route.  Each call lowers its potential once into the
+segments of [x0, x1] between the jumps of A, and one product multiplies
+closed-form 2x2 exponentials over them, in either direction and through
+optional dense samples.  The exponential is exact where A is constant
+(piecewise V, V - alpha Q with a piecewise profile, W constant on its
+support); elsewhere the product takes fourth-order Magnus steps with two
+Gauss points (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).
+tol sets the step count: it grows by powers of two until n and 2n steps
+agree to tol relative to the transfer matrix, and the 2n-step product is
+kept with that difference as its error bound.
+
+Hill transfer matrices are batched over lambda, which enters an exact
+piece only through s = lambda - v and a Magnus exponent only through its
+(1, 0) entry, -h lambda: the commutator [A2, A1] = diag(V1 - V2, V2 - V1)
+has no lambda.  So the segments and the samples of V at the Gauss nodes
+are computed once per call, and numpy evaluates lambda x segments in
+blocks; each lambda keeps its own certified step density.  A scalar
+lambda is a batch of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -33,6 +42,7 @@ from .errors import StepFailure, ValidationError
 from .potentials import CompactPerturbation, MatrixPerturbation
 
 DEFAULT_TOL = 1e-10
+MAX_LAMBDAS = 2 ** 20  # points in one lambda set; scan grids hold ~10^4
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -42,31 +52,100 @@ _I2 = np.eye(2)
 _EPS = sys.float_info.epsilon
 _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
+_BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 
 
-def _cs(s, h: float):
-    """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s); entire in s."""
+def check_lambda_count(n) -> int:
+    """n as an int, or ValidationError when a lambda set of n points
+    exceeds MAX_LAMBDAS (checked before the set is allocated)."""
+    if not n <= MAX_LAMBDAS:
+        raise ValidationError(f"{n} lambda points exceed the limit of {MAX_LAMBDAS}")
+    return int(n)
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b rounded as complex scalars round it (numpy's complex array loop
+    differs from them in the last bit)."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a, b) -> np.ndarray:
+    """a / b by CPython's complex division (numpy's differs in the last bit)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    big = np.abs(br) >= np.abs(bi)
+    if np.count_nonzero(big) == big.size:
+        ratio = bi / br
+        denom = br + bi * ratio
+        return _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    p, q = np.where(big, br, bi), np.where(big, bi, br)
+    ratio = q / p
+    denom = p + q * ratio
+    return _complex(np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
+                    np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _cs(s, h, libm: bool = False):
+    """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s) elementwise; entire in s.
+
+    The arithmetic is that of the scalar libm and cmath closed form, bit for
+    bit, except that below the barrier libm=False takes numpy's cosh/sinh,
+    which differ from math.cosh/sinh in the last bit.  With libm=True
+    OverflowError is raised where those overflow.
+    """
     z2 = s * h * h
-    if isinstance(s, complex):
-        if abs(z2) > 1e-8:
-            z = cmath.sqrt(s)
-            return cmath.cos(z * h), cmath.sin(z * h) / z
-    elif z2 > 1e-8:
-        z = math.sqrt(s)
-        return math.cos(z * h), math.sin(z * h) / z
-    elif z2 < -1e-8:
-        z = math.sqrt(-s)
-        return math.cosh(z * h), math.sinh(z * h) / z
-    # series around s = 0, |s h^2| <= 1e-8 keeps truncation below 1e-25
-    return (1.0 - z2 / 2.0 + z2 * z2 / 24.0,
-            h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0))
+    cplx = np.iscomplexobj(z2)
+    mul, div = (_cmul, _cdiv) if cplx else (np.multiply, np.divide)
+    trig = (np.abs(z2) if cplx else z2) > 1e-8
+    z = np.sqrt(s if cplx else np.abs(s))
+    zh = z * h
+    C, S = np.cos(zh), np.sin(zh)
+    if np.count_nonzero(trig) == trig.size:
+        return C, div(S, z)
+    hyp = np.zeros_like(trig) if cplx else z2 < -1e-8
+    if np.count_nonzero(hyp):
+        zh_hyp = zh[hyp]
+        if libm:
+            C[hyp] = [math.cosh(t) for t in zh_hyp]
+            S[hyp] = [math.sinh(t) for t in zh_hyp]
+        else:
+            C[hyp], S[hyp] = np.cosh(zh_hyp), np.sinh(zh_hyp)
+    scaled = trig | hyp
+    S[scaled] = div(S[scaled], z[scaled])
+    series = ~scaled  # |s h^2| <= 1e-8 keeps truncation below 1e-25
+    if np.count_nonzero(series):
+        z2, h = z2[series], np.broadcast_to(h, z2.shape)[series]
+        C[series] = 1.0 - z2 / 2.0 + mul(z2, z2) / 24.0
+        S[series] = h * (1.0 - z2 / 6.0 + mul(z2, z2) / 120.0)
+    return C, S
+
+
+def _matrices(a, b, c, d) -> np.ndarray:
+    """The stack [[a, b], [c, d]] of same-shape arrays."""
+    M = np.empty(a.shape + (2, 2), dtype=a.dtype)
+    M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = a, b, c, d
+    return M
+
+
+def _hill_exact(lams, v, h) -> np.ndarray:
+    """Transfer matrices (k, m, 2, 2) of -y'' + v y = lam y over lengths h,
+    for k lambdas and m pieces."""
+    s = lams[:, None] - v
+    try:
+        C, S = _cs(s, h, libm=True)
+    except OverflowError as exc:
+        raise StepFailure(f"transfer matrix overflows ({exc})") from exc
+    return _matrices(C, S, (_cmul if np.iscomplexobj(s) else np.multiply)(-s, S), C)
 
 
 def constant_transfer(v: float, lam, h: float) -> np.ndarray:
     """Transfer matrix of -y'' + v y = lam y over a step of length h."""
-    s = lam - v
-    C, S = _cs(s, h)
-    return np.array([[C, S], [-s * S, C]])
+    return _hill_exact(np.array([lam]), np.array([v]), np.array([h]))[0, 0]
 
 
 def wronskian(u, v):
@@ -76,46 +155,184 @@ def wronskian(u, v):
 
 def _expm2(X: np.ndarray) -> np.ndarray:
     """exp(X) for a stack (k, 2, 2): e^t (C I + S Y) with t = tr X / 2,
-    Y = X - t I (so Y^2 = -det(Y) I) and C, S = _cs(det Y, 1) elementwise."""
+    Y = X - t I (so Y^2 = -det(Y) I) and C, S = _cs(det Y, 1)."""
     t = 0.5 * (X[:, 0, 0] + X[:, 1, 1])
     Y = X - t[:, None, None] * _I2
-    d = Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0]
-    small = np.abs(d) <= 1e-8  # series, as in _cs
-    z = np.sqrt(np.where(small, 1.0, d).astype(complex))
-    C = np.where(small, 1.0 - d / 2.0 + d * d / 24.0, np.cos(z))
-    S = np.where(small, 1.0 - d / 6.0 + d * d / 120.0, np.sin(z) / z)
-    if not np.iscomplexobj(X):
-        C, S = C.real, S.real
+    C, S = _cs(Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0], 1.0)
     return np.exp(t)[:, None, None] * (C[:, None, None] * _I2 + S[:, None, None] * Y)
 
 
-def _magnus(coef, xa: float, xb: float, n: int) -> np.ndarray:
-    """Product of n fourth-order Magnus steps over [xa, xb]; coef(x) gives
-    the matrices A at the points x, shape (len(x), 2, 2)."""
-    h = (xb - xa) / n
-    x = xa + h * np.arange(n)
-    A1, A2 = coef(x + _GAUSS[0] * h), coef(x + _GAUSS[1] * h)
-    E = _expm2(0.5 * h * (A1 + A2) + (math.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2))
-    while len(E) > 1:  # E[-1] @ ... @ E[0], pairwise
-        k = len(E) - len(E) % 2
-        E = np.concatenate([E[1:k:2] @ E[0:k:2], E[k:]])
-    return E[0]
+def _reduce(E: np.ndarray) -> np.ndarray:
+    """E[:, -1] @ ... @ E[:, 0] of a stack (k, n, 2, 2), pairwise."""
+    while E.shape[1] > 1:
+        n = E.shape[1] - E.shape[1] % 2
+        E = np.concatenate([E[:, 1:n:2] @ E[:, 0:n:2], E[:, n:]], axis=1)
+    return E[:, 0]
 
 
-def _product(segs, density: float, refine: int = 1) -> np.ndarray:
-    """Transfer matrix over segs, taking refine * max(1, ceil(length * density))
-    Magnus steps on each segment.
+class _Hill:
+    """-y'' + (V - alpha Q) y = lam y lowered once, free of lambda: the cuts
+    of V and Q, the value of V - alpha Q on each piece where both are
+    constant, and V - alpha Q at the Gauss nodes of each Magnus walk."""
 
-    segs are the segments (pa, pb, E, coef) of an interval, left to right:
-    E is the exact transfer matrix where the coefficient A is constant,
-    else None and Magnus steps use coef(x), the matrices A at the points x.
-    """
-    T = _I2.copy()
-    for pa, pb, E, coef in segs:
-        if E is None:
-            E = _magnus(coef, pa, pb, refine * max(1, math.ceil((pb - pa) * density)))
-        T = E @ T
+    def __init__(self, V, Q: CompactPerturbation | None = None, alpha: float = 0.0):
+        self.V, self.Q, self.alpha = V, Q, alpha
+        self.flat = V.is_piecewise_constant
+        self.cells = V.cell_pieces() if self.flat else ()
+        self.a, self.b = Q.support if Q is not None else (math.inf, -math.inf)
+        self.q_smooth = Q is not None and not Q.is_piecewise_constant
+        self.qcuts = [] if Q is None else [self.a, self.b, *(
+            [] if self.q_smooth else [c for c, _ in Q.q_pieces()])]
+        self.nodes = {}
+
+    @staticmethod
+    def rate(lams):
+        return np.sqrt(np.abs(lams))
+
+    @staticmethod
+    def dtype(lams):
+        return np.result_type(lams, float)
+
+    def segments(self, xa: float, xb: float) -> list:
+        """Segments (pa, pb, v) of [xa, xb], xa <= xb: v is the constant
+        potential of an exact piece, or None where Magnus steps are taken."""
+        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in self.cells]
+        xs = [xa, *sorted({c for c in per + self.qcuts if xa < c < xb}), xb]
+        segs = []
+        for pa, pb in zip(xs, xs[1:]):
+            if pb - pa <= 1e-15:
+                continue
+            mid = 0.5 * (pa + pb)
+            if not self.flat or self.q_smooth and self.a < mid < self.b:
+                segs.append((pa, pb, None))
+                continue
+            for c, v in reversed(self.cells):  # right-continuous V(mid)
+                if mid % 1.0 >= c:
+                    break
+            if self.Q is not None:
+                v = v - self.alpha * self.Q.q(mid)
+            segs.append((pa, pb, v))
+        return segs
+
+    exact = staticmethod(_hill_exact)
+
+    def u(self, x):
+        """V - alpha Q at the points x."""
+        return self.V(x) if self.Q is None else self.V(x) - self.alpha * self.Q.q(x)
+
+    def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
+        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb].  The
+        exponent is [[q, h], [r - h lam, -q]] with r = h (u1 + u2) / 2 and
+        q = sqrt(3) h^2 (u1 - u2) / 12, where u = V - alpha Q at the nodes."""
+        key = (pa, pb, n)
+        if key not in self.nodes:
+            h = (pb - pa) / n
+            x = pa + h * np.arange(n)
+            u1, u2 = (self.u(x + g * h) for g in _GAUSS)
+            q, r = math.sqrt(3.0) / 12.0 * h * h * (u1 - u2), 0.5 * h * (u1 + u2)
+            self.nodes[key] = h, q, r, -q * q - h * r
+        h, q, r, d0 = self.nodes[key]
+        lam = lams[:, None]
+        C, S = _cs(d0 + h * h * lam, 1.0)  # det of the exponent
+        return _matrices(C + S * q, S * h, S * (r - h * lam), C - S * q)
+
+
+class _Dirac:
+    """-i s1 psi' + m s3 psi + W psi = lam psi: cuts at the support of W,
+    exact where W is None or constant there."""
+
+    def __init__(self, W, m: float):
+        self.W, self.m = W, m
+        self.matrix = isinstance(W, MatrixPerturbation)
+        self.a, self.b = W.support if self.matrix else (math.inf, -math.inf)
+
+    @staticmethod
+    def rate(lams):
+        return np.abs(lams)
+
+    @staticmethod
+    def dtype(lams):
+        return complex
+
+    def segments(self, xa: float, xb: float) -> list:
+        """Segments (pa, pb, mid) of [xa, xb]: mid is None where W varies."""
+        W, a, b = self.W, self.a, self.b
+        xs = [xa, *(c for c in (a, b) if xa < c < xb), xb]
+        segs = []
+        for pa, pb in zip(xs, xs[1:]):
+            if pb - pa <= 1e-15:
+                continue
+            mid = 0.5 * (pa + pb)
+            exact = W is None or self.matrix and (W.constant is not None or not a <= mid <= b)
+            segs.append((pa, pb, mid if exact else None))
+        return segs
+
+    def exact(self, lams, mids, h) -> np.ndarray:
+        B = [hj * dirac_coefficient(self.W, self.m, lam, mid)
+             for lam in lams for mid, hj in zip(mids, h)]
+        return _expm2(np.array(B)).reshape(len(lams), len(mids), 2, 2)
+
+    def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
+        h = (pb - pa) / n
+        x = pa + h * np.arange(n)
+        out = []
+        for lam in lams:
+            A1, A2 = (np.array([dirac_coefficient(self.W, self.m, lam, xi) for xi in x + g * h])
+                      for g in _GAUSS)
+            out.append(_expm2(0.5 * h * (A1 + A2)
+                              + (math.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2)))
+        return np.array(out)
+
+
+def _fold(F: np.ndarray) -> np.ndarray:
+    """F[:, :, -1] @ ... @ F[:, :, 0] @ I of a stack (k, c, depth, 2, 2), in turn."""
+    T = F[:, :, 0] @ _I2
+    for i in range(1, F.shape[2]):
+        T = F[:, :, i] @ T
     return T
+
+
+def _product(system, cells, lams, density: float, refine: int = 1, bound: bool = False):
+    """Transfer matrices (k, c, 2, 2) over c cells for k lambdas; with bound,
+    also the products of the factors' absolute values.
+
+    Each cell is a list of segments (pa, pb, p) from system.segments: exact
+    where p is given, else refine * max(1, ceil(length * density)) Magnus
+    steps.  Lambdas go in blocks of at most _BLOCK factor matrices.
+    """
+    depth = max((len(cell) for cell in cells), default=0)
+    exact, magnus = [], []
+    for j, cell in enumerate(cells):
+        for i, (pa, pb, p) in enumerate(cell, start=depth - len(cell)):  # identity in front
+            if p is None:
+                magnus.append((j, i, pa, pb, refine * max(1, math.ceil((pb - pa) * density))))
+            else:
+                exact.append((j, i, pb - pa, p))
+    if not depth:  # every cell is empty
+        T = np.broadcast_to(_I2, (len(lams), len(cells), 2, 2)).copy()
+        return (T, T.copy()) if bound else T
+    eh, ep = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
+    padded = len(exact) < len(cells) * depth  # identity or Magnus factors among them
+    size = len(exact) + sum(m[-1] for m in magnus) + len(cells) * depth
+    block = max(1, _BLOCK // size)
+    Ts, Ps = [], []
+    for lo in range(0, len(lams), block):
+        lb = lams[lo:lo + block]
+        if not padded:
+            F = system.exact(lb, ep, eh).reshape(len(lb), len(cells), depth, 2, 2)
+        else:
+            F = np.empty((len(lb), len(cells), depth, 2, 2), dtype=system.dtype(lams))
+            F[...] = _I2
+            if exact:
+                F[:, [e[0] for e in exact], [e[1] for e in exact]] = system.exact(lb, ep, eh)
+            for j, i, pa, pb, n in magnus:
+                F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
+        Ts.append(_fold(F))
+        if bound:
+            Ps.append(_fold(np.abs(F)))
+    shape = (0, len(cells), 2, 2)
+    T = Ts[0] if len(Ts) == 1 else np.concatenate([np.empty(shape, system.dtype(lams)), *Ts])
+    return (T, np.concatenate([np.empty(shape), *Ps])) if bound else T
 
 
 def _finite(a, what: str):
@@ -124,95 +341,82 @@ def _finite(a, what: str):
     return a
 
 
-def _certify(segs, tol: float):
-    """(T, density): the product over segs at refine 2 and the Magnus step
-    density at which it meets tol (agrees with refine 1); 0 if all exact."""
-    density = 8
-    T = _finite(_product(segs, density), "transfer matrix")
-    if all(seg[3] is None for seg in segs):
-        return T, 0
-    while True:
-        T2 = _product(segs, density, 2)
-        ratio = _finite(np.max(np.abs(T2 - T)) / (tol * max(1.0, np.max(np.abs(T2)))),
+def _certify(system, segs, lams, tol: float, bound: bool = False):
+    """(T, density, err) per lambda: the product over segs at refine 2, the
+    Magnus step density at which it meets tol (agrees with refine 1),
+    and that refine 1-vs-2 difference as its error bound.  Lambdas are
+    grouped by density.  Where every segment is exact, density is 0 and,
+    with bound, err bounds the rounding of the closed-form factors (phases
+    included) and of their product; else err is None."""
+    k = len(lams)
+    if all(p is not None for *_, p in segs):
+        T, P = _product(system, [segs], lams, 0, 1, bound) if bound else \
+            (_product(system, [segs], lams, 0), None)
+        err = None
+        if bound:
+            length = segs[-1][1] - segs[0][0] if segs else 0.0
+            err = _EPS * (4 * len(segs) + system.rate(lams) * length) * np.max(P[:, 0], axis=(1, 2))
+        return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
+
+    density = np.full(k, 8)
+
+    def products(idx, refine):  # at density[idx], grouped
+        out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
+        for d in np.unique(density[idx]):
+            g = density[idx] == d
+            out[g] = _product(system, [segs], lams[idx[g]], int(d), refine)[:, 0]
+        return out
+
+    T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
+    todo = np.arange(k)
+    T = _finite(products(todo, 1), "transfer matrix")
+    while todo.size:
+        T2 = products(todo, 2)
+        diff = np.max(np.abs(T2 - T), axis=(1, 2))
+        ratio = _finite(diff / (tol * np.maximum(1.0, np.max(np.abs(T2), axis=(1, 2)))),
                         "transfer matrix")
-        if ratio <= 1.0:
-            return T2, density
+        ok = ratio <= 1.0
+        T_out[todo[ok]], err[todo[ok]] = T2[ok], diff[ok]
+        todo, ratio = todo[~ok], ratio[~ok]
         # fourth order: each doubling shrinks the difference ~16-fold
-        density *= 2 ** max(1, math.ceil(math.log2(ratio) / 4.0))
-        if 2 * density * (segs[-1][1] - segs[0][0]) > _MAX_STEPS:
+        density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / 4.0)).astype(int)
+        if todo.size and 2 * density[todo].max() * (segs[-1][1] - segs[0][0]) > _MAX_STEPS:
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
-        T = _product(segs, density)
+        T = products(todo, 1)
+    return T_out, density, err
 
 
-def _cells(pieces, stops, tol: float) -> list:
+def _check_phase(system, lams, xa: float, xb: float, tol: float):
+    """StepFailure where rounding the phase rate * (xb - xa) alone exceeds tol."""
+    if _EPS * system.rate(np.fmax.reduce(np.abs(lams), initial=0.0)) * (xb - xa) > tol:
+        lam = next(lam for lam in lams if _EPS * system.rate(abs(lam)) * (xb - xa) > tol)
+        raise StepFailure(f"lambda = {lam.item()}: phase rounding over [{xa}, {xb}] > tol = {tol}")
+
+
+def _cells(system, lam, stops, tol: float) -> list:
     """Transfer matrices over [min, max] of each pair of neighbouring stops,
     at the step density certified on their range."""
-    T, density = _certify(list(pieces(min(stops), max(stops))), tol)
+    lams = np.array([lam])
+    lo, hi = min(stops), max(stops)
+    _check_phase(system, lams, lo, hi, tol)
+    T, density, _ = _certify(system, system.segments(lo, hi), lams, tol)
     cells = list(zip(stops[:-1], stops[1:]))
     if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
-        return [T if xa != xb else _I2 for xa, xb in cells]
-    return [_product(pieces(min(xa, xb), max(xa, xb)), density, 2) if xa != xb else _I2
-            for xa, xb in cells]
+        return [T[0] if xa != xb else _I2 for xa, xb in cells]
+    segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
+    return list(_product(system, segs, lams, density[0], 2)[0])
 
 
-def _walk(pieces, x0: float, x1: float, s0, tol: float, dense_xs=None):
+def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
     """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
     Returns the end state, or (end, states at dense_xs)."""
     stops = [x0, *(() if dense_xs is None else dense_xs), x1]
     states = [s0]
-    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(pieces, stops, tol)):
+    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(system, lam, stops, tol)):
         s = states[-1]
         states.append(s if xa == xb else T @ s if xb > xa else np.linalg.solve(T, s))
     states = _finite(np.array(states[1:]), "state")
     return states[-1] if dense_xs is None else (states[-1], states[:-1])
-
-
-def _check_phase(rate: float, lam, xa: float, xb: float, tol: float):
-    """StepFailure where rounding the phase rate * (xb - xa) alone exceeds tol."""
-    if _EPS * rate * (xb - xa) > tol:
-        raise StepFailure(f"lambda = {lam}: phase rounding over [{xa}, {xb}] > tol = {tol}")
-
-
-def _hill_pieces(V, lam, Q: CompactPerturbation | None = None, alpha: float = 0.0,
-                 tol: float = DEFAULT_TOL):
-    """pieces(xa, xb), xa <= xb, yielding the segments of [xa, xb] for
-    -y'' + (V - alpha Q) y = lam y: exact where V and Q are both constant,
-    Magnus elsewhere."""
-    flat = V.is_piecewise_constant
-    cells = V.cell_pieces() if flat else ()
-    a, b = Q.support if Q is not None else (math.inf, -math.inf)
-    q_smooth = Q is not None and not Q.is_piecewise_constant
-    qcuts = [] if Q is None else [a, b, *([] if q_smooth else [c for c, _ in Q.q_pieces()])]
-
-    def coef(x):
-        c = V(x) - lam if Q is None else V(x) - alpha * Q.q(x) - lam
-        A = np.zeros(x.shape + (2, 2), dtype=np.result_type(c, float))
-        A[:, 0, 1], A[:, 1, 0] = 1.0, c
-        return A
-
-    def pieces(xa, xb):
-        _check_phase(math.sqrt(abs(lam)), lam, xa, xb, tol)
-        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in cells]
-        xs = [xa, *sorted({c for c in per + qcuts if xa < c < xb}), xb]
-        for pa, pb in zip(xs, xs[1:]):
-            if pb - pa <= 1e-15:
-                continue
-            mid = 0.5 * (pa + pb)
-            if not flat or q_smooth and a < mid < b:
-                yield pa, pb, None, coef
-                continue
-            for c, v in reversed(cells):  # right-continuous V(mid)
-                if mid % 1.0 >= c:
-                    break
-            if Q is not None:
-                v = v - alpha * Q.q(mid)
-            try:
-                E = constant_transfer(v, lam, pb - pa)
-            except OverflowError as exc:
-                raise StepFailure(f"transfer matrix overflows ({exc})") from exc
-            yield pa, pb, E, None
-
-    return pieces
 
 
 def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFAULT_TOL,
@@ -221,19 +425,38 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
 
     With dense_xs (monotone, from the x0 side) returns (end, states at dense_xs).
     """
-    return _walk(_hill_pieces(V, lam, tol=tol), x0, x1, np.asarray(state, dtype=float), tol,
-                 dense_xs)
+    return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
+
+
+def _monodromy(V, lams, tol: float, bound: bool):
+    lams = np.asarray(lams)
+    check_lambda_count(lams.size)
+    flat = lams.reshape(-1)
+    if flat.dtype.kind not in "fc":
+        flat = flat.astype(float)
+    system = _Hill(V)
+    _check_phase(system, flat, 0.0, 1.0, tol)
+    T, _, err = _certify(system, system.segments(0.0, 1.0), flat, tol, bound)
+    return T.reshape(lams.shape + (2, 2)), err
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """One-period monodromy M(lambda), columns theta, phi; complex for complex lam."""
-    return _certify(list(_hill_pieces(V, lam, tol=tol)(0.0, 1.0)), tol)[0]
+    """One-period monodromy M(lambda), columns theta, phi; complex for complex
+    lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
+    return _monodromy(V, lam, tol, False)[0]
+
+
+def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
+    """Monodromy matrices (k, 2, 2) of a 1-D lambda array and the error
+    bound of each: the n-vs-2n difference of its Magnus product, or the
+    rounding of its closed form on piecewise V."""
+    return _monodromy(V, np.asarray(lams).reshape(-1), tol, True)
 
 
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
     of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
-    Ts = _cells(_hill_pieces(V, lam, tol=tol), np.asarray(xs, dtype=float).tolist(), tol)
+    Ts = _cells(_Hill(V), lam, np.asarray(xs, dtype=float).tolist(), tol)
     return _finite(np.array(Ts).reshape(-1, 2, 2), "transfer matrix")
 
 
@@ -241,8 +464,8 @@ def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float
                              x0: float, x1: float, state, tol: float = DEFAULT_TOL,
                              dense_xs=None):
     """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
-    return _walk(_hill_pieces(V, lam, Q, alpha, tol), x0, x1, np.asarray(state, dtype=float),
-                 tol, dense_xs)
+    return _walk(_Hill(V, Q, alpha), lam, x0, x1, np.asarray(state, dtype=float), tol,
+                 dense_xs)
 
 
 def dirac_coefficient(W, m: float, lam: float, x: float) -> np.ndarray:
@@ -261,23 +484,4 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
     """
     if m <= 0:
         raise ValidationError(f"mass m must be positive, got {m}")
-    matrix = isinstance(W, MatrixPerturbation)
-    a, b = W.support if matrix else (math.inf, -math.inf)
-
-    def coef(x):
-        return np.array([dirac_coefficient(W, m, lam, xi) for xi in x])
-
-    def pieces(xa, xb):
-        _check_phase(abs(lam), lam, xa, xb, tol)
-        xs = [xa, *(c for c in (a, b) if xa < c < xb), xb]
-        for pa, pb in zip(xs, xs[1:]):
-            if pb - pa <= 1e-15:
-                continue
-            mid = 0.5 * (pa + pb)
-            if W is None or matrix and (W.constant is not None or not a <= mid <= b):
-                B = (pb - pa) * dirac_coefficient(W, m, lam, mid)
-                yield pa, pb, _expm2(B[None])[0], None
-            else:
-                yield pa, pb, None, coef
-
-    return _walk(pieces, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)
+    return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)

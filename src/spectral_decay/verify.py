@@ -54,8 +54,8 @@ def suite_propH(V=None):
     cases = []
     lams = np.linspace(-10.0, -0.01, 500)
     V0 = PeriodicPotential.zero()
-    err = max(abs(math.log(multiplicator(discriminant(V0, l))) ** 2 - (-l))
-              for l in lams)
+    err = max(abs(math.log(multiplicator(F)) ** 2 - (-l))
+              for l, F in zip(lams, discriminant(V0, lams)))
     cases.append(_case("free-equality", {"lambda_range": [-10.0, -0.01], "points": 500},
                        err, 0.0, 1e-8, "PASS" if err <= 1e-8 else "FAIL"))
 
@@ -167,9 +167,7 @@ def suite_counterexample(V=None):
     gaps = bs.gaps[:6]
     cases = []
 
-    ratios = []
-    for a, b in gaps:
-        ratios.append(decay.gap_ratio(Vp, bs, 0.5 * (a + b)))
+    ratios = decay.gap_ratio(Vp, bs, [0.5 * (a + b) for a, b in gaps])
     inversions = sum(1 for i in range(2, len(ratios) - 1)
                      if ratios[i + 1] > ratios[i])
     trend_ok = len(ratios) >= 6 and inversions <= 1

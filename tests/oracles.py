@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's fast paths: the Hill
 reference is a fixed-step RK4 integrator, the high-precision monodromy
-comes from mpmath's Taylor-series ODE solver at 25 digits, Mathieu band
-edges come from a truncated plane-wave (Fourier) matrix, and the Dirac
-reference is a staggered-grid finite-difference discretization on a
-large box.  The Birman-Schwinger reference assembles the dense Nystrom
+comes from mpmath's Taylor-series ODE solver at 25 digits, the band
+edges of Mathieu and other Fourier potentials come from a truncated
+plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
+finite-difference discretization on a large box.  The Birman-Schwinger
+reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, and the
 band-scan reference finds band edges by pruned bisection without using
 the critical points of F.  Run
@@ -93,6 +94,28 @@ def mathieu_fourier_edges(n_modes=40):
     diag_a = (np.pi * (2.0 * ns + 1)) ** 2
     anti = eigvalsh_tridiagonal(diag_a, off)
     return np.sort(per), np.sort(anti)
+
+
+def plane_wave_edges(mean, cos=(), sin=(), n_modes=30):
+    """Sorted periodic and antiperiodic eigenvalues of -d^2/dx^2 + V for
+    V = mean + sum c_k cos(2 pi k x) + s_k sin(2 pi k x).
+
+    Plane-wave basis exp(i (2 pi n + theta) x), theta = 0 and pi; V
+    couples modes n and n - k through (c_k - i s_k) / 2.  Entry 0 is the
+    bottom of the spectrum and entries 2j - 1, 2j are the edges of gap j
+    (equal where the gap is closed).
+    """
+    ns = np.arange(-n_modes, n_modes + 1)
+    k_max = max(len(cos), len(sin))
+    coef = [complex(cos[k] if k < len(cos) else 0.0, -(sin[k] if k < len(sin) else 0.0)) / 2
+            for k in range(k_max)]
+    values = []
+    for theta in (0.0, math.pi):
+        H = np.diag((2.0 * math.pi * ns + theta) ** 2 + mean).astype(complex)
+        for k, vk in enumerate(coef, start=1):
+            H += vk * np.eye(len(ns), k=-k) + np.conj(vk) * np.eye(len(ns), k=k)
+        values.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(values))
 
 
 def dirac_fd_eigenvalues(m, depth, support, box=60.0, n_intervals=384000,

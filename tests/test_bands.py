@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_decay import bands
+from spectral_decay import bands, ode
 from spectral_decay.bands import DEFAULT_GRID_STEP, band_edges, csv_rows, spectral_distance
 from spectral_decay.errors import OutOfCertifiedRange
 from spectral_decay.floquet import discriminant, multiplicator
@@ -145,3 +145,51 @@ def test_csv_rows(mathieu_bands):
     assert "open_gap_left" in kinds and "open_gap_right" in kinds
     lams = [l for l, _ in rows]
     assert lams == sorted(lams)
+
+
+def test_narrow_smooth_gap_is_open():
+    # width 1e-3: |F(c)| - 1 ~ 3e-9, above the certified error of F(c)
+    bs = band_edges(PeriodicPotential.fourier(0, [1e-3]), 20.0)
+    ref = oracles.plane_wave_edges(0.0, (1e-3,))
+    assert len(bs.gaps) == 1
+    assert bs.gaps[0] == pytest.approx((ref[1], ref[2]), abs=1e-8)
+    assert spectral_distance(bs, 0.5 * (ref[1] + ref[2])) > 4e-4
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0])
+def test_closed_gaps_of_cos_4pi_x_stay_closed(amplitude):
+    # period 1/2: every odd gap is closed, the second one open
+    V = PeriodicPotential.fourier(0, [0.0, amplitude])
+    bs = band_edges(V, 50.0)
+    ref = oracles.plane_wave_edges(0.0, (0.0, amplitude))
+    assert len(bs.gaps) == 1
+    assert bs.gaps[0] == pytest.approx((ref[3], ref[4]), abs=1e-8)
+
+
+amplitude = st.one_of(st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.floats(-1.0, 1.0), st.lists(amplitude, min_size=1, max_size=2),
+       st.lists(amplitude, max_size=2))
+def test_property_narrow_gaps_vs_plane_wave_oracle(mean, cos, sin):
+    # every gap at least twice the detectable width sqrt(8 err / |F''(c)|)
+    # is found, and every gap found is a plane-wave gap
+    V = PeriodicPotential.fourier(mean, cos, sin)
+    bs = band_edges(V, 45.0)
+    ref = oracles.plane_wave_edges(mean, cos, sin)
+    for a, b in bs.gaps:
+        j = int(np.argmin(np.abs(ref - a)))
+        assert j % 2 == 1
+        assert abs(a - ref[j]) <= 1e-9 + 0.01 * (b - a)
+        assert abs(b - ref[j + 1]) <= 1e-9 + 0.01 * (b - a)
+    for j in range(1, len(ref) - 1, 2):
+        lo, hi = ref[j], ref[j + 1]
+        if hi >= 45.0:
+            break
+        c, h = 0.5 * (lo + hi), 1e-2
+        _, err = ode.certified_monodromy(V, [c])
+        F = discriminant(V, np.array([c - h, c, c + h]))
+        detectable = math.sqrt(8.0 * err[0] / abs((F[0] - 2.0 * F[1] + F[2]) / h ** 2))
+        if hi - lo > 2.0 * detectable:
+            assert any(abs(a - lo) <= 0.01 * (hi - lo) for a, _ in bs.gaps)

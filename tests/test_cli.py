@@ -229,3 +229,20 @@ def test_dirac_eig_nonpositive_mass_rejected(mass, capsys):
     assert main(["dirac-eig", "--mass", mass, "--depth", "0.5"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "mass" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["discriminant", "--potential", "zero", "--lambda-range", "0:1:1000000000000"],
+    ["bands", "--potential", "zero", "--lambda-max", "10", "--grid-step", "1e-12"],
+    ["bands", "--potential", "step", "--lambda-max", "10", "--grid-step", "1e-320"],
+], ids=["discriminant", "bands", "bands-subnormal-step"])
+def test_oversized_lambda_set_fails_typed(argv, cfg, capsys, monkeypatch):
+    # rejected by its point count before the grid is allocated
+    def never(*args, **kwargs):
+        pytest.fail("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", never)
+    argv = [cfg.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "limit" in err[0]

@@ -266,8 +266,10 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 @props
 @given(fourier, lams)
 def test_property_magnus_is_fourth_order(coeffs, lam):
-    segs = list(ode._hill_pieces(PeriodicPotential.fourier(*coeffs), lam)(0.0, 1.0))
-    T32, T64, T128 = (ode._product(segs, n) for n in (32, 64, 128))
+    system = ode._Hill(PeriodicPotential.fourier(*coeffs))
+    segs = system.segments(0.0, 1.0)
+    T32, T64, T128 = (ode._product(system, [segs], np.array([lam]), n)[0, 0]
+                      for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
     assert abs(math.log2(ratio) - 4.0) <= 0.25
 
@@ -311,3 +313,60 @@ def test_dirac_smooth_w_vs_dop853():
 def test_propagate_dirac_nonpositive_mass_fails_typed(m):
     with pytest.raises(ValidationError, match="mass"):
         ode.propagate_dirac(None, m, 0.0, 0.0, 1.0, (1.0, 0.0))
+
+
+# random 1-4-step V and lambda sets across the barrier, some exactly at a
+# piece value (the series branch)
+piecewise = st.builds(
+    lambda v0, rest: PeriodicPotential.piecewise([0.0, *(c for c, _ in rest)],
+                                                 [v0, *(v for _, v in rest)]),
+    st.floats(-4.0, 12.0),
+    st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(-4.0, 12.0)), max_size=3,
+             unique_by=lambda piece: piece[0]).map(sorted))
+lam_sets = st.lists(st.one_of(st.floats(-20.0, 500.0), st.sampled_from([0.0, 12.0, -4.0])),
+                    min_size=1, max_size=40)
+
+
+@props
+@given(piecewise, lam_sets)
+def test_property_batch_is_stacked_batch_of_one(V, lams):
+    for batch in (np.array(lams), np.array(lams) + 1j * 1e-30):
+        M = ode.monodromy(V, batch)
+        assert M.shape == (len(lams), 2, 2)
+        assert np.array_equal(M, np.array([ode.monodromy(V, lam) for lam in batch]))
+
+
+def test_smooth_batch_within_tol_of_mpmath():
+    cases = [(lam, M_mp) for coeffs, lam, M_mp in MP_MONODROMY if coeffs == THREE]
+    V = PeriodicPotential.fourier(*THREE)
+    for tol in (1e-6, 1e-8, 1e-10):
+        Ms = ode.monodromy(V, [lam for lam, _ in cases], tol)
+        for M, (lam, M_mp) in zip(Ms, cases):
+            F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
+            assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
+            assert np.array_equal(M, ode.monodromy(V, lam, tol))
+
+
+@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
+@pytest.mark.parametrize("bad", [math.nan, -1e6, 1e300], ids=["nan", "overflow", "phase"])
+def test_bad_lambda_anywhere_in_a_batch_fails_like_the_scalar(V, bad):
+    with pytest.raises(StepFailure) as scalar:
+        ode.monodromy(V, bad)
+    for batch in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(StepFailure) as batched:
+            ode.monodromy(V, batch)
+        assert str(batched.value) == str(scalar.value)
+
+
+def test_oversized_lambda_set_fails_typed(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_LAMBDAS", 4)
+    assert ode.monodromy(STEP, np.zeros(4)).shape == (4, 2, 2)
+    with pytest.raises(ValidationError, match="limit"):
+        ode.monodromy(STEP, np.zeros(5))
+
+
+@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
+def test_empty_batch(V):
+    assert ode.monodromy(V, []).shape == (0, 2, 2)
+    M, err = ode.certified_monodromy(V, np.empty(0))
+    assert M.shape == (0, 2, 2) and err.shape == (0,)
