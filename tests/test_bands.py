@@ -158,9 +158,9 @@ def test_narrow_smooth_gap_is_open():
 
 @pytest.mark.parametrize("amplitude", [1e-3, 1.0])
 def test_closed_gaps_of_cos_4pi_x_stay_closed(amplitude):
-    # period 1/2: every odd gap is closed, the second one open
+    # period 1/2: gaps 1 and 3 are closed (|F(c)| - 1 is rounding), gap 2 open
     V = PeriodicPotential.fourier(0, [0.0, amplitude])
-    bs = band_edges(V, 50.0)
+    bs = band_edges(V, 100.0)
     ref = oracles.plane_wave_edges(0.0, (0.0, amplitude))
     assert len(bs.gaps) == 1
     assert bs.gaps[0] == pytest.approx((ref[3], ref[4]), abs=1e-8)
