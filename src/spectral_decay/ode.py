@@ -286,8 +286,8 @@ class _Dirac:
 
 def _fold(F: np.ndarray) -> np.ndarray:
     """F[:, :, -1] @ ... @ F[:, :, 0] @ I of a stack (k, c, depth, 2, 2), in turn."""
-    T = F[:, :, 0] @ _I2
-    for i in range(1, F.shape[2]):
+    T = _I2
+    for i in range(F.shape[2]):
         T = F[:, :, i] @ T
     return T
 
@@ -308,17 +308,15 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
                 magnus.append((j, i, pa, pb, refine * max(1, math.ceil((pb - pa) * density))))
             else:
                 exact.append((j, i, pb - pa, p))
-    if not depth:  # every cell is empty
-        T = np.broadcast_to(_I2, (len(lams), len(cells), 2, 2)).copy()
-        return (T, T.copy()) if bound else T
     eh, ep = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
     padded = len(exact) < len(cells) * depth  # identity or Magnus factors among them
     size = len(exact) + sum(m[-1] for m in magnus) + len(cells) * depth
-    block = max(1, _BLOCK // size)
-    Ts, Ps = [], []
+    block = max(1, _BLOCK // max(1, size))
+    out = np.empty((len(lams), len(cells), 2, 2), dtype=system.dtype(lams))
+    absolute = np.empty(out.shape) if bound else None
     for lo in range(0, len(lams), block):
         lb = lams[lo:lo + block]
-        if not padded:
+        if exact and not padded:
             F = system.exact(lb, ep, eh).reshape(len(lb), len(cells), depth, 2, 2)
         else:
             F = np.empty((len(lb), len(cells), depth, 2, 2), dtype=system.dtype(lams))
@@ -327,12 +325,10 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
                 F[:, [e[0] for e in exact], [e[1] for e in exact]] = system.exact(lb, ep, eh)
             for j, i, pa, pb, n in magnus:
                 F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
-        Ts.append(_fold(F))
+        out[lo:lo + block] = _fold(F)
         if bound:
-            Ps.append(_fold(np.abs(F)))
-    shape = (0, len(cells), 2, 2)
-    T = Ts[0] if len(Ts) == 1 else np.concatenate([np.empty(shape, system.dtype(lams)), *Ts])
-    return (T, np.concatenate([np.empty(shape), *Ps])) if bound else T
+            absolute[lo:lo + block] = _fold(np.abs(F))
+    return (out, absolute) if bound else out
 
 
 def _finite(a, what: str):
@@ -350,10 +346,9 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
     included) and of their product; else err is None."""
     k = len(lams)
     if all(p is not None for *_, p in segs):
-        T, P = _product(system, [segs], lams, 0, 1, bound) if bound else \
-            (_product(system, [segs], lams, 0), None)
-        err = None
+        T, err = _product(system, [segs], lams, 0, 1, bound), None
         if bound:
+            T, P = T
             length = segs[-1][1] - segs[0][0] if segs else 0.0
             err = _EPS * (4 * len(segs) + system.rate(lams) * length) * np.max(P[:, 0], axis=(1, 2))
         return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
