@@ -209,7 +209,7 @@ def counterexample_search(V, bands: BandStructure, eps: float) -> Counterexample
     """
     trace = []
     mids = [0.5 * (a + b) for a, b in bands.gaps]
-    for n, mid, r in zip(range(1, len(mids) + 1), mids, gap_ratio(V, bands, mids)):
+    for n, (mid, r) in enumerate(zip(mids, gap_ratio(V, bands, mids)), start=1):
         trace.append((n, mid, r))
         if r < eps:
             return CounterexampleWitness(found=True, gap_index=n, lam=mid,

@@ -388,7 +388,7 @@ def _check_phase(system, lams, xa: float, xb: float, tol: float):
         raise StepFailure(f"lambda = {lam.item()}: phase rounding over [{xa}, {xb}] > tol = {tol}")
 
 
-def _cells(system, lam, stops, tol: float) -> list:
+def _cells(system, lam, stops, tol: float) -> np.ndarray:
     """Transfer matrices over [min, max] of each pair of neighbouring stops,
     at the step density certified on their range."""
     lams = np.array([lam])
@@ -397,9 +397,9 @@ def _cells(system, lam, stops, tol: float) -> list:
     T, density, _ = _certify(system, system.segments(lo, hi), lams, tol)
     cells = list(zip(stops[:-1], stops[1:]))
     if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
-        return [T[0] if xa != xb else _I2 for xa, xb in cells]
+        return np.array([T[0] if xa != xb else _I2 for xa, xb in cells])
     segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
-    return list(_product(system, segs, lams, density[0], 2)[0])
+    return _product(system, segs, lams, density[0], 2)[0]
 
 
 def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
@@ -452,7 +452,7 @@ def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
     of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
     Ts = _cells(_Hill(V), lam, np.asarray(xs, dtype=float).tolist(), tol)
-    return _finite(np.array(Ts).reshape(-1, 2, 2), "transfer matrix")
+    return _finite(Ts.reshape(-1, 2, 2), "transfer matrix")
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
