@@ -53,6 +53,7 @@ _EPS = sys.float_info.epsilon
 _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
+_CELLS = 2 ** 8       # cells of a dense walk a product holds at once
 
 
 def check_lambda_count(n) -> int:
@@ -170,6 +171,11 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     return E[:, 0]
 
 
+def _spans(xs) -> list:
+    """(pa, pb, midpoint) of the neighbouring points of xs more than 1e-15 apart."""
+    return [(pa, pb, 0.5 * (pa + pb)) for pa, pb in zip(xs, xs[1:]) if pb - pa > 1e-15]
+
+
 class _Hill:
     """-y'' + (V - alpha Q) y = lam y lowered once, free of lambda: the cuts
     of V and Q, the value of V - alpha Q on each piece where both are
@@ -197,12 +203,8 @@ class _Hill:
         """Segments (pa, pb, v) of [xa, xb], xa <= xb: v is the constant
         potential of an exact piece, or None where Magnus steps are taken."""
         per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in self.cells]
-        xs = [xa, *sorted({c for c in per + self.qcuts if xa < c < xb}), xb]
         segs = []
-        for pa, pb in zip(xs, xs[1:]):
-            if pb - pa <= 1e-15:
-                continue
-            mid = 0.5 * (pa + pb)
+        for pa, pb, mid in _spans([xa, *sorted({c for c in per + self.qcuts if xa < c < xb}), xb]):
             if not self.flat or self.q_smooth and self.a < mid < self.b:
                 segs.append((pa, pb, None))
                 continue
@@ -256,23 +258,19 @@ class _Dirac:
 
     def segments(self, xa: float, xb: float) -> list:
         """Segments (pa, pb, mid) of [xa, xb]: mid is None where W varies."""
-        W, a, b = self.W, self.a, self.b
-        xs = [xa, *(c for c in (a, b) if xa < c < xb), xb]
-        segs = []
-        for pa, pb in zip(xs, xs[1:]):
-            if pb - pa <= 1e-15:
-                continue
-            mid = 0.5 * (pa + pb)
-            exact = W is None or self.matrix and (W.constant is not None or not a <= mid <= b)
-            segs.append((pa, pb, mid if exact else None))
-        return segs
+        a, b = self.a, self.b
+        constant = self.W is None or self.matrix and self.W.constant is not None
+        return [(pa, pb, mid if constant or self.matrix and not a <= mid <= b else None)
+                for pa, pb, mid in _spans([xa, *(c for c in (a, b) if xa < c < xb), xb])]
 
     def exact(self, lams, mids, h) -> np.ndarray:
+        """exp(h B(mid)) (k, m, 2, 2) on the m pieces where W is constant."""
         B = [hj * dirac_coefficient(self.W, self.m, lam, mid)
              for lam in lams for mid, hj in zip(mids, h)]
         return _expm2(np.array(B)).reshape(len(lams), len(mids), 2, 2)
 
     def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
+        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb]."""
         h = (pb - pa) / n
         x = pa + h * np.arange(n)
         out = []
@@ -399,7 +397,8 @@ def _cells(system, lam, stops, tol: float) -> np.ndarray:
     if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
         return np.array([T[0] if xa != xb else _I2 for xa, xb in cells])
     segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
-    return _product(system, segs, lams, density[0], 2)[0]
+    return np.concatenate([_product(system, segs[i:i + _CELLS], lams, density[0], 2)[0]
+                           for i in range(0, len(segs), _CELLS)])
 
 
 def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
