@@ -16,6 +16,7 @@ tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -47,6 +48,32 @@ def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return s[0], s[1]
+
+
+def closed_form_monodromy(V, lam):
+    """Monodromy of a zero or piecewise V, one piece at a time in scalar
+    math/cmath arithmetic: cos(h sqrt(s)), sin(h sqrt(s))/sqrt(s) with
+    s = lam - v (cosh/sinh below the barrier, a series for |s h^2| <= 1e-8),
+    multiplied from the left as 2x2 arrays.  The batched kernel must
+    reproduce this rounding bit for bit, complex lam included."""
+    breaks, values = ((0.0,), (0.0,)) if V.kind == "zero" else (V.breaks, V.values)
+    T = np.eye(2)
+    for pa, pb, v in zip(breaks, (*breaks[1:], 1.0), values):
+        h, s = pb - pa, lam - v
+        z2 = s * h * h
+        if isinstance(s, complex) and abs(z2) > 1e-8:
+            z = cmath.sqrt(s)
+            C, S = cmath.cos(z * h), cmath.sin(z * h) / z
+        elif not isinstance(s, complex) and z2 > 1e-8:
+            z = math.sqrt(s)
+            C, S = math.cos(z * h), math.sin(z * h) / z
+        elif not isinstance(s, complex) and z2 < -1e-8:
+            z = math.sqrt(-s)
+            C, S = math.cosh(z * h), math.sinh(z * h) / z
+        else:
+            C, S = 1.0 - z2 / 2.0 + z2 * z2 / 24.0, h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+        T = np.array([[C, S], [-s * S, C]]) @ T
+    return T
 
 
 def mp_monodromy(mean, cos, sin, lam, dps=25):

@@ -336,6 +336,17 @@ def test_property_batch_is_stacked_batch_of_one(V, lams):
         assert np.array_equal(M, np.array([ode.monodromy(V, lam) for lam in batch]))
 
 
+@props
+@given(piecewise, lam_sets)
+def test_property_piecewise_batch_is_the_scalar_closed_form(V, lams):
+    # printed piecewise F and F' depend on it: bit for bit, not to rounding
+    for batch in (np.array(lams), np.array(lams) + 1j * 1e-30):
+        ref = np.array([oracles.closed_form_monodromy(V, lam) for lam in batch])
+        assert np.array_equal(ode.monodromy(V, batch), ref)
+    assert np.array_equal(ode.monodromy(V0, lams), [oracles.closed_form_monodromy(V0, lam)
+                                                    for lam in np.array(lams)])
+
+
 def test_smooth_batch_within_tol_of_mpmath():
     cases = [(lam, M_mp) for coeffs, lam, M_mp in MP_MONODROMY if coeffs == THREE]
     V = PeriodicPotential.fourier(*THREE)
