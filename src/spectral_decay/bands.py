@@ -10,8 +10,8 @@ The scan samples F on a lambda grid; the bottom edge is the first sign
 change of F - 1.  Each local extremum of the samples brackets c on its
 two cells, and Brent's method finds c as a root of the complex-step F'.
 A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
-the n-vs-2n difference of its Magnus product, or the rounding of its
-closed form on piecewise V.  The whole grid is one batched evaluation.
+the n-vs-2n difference of its Magnus product plus the rounding of its
+steps, or the rounding of its closed form on piecewise V.  The whole grid is one batched evaluation.
 Edges of a gap with a sample inside are refined on the cells where
 F -+ 1 changes sign; a gap narrower than a cell has no such sample, and
 c and the ends of its cell bracket the edges.

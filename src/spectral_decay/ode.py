@@ -80,10 +80,6 @@ def _cdiv(a, b) -> np.ndarray:
     """a / b by CPython's complex division (numpy's differs in the last bit)."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     big = np.abs(br) >= np.abs(bi)
-    if np.count_nonzero(big) == big.size:
-        ratio = bi / br
-        denom = br + bi * ratio
-        return _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
     p, q = np.where(big, br, bi), np.where(big, bi, br)
     ratio = q / p
     denom = p + q * ratio
@@ -91,13 +87,11 @@ def _cdiv(a, b) -> np.ndarray:
                     np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def _cs(s, h, libm: bool = False):
+def _cs(s, h):
     """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s) elementwise; entire in s.
 
-    The arithmetic is that of the scalar libm and cmath closed form, bit for
-    bit, except that below the barrier libm=False takes numpy's cosh/sinh,
-    which differ from math.cosh/sinh in the last bit.  With libm=True
-    OverflowError is raised where those overflow.
+    The arithmetic is that of the scalar math and cmath closed form, bit
+    for bit; StepFailure where math.cosh or math.sinh overflows.
     """
     z2 = s * h * h
     cplx = np.iscomplexobj(z2)
@@ -106,16 +100,14 @@ def _cs(s, h, libm: bool = False):
     z = np.sqrt(s if cplx else np.abs(s))
     zh = z * h
     C, S = np.cos(zh), np.sin(zh)
-    if np.count_nonzero(trig) == trig.size:
-        return C, div(S, z)
     hyp = np.zeros_like(trig) if cplx else z2 < -1e-8
     if np.count_nonzero(hyp):
-        zh_hyp = zh[hyp]
-        if libm:
+        zh_hyp = zh[hyp].tolist()
+        try:
             C[hyp] = [math.cosh(t) for t in zh_hyp]
             S[hyp] = [math.sinh(t) for t in zh_hyp]
-        else:
-            C[hyp], S[hyp] = np.cosh(zh_hyp), np.sinh(zh_hyp)
+        except OverflowError as exc:
+            raise StepFailure(f"transfer matrix overflows ({exc})") from exc
     scaled = trig | hyp
     S[scaled] = div(S[scaled], z[scaled])
     series = ~scaled  # |s h^2| <= 1e-8 keeps truncation below 1e-25
@@ -137,10 +129,7 @@ def _hill_exact(lams, v, h) -> np.ndarray:
     """Transfer matrices (k, m, 2, 2) of -y'' + v y = lam y over lengths h,
     for k lambdas and m pieces."""
     s = lams[:, None] - v
-    try:
-        C, S = _cs(s, h, libm=True)
-    except OverflowError as exc:
-        raise StepFailure(f"transfer matrix overflows ({exc})") from exc
+    C, S = _cs(s, h)
     return _matrices(C, S, (_cmul if np.iscomplexobj(s) else np.multiply)(-s, S), C)
 
 
@@ -307,22 +296,18 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
             else:
                 exact.append((j, i, pb - pa, p))
     eh, ep = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
-    padded = len(exact) < len(cells) * depth  # identity or Magnus factors among them
     size = len(exact) + sum(m[-1] for m in magnus) + len(cells) * depth
     block = max(1, _BLOCK // max(1, size))
     out = np.empty((len(lams), len(cells), 2, 2), dtype=system.dtype(lams))
     absolute = np.empty(out.shape) if bound else None
     for lo in range(0, len(lams), block):
         lb = lams[lo:lo + block]
-        if exact and not padded:
-            F = system.exact(lb, ep, eh).reshape(len(lb), len(cells), depth, 2, 2)
-        else:
-            F = np.empty((len(lb), len(cells), depth, 2, 2), dtype=system.dtype(lams))
-            F[...] = _I2
-            if exact:
-                F[:, [e[0] for e in exact], [e[1] for e in exact]] = system.exact(lb, ep, eh)
-            for j, i, pa, pb, n in magnus:
-                F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
+        F = np.empty((len(lb), len(cells), depth, 2, 2), dtype=system.dtype(lams))
+        F[...] = _I2
+        if exact:
+            F[:, [e[0] for e in exact], [e[1] for e in exact]] = system.exact(lb, ep, eh)
+        for j, i, pa, pb, n in magnus:
+            F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
         out[lo:lo + block] = _fold(F)
         if bound:
             absolute[lo:lo + block] = _fold(np.abs(F))
@@ -335,23 +320,34 @@ def _finite(a, what: str):
     return a
 
 
+def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
+    """Rounding bound eps (4 factors + rate length) scale of a product of
+    closed-form factors over length: four roundings a factor and those of
+    the phase rate * length, relative to scale."""
+    return _EPS * (4 * factors + system.rate(lams) * length) * scale
+
+
 def _certify(system, segs, lams, tol: float, bound: bool = False):
     """(T, density, err) per lambda: the product over segs at refine 2, the
     Magnus step density at which it meets tol (agrees with refine 1),
-    and that refine 1-vs-2 difference as its error bound.  Lambdas are
-    grouped by density.  Where every segment is exact, density is 0 and,
-    with bound, err bounds the rounding of the closed-form factors (phases
-    included) and of their product; else err is None."""
+    and its error bound: that refine 1-vs-2 difference plus the rounding
+    of its m factors relative to max|T|.  Lambdas are grouped by density.
+    Where every segment is exact, density is 0 and, with bound, err bounds
+    the rounding relative to the product of the factors' absolute values
+    (a Magnus walk has too many factors for that product to bound
+    anything); else err is None."""
     k = len(lams)
+    length = segs[-1][1] - segs[0][0] if segs else 0.0
     if all(p is not None for *_, p in segs):
         T, err = _product(system, [segs], lams, 0, 1, bound), None
         if bound:
             T, P = T
-            length = segs[-1][1] - segs[0][0] if segs else 0.0
-            err = _EPS * (4 * len(segs) + system.rate(lams) * length) * np.max(P[:, 0], axis=(1, 2))
+            err = _rounding(system, lams, length, len(segs), np.max(P[:, 0], axis=(1, 2)))
         return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
 
     density = np.full(k, 8)
+    spans = np.array([pb - pa for pa, pb, p in segs if p is None])
+    n_exact = len(segs) - len(spans)
 
     def products(idx, refine):  # at density[idx], grouped
         out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
@@ -366,14 +362,17 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
     while todo.size:
         T2 = products(todo, 2)
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
-        ratio = _finite(diff / (tol * np.maximum(1.0, np.max(np.abs(T2), axis=(1, 2)))),
-                        "transfer matrix")
+        scale = np.max(np.abs(T2), axis=(1, 2))
+        ratio = _finite(diff / (tol * np.maximum(1.0, scale)), "transfer matrix")
         ok = ratio <= 1.0
-        T_out[todo[ok]], err[todo[ok]] = T2[ok], diff[ok]
+        steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
+        T_out[todo[ok]] = T2[ok]
+        err[todo[ok]] = diff[ok] + _rounding(system, lams[todo[ok]], length, n_exact + steps,
+                                             scale[ok])
         todo, ratio = todo[~ok], ratio[~ok]
         # fourth order: each doubling shrinks the difference ~16-fold
         density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / 4.0)).astype(int)
-        if todo.size and 2 * density[todo].max() * (segs[-1][1] - segs[0][0]) > _MAX_STEPS:
+        if todo.size and 2 * density[todo].max() * length > _MAX_STEPS:
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
         T = products(todo, 1)
     return T_out, density, err
@@ -442,8 +441,9 @@ def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     """Monodromy matrices (k, 2, 2) of a 1-D lambda array and the error
-    bound of each: the n-vs-2n difference of its Magnus product, or the
-    rounding of its closed form on piecewise V."""
+    bound of each: the n-vs-2n difference of its Magnus product plus the
+    rounding of its steps, or the rounding of its closed form on
+    piecewise V."""
     return _monodromy(V, np.asarray(lams).reshape(-1), tol, True)
 
 

@@ -166,6 +166,22 @@ def test_closed_gaps_of_cos_4pi_x_stay_closed(amplitude):
     assert bs.gaps[0] == pytest.approx((ref[3], ref[4]), abs=1e-8)
 
 
+@pytest.mark.parametrize("mean, cos", [(2.0, []), (0.0, [0.0, 0.0])])
+def test_constant_smooth_potential_has_no_gaps(mean, cos):
+    # Magnus steps are exact here, so n and 2n steps differ only by
+    # rounding: the certified error must still cover |F(c)| - 1 at the
+    # closed gaps c = mean + (pi j)^2
+    V = PeriodicPotential.fourier(mean, cos)
+    _, err = ode.certified_monodromy(V, np.linspace(mean - 5.0, 400.0, 2001))
+    assert np.all(err > 0.0)
+    c = mean + (math.pi * np.arange(1, 7)) ** 2
+    M, err = ode.certified_monodromy(V, c)
+    assert np.all(np.abs(0.5 * (M[:, 0, 0] + M[:, 1, 1])) - 1.0 <= err)
+    bs = band_edges(V, 400.0)
+    assert bs.gaps == ()
+    assert bs.lambda0 == pytest.approx(mean, abs=1e-9)
+
+
 amplitude = st.one_of(st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4))
 
 
