@@ -96,11 +96,11 @@ def _cs(s, h):
     z2 = s * h * h
     cplx = np.iscomplexobj(z2)
     mul, div = (_cmul, _cdiv) if cplx else (np.multiply, np.divide)
-    trig = (np.abs(z2) if cplx else z2) > 1e-8
+    series = np.abs(z2) <= 1e-8  # keeps truncation below 1e-25
     z = np.sqrt(s if cplx else np.abs(s))
     zh = z * h
     C, S = np.cos(zh), np.sin(zh)
-    hyp = np.zeros_like(trig) if cplx else z2 < -1e-8
+    hyp = not cplx and z2 < -1e-8
     if np.count_nonzero(hyp):
         zh_hyp = zh[hyp].tolist()
         try:
@@ -108,9 +108,7 @@ def _cs(s, h):
             S[hyp] = [math.sinh(t) for t in zh_hyp]
         except OverflowError as exc:
             raise StepFailure(f"transfer matrix overflows ({exc})") from exc
-    scaled = trig | hyp
-    S[scaled] = div(S[scaled], z[scaled])
-    series = ~scaled  # |s h^2| <= 1e-8 keeps truncation below 1e-25
+    S = div(S, np.where(series, 1.0, z))
     if np.count_nonzero(series):
         z2, h = z2[series], np.broadcast_to(h, z2.shape)[series]
         C[series] = 1.0 - z2 / 2.0 + mul(z2, z2) / 24.0
