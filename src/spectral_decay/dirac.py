@@ -5,12 +5,14 @@ one to the left; their directions and the exact tail rate
 sqrt(m^2 - lambda^2) are closed-form.  Eigenvalues of H = -i s1 d/dx
 + m s3 + W are roots of a matching determinant: the left-decaying mode
 is propagated through supp W and its linear dependence on the
-right-decaying direction is tested at the right support edge.
+right-decaying direction is tested at the right support edge.  The
+determinant takes an array of lambda, so the gap scan is one call over
+one lowering of W; Brent refinement and the root check call it with a
+scalar lambda, a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,8 @@ from .potentials import MatrixPerturbation
 N_SCAN = 400           # determinant samples across the gap
 VERIFY_REL = 1e-6      # a root keeps |det| below this times the scan's max |det|
 N_TAIL = 10.0          # eigenfunction tail length on each side
+
+_PLUS_MINUS_I = np.array([1j, -1j])
 
 
 @dataclass(frozen=True)
@@ -37,50 +41,55 @@ class DiracEigenpair:
     fitted_delta: float
     c_plus: complex
     c_minus: complex
+    match_residual: float    # |psi(b) - c_plus d_plus| / |psi(b)| at the right support edge
 
 
-def dirac_tail(m: float, lam: float):
+def dirac_tail(m: float, lam):
     """Exact tail law: rate and spinor directions on each side.
 
     Returns (rate, direction_plus, direction_minus), directions unit
-    norm and proportional to (sqrt(m+lam), +-i sqrt(m-lam)).
+    norm and proportional to (sqrt(m+lam), +-i sqrt(m-lam)).  An array
+    of lambda gives rates (*shape,) and directions (*shape, 2).
     """
     if m <= 0:
         raise ValidationError(f"mass m must be positive, got {m}")
-    if not (-m < lam < m):
+    lams = np.asarray(lam, dtype=float)
+    if not np.all(np.abs(lams) < m):
+        lam = next(lam for lam in lams.flat if not abs(lam) < m).item()
         raise OutsideGap(f"lambda = {lam} outside (-{m}, {m})")
-    rate = math.sqrt(m * m - lam * lam)
-    dp = np.array([math.sqrt(m + lam), 1j * math.sqrt(m - lam)], dtype=complex)
-    dm = np.array([math.sqrt(m + lam), -1j * math.sqrt(m - lam)], dtype=complex)
-    dp /= np.linalg.norm(dp)
-    dm /= np.linalg.norm(dm)
-    return rate, dp, dm
+    rate = np.sqrt(m * m - lams * lams)
+    re, im = np.sqrt(m + lams), np.sqrt(m - lams)
+    d = np.empty(lams.shape + (2, 2), dtype=complex)  # rows d_plus, d_minus
+    d[..., 0], d[..., 1] = re[..., None], im[..., None] * _PLUS_MINUS_I
+    d /= np.sqrt(re * re + im * im)[..., None, None]  # np.linalg.norm of each row
+    return (rate.item() if lams.ndim == 0 else rate), d[..., 0, :], d[..., 1, :]
 
 
-def matching_determinant(W: MatrixPerturbation, m: float, lam: float) -> complex:
+def matching_determinant(W: MatrixPerturbation, m: float, lam):
     """det[psi_L(b), d_plus] with psi_L the left-decaying mode pushed
-    from the left support edge to the right one.
+    from the left support edge to the right one.  An array of lambda
+    gives the determinants (*shape,), from one walk over the batch.
 
     For real scalar wells the determinant is purely imaginary; its
     imaginary part is the practical root-finding target.
     """
-    _, dp, dm = dirac_tail(m, lam)
-    a, b = W.support
-    psi = ode.propagate_dirac(W, m, lam, a, b, dm)
-    return ode.wronskian(psi, dp)
+    lams = np.asarray(lam, dtype=float)
+    _, dp, dm = dirac_tail(m, lams)
+    T = ode.dirac_transfer(W, m, lams, *W.support)
+    return ode.wronskian((T @ dm[..., None])[..., 0], dp)
 
 
 def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     """Eigenvalues of the Dirac operator inside the gap (-m, m).
 
-    Scans (-m, m) less 1e-9 m at each end, refines sign changes of
-    Im(det) by Brent, and keeps only roots at which the full complex
-    determinant vanishes (|det| below VERIFY_REL times its scan scale).
-    An empty list is a valid result.
+    Scans (-m, m) less 1e-9 m at each end in one batched determinant
+    call, refines sign changes of Im(det) by Brent, and keeps only roots
+    at which the full complex determinant vanishes (|det| below
+    VERIFY_REL times its scan scale).  An empty list is a valid result.
     """
     eps = 1e-9 * m
     grid = np.linspace(-m + eps, m - eps, N_SCAN)
-    dets = np.array([matching_determinant(W, m, l) for l in grid])
+    dets = matching_determinant(W, m, grid)
     scale = np.max(np.abs(dets))
 
     def f(lam):
@@ -113,7 +122,7 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
     psi_b, mid = ode.propagate_dirac(W, m, lam, a, b, dm, dense_xs=xs_mid)
 
     c_plus = complex(np.vdot(dp, psi_b))  # dp is unit norm
-    mismatch = np.linalg.norm(psi_b - c_plus * dp) / max(np.linalg.norm(psi_b), 1e-300)
+    mismatch = float(np.linalg.norm(psi_b - c_plus * dp) / max(np.linalg.norm(psi_b), 1e-300))
     if mismatch > 1e-6:
         raise DegenerateMatch(
             f"state does not match the decaying direction (residual {mismatch:.2e})")
@@ -124,4 +133,5 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
     return DiracEigenpair(m=m, lam=lam, xs=xs, psi=psi, rate_exact=rate,
                           direction_plus=dp, direction_minus=dm,
                           fitted_delta=fit.delta_hat,
-                          c_plus=c_plus / nrm, c_minus=complex(1.0 / nrm))
+                          c_plus=c_plus / nrm, c_minus=complex(1.0 / nrm),
+                          match_residual=mismatch)

@@ -15,13 +15,15 @@ tol sets the step count: it grows by powers of two until n and 2n steps
 agree to tol relative to the transfer matrix, and the 2n-step product is
 kept with that difference as its error bound.
 
-Hill transfer matrices are batched over lambda, which enters an exact
+Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v and a Magnus exponent only through its
 (1, 0) entry, -h lambda: the commutator [A2, A1] = diag(V1 - V2, V2 - V1)
-has no lambda.  So the segments and the samples of V at the Gauss nodes
-are computed once per call, and numpy evaluates lambda x segments in
-blocks; each lambda keeps its own certified step density.  A scalar
-lambda is a batch of one.
+has no lambda.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and
+so is a Magnus exponent, since [A2, A1] = [A02, A01] + i lambda
+[s1, A01 - A02].  So the segments and the samples of V or W at the piece
+midpoints and the Gauss nodes are computed once per call, and numpy
+evaluates lambda x segments in blocks; each lambda keeps its own
+certified step density.  A scalar lambda is a batch of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -47,6 +49,7 @@ MAX_LAMBDAS = 2 ** 20  # points in one lambda set; scan grids hold ~10^4
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_ISIGMA1 = 1j * SIGMA1
 
 _I2 = np.eye(2)
 _EPS = sys.float_info.epsilon
@@ -83,8 +86,8 @@ def _cdiv(a, b) -> np.ndarray:
     p, q = np.where(big, br, bi), np.where(big, bi, br)
     ratio = q / p
     denom = p + q * ratio
-    return _complex(np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
-                    np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
+    rr, ir = ar * ratio, ai * ratio
+    return _complex(np.where(big, ar + ir, rr + ai) / denom, np.where(big, ai - rr, ir - ar) / denom)
 
 
 def _cs(s, h):
@@ -137,17 +140,18 @@ def constant_transfer(v: float, lam, h: float) -> np.ndarray:
 
 
 def wronskian(u, v):
-    """det[u, v] of two states of a 2x2 system (constant in x for Hill)."""
-    return u[0] * v[1] - u[1] * v[0]
+    """det[u, v] of two states of a 2x2 system (constant in x for Hill), or
+    of stacks (..., 2) of them."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _expm2(X: np.ndarray) -> np.ndarray:
-    """exp(X) for a stack (k, 2, 2): e^t (C I + S Y) with t = tr X / 2,
+    """exp(X) for a stack (..., 2, 2): e^t (C I + S Y) with t = tr X / 2,
     Y = X - t I (so Y^2 = -det(Y) I) and C, S = _cs(det Y, 1)."""
-    t = 0.5 * (X[:, 0, 0] + X[:, 1, 1])
-    Y = X - t[:, None, None] * _I2
-    C, S = _cs(Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0], 1.0)
-    return np.exp(t)[:, None, None] * (C[:, None, None] * _I2 + S[:, None, None] * Y)
+    t = 0.5 * (X[..., 0, 0] + X[..., 1, 1])
+    Y = X - t[..., None, None] * _I2
+    C, S = _cs(Y[..., 0, 0] * Y[..., 1, 1] - Y[..., 0, 1] * Y[..., 1, 0], 1.0)
+    return np.exp(t)[..., None, None] * (C[..., None, None] * _I2 + S[..., None, None] * Y)
 
 
 def _reduce(E: np.ndarray) -> np.ndarray:
@@ -226,14 +230,24 @@ class _Hill:
         return _matrices(C + S * q, S * h, S * (r - h * lam), C - S * q)
 
 
+def _coefficients(lams, w, m: float) -> np.ndarray:
+    """B = i s1 (lam I - m s3 - w) (k, j, 2, 2) for k lambdas and a stack of
+    j matrices w; lam enters only the diagonal of the bracket."""
+    return _ISIGMA1 @ (lams[:, None, None, None] * _I2 - m * SIGMA3 - w)
+
+
 class _Dirac:
-    """-i s1 psi' + m s3 psi + W psi = lam psi: cuts at the support of W,
-    exact where W is None or constant there."""
+    """-i s1 psi' + m s3 psi + W psi = lam psi lowered once, free of lambda:
+    cuts at the support of W, exact where W is None or constant there, and
+    W at the Gauss nodes of each Magnus walk.  B = B0 + i lam s1 is affine in
+    lambda, and so is a Magnus exponent, since [A2, A1] = [A02, A01]
+    + i lam [s1, A01 - A02]."""
 
     def __init__(self, W, m: float):
         self.W, self.m = W, m
         self.matrix = isinstance(W, MatrixPerturbation)
         self.a, self.b = W.support if self.matrix else (math.inf, -math.inf)
+        self.nodes = {}
 
     @staticmethod
     def rate(lams):
@@ -250,23 +264,30 @@ class _Dirac:
         return [(pa, pb, mid if constant or self.matrix and not a <= mid <= b else None)
                 for pa, pb, mid in _spans([xa, *(c for c in (a, b) if xa < c < xb), xb])]
 
+    def w(self, xs) -> np.ndarray:
+        """W at the points xs, (len(xs), 2, 2)."""
+        if self.W is None:
+            return np.zeros((len(xs), 2, 2), dtype=complex)
+        return np.array([self.W(x) for x in xs], dtype=complex)
+
     def exact(self, lams, mids, h) -> np.ndarray:
         """exp(h B(mid)) (k, m, 2, 2) on the m pieces where W is constant."""
-        B = [hj * dirac_coefficient(self.W, self.m, lam, mid)
-             for lam in lams for mid, hj in zip(mids, h)]
-        return _expm2(np.array(B)).reshape(len(lams), len(mids), 2, 2)
+        return _expm2(h[:, None, None] * _coefficients(lams, self.w(mids), self.m))
 
     def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
-        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb]."""
-        h = (pb - pa) / n
-        x = pa + h * np.arange(n)
-        out = []
-        for lam in lams:
-            A1, A2 = (np.array([dirac_coefficient(self.W, self.m, lam, xi) for xi in x + g * h])
-                      for g in _GAUSS)
-            out.append(_expm2(0.5 * h * (A1 + A2)
-                              + (math.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2)))
-        return np.array(out)
+        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb].  The
+        exponent h (A1 + A2) / 2 + sqrt(3) h^2 / 12 [A2, A1] of B at the
+        Gauss nodes is O0 + lam O1, with A0 = B at lam = 0."""
+        key = (pa, pb, n)
+        if key not in self.nodes:
+            h = (pb - pa) / n
+            x = pa + h * np.arange(n)
+            A1, A2 = (_coefficients(np.zeros(1), self.w(x + g * h), self.m)[0] for g in _GAUSS)
+            c, D = math.sqrt(3.0) / 12.0 * h * h, A1 - A2
+            self.nodes[key] = (0.5 * h * (A1 + A2) + c * (A2 @ A1 - A1 @ A2),
+                               1j * (h * SIGMA1 + c * (SIGMA1 @ D - D @ SIGMA1)))
+        O0, O1 = self.nodes[key]
+        return _expm2(O0 + lams[:, None, None, None] * O1)
 
 
 def _fold(F: np.ndarray) -> np.ndarray:
@@ -419,22 +440,23 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
     return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
 
 
-def _monodromy(V, lams, tol: float, bound: bool):
+def _transfer(system, lams, x0: float, x1: float, tol: float, bound: bool = False):
+    """Certified transfer matrices (*shape, 2, 2) over [x0, x1] for an array
+    of lambda, and (with bound) the error bound of each."""
     lams = np.asarray(lams)
     check_lambda_count(lams.size)
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
-    system = _Hill(V)
-    _check_phase(system, flat, 0.0, 1.0, tol)
-    T, _, err = _certify(system, system.segments(0.0, 1.0), flat, tol, bound)
+    _check_phase(system, flat, x0, x1, tol)
+    T, _, err = _certify(system, system.segments(x0, x1), flat, tol, bound)
     return T.reshape(lams.shape + (2, 2)), err
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _monodromy(V, lam, tol, False)[0]
+    return _transfer(_Hill(V), lam, 0.0, 1.0, tol)[0]
 
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
@@ -442,7 +464,7 @@ def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _monodromy(V, np.asarray(lams).reshape(-1), tol, True)
+    return _transfer(_Hill(V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
 
 
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -466,6 +488,20 @@ def dirac_coefficient(W, m: float, lam: float, x: float) -> np.ndarray:
     return 1j * SIGMA1 @ (lam * np.eye(2) - m * SIGMA3 - w)
 
 
+def _check_mass(m: float):
+    if m <= 0:
+        raise ValidationError(f"mass m must be positive, got {m}")
+
+
+def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT_TOL):
+    """Transfer matrices (*shape, 2, 2) of the 1D Dirac system from x0 to
+    x1 >= x0 for an array of lambda, over one lowering of W."""
+    _check_mass(m)
+    if not x0 <= x1:
+        raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
+    return _transfer(_Dirac(W, m), lams, x0, x1, tol)[0]
+
+
 def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
                     tol: float = DEFAULT_TOL, dense_xs=None):
     """Propagate a spinor (psi1, psi2) of the 1D Dirac system.
@@ -474,6 +510,5 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
     2x2 Hermitian matrices.  Exact where W is constant (outside the
     support, and inside it for a constant MatrixPerturbation).
     """
-    if m <= 0:
-        raise ValidationError(f"mass m must be positive, got {m}")
+    _check_mass(m)
     return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)

@@ -4,12 +4,15 @@ For Hermitian coefficients A_1..A_d the symbol is A(xi) = sum_j A_j xi_j.
 The maximal spectral norm of A(xi) over the unit sphere governs the
 exponential-decay bound; the minimal smallest singular value is the
 ellipticity margin.  Both start from a sphere sample: a quasi-uniform
-grid for d <= 3 and a Monte Carlo sample for d >= 4.  The maximum is
-the best of the sample and of multistart alternating ascent
-(eigenvector / linearization steps, monotone) from random points, the
-sample's best point and the axes; the minimum is refined from the
-sample's best point by Nelder-Mead.  Neither value carries an error
-certificate.
+grid for d <= 3 and a Monte Carlo sample for d >= 4, evaluated a block
+of _BLOCK matrix entries at a time, so memory does not grow with n^2
+times the sample size.  The maximum is the best of the sample and of
+multistart alternating ascent (eigenvector / linearization steps,
+monotone) from random points, the sample's best point and the axes;
+the ascents run in lockstep, one stacked eigh an iteration, each start
+dropping out when it stops, and the first start to reach the best value
+wins.  The minimum is refined from the sample's best point by
+Nelder-Mead.  Neither value carries an error certificate.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .potentials import _is_number
 
 STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
 GRID_RESOLUTION = 0.02  # sphere grid spacing in radians (d = 2, 3)
+_BLOCK = 2 ** 16        # matrix entries of the sphere sample evaluated at once
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -71,18 +75,34 @@ def symbol(system: SymbolSystem, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (system.d,):
         raise DimensionMismatch(f"xi must have length {system.d}")
-    out = np.zeros((system.n, system.n), dtype=complex)
-    for a, c in zip(system.matrices, xi):
-        out = out + c * a
+    return _symbols(system, xi[None])[0]
+
+
+def _symbols(system: SymbolSystem, xis: np.ndarray) -> np.ndarray:
+    """A(xi) (k, n, n) for a batch of directions, summed in the order of
+    the matrices."""
+    out = np.zeros((len(xis), system.n, system.n), dtype=complex)
+    for a, c in zip(system.matrices, xis.T):
+        out = out + c[:, None, None] * a
     return out
 
 
+def _norms(xis: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of xis, rounded as np.linalg.norm rounds
+    one vector (a dot product; np.linalg.norm(axis=1) sums differently)."""
+    return np.sqrt((xis[:, None, :] @ xis[:, :, None])[:, 0, 0])
+
+
 def _batch_extreme(system: SymbolSystem, xis: np.ndarray):
-    """(max|eig|, min|eig|) of A(xi) for a batch of directions."""
-    mats = np.einsum("kd,dij->kij", xis, np.stack(system.matrices))
-    ev = np.linalg.eigvalsh(mats)
-    aev = np.abs(ev)
-    return aev.max(axis=1), aev.min(axis=1)
+    """(max|eig|, min|eig|) of A(xi) for a batch of directions, evaluated
+    _BLOCK matrix entries at a time."""
+    mats = np.stack(system.matrices)
+    step = max(1, _BLOCK // system.n ** 2)
+    gmax, gmin = np.empty(len(xis)), np.empty(len(xis))
+    for lo in range(0, len(xis), step):
+        aev = np.abs(np.linalg.eigvalsh(np.einsum("kd,dij->kij", xis[lo:lo + step], mats)))
+        gmax[lo:lo + step], gmin[lo:lo + step] = aev.max(axis=1), aev.min(axis=1)
+    return gmax, gmin
 
 
 def _sphere_grid(d: int) -> np.ndarray:
@@ -101,35 +121,40 @@ def _sphere_grid(d: int) -> np.ndarray:
                          np.sin(phi) * np.sin(theta),
                          np.cos(phi)], axis=1)
     # d >= 4: Monte Carlo sample (no exhaustive certificate)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((200_000, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v = np.random.default_rng(0).standard_normal((200_000, d))
+    for lo in range(0, len(v), _BLOCK):  # normalized in place, a block at a time
+        v[lo:lo + _BLOCK] /= np.linalg.norm(v[lo:lo + _BLOCK], axis=1, keepdims=True)
+    return v
 
 
-def _ascent(system: SymbolSystem, xi0: np.ndarray, iters: int = 200,
-            gtol: float = 1e-12):
-    """Alternating ascent of |lambda_max(A(xi))| on the sphere."""
-    xi = xi0 / np.linalg.norm(xi0)
-    val = -np.inf
+def _ascents(system: SymbolSystem, starts: np.ndarray, iters: int = 200,
+             gtol: float = 1e-12):
+    """Alternating ascents of |lambda_max(A(xi))| on the sphere from the
+    rows of starts, in lockstep: one stacked eigh an iteration.  A start
+    drops out where its gradient vanishes (keeping its point) or where
+    value and point stop moving (taking the last step).  Returns the
+    values |A(xi)| and the points xi."""
+    mats = np.stack(system.matrices)
+    xi = starts / _norms(starts)[:, None]
+    val = np.full(len(xi), -np.inf)
+    active = np.arange(len(xi))
     for _ in range(iters):
-        a = symbol(system, xi)
-        ev, vec = np.linalg.eigh(a)
-        k = int(np.argmax(np.abs(ev)))
-        mu, v = ev[k], vec[:, k]
-        grad = np.array([np.real(v.conj() @ aj @ v) for aj in system.matrices])
-        g = np.sign(mu) * grad if mu != 0 else grad
-        norm_g = np.linalg.norm(g)
-        if norm_g < gtol:
+        if not active.size:
             break
-        new_xi = g / norm_g
-        new_val = abs(mu)
-        if abs(new_val - val) < 1e-15 and np.linalg.norm(new_xi - xi) < 1e-14:
-            xi, val = new_xi, new_val
-            break
-        xi, val = new_xi, new_val
-    a = symbol(system, xi)
-    val = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return val, xi
+        ev, vec = np.linalg.eigh(_symbols(system, xi[active]))
+        rows = np.arange(len(active))
+        k = np.argmax(np.abs(ev), axis=1)
+        mu, v = ev[rows, k], vec[rows, :, k]
+        grad = np.real(v.conj()[:, None, None, :] @ mats @ v[:, None, :, None])[..., 0, 0]
+        g = np.where(mu != 0, np.sign(mu), 1.0)[:, None] * grad
+        norm_g = _norms(g)
+        moves = ~(norm_g < gtol)
+        active, g, mu = active[moves], g[moves], mu[moves]
+        new_xi, new_val = g / norm_g[moves, None], np.abs(mu)
+        done = (np.abs(new_val - val[active]) < 1e-15) & (_norms(new_xi - xi[active]) < 1e-14)
+        xi[active], val[active] = new_xi, new_val
+        active = active[~done]
+    return np.abs(np.linalg.eigvalsh(_symbols(system, xi))).max(axis=1), xi
 
 
 def gamma(system: SymbolSystem) -> SymbolReport:
@@ -140,7 +165,6 @@ def gamma(system: SymbolSystem) -> SymbolReport:
     """
     rng = np.random.default_rng(1234)
     d = system.d
-    best_val, best_xi = -np.inf, None
 
     # grid pass: both the max (ascent seed) and the min (margin seed)
     grid = _sphere_grid(d)
@@ -150,12 +174,10 @@ def gamma(system: SymbolSystem) -> SymbolReport:
 
     starts = rng.standard_normal((STARTS_PER_DIM * d, d))
     starts = np.vstack([starts, best_xi[None, :], np.eye(d)])
-    for xi0 in starts:
-        if np.linalg.norm(xi0) == 0:
-            continue
-        val, xi = _ascent(system, xi0)
-        if val > best_val:
-            best_val, best_xi = val, xi
+    vals, xis = _ascents(system, starts[_norms(starts) != 0])
+    i = int(np.argmax(vals))  # the first start to reach the best value
+    if vals[i] > best_val:
+        best_val, best_xi = float(vals[i]), xis[i]
 
     margin = _margin(system, grid, gmin)
     tol = 1e-10 * max(1.0, system.lipschitz())

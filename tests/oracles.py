@@ -5,7 +5,9 @@ reference is a fixed-step RK4 integrator, the high-precision monodromy
 comes from mpmath's Taylor-series ODE solver at 25 digits, the band
 edges of Mathieu and other Fourier potentials come from a truncated
 plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
-finite-difference discretization on a large box.  The Birman-Schwinger
+finite-difference discretization on a large box; the Dirac exponential
+is also written out in scalar cmath arithmetic, and the symbol norm has
+its one-start-at-a-time ascent.  The Birman-Schwinger
 reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, and the
 band-scan reference finds band edges by pruned bisection without using
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from spectral_decay import ode
+from spectral_decay import ode, symbols
 from spectral_decay.bands import EDGE_XTOL, BandStructure
 from spectral_decay.floquet import discriminant, floquet_solutions, floquet_values
 from spectral_decay.potentials import PeriodicPotential
@@ -106,6 +108,65 @@ def rk4_dirac(Wval, m, lam, x0, x1, psi, h=1e-5):
         k4 = B @ (s + h * k3)
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return s
+
+
+def dirac_exponential(W, m, lam, x, h):
+    """exp(h B) for B = ode.dirac_coefficient(W, m, lam, x), one 2x2 at a
+    time in scalar cmath arithmetic: e^t (C I + S Y) with t = tr(h B) / 2,
+    Y = h B - t I, C = cos(sqrt(det Y)) and S = sin(sqrt(det Y)) / sqrt(det Y)
+    (a series for |det Y| <= 1e-8)."""
+    (x00, x01), (x10, x11) = (h * ode.dirac_coefficient(W, m, lam, x)).tolist()
+    t = 0.5 * (x00 + x11)
+    y00, y11 = x00 - t, x11 - t
+    s = y00 * y11 - x01 * x10
+    if abs(s) <= 1e-8:
+        C, S = 1.0 - s / 2.0 + s * s / 24.0, 1.0 - s / 6.0 + s * s / 120.0
+    else:
+        z = cmath.sqrt(s)
+        C, S = cmath.cos(z), cmath.sin(z) / z
+    e = cmath.exp(t)
+    return np.array([[e * (C + S * y00), e * (S * x01)], [e * (S * x10), e * (C + S * y11)]])
+
+
+def ascent(system, xi0, iters=200, gtol=1e-12):
+    """Alternating ascent of |lambda_max(A(xi))| on the sphere from one
+    start, one eigh a step: the per-start loop that symbols.gamma runs for
+    all starts in lockstep.  Returns (value, point)."""
+    xi = xi0 / np.linalg.norm(xi0)
+    val = -np.inf
+    for _ in range(iters):
+        ev, vec = np.linalg.eigh(symbols.symbol(system, xi))
+        k = int(np.argmax(np.abs(ev)))
+        mu, v = ev[k], vec[:, k]
+        grad = np.array([np.real(v.conj() @ aj @ v) for aj in system.matrices])
+        g = np.sign(mu) * grad if mu != 0 else grad
+        norm_g = np.linalg.norm(g)
+        if norm_g < gtol:
+            break
+        new_xi, new_val = g / norm_g, abs(mu)
+        if abs(new_val - val) < 1e-15 and np.linalg.norm(new_xi - xi) < 1e-14:
+            xi, val = new_xi, new_val
+            break
+        xi, val = new_xi, new_val
+    return float(np.max(np.abs(np.linalg.eigvalsh(symbols.symbol(system, xi))))), xi
+
+
+def gamma_reference(system):
+    """(gamma, argmax, margin) of symbols.gamma with one ascent at a time,
+    keeping a start's result only where it beats every earlier one."""
+    rng = np.random.default_rng(1234)
+    grid = symbols._sphere_grid(system.d)
+    gmax, gmin = symbols._batch_extreme(system, grid)
+    k = int(np.argmax(gmax))
+    best_val, best_xi = float(gmax[k]), grid[k]
+    starts = rng.standard_normal((symbols.STARTS_PER_DIM * system.d, system.d))
+    for xi0 in np.vstack([starts, best_xi[None, :], np.eye(system.d)]):
+        if np.linalg.norm(xi0) == 0:
+            continue
+        val, xi = ascent(system, xi0)
+        if val > best_val:
+            best_val, best_xi = val, xi
+    return best_val, best_xi, symbols._margin(system, grid, gmin)
 
 
 def mathieu_fourier_edges(n_modes=40):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_decay.dirac import (dirac_eigenfunction, dirac_gap_eigenvalues,
                                   dirac_tail, matching_determinant)
-from spectral_decay.errors import OutsideGap
+from spectral_decay.errors import OutsideGap, StepFailure
 from spectral_decay.potentials import MatrixPerturbation
 
 WELL = MatrixPerturbation.scalar_well(0.5, (-1.0, 1.0))
@@ -117,3 +119,70 @@ def test_eigenfunction_support_off_the_sample_grid():
     lam = dirac_gap_eigenvalues(W, 1.0)[0]
     pair = dirac_eigenfunction(W, 1.0, lam)
     assert abs(pair.fitted_delta - pair.rate_exact) <= 0.01 * pair.rate_exact
+
+
+def test_eigenpair_reports_match_residual(well_pair):
+    assert 0.0 <= well_pair.match_residual <= 1e-6
+
+
+def test_tail_batch_is_stacked_batch_of_one():
+    lams = np.linspace(-0.999, 0.999, 41)
+    rate, dp, dm = dirac_tail(1.3, lams)
+    assert rate.shape == (41,) and dp.shape == dm.shape == (41, 2)
+    for lam, r, p, q in zip(lams, rate, dp, dm):
+        r1, p1, q1 = dirac_tail(1.3, float(lam))
+        assert r == r1 and np.array_equal(p, p1) and np.array_equal(q, q1)
+        ref = np.array([math.sqrt(1.3 + lam), 1j * math.sqrt(1.3 - lam)])
+        assert np.array_equal(p, ref / np.linalg.norm(ref))  # the scalar rounding
+    with pytest.raises(OutsideGap, match="lambda = 1.5 outside"):
+        dirac_tail(1.3, [0.0, 1.5, -2.0])
+
+
+# random wells, constant Hermitian W and smooth W, and lambda sets in the gap
+support = st.tuples(st.floats(-1.5, 0.0), st.floats(0.1, 2.5)).map(lambda s: (s[0], s[0] + s[1]))
+coef = st.floats(-3.0, 3.0)
+wells = st.builds(MatrixPerturbation.scalar_well, coef, support)
+constant = st.builds(lambda p, q, r, t, sup: MatrixPerturbation.constant_matrix(
+    [[p, q + 1j * r], [q - 1j * r, t]], sup), coef, coef, coef, coef, support)
+
+
+def _smooth(depth, tilt, sup):
+    def w(x):
+        return np.array([[-depth * math.cos(x), tilt * x * 1j], [-tilt * x * 1j, -0.5 * depth]])
+    return MatrixPerturbation(support=sup, func=w)
+
+
+smooth = st.builds(_smooth, coef, st.floats(-0.5, 0.5), support)
+gap_points = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6)
+masses = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.one_of(wells, constant), masses, gap_points)
+def test_property_batched_determinant_is_stacked_batch_of_one(W, m, fractions):
+    lams = m * np.array(fractions)
+    dets = matching_determinant(W, m, lams)
+    assert dets.shape == lams.shape
+    assert np.array_equal(dets, [matching_determinant(W, m, lam) for lam in lams])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(smooth, masses, gap_points)
+def test_property_batched_smooth_determinant_is_stacked_batch_of_one(W, m, fractions):
+    lams = m * np.array(fractions)
+    assert np.array_equal(matching_determinant(W, m, lams),
+                          [matching_determinant(W, m, lam) for lam in lams])
+
+
+def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():
+    # m = 1000 on a unit support: rate sqrt(m^2 - lam^2) overflows e^rate
+    # near lam = 0, not near the gap edges
+    W, m = MatrixPerturbation.scalar_well(0.0, (0.0, 1.0)), 1000.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure) as scalar:
+            matching_determinant(W, m, 0.0)
+        assert np.all(np.isfinite(matching_determinant(W, m, [900.0, 950.0])))
+        for batch in ([0.0, 900.0, 950.0], [900.0, 0.0, 950.0], [900.0, 950.0, 0.0]):
+            with pytest.raises(StepFailure) as batched:
+                matching_determinant(W, m, batch)
+            assert str(batched.value) == str(scalar.value)

@@ -274,6 +274,22 @@ def test_property_magnus_is_fourth_order(coeffs, lam):
     assert abs(math.log2(ratio) - 4.0) <= 0.25
 
 
+@props
+@given(st.floats(1.0, 3.0), st.floats(0.2, 0.5), st.floats(0.5, 2.0),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_property_dirac_magnus_is_fourth_order(depth, tilt, m, lams):
+    # the exponent is affine in lambda; its lambda part carries the commutator too
+    def w(x):
+        return np.array([[depth * math.cos(3.0 * x), tilt * x * 1j], [-tilt * x * 1j, -depth]])
+
+    system = ode._Dirac(MatrixPerturbation(support=(-0.5, 0.5), func=w), m)
+    segs = system.segments(-0.5, 0.5)
+    T32, T64, T128 = (ode._product(system, [segs], np.array(lams), n)[:, 0]
+                      for n in (32, 64, 128))
+    ratio = np.max(np.abs(T32 - T64), axis=(1, 2)) / np.max(np.abs(T64 - T128), axis=(1, 2))
+    assert np.all(np.abs(np.log2(ratio) - 4.0) <= 0.25)
+
+
 def _dop853(rhs, x0, x1, y0):
     sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=1e-13, atol=1e-13)
     return sol.y[:, -1]
@@ -309,10 +325,33 @@ def test_dirac_smooth_w_vs_dop853():
                        ode.propagate_dirac(Wf, 1.0, 0.2, -1.0, 1.0, s0), atol=1e-12)
 
 
+hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r, t]]),
+                      *[st.floats(-4.0, 4.0)] * 4)
+
+
+@props
+@given(st.one_of(st.none(), hermitian), st.floats(0.2, 3.0), st.floats(-1.0, 0.0),
+       st.floats(0.05, 3.0), st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8))
+def test_property_constant_dirac_exponential_is_the_scalar_closed_form(w, m, a, length, lams):
+    # a constant W over its support is one exact piece: exp(h B(mid))
+    W = None if w is None else MatrixPerturbation.constant_matrix(w, (a, a + length))
+    b = a + length
+    T = ode.dirac_transfer(W, m, np.array(lams), a, b)
+    ref = [oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a) for lam in lams]
+    assert np.array_equal(T, ref)
+
+
 @pytest.mark.parametrize("m", [0.0, -1.0])
 def test_propagate_dirac_nonpositive_mass_fails_typed(m):
     with pytest.raises(ValidationError, match="mass"):
         ode.propagate_dirac(None, m, 0.0, 0.0, 1.0, (1.0, 0.0))
+    with pytest.raises(ValidationError, match="mass"):
+        ode.dirac_transfer(None, m, [0.0], 0.0, 1.0)
+
+
+def test_dirac_transfer_rejects_a_reversed_interval():
+    with pytest.raises(ValidationError, match="x0 <= x1"):
+        ode.dirac_transfer(None, 1.0, [0.0], 1.0, 0.0)
 
 
 # random 1-4-step V and lambda sets across the barrier, some exactly at a

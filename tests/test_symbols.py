@@ -1,10 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectral_decay import symbols
 from spectral_decay.errors import DimensionMismatch
 from spectral_decay.symbols import (PAULI, SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma,
                                     load_symbol_system, pauli_system, symbol)
+
+import oracles
+
+
+def _random_system(d, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    return SymbolSystem(matrices=tuple(0.5 * (x + np.conj(np.swapaxes(x, 1, 2)))))
 
 
 def test_symbol_evaluation():
@@ -81,3 +94,36 @@ def test_json_round_trip():
     assert back.n == 4 and back.d == 3
     for a, b in zip(back.matrices, dirac.matrices):
         assert np.allclose(a, b)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_property_lockstep_ascents_match_the_per_start_reference(d, n, seed):
+    system = _random_system(d, n, seed)
+    rep = gamma(system)
+    g, xi, margin = oracles.gamma_reference(system)
+    # same arithmetic in the same order: equal, not merely close
+    assert rep.ellipticity_margin == margin
+    assert rep.gamma == g and np.array_equal(rep.gamma_argmax, xi)
+    attained = np.max(np.abs(np.linalg.eigvalsh(symbol(system, rep.gamma_argmax))))
+    assert abs(attained - rep.gamma) <= 4 * np.spacing(rep.gamma)
+
+
+def test_sample_blocks_do_not_change_the_report(monkeypatch):
+    system = _random_system(3, 3, 5)
+    rep = gamma(system)
+    monkeypatch.setattr(symbols, "_BLOCK", 37)
+    small = gamma(system)
+    assert (small.gamma, small.ellipticity_margin) == (rep.gamma, rep.ellipticity_margin)
+    assert np.array_equal(small.gamma_argmax, rep.gamma_argmax)
+
+
+def test_gamma_memory_is_bounded_by_the_sample_blocks():
+    # d = 4 draws a 200,000-point sample; its (N, n, n) stack alone is 115 MB
+    tracemalloc.start()
+    try:
+        gamma(_random_system(4, 6, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
