@@ -118,11 +118,11 @@ def cmd_bs_spectrum(args) -> int:
         raise ValidationError(f"--count must be >= 1, got {args.count}")
     V = load_potential(_load_json(args.potential))
     Q = load_perturbation(_load_json(args.perturbation))
-    bss = gap.birman_schwinger_spectrum(V, Q, args.lam, grid_size=args.grid_size)
-    top = bss.mu[:args.count]
+    bss = gap.birman_schwinger_spectrum(V, Q, args.lam, grid_size=args.grid_size,
+                                        count=args.count)
     doc = {"lambda": _f(bss.lam), "grid_size": bss.grid_size,
-           "mu": [_f(m) for m in top],
-           "alpha": [_f(1.0 / m) for m in top if m != 0.0]}
+           "mu": [_f(m) for m in bss.mu],
+           "alpha": [_f(1.0 / m) for m in bss.mu if m != 0.0]}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perturbation", required=True)
     sp.add_argument("--lambda", type=_finite_float, required=True, dest="lam")
     sp.add_argument("--grid-size", type=int, default=2048)
-    sp.add_argument("--count", type=int, default=8, help="eigenvalues to report")
+    sp.add_argument("--count", type=int, default=8, help="largest |mu| to compute and report")
     out(sp)
     sp.set_defaults(func=cmd_bs_spectrum)
 

@@ -23,11 +23,17 @@ the Jacobi inverse J_{i,i+1} = -s_i s_{i+1}/T_i[0,1], J_ii = s_i^2 (L_i + R_i)
 with L_i = T_{i-1}[1,1]/T_{i-1}[0,1] and R_i = T_i[0,0]/T_i[0,1], closed by
 the decay conditions L_0 = y_-'/y_-(x_0) and R_{N-1} = -y_+'/y_+(x_{N-1}).
 Its eigenvalues are the couplings alpha: O(N) memory, rounding ~eps/h^2.
+Only the count largest |mu|, the couplings nearest 0, are computed: the
+negative pivots of the LDL^T factorization of J count its negative
+eigenvalues neg (a Sturm count, O(N)), and bisection at dstebz's finest
+tolerance solves the index window [neg - count, neg + count) alone, in
+O(N count) time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,8 @@ from .floquet import floquet_solutions, floquet_values
 from .potentials import CompactPerturbation
 
 ALPHA_MAX = 1e4  # solve_coupling's bracket expansion stops here
+MAX_GRID = 2 ** 20  # Nystrom nodes, checked before anything is allocated
+_TINY = 2.0 * sys.float_info.min  # dstebz's finest bisection tolerance
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class GapEigenpair:
 @dataclass(frozen=True)
 class BSSpectrum:
     lam: float
-    mu: np.ndarray      # eigenvalues, |mu| descending
+    mu: np.ndarray      # the min(count, grid_size) largest |mu|, descending
     grid_size: int
 
 
@@ -115,12 +123,38 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float,
     return brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
+def _negative_count(d, e) -> int:
+    """Negative eigenvalues of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e: the negative pivots of its LDL^T factorization (a
+    Sturm count, O(n)).  A pivot in [-_TINY, 0] counts as negative and is
+    set to -_TINY, so that none is zero, as in dstebz."""
+    neg, q = 0, 1.0
+    for di, e2 in zip(d.tolist(), [0.0, *(e * e).tolist()]):
+        q = di - e2 / q
+        if q <= 0.0:
+            neg, q = neg + 1, min(q, -_TINY)
+    return neg
+
+
+def _nearest_zero(d, e, count: int) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal (d, e) with indices
+    [neg - count, neg + count) after the Sturm count neg: they hold the count
+    nearest 0.  Bisection of that window alone, O(n count)."""
+    neg = _negative_count(d, e)
+    lo, hi = max(neg - count, 0), min(neg + count, len(d))
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1), tol=_TINY)
+
+
 def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
-                              grid_size: int = 2048) -> BSSpectrum:
-    """Nystrom (trapezoid) spectrum of G (H - lambda)^(-1) G on supp Q, from
-    the Jacobi inverse on the nodes where G != 0; the others give mu = 0."""
-    if grid_size < 2:
-        raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
+                              grid_size: int = 2048, count: int = 8) -> BSSpectrum:
+    """The count largest |mu| of the Nystrom (trapezoid) spectrum of
+    G (H - lambda)^(-1) G on supp Q, |mu| descending: the couplings 1/mu
+    nearest 0 of the Jacobi inverse on the nodes where G != 0, then zeros
+    for the others."""
+    if not 2 <= grid_size <= MAX_GRID:
+        raise ValidationError(f"grid_size must be in [2, {MAX_GRID}], got {grid_size}")
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     fd = floquet_solutions(V, lam)
     a, b = Q.support
     xs = np.linspace(a, b, grid_size)
@@ -129,7 +163,7 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     w[0] = w[-1] = 0.5 * h
     g = np.asarray(Q.g(xs), dtype=float)
     keep = np.flatnonzero(g)
-    mu = np.zeros(grid_size)
+    mu = np.zeros(min(count, grid_size))
     if len(keep):
         x = xs[keep]
         sm = floquet_values(V, fd, [x[0]], "minus")[0]
@@ -144,10 +178,10 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
         s = 1.0 / (np.sqrt(w[keep]) * g[keep])
         left = np.append(sm[1] / sm[0], T[:, 1, 1] / t01)
         right = np.append(T[:, 0, 0] / t01, -sp[1] / sp[0])
-        alpha = eigvalsh_tridiagonal(s * s * (left + right), -s[:-1] * s[1:] / t01)
-        mu[:len(keep)] = np.sort(1.0 / alpha)
-    order = np.argsort(-np.abs(mu), kind="stable")
-    return BSSpectrum(lam=lam, mu=mu[order], grid_size=grid_size)
+        top = np.sort(1.0 / _nearest_zero(s * s * (left + right), -s[:-1] * s[1:] / t01, count))
+        top = top[np.argsort(-np.abs(top), kind="stable")][:count]
+        mu[:len(top)] = top
+    return BSSpectrum(lam=lam, mu=mu, grid_size=grid_size)
 
 
 def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,

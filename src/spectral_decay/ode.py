@@ -7,7 +7,9 @@ s = psi and A = i s1 (lambda - m s3 - W).
 There is one route.  Each call lowers its potential once into the
 segments of [x0, x1] between the jumps of A, and one product multiplies
 closed-form 2x2 exponentials over them, in either direction and through
-optional dense samples.  The exponential is exact where A is constant
+optional dense samples; a dense walk lowers [x0, x1] once more with its
+samples as extra cuts, and each cell between neighbouring samples takes
+the segments between its ends.  The exponential is exact where A is constant
 (piecewise V, V - alpha Q with a piecewise profile, W constant on its
 support); elsewhere the product takes fourth-order Magnus steps with two
 Gauss points (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).
@@ -162,6 +164,13 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     return E[:, 0]
 
 
+def _points(xa: float, xb: float, cuts, system_cuts) -> list:
+    """xa, the cuts and system cuts strictly inside (xa, xb) in increasing
+    order, and xb.  Of equal values (0.0 and -0.0) the one in cuts is kept,
+    as a cell lowered alone keeps its own ends."""
+    return [xa, *sorted({c for c in (*cuts, *system_cuts) if xa < c < xb}), xb]
+
+
 def _spans(xs) -> list:
     """(pa, pb, midpoint) of the neighbouring points of xs more than 1e-15 apart."""
     return [(pa, pb, 0.5 * (pa + pb)) for pa, pb in zip(xs, xs[1:]) if pb - pa > 1e-15]
@@ -190,12 +199,13 @@ class _Hill:
     def dtype(lams):
         return np.result_type(lams, float)
 
-    def segments(self, xa: float, xb: float) -> list:
-        """Segments (pa, pb, v) of [xa, xb], xa <= xb: v is the constant
-        potential of an exact piece, or None where Magnus steps are taken."""
+    def segments(self, xa: float, xb: float, cuts=()) -> list:
+        """Segments (pa, pb, v) of [xa, xb], xa <= xb, split also at cuts: v is
+        the constant potential of an exact piece, or None where Magnus steps
+        are taken."""
         per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in self.cells]
         segs = []
-        for pa, pb, mid in _spans([xa, *sorted({c for c in per + self.qcuts if xa < c < xb}), xb]):
+        for pa, pb, mid in _spans(_points(xa, xb, cuts, per + self.qcuts)):
             if not self.flat or self.q_smooth and self.a < mid < self.b:
                 segs.append((pa, pb, None))
                 continue
@@ -257,12 +267,13 @@ class _Dirac:
     def dtype(lams):
         return complex
 
-    def segments(self, xa: float, xb: float) -> list:
-        """Segments (pa, pb, mid) of [xa, xb]: mid is None where W varies."""
+    def segments(self, xa: float, xb: float, cuts=()) -> list:
+        """Segments (pa, pb, mid) of [xa, xb], split also at cuts: mid is None
+        where W varies."""
         a, b = self.a, self.b
         constant = self.W is None or self.matrix and self.W.constant is not None
         return [(pa, pb, mid if constant or self.matrix and not a <= mid <= b else None)
-                for pa, pb, mid in _spans([xa, *(c for c in (a, b) if xa < c < xb), xb])]
+                for pa, pb, mid in _spans(_points(xa, xb, cuts, (a, b)))]
 
     def w(self, xs) -> np.ndarray:
         """W at the points xs, (len(xs), 2, 2)."""
@@ -406,17 +417,25 @@ def _check_phase(system, lams, xa: float, xb: float, tol: float):
 
 def _cells(system, lam, stops, tol: float) -> np.ndarray:
     """Transfer matrices over [min, max] of each pair of neighbouring stops,
-    at the step density certified on their range."""
+    at the step density certified on their range.  The range is lowered once
+    more with the stops as cuts, and each cell multiplies the segments
+    between its ends.  Where no other stop lies inside a cell (monotone
+    stops, or a last stop that turns back onto a cut), these are the
+    segments of the cell lowered alone, the same floats."""
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
     _check_phase(system, lams, lo, hi, tol)
     T, density, _ = _certify(system, system.segments(lo, hi), lams, tol)
-    cells = list(zip(stops[:-1], stops[1:]))
-    if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
-        return np.array([T[0] if xa != xb else _I2 for xa, xb in cells])
-    segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
-    return np.concatenate([_product(system, segs[i:i + _CELLS], lams, density[0], 2)[0]
-                           for i in range(0, len(segs), _CELLS)])
+    ends = np.array(stops)
+    xa, xb = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    if np.count_nonzero(xa != xb) <= 1:  # that cell spans the certified range
+        return np.where((xa != xb)[:, None, None], T, _I2)
+    segs = system.segments(lo, hi, stops)
+    first = np.searchsorted([pa for pa, *_ in segs], xa).tolist()
+    last = np.searchsorted([pb for _, pb, _ in segs], xb, side="right").tolist()
+    cells = [segs[i:j] for i, j in zip(first, last)]
+    return np.concatenate([_product(system, cells[i:i + _CELLS], lams, density[0], 2)[0]
+                           for i in range(0, len(cells), _CELLS)])
 
 
 def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):

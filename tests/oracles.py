@@ -9,7 +9,9 @@ finite-difference discretization on a large box; the Dirac exponential
 is also written out in scalar cmath arithmetic, and the symbol norm has
 its one-start-at-a-time ascent.  The Birman-Schwinger
 reference assembles the dense Nystrom
-matrix from the package's Floquet values and solves it densely, and the
+matrix from the package's Floquet values and solves it densely, its
+Jacobi eigenvalues have a long-double Sturm-bisection reference, the
+cell transfer matrices have a lowering per cell, and the
 band-scan reference finds band edges by pruned bisection without using
 the critical points of F.  Run
 this module directly to regenerate the frozen constants quoted in the
@@ -270,6 +272,53 @@ def dense_birman_schwinger(V, Q, lam, grid_size):
     d = np.sqrt(w) * np.asarray(Q.g(xs), dtype=float)
     mu = np.linalg.eigvalsh(d[:, None] * green * d[None, :])
     return mu[np.argsort(-np.abs(mu), kind="stable")]
+
+
+def sturm_bisection(d, e, indices, passes=64):
+    """Eigenvalues with the given ascending indices of the symmetric
+    tridiagonal matrix (diagonal d, off-diagonal e), by multisection on the
+    Sturm count in long double: each pass counts at 15 points of every
+    index's bracket, until no bracket shrinks.  The count at x is the
+    number of nonpositive pivots of the LDL^T factorization of T - x I,
+    a zero pivot taken as -tiny.  Returns long doubles."""
+    d, e = np.asarray(d, np.longdouble), np.asarray(e, np.longdouble)
+    e2, idx = e * e, np.asarray(indices)[:, None]
+    radius = np.abs(np.append(e, 0)) + np.abs(np.insert(e, 0, 0))  # Gershgorin
+    lo = np.full(len(idx), np.min(d - radius) - 1)
+    hi = np.full(len(idx), np.max(d + radius) + 1)
+    frac = np.arange(1, 16, dtype=np.longdouble) / 16
+    tiny = np.finfo(np.longdouble).tiny
+    for _ in range(passes):
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        q, below = np.ones_like(x), np.zeros(x.shape, dtype=int)
+        for i in range(len(d)):
+            q = d[i] - x - (e2[i - 1] / q if i else 0)
+            neg = q <= 0
+            below += neg
+            q = np.where(neg, np.minimum(q, -tiny), q)
+        up = below > idx  # eigenvalue idx lies at or below x
+        new_lo = np.where(up, lo[:, None], x).max(axis=1)
+        new_hi = np.where(up, x, hi[:, None]).min(axis=1)
+        if np.all((new_lo == lo) & (new_hi == hi)):
+            break
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
+
+
+def cells_reference(system, lam, stops, tol):
+    """ode._cells with one lowering per cell: the range certified once, then
+    each cell [min, max] of neighbouring stops segmented on its own.  The
+    one-pass cell lowering must reproduce it bit for bit."""
+    lams = np.array([lam])
+    lo, hi = min(stops), max(stops)
+    ode._check_phase(system, lams, lo, hi, tol)
+    T, density, _ = ode._certify(system, system.segments(lo, hi), lams, tol)
+    cells = list(zip(stops[:-1], stops[1:]))
+    if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
+        return np.array([T[0] if xa != xb else ode._I2 for xa, xb in cells])
+    segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
+    return np.concatenate([ode._product(system, segs[i:i + ode._CELLS], lams, density[0], 2)[0]
+                           for i in range(0, len(segs), ode._CELLS)])
 
 
 def _collect_roots(f, a, b, fa, fb, slope_bound, depth, min_width):

@@ -135,6 +135,23 @@ def test_bs_spectrum_grid_too_small(cfg, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("size", ["3000000", "100000000000"])
+def test_bs_spectrum_grid_too_large(size, cfg, capsys):
+    assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1", "--grid-size", size]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "grid_size" in err[0]
+
+
+def test_bs_spectrum_count_above_grid_size(cfg, capsys):
+    assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1", "--grid-size", "5", "--count", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["mu"]) == len(doc["alpha"]) == 5
+    mu = [float(m) for m in doc["mu"]]
+    assert mu == sorted(mu, key=abs, reverse=True) and min(mu) > 0
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_bs_spectrum_count_below_one(count, cfg, capsys, monkeypatch):
     def never(*args, **kwargs):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal as scipy_eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from spectral_decay import gap, ode
@@ -162,6 +163,7 @@ grid_sizes = st.one_of(st.sampled_from([2, 3]), st.integers(256, 1024))
 @example(STEP, 1, 0.5, -0.3, 1.4, (0.0, 1.3), 0.4, 300)  # a zero piece: nodes with G = 0
 @example(STEP, 0, 0.5, -0.3, 1.4, (1.0, 0.5), 0.4, 2)
 @example(STEP, 0, 0.5, -0.3, 1.4, (0.0, 0.5), 0.6, 3)
+@example(V0, 0, 0.5, -1.0, 2.0, (0.0, 1.0), 0.9, 20)  # 2 nodes with G != 0: zero padding
 def test_property_birman_schwinger_matches_dense_oracle(V, gap, u, a, length, g, cut,
                                                         grid_size):
     assume(max(g) > 0.0)
@@ -185,8 +187,94 @@ def test_property_birman_schwinger_matches_dense_oracle(V, gap, u, a, length, g,
         return
     dense = oracles.dense_birman_schwinger(V, Q, lam, grid_size)
     k = min(8, grid_size)
-    assert len(mu) == grid_size
+    assert len(mu) == min(8, grid_size)
     assert np.max(np.abs(mu[:k] - dense[:k])) <= 1e-8 * abs(dense[0])
+    nonzero = np.count_nonzero(Q.g(np.linspace(a, a + length, grid_size)))
+    assert np.count_nonzero(mu) == min(k, nonzero)  # then zeros for nodes with G = 0
+
+
+def test_birman_schwinger_returns_the_top_count():
+    dense = oracles.dense_birman_schwinger(V0, BOX, -1.0, 256)
+    for count in (1, 3, 8, 40):
+        mu = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=256, count=count).mu
+        assert len(mu) == count
+        assert np.max(np.abs(mu - dense[:count])) <= 1e-8 * dense[0]
+    assert len(birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=5, count=8).mu) == 5
+
+
+@pytest.mark.parametrize("kwargs", [{"grid_size": gap.MAX_GRID + 1}, {"grid_size": 10 ** 11},
+                                    {"count": 0}, {"count": -3}])
+def test_birman_schwinger_rejects_sizes_before_allocating(kwargs, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("Floquet data computed for an invalid size")
+
+    monkeypatch.setattr(gap, "floquet_solutions", never)
+    with pytest.raises(ValidationError):
+        birman_schwinger_spectrum(V0, BOX, -1.0, **kwargs)
+
+
+def test_birman_schwinger_matches_long_double_bisection():
+    # the Jacobi matrix as the eigensolver receives it; below the spectrum
+    # every alpha is positive, so the top 8 |mu| are the 8 smallest alpha
+    seen, solve = [], gap.eigvalsh_tridiagonal
+
+    def capture(d, e, **kwargs):
+        seen.append((d, e))
+        return solve(d, e, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gap, "eigvalsh_tridiagonal", capture)
+        mu = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048, count=8).mu
+    (d, e), = seen
+    ref = oracles.sturm_bisection(d, e, np.arange(8))
+    assert np.all(ref > 0)
+    assert np.max(np.abs((1.0 / mu - ref) / ref)) <= 1e-10
+
+
+# random symmetric tridiagonals, entries of mixed sign, size 1 to 60
+tridiagonals = st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+    st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tridiagonals, st.integers(1, 10))
+def test_property_sturm_count_and_window(de, count):
+    d, e = np.array(de[0]), np.array(de[1])
+    full = scipy_eigvalsh_tridiagonal(d, e)
+    norm = np.max(np.abs(full))
+    assume(norm > 0.0 and np.min(np.abs(full)) > 1e-12 * norm)
+    neg = gap._negative_count(d, e)
+    assert neg == np.count_nonzero(full < 0.0)
+    window = full[max(neg - count, 0):neg + count]
+    assert np.max(np.abs(gap._nearest_zero(d, e, count) - window)) <= 1e-12 * norm
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.one_of(piecewise, fourier), st.booleans(), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+@example(STEP, True, 0.0, -0.3, 1.4, 1.0)
+def test_property_shooting_matches_birman_schwinger(V, in_gap, u, a, length, height):
+    M = V.max_abs()
+    if in_gap:
+        lams = math.pi ** 2 + M * np.linspace(-1.0, 1.0, 65)
+        sf = np.array([-discriminant(V, x) for x in lams])
+        assume(sf.max() > 1.0 + 1e-6)
+        lam = lams[np.argmax(sf)]
+    else:
+        lam = -M - 0.5 - 3.0 * u
+    Q = CompactPerturbation.box(a, a + length, height)
+    try:
+        alpha = solve_coupling(V, Q, lam)
+    except (BandPointError, NoSignChange):
+        assume(False)
+    fine, coarse = (1.0 / min((m for m in birman_schwinger_spectrum(V, Q, lam, grid_size=n).mu
+                               if m > 0), key=lambda m: abs(m - 1.0 / alpha))
+                    for n in (2048, 1024))
+    # the trapezoid error is c h^2 + O(h^3), the O(h^3) from jumps of V that
+    # move against the nodes, so alpha_N - alpha ~ (alpha_N - alpha_{N/2}) / 3;
+    # twice the two-grid difference leaves 6x room for the O(h^3) term
+    assert abs(fine - alpha) <= 2.0 * abs(fine - coarse) + 1e-9 * alpha
 
 
 @pytest.fixture(scope="module")

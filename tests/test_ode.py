@@ -420,3 +420,63 @@ def test_empty_batch(V):
     assert ode.monodromy(V, []).shape == (0, 2, 2)
     M, err = ode.certified_monodromy(V, np.empty(0))
     assert M.shape == (0, 2, 2) and err.shape == (0,)
+
+
+# one-pass cell lowering against a lowering per cell: grids with stops on a
+# cut of V, Q or W, and within 1e-16 of one, walked both ways
+def _stops(data, lo, cuts):
+    """A monotone grid on [lo, lo + 2.5]: random points, repeats, and cuts
+    with their neighbours within 1e-16 (some round onto the cut itself)."""
+    cuts = [c for c in cuts if lo < c < lo + 2.5]
+    near = [f(c) for c in cuts for f in (lambda c: c, lambda c: c + 1e-16,
+                                           lambda c: c - 1e-16, lambda c: np.nextafter(c, 9.0))]
+    pts = data.draw(st.lists(st.floats(lo, lo + 2.5), min_size=1, max_size=30))
+    pts += data.draw(st.lists(st.sampled_from(near), max_size=12)) if near else []
+    xs = sorted([lo, lo + 2.5, *pts])
+    return xs[::-1] if data.draw(st.booleans()) else xs
+
+
+def _same_walk(walk, stops):
+    """walk(x0, x1, dense_xs) with the one-pass lowering and with
+    oracles.cells_reference, bit for bit."""
+    out, dense = walk(stops[0], stops[-1], stops[1:-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "_cells", oracles.cells_reference)
+        ref, ref_dense = walk(stops[0], stops[-1], stops[1:-1])
+    assert np.array_equal(out, ref) and np.array_equal(dense, ref_dense)
+
+
+smooth_q = st.builds(lambda a, c: CompactPerturbation(
+    (a, a + 1.3), PeriodicPotential.fourier(1.5, [c])), st.floats(-1.0, 0.5), st.floats(-1.0, 1.0))
+piecewise_q = st.builds(lambda a, cut, g: CompactPerturbation(
+    (a, a + 1.3), PeriodicPotential.piecewise([0.0, cut], g)),
+    st.floats(-1.0, 0.5), st.floats(0.1, 0.9), st.tuples(st.floats(0.0, 2.0), st.floats(0.2, 2.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(piecewise, fourier.map(lambda c: PeriodicPotential.fourier(*c))),
+       st.one_of(piecewise_q, smooth_q), st.floats(-10.0, 60.0), st.data())
+def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
+    lo = data.draw(st.floats(-1.5, 0.5))
+    vcuts = [n + c for n in range(-2, 4) for c, _ in V.cell_pieces()] if V.is_piecewise_constant else []
+    qcuts = [*Q.support, *(c for c, _ in Q.q_pieces())] if Q.is_piecewise_constant else [*Q.support]
+    stops = _stops(data, lo, vcuts + qcuts)
+    xs = sorted(stops)
+    assert np.array_equal(ode.cell_transfers(V, lam, xs),
+                          oracles.cells_reference(ode._Hill(V), lam, xs, ode.DEFAULT_TOL))
+    _same_walk(lambda x0, x1, d: ode.propagate_hill(V, lam, x0, x1, (1.0, 0.5), dense_xs=d), stops)
+    _same_walk(lambda x0, x1, d: ode.propagate_hill_perturbed(V, Q, 2.0, lam, x0, x1, (0.3, 1.0),
+                                                              dense_xs=d), stops)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["free", "constant", "smooth"]), st.floats(-1.0, 0.5),
+       st.floats(0.5, 2.0), st.floats(-0.95, 0.95), st.data())
+def test_property_one_pass_dirac_cells_are_the_per_cell_lowering(kind, a, m, t, data):
+    support = (a, a + 1.3)
+    W = {"free": None, "constant": MatrixPerturbation.scalar_well(1.5, support),
+         "smooth": MatrixPerturbation(support, lambda x: np.cos(x) * np.array([[1.0, 0.5j],
+                                                                              [-0.5j, -1.0]]))}[kind]
+    stops = _stops(data, data.draw(st.floats(-1.5, 0.5)), list(support))
+    _same_walk(lambda x0, x1, d: ode.propagate_dirac(W, m, t * m, x0, x1, (1.0, 0.5j), dense_xs=d),
+               stops)
