@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from . import ode
 from .floquet import discriminant, discriminant_derivative
-from .errors import OutOfCertifiedRange
+from .errors import OutOfCertifiedRange, ValidationError
 
 DEFAULT_GRID_STEP = 0.05
 EDGE_XTOL = 1e-13
@@ -52,10 +52,10 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     """Scan [-max|V| - 1, lam_max] for band edges of -d^2/dx^2 + V
     (F > 1 strictly below the floor, where no spectrum exists)."""
     if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+        raise ValidationError("grid_step must be positive")
     lam_min = -V.max_abs() - 1.0
     if lam_max <= lam_min:
-        raise ValueError("lam_max must exceed the scan floor")
+        raise ValidationError("lam_max must exceed the scan floor")
 
     n = ode.check_lambda_count(np.ceil((lam_max - lam_min) / grid_step) + 1)
     grid = np.linspace(lam_min, lam_max, n)

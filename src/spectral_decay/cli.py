@@ -79,7 +79,7 @@ def cmd_bands(args) -> int:
                "edges": [{"lambda_edge": _f(lam), "kind": kind}
                          for lam, kind in rows],
                "gaps": [[_f(a), _f(b)] for a, b in bs.gaps]}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+        _emit(verify.report_json(doc), args.output)
     return 0
 
 
@@ -105,7 +105,7 @@ def cmd_gap_eig(args) -> int:
     summary = {"lambda": _f(pair.lam), "alpha": _f(pair.alpha),
                "c_plus": _f(pair.c_plus), "c_minus": _f(pair.c_minus),
                "fitted_delta": _f(pair.fitted_delta), "ln_rho": _f(pair.ln_rho)}
-    _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(verify.report_json(summary), args.output)
     if args.samples_out:
         lines = ["x,psi"]
         lines += [f"{_f(x)},{_f(p)}" for x, p in zip(pair.xs, pair.psi)]
@@ -123,7 +123,7 @@ def cmd_bs_spectrum(args) -> int:
     doc = {"lambda": _f(bss.lam), "grid_size": bss.grid_size,
            "mu": [_f(m) for m in bss.mu],
            "alpha": [_f(1.0 / m) for m in bss.mu if m != 0.0]}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(verify.report_json(doc), args.output)
     return 0
 
 
@@ -134,8 +134,7 @@ def cmd_dirac_eig(args) -> int:
     results = [{"m": _f(m), "lambda": _f(p.lam), "rate_exact": _f(p.rate_exact),
                 "fitted_delta": _f(p.fitted_delta), "d_lambda": _f(m - abs(p.lam))}
                for p in pairs]
-    _emit(json.dumps({"eigenvalues": results, "count": len(results)},
-                     sort_keys=True, indent=2) + "\n", args.output)
+    _emit(verify.report_json({"eigenvalues": results, "count": len(results)}), args.output)
     if args.samples_out and pairs:
         lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2"]
         for x, (p1, p2) in zip(pairs[0].xs, pairs[0].psi):
@@ -152,7 +151,7 @@ def cmd_gamma(args) -> int:
            "gamma_argmax": [_f(v) for v in rep.gamma_argmax],
            "ellipticity_margin": _f(rep.ellipticity_margin),
            "elliptic": bool(rep.elliptic)}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(verify.report_json(doc), args.output)
     return 0
 
 

@@ -3,9 +3,11 @@
 The fitted rate delta_hat is the negative slope of log|psi| read at
 period-spaced abscissae in a tail window; spacing by exactly one period
 cancels the periodic/antiperiodic factor of a Floquet tail, so the fit
-sees a pure exponential.  Hill (gap) and Dirac eigenfunctions share one
-sampler and one normalize-and-fit step.  The remaining operations
-certify, numerically:
+sees a pure exponential.  The slope is a least-squares line, and the F'
+check takes a Theil-Sen median; both are numpy expressions that round as
+scipy.stats rounds them, so the package never imports scipy.stats.  Hill
+(gap) and Dirac eigenfunctions share one sampler and one normalize-and-fit
+step.  The remaining operations certify, numerically:
 
 * ln^2 rho(lambda) >= lambda0 - lambda for lambda below the spectrum,
 * the band-edge law ln^2 rho = 2|F'(edge)| |lambda - edge| + higher order,
@@ -20,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .bands import BandStructure, spectral_distance
-from .errors import ClosedGap, InsufficientApproach, InsufficientTail, PoorFit
+from .errors import (ClosedGap, InsufficientApproach, InsufficientTail, PoorFit,
+                     ValidationError)
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
@@ -40,32 +42,34 @@ class DecayFit:
     window: tuple
 
 
-def fit_decay_rate(xs, values, side: str = "right",
-                   window: tuple | None = None) -> DecayFit:
-    """Fit |psi| ~ C exp(-delta |x|) on tail points spaced by the period 1.
+def _line_fit(x, y):
+    """Least-squares slope of y on x and its correlation r, with
+    scipy.stats.linregress's arithmetic; PoorFit where y is constant."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssym == 0.0:
+        raise PoorFit("flat tail: log|psi| is constant in the window")
+    return ssxym / ssxm, np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+
+
+def _theil_sen(x, y) -> float:
+    """Median of the slopes over all pairs of points, as
+    scipy.stats.theilslopes computes it."""
+    dx, dy = x[:, None] - x, y[:, None] - y
+    return float(np.median(dy[dx > 0] / dx[dx > 0]))
+
+
+def fit_decay_rate(xs, values, window: tuple) -> DecayFit:
+    """Fit |psi| ~ C exp(-delta x) on the right tail, at the points of
+    window = (lo, hi) spaced by the period 1 from lo.
 
     xs must be dense and increasing; values may be complex or vector
-    samples (the Euclidean norm is fitted).  The window defaults to the
-    outer half of the sampled range on the requested side.
+    samples (the Euclidean norm is fitted).
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(values)
-    if vals.ndim == 2:
-        mag = np.linalg.norm(vals, axis=1)
-    else:
-        mag = np.abs(vals)
-
-    if window is None:
-        if side == "right":
-            window = (xs[0] + 0.5 * (xs[-1] - xs[0]), xs[-1])
-        else:
-            window = (xs[0], xs[-1] - 0.5 * (xs[-1] - xs[0]))
+    mag = np.linalg.norm(vals, axis=1) if vals.ndim == 2 else np.abs(vals)
     lo, hi = window
-
-    if side == "right":
-        pts = np.arange(lo, hi + 1e-9, 1.0)
-    else:
-        pts = np.arange(hi, lo - 1e-9, -1.0)[::-1]
+    pts = np.arange(lo, hi + 1e-9, 1.0)
     pts = pts[(pts >= xs[0] - 1e-12) & (pts <= xs[-1] + 1e-12)]
     if len(pts) < MIN_FIT_POINTS:
         raise InsufficientTail(f"only {len(pts)} period-spaced points in window")
@@ -73,12 +77,11 @@ def fit_decay_rate(xs, values, side: str = "right",
     m = np.interp(pts, xs, mag)
     if np.any(m <= 0):
         raise InsufficientTail("tail magnitude vanishes inside the window")
-    absc = pts if side == "right" else -pts
-    res = stats.linregress(absc, np.log(m))
-    r2 = res.rvalue ** 2
+    slope, r = _line_fit(pts, np.log(m))
+    r2 = r ** 2
     if r2 < R2_MIN:
         raise PoorFit(f"r^2 = {r2} below {R2_MIN}")
-    return DecayFit(delta_hat=-res.slope, r_squared=r2, window=(lo, hi))
+    return DecayFit(delta_hat=-slope, r_squared=r2, window=(lo, hi))
 
 
 def sample_grid(a: float, b: float, tail: float):
@@ -103,14 +106,14 @@ def normalize_and_fit(grid, pieces, b: float):
     xs, psi = np.concatenate(grid), np.concatenate(pieces)
     nrm = math.sqrt(np.trapezoid(np.sum(np.abs(psi.reshape(len(xs), -1)) ** 2, axis=1), xs))
     psi = psi / nrm
-    return xs, psi, nrm, fit_decay_rate(xs, psi, side="right", window=(b + 0.5, xs[-1]))
+    return xs, psi, nrm, fit_decay_rate(xs, psi, (b + 0.5, xs[-1]))
 
 
 def check_prop_H(V, lambda0: float, lam_grid) -> float:
     """Worst margin of ln^2 rho(lambda) - (lambda0 - lambda) below lambda0."""
     lams = np.asarray(list(lam_grid), dtype=float)
     if np.any(lams >= lambda0):
-        raise ValueError("grid must lie strictly below lambda0")
+        raise ValidationError("grid must lie strictly below lambda0")
     worst = math.inf
     for lam, F in zip(lams, discriminant(V, lams)):
         worst = min(worst, math.log(multiplicator(F)) ** 2 - (lambda0 - lam))
@@ -175,7 +178,7 @@ def check_F_prime_asymptotics(V, lam_grid) -> FprimeResiduals:
         res[i] = lam * abs(fp - free)
     good = res > 0
     if good.sum() >= 2:
-        slope = float(stats.theilslopes(np.log(res[good]), np.log(lams[good])).slope)
+        slope = _theil_sen(np.log(lams[good]), np.log(res[good]))
     else:
         slope = 0.0  # residual identically zero (exact free formula)
     return FprimeResiduals(lambdas=lams, residuals=res, loglog_slope=slope)

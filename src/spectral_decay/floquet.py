@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import BandPointError
+from .errors import BandPointError, ValidationError
 
 TOL_EDGE = 1e-9
 CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
@@ -111,7 +111,7 @@ def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:
     elif side == "minus":
         seed, mu = fd.seed_minus, fd.sigma * fd.rho
     else:
-        raise ValueError("side must be 'plus' or 'minus'")
+        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
     xs = np.asarray(xs, dtype=float)
     n = np.floor(xs)
     order = np.argsort(xs - n)

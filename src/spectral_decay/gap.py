@@ -47,6 +47,7 @@ from .potentials import CompactPerturbation
 
 ALPHA_MAX = 1e4  # solve_coupling's bracket expansion stops here
 MAX_GRID = 2 ** 20  # Nystrom nodes, checked before anything is allocated
+N_PERIODS = 8  # eigenfunction tail length on each side of supp Q
 _TINY = 2.0 * sys.float_info.min  # dstebz's finest bisection tolerance
 
 
@@ -95,31 +96,25 @@ def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float) ->
     return _shoot(V, Q, alpha, lam, _end_states(V, Q, lam))
 
 
-def solve_coupling(V, Q: CompactPerturbation, lam: float,
-                   alpha_bracket: tuple | None = None) -> float:
+def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
     """Coupling alpha* > 0 making lambda an eigenvalue of H_alpha.
 
-    If no bracket is given, expands [0.1, 1] geometrically up to
-    ALPHA_MAX before raising NoSignChange.
+    Expands the bracket [0.1, 1] geometrically up to ALPHA_MAX before
+    raising NoSignChange.
     """
     ends = _end_states(V, Q, lam)
 
     def det(alpha):
         return _shoot(V, Q, alpha, lam, ends)
 
-    if alpha_bracket is not None:
-        lo, hi = alpha_bracket
-        if det(lo) * det(hi) > 0:
-            raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-    else:
-        lo, hi = 0.1, 1.0
-        flo, fhi = det(lo), det(hi)
-        while flo * fhi > 0:
-            lo, flo = hi, fhi
-            hi *= 2.0
-            if hi > ALPHA_MAX:
-                raise NoSignChange(f"no sign change up to alpha = {ALPHA_MAX}")
-            fhi = det(hi)
+    lo, hi = 0.1, 1.0
+    flo, fhi = det(lo), det(hi)
+    while flo * fhi > 0:
+        lo, flo = hi, fhi
+        hi *= 2.0
+        if hi > ALPHA_MAX:
+            raise NoSignChange(f"no sign change up to alpha = {ALPHA_MAX}")
+        fhi = det(hi)
     return brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
@@ -184,18 +179,17 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     return BSSpectrum(lam=lam, mu=mu, grid_size=grid_size)
 
 
-def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float,
-                  n_periods: int = 8) -> GapEigenpair:
+def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float) -> GapEigenpair:
     """Normalized eigenfunction of H_alpha at (alpha, lambda) with tails.
 
-    Samples cover supp Q padded by n_periods on each side.  Outside the
+    Samples cover supp Q padded by N_PERIODS on each side.  Outside the
     support the function is c_- y_- (left) and c_+ y_+ (right); tail
     coefficients come from projecting the matched state on the Floquet
     seeds.
     """
     fd, s_a, yp_b = _end_states(V, Q, lam)
     a, b = Q.support
-    xs_left, xs_mid, xs_right = grid = decay.sample_grid(a, b, n_periods)
+    xs_left, xs_mid, xs_right = grid = decay.sample_grid(a, b, N_PERIODS)
     s_b, mid_states = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_a,
                                                    dense_xs=xs_mid)
 

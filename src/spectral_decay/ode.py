@@ -31,6 +31,10 @@ The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
 1.  At a fixed step count transfer matrices are entire in lambda, so
 monodromy also accepts complex lambda (for complex-step derivatives).
+
+The entry points are monodromy, certified_monodromy, cell_transfers,
+dirac_transfer and the propagate_* walks; _hill_exact is the closed form
+of a Hill piece, and _expm2 that of a Dirac one.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ DEFAULT_TOL = 1e-10
 MAX_LAMBDAS = 2 ** 20  # points in one lambda set; scan grids hold ~10^4
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ISIGMA1 = 1j * SIGMA1
 
@@ -134,11 +137,6 @@ def _hill_exact(lams, v, h) -> np.ndarray:
     s = lams[:, None] - v
     C, S = _cs(s, h)
     return _matrices(C, S, (_cmul if np.iscomplexobj(s) else np.multiply)(-s, S), C)
-
-
-def constant_transfer(v: float, lam, h: float) -> np.ndarray:
-    """Transfer matrix of -y'' + v y = lam y over a step of length h."""
-    return _hill_exact(np.array([lam]), np.array([v]), np.array([h]))[0, 0]
 
 
 def wronskian(u, v):
@@ -499,12 +497,6 @@ def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float
     """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
     return _walk(_Hill(V, Q, alpha), lam, x0, x1, np.asarray(state, dtype=float), tol,
                  dense_xs)
-
-
-def dirac_coefficient(W, m: float, lam: float, x: float) -> np.ndarray:
-    """Matrix B(x) in psi' = B psi for -i s1 psi' + m s3 psi + W psi = lam psi."""
-    w = W(x) if W is not None else np.zeros((2, 2), dtype=complex)
-    return 1j * SIGMA1 @ (lam * np.eye(2) - m * SIGMA3 - w)
 
 
 def _check_mass(m: float):

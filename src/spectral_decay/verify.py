@@ -18,12 +18,10 @@ import numpy as np
 from . import decay, gap
 from .bands import band_edges, spectral_distance
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
+from .errors import ValidationError
 from .floquet import discriminant, multiplicator
 from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
 from .symbols import gamma, pauli_system
-
-SUITES = ("theorem2-dirac", "propH", "edge-asymptotics", "fprime",
-          "counterexample", "cross-method")
 
 _MATHIEU = PeriodicPotential.fourier(mean=0.0, cos=[2.0])
 _STEP = PeriodicPotential.piecewise([0.0, 0.5], [10.0, 0.0])
@@ -209,6 +207,7 @@ _RUNNERS = {
     "counterexample": suite_counterexample,
     "cross-method": suite_cross_method,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, V=None) -> dict:
@@ -223,12 +222,13 @@ def run_suite(name: str, V=None) -> dict:
                 cases.append(c)
         return {"suite": "all", "cases": cases}
     if name not in _RUNNERS:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(_RUNNERS)} or 'all'")
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(_RUNNERS)} or 'all'")
     return _RUNNERS[name](V)
 
 
 def report_json(report: dict) -> str:
-    """Canonical serialization: sorted keys, fixed float format, newline-terminated."""
+    """Canonical serialization of a report or any CLI JSON document: sorted
+    keys, fixed float format, newline-terminated."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

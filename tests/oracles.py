@@ -5,8 +5,8 @@ reference is a fixed-step RK4 integrator, the high-precision monodromy
 comes from mpmath's Taylor-series ODE solver at 25 digits, the band
 edges of Mathieu and other Fourier potentials come from a truncated
 plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
-finite-difference discretization on a large box; the Dirac exponential
-is also written out in scalar cmath arithmetic, and the symbol norm has
+finite-difference discretization on a large box; the Hill and Dirac
+exponentials are also written out in scalar math/cmath arithmetic, and the symbol norm has
 its one-start-at-a-time ascent.  The Birman-Schwinger
 reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, its
@@ -54,29 +54,35 @@ def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
     return s[0], s[1]
 
 
+def constant_transfer(v, lam, h):
+    """Transfer matrix of -y'' + v y = lam y over a step of length h, in
+    scalar math/cmath arithmetic: cos(h sqrt(s)), sin(h sqrt(s))/sqrt(s)
+    with s = lam - v (cosh/sinh below the barrier, a series for
+    |s h^2| <= 1e-8)."""
+    s = lam - v
+    z2 = s * h * h
+    if isinstance(s, complex) and abs(z2) > 1e-8:
+        z = cmath.sqrt(s)
+        C, S = cmath.cos(z * h), cmath.sin(z * h) / z
+    elif not isinstance(s, complex) and z2 > 1e-8:
+        z = math.sqrt(s)
+        C, S = math.cos(z * h), math.sin(z * h) / z
+    elif not isinstance(s, complex) and z2 < -1e-8:
+        z = math.sqrt(-s)
+        C, S = math.cosh(z * h), math.sinh(z * h) / z
+    else:
+        C, S = 1.0 - z2 / 2.0 + z2 * z2 / 24.0, h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+    return np.array([[C, S], [-s * S, C]])
+
+
 def closed_form_monodromy(V, lam):
-    """Monodromy of a zero or piecewise V, one piece at a time in scalar
-    math/cmath arithmetic: cos(h sqrt(s)), sin(h sqrt(s))/sqrt(s) with
-    s = lam - v (cosh/sinh below the barrier, a series for |s h^2| <= 1e-8),
-    multiplied from the left as 2x2 arrays.  The batched kernel must
+    """Monodromy of a zero or piecewise V: the constant_transfer of each
+    piece, multiplied from the left as 2x2 arrays.  The batched kernel must
     reproduce this rounding bit for bit, complex lam included."""
     breaks, values = ((0.0,), (0.0,)) if V.kind == "zero" else (V.breaks, V.values)
     T = np.eye(2)
     for pa, pb, v in zip(breaks, (*breaks[1:], 1.0), values):
-        h, s = pb - pa, lam - v
-        z2 = s * h * h
-        if isinstance(s, complex) and abs(z2) > 1e-8:
-            z = cmath.sqrt(s)
-            C, S = cmath.cos(z * h), cmath.sin(z * h) / z
-        elif not isinstance(s, complex) and z2 > 1e-8:
-            z = math.sqrt(s)
-            C, S = math.cos(z * h), math.sin(z * h) / z
-        elif not isinstance(s, complex) and z2 < -1e-8:
-            z = math.sqrt(-s)
-            C, S = math.cosh(z * h), math.sinh(z * h) / z
-        else:
-            C, S = 1.0 - z2 / 2.0 + z2 * z2 / 24.0, h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-        T = np.array([[C, S], [-s * S, C]]) @ T
+        T = constant_transfer(v, lam, pb - pa) @ T
     return T
 
 
@@ -112,12 +118,18 @@ def rk4_dirac(Wval, m, lam, x0, x1, psi, h=1e-5):
     return s
 
 
+def dirac_coefficient(W, m, lam, x):
+    """Matrix B(x) in psi' = B psi for -i s1 psi' + m s3 psi + W psi = lam psi."""
+    w = W(x) if W is not None else np.zeros((2, 2), dtype=complex)
+    return 1j * ode.SIGMA1 @ (lam * np.eye(2) - m * ode.SIGMA3 - w)
+
+
 def dirac_exponential(W, m, lam, x, h):
-    """exp(h B) for B = ode.dirac_coefficient(W, m, lam, x), one 2x2 at a
+    """exp(h B) for B = dirac_coefficient(W, m, lam, x), one 2x2 at a
     time in scalar cmath arithmetic: e^t (C I + S Y) with t = tr(h B) / 2,
     Y = h B - t I, C = cos(sqrt(det Y)) and S = sin(sqrt(det Y)) / sqrt(det Y)
     (a series for |det Y| <= 1e-8)."""
-    (x00, x01), (x10, x11) = (h * ode.dirac_coefficient(W, m, lam, x)).tolist()
+    (x00, x01), (x10, x11) = (h * dirac_coefficient(W, m, lam, x)).tolist()
     t = 0.5 * (x00 + x11)
     y00, y11 = x00 - t, x11 - t
     s = y00 * y11 - x01 * x10

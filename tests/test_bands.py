@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spectral_decay import bands, ode
 from spectral_decay.bands import DEFAULT_GRID_STEP, band_edges, csv_rows, spectral_distance
-from spectral_decay.errors import OutOfCertifiedRange
+from spectral_decay.errors import OutOfCertifiedRange, ValidationError
 from spectral_decay.floquet import discriminant, multiplicator
 from spectral_decay.potentials import PeriodicPotential
 
@@ -209,3 +209,11 @@ def test_property_narrow_gaps_vs_plane_wave_oracle(mean, cos, sin):
         detectable = math.sqrt(8.0 * err[0] / abs((F[0] - 2.0 * F[1] + F[2]) / h ** 2))
         if hi - lo > 2.0 * detectable:
             assert any(abs(a - lo) <= 0.01 * (hi - lo) for a, _ in bs.gaps)
+
+
+@pytest.mark.parametrize("lam_max, grid_step, message", [
+    (5.0, 0.0, "grid_step"), (5.0, -1.0, "grid_step"), (-1.0, 0.05, "scan floor"),
+])
+def test_invalid_scan_fails_typed(lam_max, grid_step, message):
+    with pytest.raises(ValidationError, match=message):
+        band_edges(V0, lam_max, grid_step=grid_step)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spectral_decay import cli
+from spectral_decay import cli, verify
 from spectral_decay.cli import main
+from spectral_decay.errors import ValidationError
 from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma)
 
@@ -263,3 +264,18 @@ def test_oversized_lambda_set_fails_typed(argv, cfg, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "limit" in err[0]
+
+
+def test_unknown_suite_fails_typed():
+    with pytest.raises(ValidationError, match="unknown suite"):
+        verify.run_suite("nope")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bands", "--potential", "zero", "--lambda-max", "5", "--grid-step", "-1"], "grid_step"),
+    (["bands", "--potential", "zero", "--lambda-max", "-5"], "scan floor"),
+], ids=["grid-step", "lambda-max"])
+def test_invalid_scan_exits_2(argv, message, cfg, capsys):
+    assert main([cfg.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]

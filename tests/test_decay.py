@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from spectral_decay import decay
 from spectral_decay.bands import band_edges
 from spectral_decay.errors import (InsufficientApproach, InsufficientTail,
-                                   PoorFit)
+                                   PoorFit, ValidationError)
 from spectral_decay.potentials import PeriodicPotential
 
 V0 = PeriodicPotential.zero()
@@ -17,33 +20,49 @@ STEP = PeriodicPotential.piecewise([0.0, 0.5], [10.0, 0.0])
 def test_fit_synthetic_modulated():
     xs = np.arange(5.0, 20.0001, 0.005)
     vals = np.exp(-0.5 * xs) * (2.0 + np.cos(2 * np.pi * xs))
-    fit = decay.fit_decay_rate(xs, vals, side="right", window=(5.0, 20.0))
+    fit = decay.fit_decay_rate(xs, vals, (5.0, 20.0))
     assert fit.delta_hat == pytest.approx(0.5, abs=1e-6)
     assert fit.r_squared >= 0.999
 
 
 def test_fit_pure_exponential():
     xs = np.arange(0.0, 15.0001, 0.01)
-    fit = decay.fit_decay_rate(xs, np.exp(-xs))
+    fit = decay.fit_decay_rate(xs, np.exp(-xs), (7.5, 15.0))
     assert fit.delta_hat == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fit_left_side():
-    xs = np.arange(-20.0, -4.999, 0.01)
-    vals = np.exp(0.7 * xs)  # decays toward -inf as e^{-0.7|x|}
-    fit = decay.fit_decay_rate(xs, vals, side="left", window=(-20.0, -5.0))
-    assert fit.delta_hat == pytest.approx(0.7, abs=1e-9)
 
 
 def test_fit_errors():
     xs = np.arange(0.0, 3.0, 0.01)
     with pytest.raises(InsufficientTail):
-        decay.fit_decay_rate(xs, np.exp(-xs), window=(0.0, 3.0))
+        decay.fit_decay_rate(xs, np.exp(-xs), (0.0, 3.0))
     xs = np.arange(0.0, 20.0, 0.01)
     rng = np.random.default_rng(0)
     noisy = np.exp(-0.1 * xs) * np.exp(rng.normal(0, 1.0, len(xs)))
     with pytest.raises(PoorFit):
-        decay.fit_decay_rate(xs, noisy)
+        decay.fit_decay_rate(xs, noisy, (10.0, 20.0))
+
+
+def test_fit_rejects_flat_tail():
+    # a constant |psi| has no correlation to fit: r is undefined, not a pass
+    xs = np.arange(0.0, 20.0, 0.01)
+    with pytest.raises(PoorFit, match="flat"):
+        decay.fit_decay_rate(xs, np.ones_like(xs), (10.0, 20.0))
+
+
+# magnitudes of at least 1e-50 keep the variances clear of underflow
+_floats = st.one_of(st.just(0.0), st.floats(1e-50, 1e6), st.floats(-1e6, -1e-50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_floats, _floats), min_size=2, max_size=40))
+def test_property_fits_equal_scipy_stats(points):
+    # the numpy slope, r and Theil-Sen slope round as scipy.stats does
+    x, y = (np.array(v) for v in zip(*points))
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    ref = stats.linregress(x, y)
+    slope, r = decay._line_fit(x, y)
+    assert (slope, r) == (ref.slope, ref.rvalue)
+    assert decay._theil_sen(x, y) == stats.theilslopes(y, x).slope
 
 
 def test_prop_h_free_equality():
@@ -58,7 +77,7 @@ def test_prop_h_mathieu_inequality():
 
 
 def test_prop_h_rejects_points_above():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         decay.check_prop_H(V0, 0.0, [0.5])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_decay import ode
-from spectral_decay.errors import BandPointError
+from spectral_decay.errors import BandPointError, ValidationError
 from spectral_decay.floquet import (discriminant, discriminant_derivative,
                                     floquet_solutions, floquet_values,
                                     multiplicator)
@@ -153,3 +153,9 @@ def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
     direct = ode.propagate_hill(V, lam, 0.0, 0.3, fd.seed_plus)
     assert n_state == calls[0]
     assert np.array_equal(s, direct)
+
+
+def test_floquet_values_rejects_unknown_side():
+    fd = floquet_solutions(V0, -1.0)
+    with pytest.raises(ValidationError, match="side"):
+        floquet_values(V0, fd, [0.5], "left")

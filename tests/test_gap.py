@@ -96,10 +96,11 @@ def test_band_point_rejected():
         solve_coupling(V0, BOX, 4.0)
 
 
-def test_no_sign_change():
-    # a repulsive-only bracket cannot produce the eigenvalue
+def test_no_sign_change(monkeypatch):
+    # the coupling (~1.74) lies above a bracket capped at alpha = 1.5
+    monkeypatch.setattr(gap, "ALPHA_MAX", 1.5)
     with pytest.raises(NoSignChange):
-        solve_coupling(V0, BOX, -1.0, alpha_bracket=(1e-4, 1e-3))
+        solve_coupling(V0, BOX, -1.0)
 
 
 def test_birman_schwinger_matches_shooting():
@@ -330,12 +331,14 @@ def test_eigenfunction_tail_is_floquet_multiple(square_well_pair):
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
 
 
-def test_padding_stability():
+def test_padding_stability(monkeypatch):
     alpha = solve_coupling(V0, BOX, -1.0)
     # padding must be deep enough that the truncated tail mass (~e^{-2x})
     # no longer moves the normalization at the 1e-8 level
-    p10 = eigenfunction(V0, BOX, alpha, -1.0, n_periods=10)
-    p14 = eigenfunction(V0, BOX, alpha, -1.0, n_periods=14)
+    monkeypatch.setattr(gap, "N_PERIODS", 10)
+    p10 = eigenfunction(V0, BOX, alpha, -1.0)
+    monkeypatch.setattr(gap, "N_PERIODS", 14)
+    p14 = eigenfunction(V0, BOX, alpha, -1.0)
     assert abs(p10.c_plus - p14.c_plus) <= 1e-8 * abs(p10.c_plus)
 
 

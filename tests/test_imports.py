@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,12 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name for name in imported - used if (path.stem, name) not in KEPT}
     assert not unused, f"{path.name} never uses {sorted(unused)}"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # the decay fits are numpy expressions; scipy.stats costs ~0.5 s to import
+    src = str(pathlib.Path(spectral_decay.__file__).parents[1])
+    code = "import sys, spectral_decay.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

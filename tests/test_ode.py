@@ -93,7 +93,7 @@ def test_monodromy_free_closed_forms():
 def test_monodromy_piecewise_is_transfer_product():
     lam = 5.0
     M = ode.monodromy(STEP, lam)
-    T = ode.constant_transfer(0.0, lam, 0.5) @ ode.constant_transfer(10.0, lam, 0.5)
+    T = oracles.constant_transfer(0.0, lam, 0.5) @ oracles.constant_transfer(10.0, lam, 0.5)
     assert np.allclose(M, T, atol=1e-13)
 
 
@@ -141,7 +141,7 @@ def test_perturbed_propagation_constant_shift():
     Q = CompactPerturbation.box(-1.0, 1.0, 1.0)
     lam, alpha = -1.0, 1.7
     out = ode.propagate_hill_perturbed(V0, Q, alpha, lam, -1.0, 1.0, (1.0, 0.5))
-    T = ode.constant_transfer(-alpha, lam, 2.0)
+    T = oracles.constant_transfer(-alpha, lam, 2.0)
     assert np.allclose(out, T @ np.array([1.0, 0.5]), atol=1e-10)
 
 
@@ -316,7 +316,7 @@ def test_dirac_smooth_w_vs_dop853():
     W = MatrixPerturbation(support=(-1.0, 1.0), func=w)
     s0 = np.array([1.0, 0.5j])
     out = ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, s0)
-    ref = _dop853(lambda x, p: ode.dirac_coefficient(W, 1.0, 0.2, x) @ p, -1.0, 1.0, s0)
+    ref = _dop853(lambda x, p: oracles.dirac_coefficient(W, 1.0, 0.2, x) @ p, -1.0, 1.0, s0)
     assert np.allclose(out, ref, rtol=1e-9, atol=1e-9)
     # the same W held constant goes through the exact closed form
     Wc = MatrixPerturbation.constant_matrix(w(0.25), (-1.0, 1.0))
