@@ -6,8 +6,8 @@ comes from mpmath's Taylor-series ODE solver at 25 digits, the band
 edges of Mathieu and other Fourier potentials come from a truncated
 plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
 finite-difference discretization on a large box; the Hill and Dirac
-exponentials are also written out in scalar math/cmath arithmetic, and the symbol norm has
-its one-start-at-a-time ascent.  The Birman-Schwinger
+exponentials are also written out in scalar math/cmath arithmetic, and
+the symbol norm has its one-start-at-a-time ascent.  The Birman-Schwinger
 reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, its
 Jacobi eigenvalues have a long-double Sturm-bisection reference, the
