@@ -51,11 +51,11 @@ def _root(f, a: float, b: float, *args) -> float:
 def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
     """Scan [-max|V| - 1, lam_max] for band edges of -d^2/dx^2 + V
     (F > 1 strictly below the floor, where no spectrum exists)."""
-    if grid_step <= 0:
-        raise ValidationError("grid_step must be positive")
+    if not 0 < grid_step < np.inf:
+        raise ValidationError(f"grid_step must be positive and finite, got {grid_step}")
     lam_min = -V.max_abs() - 1.0
-    if lam_max <= lam_min:
-        raise ValidationError("lam_max must exceed the scan floor")
+    if not lam_min < lam_max < np.inf:
+        raise ValidationError(f"lam_max must be finite and exceed the scan floor, got {lam_max}")
 
     n = ode.check_lambda_count(np.ceil((lam_max - lam_min) / grid_step) + 1)
     grid = np.linspace(lam_min, lam_max, n)

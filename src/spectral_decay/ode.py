@@ -9,13 +9,16 @@ segments of [x0, x1] between the jumps of A, and one product multiplies
 closed-form 2x2 exponentials over them, in either direction and through
 optional dense samples; a dense walk lowers [x0, x1] once more with its
 samples as extra cuts, and each cell between neighbouring samples takes
-the segments between its ends.  The exponential is exact where A is constant
-(piecewise V, V - alpha Q with a piecewise profile, W constant on its
-support); elsewhere the product takes fourth-order Magnus steps with two
-Gauss points (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).
-tol sets the step count: it grows by powers of two until n and 2n steps
-agree to tol relative to the transfer matrix, and the 2n-step product is
-kept with that difference as its error bound.
+the segments between its ends.  The unit cell [0, 1] of the monodromy is
+lowered once per potential, kept by identity for the last _POTENTIALS
+potentials with the Gauss-node samples of Magnus walks of up to _NODES
+steps.  The exponential is exact where A is constant (piecewise V,
+V - alpha Q with a piecewise profile, W constant on its support); elsewhere
+the product takes fourth-order Magnus steps with two Gauss points
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  tol sets the
+step count: it grows by powers of two until n and 2n steps agree to tol
+relative to the transfer matrix, and the 2n-step product is kept with
+that difference as its error bound.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v and a Magnus exponent only through its
@@ -23,7 +26,7 @@ piece only through s = lambda - v and a Magnus exponent only through its
 has no lambda.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and
 so is a Magnus exponent, since [A2, A1] = [A02, A01] + i lambda
 [s1, A01 - A02].  So the segments and the samples of V or W at the piece
-midpoints and the Gauss nodes are computed once per call, and numpy
+midpoints and the Gauss nodes are computed once per lowering, and numpy
 evaluates lambda x segments in blocks; each lambda keeps its own
 certified step density.  A scalar lambda is a batch of one.
 
@@ -40,6 +43,7 @@ of a Hill piece, and _expm2 that of a Dirac one.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
@@ -62,6 +66,8 @@ _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
+_NODES = 2 ** 15      # Magnus steps of the longest walk whose Gauss nodes are kept
+_POTENTIALS = 8       # unit-cell lowerings kept, the most recently used
 
 
 def check_lambda_count(n) -> int:
@@ -225,14 +231,14 @@ class _Hill:
         """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb].  The
         exponent is [[q, h], [r - h lam, -q]] with r = h (u1 + u2) / 2 and
         q = sqrt(3) h^2 (u1 - u2) / 12, where u = V - alpha Q at the nodes."""
-        key = (pa, pb, n)
-        if key not in self.nodes:
+        key, nodes = (pa, pb, n), self.nodes if n <= _NODES else {}
+        if key not in nodes:
             h = (pb - pa) / n
             x = pa + h * np.arange(n)
             u1, u2 = (self.u(x + g * h) for g in _GAUSS)
             q, r = math.sqrt(3.0) / 12.0 * h * h * (u1 - u2), 0.5 * h * (u1 + u2)
-            self.nodes[key] = h, q, r, -q * q - h * r
-        h, q, r, d0 = self.nodes[key]
+            nodes[key] = h, q, r, -q * q - h * r
+        h, q, r, d0 = nodes[key]
         lam = lams[:, None]
         C, S = _cs(d0 + h * h * lam, 1.0)  # det of the exponent
         return _matrices(C + S * q, S * h, S * (r - h * lam), C - S * q)
@@ -307,44 +313,60 @@ def _fold(F: np.ndarray) -> np.ndarray:
     return T
 
 
+class _Plan:
+    """The lambda-free part of a product over cells (segment lists): the
+    (cell, depth) slot of each Magnus walk and exact piece, short cells
+    behind identities, and the lengths h and values p of the exact pieces."""
+
+    def __init__(self, cells):
+        self.count, self.depth = len(cells), max(map(len, cells), default=0)
+        self.length = cells[0][-1][1] - cells[0][0][0] if cells and cells[0] else 0.0
+        slots = [(j, i, pa, pb, p) for j, cell in enumerate(cells)
+                 for i, (pa, pb, p) in enumerate(cell, start=self.depth - len(cell))]
+        self.magnus = [slot[:4] for slot in slots if slot[4] is None]
+        exact = [(j, i, pb - pa, p) for j, i, pa, pb, p in slots if p is not None]
+        self.tiled = 0 < len(exact) == self.count * self.depth  # their stack is F
+        self.at = [e[0] for e in exact], [e[1] for e in exact]
+        self.h, self.p = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
+
+
 def _product(system, cells, lams, density: float, refine: int = 1, bound: bool = False):
     """Transfer matrices (k, c, 2, 2) over c cells for k lambdas; with bound,
     also the products of the factors' absolute values.
 
-    Each cell is a list of segments (pa, pb, p) from system.segments: exact
-    where p is given, else refine * max(1, ceil(length * density)) Magnus
-    steps.  Lambdas go in blocks of at most _BLOCK factor matrices.
+    cells is a list of cells or their _Plan.  A segment (pa, pb, p) is
+    exact where p is given, else refine * max(1, ceil(length * density))
+    Magnus steps.  Lambdas go in blocks of at most _BLOCK factor matrices.
     """
-    depth = max((len(cell) for cell in cells), default=0)
-    exact, magnus = [], []
-    for j, cell in enumerate(cells):
-        for i, (pa, pb, p) in enumerate(cell, start=depth - len(cell)):  # identity in front
-            if p is None:
-                magnus.append((j, i, pa, pb, refine * max(1, math.ceil((pb - pa) * density))))
-            else:
-                exact.append((j, i, pb - pa, p))
-    eh, ep = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
-    size = len(exact) + sum(m[-1] for m in magnus) + len(cells) * depth
+    plan = cells if isinstance(cells, _Plan) else _Plan(cells)
+    magnus = [(j, i, pa, pb, refine * max(1, math.ceil((pb - pa) * density)))
+              for j, i, pa, pb in plan.magnus]
+    size = len(plan.h) + sum(m[-1] for m in magnus) + plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
-    out = np.empty((len(lams), len(cells), 2, 2), dtype=system.dtype(lams))
+    out = np.empty((len(lams), plan.count, 2, 2), dtype=system.dtype(lams))
     absolute = np.empty(out.shape) if bound else None
     for lo in range(0, len(lams), block):
         lb = lams[lo:lo + block]
-        F = np.empty((len(lb), len(cells), depth, 2, 2), dtype=system.dtype(lams))
-        F[...] = _I2
-        if exact:
-            F[:, [e[0] for e in exact], [e[1] for e in exact]] = system.exact(lb, ep, eh)
-        for j, i, pa, pb, n in magnus:
-            F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
+        if plan.tiled:
+            F = system.exact(lb, plan.p, plan.h).reshape(len(lb), plan.count, plan.depth, 2, 2)
+        else:
+            F = np.empty((len(lb), plan.count, plan.depth, 2, 2), dtype=system.dtype(lams))
+            F[...] = _I2
+            if len(plan.h):
+                F[:, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)
+            for j, i, pa, pb, n in magnus:
+                F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
         out[lo:lo + block] = _fold(F)
         if bound:
             absolute[lo:lo + block] = _fold(np.abs(F))
     return (out, absolute) if bound else out
 
 
-def _finite(a, what: str):
+def _finite(a, what: str, lams=()):
     if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
-        raise StepFailure(f"{what} is not finite (overflow)")
+        nan = [lam.item() for lam in np.ravel(lams) if cmath.isnan(lam)]
+        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan
+                          else f"{what} is not finite (overflow)")
     return a
 
 
@@ -356,37 +378,36 @@ def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
 
 
 def _certify(system, segs, lams, tol: float, bound: bool = False):
-    """(T, density, err) per lambda: the product over segs at refine 2, the
-    Magnus step density at which it meets tol (agrees with refine 1),
-    and its error bound: that refine 1-vs-2 difference plus the rounding
-    of its m factors relative to max|T|.  Lambdas are grouped by density.
-    Where every segment is exact, density is 0 and, with bound, err bounds
-    the rounding relative to the product of the factors' absolute values
-    (a Magnus walk has too many factors for that product to bound
-    anything); else err is None."""
-    k = len(lams)
-    length = segs[-1][1] - segs[0][0] if segs else 0.0
-    if all(p is not None for *_, p in segs):
-        T, err = _product(system, [segs], lams, 0, 1, bound), None
+    """(T, density, err) per lambda: the product over segs (segments or
+    their _Plan) at refine 2, the Magnus step density at which it meets tol
+    (agrees with refine 1), and its error bound: that refine 1-vs-2
+    difference plus the rounding of its m factors relative to max|T|.
+    Lambdas are grouped by density.  Where every segment is exact, density
+    is 0 and, with bound, err bounds the rounding relative to the product
+    of the factors' absolute values (a Magnus walk has too many factors for
+    that product to bound anything); else err is None."""
+    plan = segs if isinstance(segs, _Plan) else _Plan([segs])
+    k, length = len(lams), plan.length
+    if not plan.magnus:
+        T, err = _product(system, plan, lams, 0, 1, bound), None
         if bound:
             T, P = T
-            err = _rounding(system, lams, length, len(segs), np.max(P[:, 0], axis=(1, 2)))
-        return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
+            err = _rounding(system, lams, length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
+        return _finite(T[:, 0], "transfer matrix", lams), np.zeros(k, dtype=int), err
 
     density = np.full(k, 8)
-    spans = np.array([pb - pa for pa, pb, p in segs if p is None])
-    n_exact = len(segs) - len(spans)
+    spans = np.array([pb - pa for *_, pa, pb in plan.magnus])
 
     def products(idx, refine):  # at density[idx], grouped
         out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
         for d in np.unique(density[idx]):
             g = density[idx] == d
-            out[g] = _product(system, [segs], lams[idx[g]], int(d), refine)[:, 0]
+            out[g] = _product(system, plan, lams[idx[g]], int(d), refine)[:, 0]
         return out
 
     T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
     todo = np.arange(k)
-    T = _finite(products(todo, 1), "transfer matrix")
+    T = _finite(products(todo, 1), "transfer matrix", lams)
     while todo.size:
         T2 = products(todo, 2)
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
@@ -395,8 +416,8 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
         ok = ratio <= 1.0
         steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
         T_out[todo[ok]] = T2[ok]
-        err[todo[ok]] = diff[ok] + _rounding(system, lams[todo[ok]], length, n_exact + steps,
-                                             scale[ok])
+        err[todo[ok]] = diff[ok] + _rounding(system, lams[todo[ok]], length,
+                                             len(plan.h) + steps, scale[ok])
         todo, ratio = todo[~ok], ratio[~ok]
         # fourth order: each doubling shrinks the difference ~16-fold
         density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / 4.0)).astype(int)
@@ -457,23 +478,31 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
     return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
 
 
-def _transfer(system, lams, x0: float, x1: float, tol: float, bound: bool = False):
-    """Certified transfer matrices (*shape, 2, 2) over [x0, x1] for an array
-    of lambda, and (with bound) the error bound of each."""
+@functools.lru_cache(maxsize=_POTENTIALS)
+def _hill(key: int, V):
+    """(_Hill(V), the _Plan of [0, 1]), cached under key = id(V) and V: no other
+    potential takes that id while V is cached, and equal values (0.0, -0.0) are no key."""
+    system = _Hill(V)
+    return system, _Plan([system.segments(0.0, 1.0)])
+
+
+def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool = False):
+    """Certified transfer matrices (*shape, 2, 2) over the segments segs of
+    [x0, x1] for an array of lambda, and (with bound) the error bound of each."""
     lams = np.asarray(lams)
     check_lambda_count(lams.size)
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
     _check_phase(system, flat, x0, x1, tol)
-    T, _, err = _certify(system, system.segments(x0, x1), flat, tol, bound)
+    T, _, err = _certify(system, segs, flat, tol, bound)
     return T.reshape(lams.shape + (2, 2)), err
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _transfer(_Hill(V), lam, 0.0, 1.0, tol)[0]
+    return _transfer(*_hill(id(V), V), lam, 0.0, 1.0, tol)[0]
 
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
@@ -481,7 +510,7 @@ def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _transfer(_Hill(V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
+    return _transfer(*_hill(id(V), V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
 
 
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -510,7 +539,8 @@ def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT
     _check_mass(m)
     if not x0 <= x1:
         raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
-    return _transfer(_Dirac(W, m), lams, x0, x1, tol)[0]
+    system = _Dirac(W, m)
+    return _transfer(system, system.segments(x0, x1), lams, x0, x1, tol)[0]
 
 
 def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,

@@ -217,3 +217,16 @@ def test_property_narrow_gaps_vs_plane_wave_oracle(mean, cos, sin):
 def test_invalid_scan_fails_typed(lam_max, grid_step, message):
     with pytest.raises(ValidationError, match=message):
         band_edges(V0, lam_max, grid_step=grid_step)
+
+
+@pytest.mark.parametrize("lam_max, grid_step, message", [
+    (math.nan, 0.05, "lam_max must be finite .* got nan"),
+    (math.inf, 0.05, "lam_max must be finite .* got inf"),
+    (-math.inf, 0.05, "lam_max must be finite .* got -inf"),
+    (5.0, math.nan, "grid_step must be positive and finite, got nan"),
+    (5.0, math.inf, "grid_step must be positive and finite, got inf"),
+])
+def test_non_finite_scan_fails_naming_the_input(lam_max, grid_step, message):
+    # not as a lambda count: ceil((lam_max - floor) / grid_step) is nan or inf
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        band_edges(MATHIEU, lam_max, grid_step=grid_step)

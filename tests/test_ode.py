@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from spectral_decay import ode
+from spectral_decay import floquet, gap, ode
 from spectral_decay.errors import StepFailure, ValidationError
 from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
                                        PeriodicPotential)
@@ -480,3 +481,138 @@ def test_property_one_pass_dirac_cells_are_the_per_cell_lowering(kind, a, m, t, 
     stops = _stops(data, data.draw(st.floats(-1.5, 0.5)), list(support))
     _same_walk(lambda x0, x1, d: ode.propagate_dirac(W, m, t * m, x0, x1, (1.0, 0.5j), dense_xs=d),
                stops)
+
+
+# the unit-cell lowering is kept per potential, by identity: random 1-4-step
+# V whose values include 0.0 and -0.0, lambda sets including both zeros
+signed = st.one_of(st.floats(-4.0, 12.0), st.sampled_from([0.0, -0.0]))
+signed_piecewise = st.builds(
+    lambda v0, rest: PeriodicPotential.piecewise([0.0, *(c for c, _ in rest)],
+                                                 [v0, *(v for _, v in rest)]),
+    signed, st.lists(st.tuples(st.floats(0.05, 0.95), signed), max_size=3,
+                     unique_by=lambda piece: piece[0]).map(sorted))
+signed_lams = st.lists(st.one_of(st.floats(-20.0, 500.0), st.sampled_from([0.0, -0.0, 3.0])),
+                       min_size=1, max_size=12)
+
+
+def _bits(a) -> bytes:
+    """The bytes of an array: tells 0.0 from -0.0, which array_equal does not."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _unit_cell_outputs(V, lams):
+    M, err = ode.certified_monodromy(V, lams)
+    return [ode.monodromy(V, lams), M, err, floquet.discriminant_derivative(V, lams)]
+
+
+def _flipped(V):
+    """A new potential equal to V, with the sign of each zero value flipped."""
+    return PeriodicPotential.piecewise(V.breaks, [-v if v == 0.0 else v for v in V.values])
+
+
+@props
+@given(signed_piecewise, signed_lams)
+def test_property_warm_lowering_is_a_cold_one_and_the_closed_form(V, lams):
+    lams = np.array(lams)
+    _unit_cell_outputs(V, lams)  # warms the cache
+    warm = _unit_cell_outputs(V, lams)
+    cold = _unit_cell_outputs(PeriodicPotential.piecewise(V.breaks, V.values), lams)
+    assert [_bits(a) for a in warm] == [_bits(a) for a in cold]
+    oracle = np.array([oracles.closed_form_monodromy(V, lam) for lam in lams])
+    dM = np.array([oracles.closed_form_monodromy(V, lam + 1j * floquet.CS_STEP)
+                   for lam in lams]).imag / floquet.CS_STEP
+    assert _bits(warm[0]) == _bits(oracle) == _bits(warm[1])
+    assert _bits(warm[3]) == _bits(0.5 * (dM[:, 0, 0] + dM[:, 1, 1]))
+    # an equal potential with the zeros' signs flipped is lowered on its own,
+    # and V stays lowered
+    W, hill, lowered = _flipped(V), ode._Hill, []
+    assert W == V
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "_Hill", lambda *args: lowered.append(args[0]) or hill(*args))
+        assert _bits(ode.monodromy(W, lams)) == _bits(
+            [oracles.closed_form_monodromy(W, lam) for lam in lams])
+        ode.monodromy(V, lams)
+    assert len(lowered) == 1 and lowered[0] is W
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(signed_piecewise)
+def test_property_lowering_cache_stays_bounded(V):
+    for shift in range(1000):
+        W = PeriodicPotential.piecewise(V.breaks, [v + shift for v in V.values])
+        floquet.discriminant(W, 2.0)
+        assert ode._hill.cache_info().currsize <= ode._POTENTIALS
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(signed_piecewise, signed_lams)
+def test_property_a_new_potential_never_gets_a_stale_lowering(V, lams):
+    # each potential is dropped at once: one that outlives its cache entry
+    # is collected, and a later one may take its id
+    refs = []
+    for shift in range(100):
+        W = PeriodicPotential.piecewise(V.breaks, [v + shift for v in V.values])
+        refs.append(weakref.ref(W))
+        assert _bits(ode.monodromy(W, lams)) == _bits(
+            [oracles.closed_form_monodromy(W, lam) for lam in lams])
+        del W
+    assert any(ref() is None for ref in refs)
+
+
+def test_kept_gauss_nodes_are_capped_and_change_no_bit(monkeypatch):
+    lams = np.linspace(-10.0, 300.0, 7)
+    ref = ode.certified_monodromy(PeriodicPotential.fourier(*THREE), lams)
+    monkeypatch.setattr(ode, "_NODES", 64)
+    V = PeriodicPotential.fourier(*THREE)
+    for _ in range(2):  # cold, then warm
+        M, err = ode.certified_monodromy(V, lams)
+        assert _bits(M) == _bits(ref[0]) and _bits(err) == _bits(ref[1])
+    system, _ = ode._hill(id(V), V)
+    assert system.nodes and max(n for *_, n in system.nodes) <= 64
+
+
+# where the exact pieces fill every (cell, depth) slot, their stack is the
+# factor stack; a cell of no segments behind them takes the identity-padded route
+@props
+@given(st.one_of(st.none(), hermitian), st.floats(0.2, 3.0), st.floats(-1.0, 0.0),
+       st.floats(0.05, 3.0), st.floats(-8.0, 8.0))
+def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, length, lam):
+    b = a + length
+    W = None if w is None else MatrixPerturbation.constant_matrix(w, (a, b))
+    T = ode.dirac_transfer(W, m, [lam], a, b)
+    assert _bits(T) == _bits([oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)])
+    system = ode._Dirac(W, m)
+    segs = system.segments(a, b)
+    assert ode._Plan([segs]).tiled and not ode._Plan([segs, []]).tiled
+    padded = ode._product(system, [segs, []], np.array([lam]), 0)[:, 0]
+    assert _bits(T) == _bits(padded)
+
+
+@props
+@given(piecewise, st.floats(-10.0, 60.0), st.integers(1, 2), st.floats(-1.5, 0.5))
+def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
+    # stops on every per_cell-th cut of V: each cell holds per_cell exact pieces
+    cuts = [n + c for n in range(-2, 4) for c, _ in V.cell_pieces() if lo < n + c < lo + 2.5]
+    xs = cuts[::per_cell]
+    if len(xs) < 3:
+        return
+    T = ode.cell_transfers(V, lam, xs)
+    assert _bits(T) == _bits(oracles.cells_reference(ode._Hill(V), lam, xs, ode.DEFAULT_TOL))
+    system = ode._Hill(V)
+    cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
+    if len({len(cell) for cell in cells}) > 1:  # two cuts within 1e-15 of each other
+        return
+    assert ode._Plan(cells).tiled and not ode._Plan(cells + [[]]).tiled
+    padded = ode._product(system, cells + [[]], np.array([lam]), 0, 2)[0, :-1]
+    assert _bits(T) == _bits(padded)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ode.monodromy(STEP, [1.0, math.nan]),
+    lambda: ode.monodromy(MATHIEU, math.nan),
+    lambda: floquet.discriminant(STEP, math.nan),
+    lambda: gap.solve_coupling(STEP, CompactPerturbation.box(-1.0, 1.0), math.nan),
+], ids=["monodromy", "magnus", "discriminant", "solve_coupling"])
+def test_nan_lambda_fails_named(call):
+    with pytest.raises(StepFailure, match="lambda = nan is not a number"):
+        call()
