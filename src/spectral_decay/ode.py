@@ -66,7 +66,7 @@ _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
-_NODES = 2 ** 15      # Magnus steps of the longest walk whose Gauss nodes are kept
+_NODES = 2 ** 13      # Magnus steps of the longest walk whose Gauss nodes are kept
 _POTENTIALS = 8       # unit-cell lowerings kept, the most recently used
 
 
