@@ -10,9 +10,9 @@ closed-form 2x2 exponentials over them, in either direction and through
 optional dense samples; a dense walk lowers [x0, x1] once more with its
 samples as extra cuts, and each cell between neighbouring samples takes
 the segments between its ends.  The unit cell [0, 1] of the monodromy is
-lowered once per potential, kept by identity for the last _POTENTIALS
-potentials with the Gauss-node samples of Magnus walks of up to _NODES
-steps.  The exponential is exact where A is constant (piecewise V,
+lowered once per potential: the lowering of the last potential asked
+for is kept, matched by identity, with the Gauss-node samples of Magnus
+walks of up to _NODES steps.  The exponential is exact where A is constant (piecewise V,
 V - alpha Q with a piecewise profile, W constant on its support); elsewhere
 the product takes fourth-order Magnus steps with two Gauss points
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  tol sets the
@@ -43,7 +43,6 @@ of a Hill piece, and _expm2 that of a Dirac one.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 
@@ -67,7 +66,6 @@ _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
 _NODES = 2 ** 13      # Magnus steps of the longest walk whose Gauss nodes are kept
-_POTENTIALS = 8       # unit-cell lowerings kept, the most recently used
 
 
 def check_lambda_count(n) -> int:
@@ -362,11 +360,14 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
     return (out, absolute) if bound else out
 
 
-def _finite(a, what: str, lams=()):
+def _finite(a, what: str, lams):
+    """a, or StepFailure naming the first nan lambda, else the overflow."""
     if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
         nan = [lam.item() for lam in np.ravel(lams) if cmath.isnan(lam)]
-        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan
-                          else f"{what} is not finite (overflow)")
+        if nan:  # by its real part where that is nan: F' passes lambda + i CS_STEP
+            lam = nan[0].real if math.isnan(nan[0].real) else nan[0]
+            raise StepFailure(f"lambda = {lam} is not a number")
+        raise StepFailure(f"{what} is not finite (overflow)")
     return a
 
 
@@ -412,7 +413,7 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
         T2 = products(todo, 2)
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
         scale = np.max(np.abs(T2), axis=(1, 2))
-        ratio = _finite(diff / (tol * np.maximum(1.0, scale)), "transfer matrix")
+        ratio = _finite(diff / (tol * np.maximum(1.0, scale)), "transfer matrix", lams)
         ok = ratio <= 1.0
         steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
         T_out[todo[ok]] = T2[ok]
@@ -465,7 +466,7 @@ def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
     for xa, xb, T in zip(stops[:-1], stops[1:], _cells(system, lam, stops, tol)):
         s = states[-1]
         states.append(s if xa == xb else T @ s if xb > xa else np.linalg.solve(T, s))
-    states = _finite(np.array(states[1:]), "state")
+    states = _finite(np.array(states[1:]), "state", lam)
     return states[-1] if dense_xs is None else (states[-1], states[:-1])
 
 
@@ -478,12 +479,20 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
     return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
 
 
-@functools.lru_cache(maxsize=_POTENTIALS)
-def _hill(key: int, V):
-    """(_Hill(V), the _Plan of [0, 1]), cached under key = id(V) and V: no other
-    potential takes that id while V is cached, and equal values (0.0, -0.0) are no key."""
-    system = _Hill(V)
-    return system, _Plan([system.segments(0.0, 1.0)])
+_last = (object(), None, None)  # V, _Hill(V) and the _Plan of [0, 1] of the last V asked for
+
+
+def _unit_cell(V):
+    """_Hill(V) and the _Plan of its unit cell, lowered again only when V is
+    not the last potential asked for.  The match is by identity: the entry
+    holds V, so no other object can be it, and equal values (0.0, -0.0)
+    never share a lowering."""
+    global _last
+    last = _last
+    if last[0] is not V:
+        system = _Hill(V)
+        last = _last = V, system, _Plan([system.segments(0.0, 1.0)])
+    return last[1:]
 
 
 def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool = False):
@@ -502,7 +511,7 @@ def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _transfer(*_hill(id(V), V), lam, 0.0, 1.0, tol)[0]
+    return _transfer(*_unit_cell(V), lam, 0.0, 1.0, tol)[0]
 
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
@@ -510,14 +519,14 @@ def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _transfer(*_hill(id(V), V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
+    return _transfer(*_unit_cell(V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
 
 
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
     of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
     Ts = _cells(_Hill(V), lam, np.asarray(xs, dtype=float).tolist(), tol)
-    return _finite(Ts.reshape(-1, 2, 2), "transfer matrix")
+    return _finite(Ts.reshape(-1, 2, 2), "transfer matrix", lam)
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
