@@ -9,16 +9,15 @@ segments of [x0, x1] between the jumps of A, and one product multiplies
 closed-form 2x2 exponentials over them, in either direction and through
 optional dense samples; a dense walk lowers [x0, x1] once more with its
 samples as extra cuts, and each cell between neighbouring samples takes
-the segments between its ends.  The unit cell [0, 1] of the monodromy is
-lowered once per potential: the lowering of the last potential asked
-for is kept, matched by identity, with the Gauss-node samples of Magnus
-walks of up to _NODES steps.  The exponential is exact where A is constant (piecewise V,
-V - alpha Q with a piecewise profile, W constant on its support); elsewhere
-the product takes fourth-order Magnus steps with two Gauss points
-(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  tol sets the
-step count: it grows by powers of two until n and 2n steps agree to tol
-relative to the transfer matrix, and the 2n-step product is kept with
-that difference as its error bound.
+the segments between its ends.  The monodromy reuses the lowering of [0, 1]
+of the last potential it was given, matched by identity, with the
+Gauss-node samples of its walks of up to _NODES steps.  The exponential is
+exact where A is constant (piecewise V, V - alpha Q with a piecewise profile,
+W constant on its support); elsewhere the product takes fourth-order
+Magnus steps with two Gauss points (Iserles & Norsett 1999; Blanes, Casas,
+Oteo & Ros 2009).  tol sets the step count: it grows by powers of two until
+n and 2n steps agree to tol relative to the transfer matrix, and the
+2n-step product is kept with that difference as its error bound.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v and a Magnus exponent only through its
@@ -43,6 +42,7 @@ of a Hill piece, and _expm2 that of a Dirac one.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
@@ -361,13 +361,10 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
 
 
 def _finite(a, what: str, lams):
-    """a, or StepFailure naming the first nan lambda, else the overflow."""
     if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
-        nan = [lam.item() for lam in np.ravel(lams) if cmath.isnan(lam)]
-        if nan:  # by its real part where that is nan: F' passes lambda + i CS_STEP
-            lam = nan[0].real if math.isnan(nan[0].real) else nan[0]
-            raise StepFailure(f"lambda = {lam} is not a number")
-        raise StepFailure(f"{what} is not finite (overflow)")
+        nan = [z.real if math.isnan(z.real) else z for z in np.ravel(lams) if cmath.isnan(z)]
+        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan  # F' adds i CS_STEP
+                          else f"{what} is not finite (overflow)")
     return a
 
 
@@ -479,20 +476,12 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
     return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
 
 
-_last = (object(), None, None)  # V, _Hill(V) and the _Plan of [0, 1] of the last V asked for
-
-
-def _unit_cell(V):
-    """_Hill(V) and the _Plan of its unit cell, lowered again only when V is
-    not the last potential asked for.  The match is by identity: the entry
-    holds V, so no other object can be it, and equal values (0.0, -0.0)
-    never share a lowering."""
-    global _last
-    last = _last
-    if last[0] is not V:
-        system = _Hill(V)
-        last = _last = V, system, _Plan([system.segments(0.0, 1.0)])
-    return last[1:]
+@functools.lru_cache(maxsize=1)
+def _unit_cell(key: int, V):
+    """(_Hill(V), the _Plan of [0, 1]) under key = id(V) and V: V stays alive, so no
+    other potential takes its id, and equal values (0.0, -0.0) are no key."""
+    system = _Hill(V)
+    return system, _Plan([system.segments(0.0, 1.0)])
 
 
 def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool = False):
@@ -511,7 +500,7 @@ def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _transfer(*_unit_cell(V), lam, 0.0, 1.0, tol)[0]
+    return _transfer(*_unit_cell(id(V), V), lam, 0.0, 1.0, tol)[0]
 
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
@@ -519,7 +508,7 @@ def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _transfer(*_unit_cell(V), np.asarray(lams).reshape(-1), 0.0, 1.0, tol, True)
+    return _transfer(*_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, tol, True)
 
 
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -570,7 +570,7 @@ def test_kept_gauss_nodes_are_capped_and_change_no_bit(monkeypatch):
     for _ in range(2):  # cold, then warm
         M, err = ode.certified_monodromy(V, lams)
         assert _bits(M) == _bits(ref[0]) and _bits(err) == _bits(ref[1])
-    system, _ = ode._unit_cell(V)
+    system, _ = ode._unit_cell(id(V), V)
     assert system.nodes and max(n for *_, n in system.nodes) <= 64
 
 
