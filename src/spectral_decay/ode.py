@@ -362,8 +362,9 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
 
 def _finite(a, what: str, lams):
     if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
+        # a nan lambda, by its real part where that is nan: F' passes lambda + i CS_STEP
         nan = [z.real if math.isnan(z.real) else z for z in np.ravel(lams) if cmath.isnan(z)]
-        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan  # F' adds i CS_STEP
+        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan
                           else f"{what} is not finite (overflow)")
     return a
 
