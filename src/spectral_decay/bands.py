@@ -11,7 +11,8 @@ change of F - 1.  Each local extremum of the samples brackets c on its
 two cells, and Brent's method finds c as a root of the complex-step F'.
 A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
 the n-vs-2n difference of its Magnus product plus the rounding of its
-steps, or the rounding of its closed form on piecewise V.  The whole grid is one batched evaluation.
+steps, or the rounding of its closed form on piecewise V.  The whole grid
+is one batched evaluation.
 Edges of a gap with a sample inside are refined on the cells where
 F -+ 1 changes sign; a gap narrower than a cell has no such sample, and
 c and the ends of its cell bracket the edges.
@@ -76,7 +77,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     gaps, incomplete = [], False
 
     d, dF_top = np.diff(Fs), dF(lam_max)
-    extrema = [j for j in range(i + 1, n - 1) if d[j - 1] * d[j] < 0]
+    extrema = (np.flatnonzero(d[i:-1] * d[i + 1:] < 0) + i + 1).tolist()
     if d[-1] * dF_top < 0:  # a critical point in the last cell
         extrema.append(n - 1)
     for j in extrema:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import DegenerateMatch, OutsideGap, ValidationError
+from .errors import DegenerateMatch, OutsideGap, StepFailure, ValidationError
 from .potentials import MatrixPerturbation
 
 N_SCAN = 400           # determinant samples across the gap
@@ -79,18 +79,38 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam):
     return ode.wronskian((T @ dm[..., None])[..., 0], dp)
 
 
+def _scan(W: MatrixPerturbation, m: float, lams) -> np.ndarray:
+    """matching_determinant at lams, nan at the points it cannot represent:
+    a batch that fails is evaluated again in halves."""
+    try:
+        return matching_determinant(W, m, lams)
+    except StepFailure:
+        if len(lams) == 1:
+            return np.array([complex(np.nan, np.nan)])
+        half = len(lams) // 2
+        return np.concatenate([_scan(W, m, lams[:half]), _scan(W, m, lams[half:])])
+
+
 def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     """Eigenvalues of the Dirac operator inside the gap (-m, m).
 
     Scans (-m, m) less 1e-9 m at each end in one batched determinant
     call, refines sign changes of Im(det) by Brent, and keeps only roots
     at which the full complex determinant vanishes (|det| below
-    VERIFY_REL times its scan scale).  An empty list is a valid result.
+    VERIFY_REL times its scan scale).  Scan points whose determinant
+    overflows (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) are dropped,
+    with the cells next to them; StepFailure only where every point is.
+    An empty list is a valid result.
     """
     eps = 1e-9 * m
     grid = np.linspace(-m + eps, m - eps, N_SCAN)
-    dets = matching_determinant(W, m, grid)
-    scale = np.max(np.abs(dets))
+    try:
+        dets = matching_determinant(W, m, grid)
+    except StepFailure:
+        dets = _scan(W, m, grid)
+        if np.isnan(dets).all():
+            raise
+    scale = np.nanmax(np.abs(dets))
 
     def f(lam):
         return matching_determinant(W, m, lam).imag

@@ -10,24 +10,27 @@ closed-form 2x2 exponentials over them, in either direction and through
 optional dense samples; a dense walk lowers [x0, x1] once more with its
 samples as extra cuts, and each cell between neighbouring samples takes
 the segments between its ends.  The monodromy reuses the lowering of [0, 1]
-of the last potential it was given, matched by identity, with the
-Gauss-node samples of its walks of up to _NODES steps.  The exponential is
-exact where A is constant (piecewise V, V - alpha Q with a piecewise profile,
-W constant on its support); elsewhere the product takes fourth-order
-Magnus steps with two Gauss points (Iserles & Norsett 1999; Blanes, Casas,
-Oteo & Ros 2009).  tol sets the step count: it grows by powers of two until
-n and 2n steps agree to tol relative to the transfer matrix, and the
-2n-step product is kept with that difference as its error bound.
+of the last potential it was given, matched by identity, with the Magnus
+exponents of its walks of up to _NODES steps.  The exponential is exact
+where A is constant (piecewise V, V - alpha Q with a piecewise profile, W
+constant on its support); elsewhere the product takes sixth-order Magnus
+steps with three Gauss points (Blanes, Casas & Ros 2000; Blanes, Casas,
+Oteo & Ros 2009).  A step outside the Magnus convergence disc, h rate(lambda)
+> 1, takes the fourth-order exponent of the same three samples instead.
+All walks of a product with equally many steps are evaluated in one call.
+tol sets the step count: it grows by powers of two until n and 2n steps
+agree to tol relative to the transfer matrix, and the 2n-step product is
+kept with that difference as its error bound.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
-piece only through s = lambda - v and a Magnus exponent only through its
-(1, 0) entry, -h lambda: the commutator [A2, A1] = diag(V1 - V2, V2 - V1)
-has no lambda.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and
-so is a Magnus exponent, since [A2, A1] = [A02, A01] + i lambda
-[s1, A01 - A02].  So the segments and the samples of V or W at the piece
-midpoints and the Gauss nodes are computed once per lowering, and numpy
-evaluates lambda x segments in blocks; each lambda keeps its own
-certified step density.  A scalar lambda is a batch of one.
+piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
+only through p and r, affinely: the samples of A differ only in their
+(1, 0) entry.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and a
+sixth-order exponent is a cubic in lambda with lambda-free coefficient
+matrices.  So the segments, the samples of V or W at the piece midpoints
+and the exponent coefficients at the Gauss nodes are computed once per
+lowering, and numpy evaluates lambda x segments in blocks; each lambda
+keeps its own certified step density.  A scalar lambda is a batch of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -61,11 +64,12 @@ _ISIGMA1 = 1j * SIGMA1
 
 _I2 = np.eye(2)
 _EPS = sys.float_info.epsilon
-_GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+_GAUSS = 0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)
+_ORDER = 6  # of the Magnus steps: a doubling shrinks their error 2^_ORDER-fold
 _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
-_NODES = 2 ** 13      # Magnus steps of the longest walk whose Gauss nodes are kept
+_NODES = 2 ** 13      # Magnus steps of the longest walk group whose exponents are kept
 
 
 def check_lambda_count(n) -> int:
@@ -159,11 +163,71 @@ def _expm2(X: np.ndarray) -> np.ndarray:
 
 
 def _reduce(E: np.ndarray) -> np.ndarray:
-    """E[:, -1] @ ... @ E[:, 0] of a stack (k, n, 2, 2), pairwise."""
-    while E.shape[1] > 1:
-        n = E.shape[1] - E.shape[1] % 2
-        E = np.concatenate([E[:, 1:n:2] @ E[:, 0:n:2], E[:, n:]], axis=1)
-    return E[:, 0]
+    """E[..., -1, :, :] @ ... @ E[..., 0, :, :] of a stack (..., n, 2, 2), pairwise."""
+    while E.shape[-3] > 1:
+        n = E.shape[-3] - E.shape[-3] % 2
+        E = np.concatenate([E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :], E[..., n:, :, :]], axis=-3)
+    return E[..., 0, :, :]
+
+
+def _add(*polys) -> np.ndarray:
+    """The sum of polynomials in lambda, stacks (degree + 1, ...) of coefficients."""
+    out = np.zeros((max(map(len, polys)),) + np.broadcast_shapes(*(p.shape[1:] for p in polys)),
+                   dtype=np.result_type(*polys))
+    for p in polys:
+        out[:len(p)] += p
+    return out
+
+
+def _commutator(X, Y) -> np.ndarray:
+    """[X, Y] of polynomials in lambda with 2x2 matrix coefficients."""
+    out = np.zeros((len(X) + len(Y) - 1,) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]),
+                   dtype=np.result_type(X, Y))
+    for i in range(len(X)):
+        for j in range(len(Y)):
+            out[i + j] += X[i] @ Y[j] - Y[j] @ X[i]
+    return out
+
+
+def _exponents(A, h, S) -> np.ndarray:
+    """Magnus exponents of steps of lengths h (w,) with A + lam S at their
+    three Gauss nodes, A (3, w, n, 2, 2): polynomials in lam, the stack
+    (4, 2, w, n, 2, 2) of the coefficients of lam^0..lam^3 of the sixth-order
+    exponent [:, 0] (Blanes, Casas & Ros 2000) and the fourth-order one
+    a1 + a3/12 - [a1, a2]/12 [:, 1], taken where the sixth-order series
+    has left its convergence disc."""
+    h = h[:, None, None, None]
+    a1 = np.stack([h * A[1], np.broadcast_to(h * S, A[1].shape)])
+    a2 = (math.sqrt(15.0) / 3.0 * h * (A[2] - A[0]))[None]
+    a3 = (10.0 / 3.0 * h * (A[2] - 2.0 * A[1] + A[0]))[None]
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, _add(2.0 * a3, c1)) / -60.0
+    out = np.zeros((4, 2) + A.shape[1:], dtype=A.dtype)
+    out[:, 0] = _add(a1, a3 / 12.0, _commutator(_add(-20.0 * a1, -a3, c1), _add(a2, c2)) / 240.0)
+    out[:2, 1] = _add(a1, a3 / 12.0, c1 / -12.0)
+    return out
+
+
+def _walks(system, pa, pb, n: int):
+    """(h, exponents) of n Magnus steps over each walk [pa[i], pb[i]]: the step
+    lengths h (w,) and system.exponents at their Gauss nodes, kept in
+    system.nodes where the walks take at most _NODES steps in all."""
+    key, nodes = (pa.tobytes(), pb.tobytes(), n), system.nodes if len(pa) * n <= _NODES else {}
+    if key not in nodes:
+        h = (pb - pa) / n
+        x = pa[:, None] + h[:, None] * np.arange(n)
+        nodes[key] = h, system.exponents(np.stack([x + g * h[:, None] for g in _GAUSS]), h)
+    return nodes[key]
+
+
+def _order(system, lams, h, coefficients) -> np.ndarray:
+    """coefficients (c, 2, w, ...) at each lambda (c, k, w, ...): the
+    sixth-order ones, or the fourth-order ones where a walk's steps leave the
+    Magnus convergence disc, h rate(lam) > 1 (k = 1 where none does)."""
+    outside = np.multiply.outer(system.rate(lams), h) > 1.0
+    if not outside.any():
+        return coefficients[:, :1, ...]
+    return coefficients[:, outside.astype(int), np.arange(len(h))]
 
 
 def _points(xa: float, xb: float, cuts, system_cuts) -> list:
@@ -181,7 +245,7 @@ def _spans(xs) -> list:
 class _Hill:
     """-y'' + (V - alpha Q) y = lam y lowered once, free of lambda: the cuts
     of V and Q, the value of V - alpha Q on each piece where both are
-    constant, and V - alpha Q at the Gauss nodes of each Magnus walk."""
+    constant, and the Magnus exponents of each walk."""
 
     def __init__(self, V, Q: CompactPerturbation | None = None, alpha: float = 0.0):
         self.V, self.Q, self.alpha = V, Q, alpha
@@ -225,21 +289,34 @@ class _Hill:
         """V - alpha Q at the points x."""
         return self.V(x) if self.Q is None else self.V(x) - self.alpha * self.Q.q(x)
 
-    def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
-        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb].  The
-        exponent is [[q, h], [r - h lam, -q]] with r = h (u1 + u2) / 2 and
-        q = sqrt(3) h^2 (u1 - u2) / 12, where u = V - alpha Q at the nodes."""
-        key, nodes = (pa, pb, n), self.nodes if n <= _NODES else {}
-        if key not in nodes:
-            h = (pb - pa) / n
-            x = pa + h * np.arange(n)
-            u1, u2 = (self.u(x + g * h) for g in _GAUSS)
-            q, r = math.sqrt(3.0) / 12.0 * h * h * (u1 - u2), 0.5 * h * (u1 + u2)
-            nodes[key] = h, q, r, -q * q - h * r
-        h, q, r, d0 = nodes[key]
-        lam = lams[:, None]
-        C, S = _cs(d0 + h * h * lam, 1.0)  # det of the exponent
-        return _matrices(C + S * q, S * h, S * (r - h * lam), C - S * q)
+    def exponents(self, x, h) -> np.ndarray:
+        """(q, p0, p1, r0, r1) (5, 2, w, n) of the Magnus exponents [[p, q], [r, -p]],
+        p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w,) with Gauss
+        nodes x (3, w, n), as _exponents: sixth order [:, 0], fourth [:, 1].
+        With A = [[0, 1], [u - lam, 0]] the samples differ only in their (1, 0)
+        entry, so q has no lambda and the exponent is affine in lambda."""
+        u1, u2, u3 = self.u(x)
+        h = h[:, None]
+        a2, a3 = math.sqrt(15.0) / 3.0 * h * (u3 - u1), 10.0 / 3.0 * h * (u3 - 2.0 * u2 + u1)
+        b2, b3 = h * h * a2 * a2 / 3600.0, h * a3 / 180.0
+        # sixth order, with w = u2 - lam: p = p6 + pw w, r = r6 + rw w
+        pw, rw = h * h * h * a2 / 180.0, h * (1.0 + b2 + b3)
+        p6 = h * a2 * (h * a3 - 600.0) / 7200.0
+        r6 = a3 / 12.0 + h * (a3 * a3 - 30.0 * a2 * a2) / 3600.0
+        one = np.ones_like(u2)
+        return np.array([[h * (1.0 + b2 - b3), h * one], [p6 + pw * u2, -h * a2 / 12.0],
+                         [-pw * one, 0.0 * one], [r6 + rw * u2, a3 / 12.0 + h * u2],
+                         [-rw * one, -h * one]])
+
+    def steps(self, lams, pa, pb, n: int) -> np.ndarray:
+        """The Magnus step exponentials (k, w, n, 2, 2) of n steps over each of
+        the w walks [pa[i], pb[i]]."""
+        h, coefficients = _walks(self, pa, pb, n)
+        q, p0, p1, r0, r1 = _order(self, lams, h, coefficients)
+        lam = lams[:, None, None]
+        p, r = p0 + p1 * lam, r0 + r1 * lam
+        C, S = _cs(-p * p - q * r, 1.0)  # det of the exponent
+        return _matrices(C + S * p, S * q, S * r, C - S * p)
 
 
 def _coefficients(lams, w, m: float) -> np.ndarray:
@@ -251,9 +328,7 @@ def _coefficients(lams, w, m: float) -> np.ndarray:
 class _Dirac:
     """-i s1 psi' + m s3 psi + W psi = lam psi lowered once, free of lambda:
     cuts at the support of W, exact where W is None or constant there, and
-    W at the Gauss nodes of each Magnus walk.  B = B0 + i lam s1 is affine in
-    lambda, and so is a Magnus exponent, since [A2, A1] = [A02, A01]
-    + i lam [s1, A01 - A02]."""
+    the Magnus exponents of each walk, cubics in lambda since B = B0 + i lam s1."""
 
     def __init__(self, W, m: float):
         self.W, self.m = W, m
@@ -287,20 +362,20 @@ class _Dirac:
         """exp(h B(mid)) (k, m, 2, 2) on the m pieces where W is constant."""
         return _expm2(h[:, None, None] * _coefficients(lams, self.w(mids), self.m))
 
-    def steps(self, lams, pa: float, pb: float, n: int) -> np.ndarray:
-        """The n Magnus step exponentials (k, n, 2, 2) over [pa, pb].  The
-        exponent h (A1 + A2) / 2 + sqrt(3) h^2 / 12 [A2, A1] of B at the
-        Gauss nodes is O0 + lam O1, with A0 = B at lam = 0."""
-        key = (pa, pb, n)
-        if key not in self.nodes:
-            h = (pb - pa) / n
-            x = pa + h * np.arange(n)
-            A1, A2 = (_coefficients(np.zeros(1), self.w(x + g * h), self.m)[0] for g in _GAUSS)
-            c, D = math.sqrt(3.0) / 12.0 * h * h, A1 - A2
-            self.nodes[key] = (0.5 * h * (A1 + A2) + c * (A2 @ A1 - A1 @ A2),
-                               1j * (h * SIGMA1 + c * (SIGMA1 @ D - D @ SIGMA1)))
-        O0, O1 = self.nodes[key]
-        return _expm2(O0 + lams[:, None, None, None] * O1)
+    def exponents(self, x, h) -> np.ndarray:
+        """_exponents of the steps of lengths h (w,) with Gauss nodes x (3, w, n)."""
+        B = _coefficients(np.zeros(1), self.w(x.ravel()), self.m)[0]
+        return _exponents(B.reshape(x.shape + (2, 2)), h, _ISIGMA1)
+
+    def steps(self, lams, pa, pb, n: int) -> np.ndarray:
+        """The Magnus step exponentials (k, w, n, 2, 2) of n steps over each of
+        the w walks [pa[i], pb[i]]: their exponents are cubics in lambda."""
+        h, coefficients = _walks(self, pa, pb, n)
+        omega, lam = _order(self, lams, h, coefficients), lams[:, None, None, None, None]
+        X = omega[3]
+        for c in omega[2::-1]:
+            X = X * lam + c
+        return _expm2(X)
 
 
 def _fold(F: np.ndarray) -> np.ndarray:
@@ -314,18 +389,33 @@ def _fold(F: np.ndarray) -> np.ndarray:
 class _Plan:
     """The lambda-free part of a product over cells (segment lists): the
     (cell, depth) slot of each Magnus walk and exact piece, short cells
-    behind identities, and the lengths h and values p of the exact pieces."""
+    behind identities, the lengths h and values p of the exact pieces, and
+    the walks grouped by step count at each density."""
 
     def __init__(self, cells):
         self.count, self.depth = len(cells), max(map(len, cells), default=0)
         self.length = cells[0][-1][1] - cells[0][0][0] if cells and cells[0] else 0.0
         slots = [(j, i, pa, pb, p) for j, cell in enumerate(cells)
                  for i, (pa, pb, p) in enumerate(cell, start=self.depth - len(cell))]
-        self.magnus = [slot[:4] for slot in slots if slot[4] is None]
+        magnus = [slot[:4] for slot in slots if slot[4] is None]
         exact = [(j, i, pb - pa, p) for j, i, pa, pb, p in slots if p is not None]
         self.tiled = 0 < len(exact) == self.count * self.depth  # their stack is F
         self.at = [e[0] for e in exact], [e[1] for e in exact]
         self.h, self.p = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
+        self.magnus = np.array(magnus, dtype=float).reshape(-1, 4)  # rows j, i, pa, pb
+        self.spans = self.magnus[:, 3] - self.magnus[:, 2]
+        self.groups = {}
+
+    def walks(self, density, refine: int) -> list:
+        """(n, (j, i), pa, pb) of the Magnus walks of n steps each, where a walk
+        takes refine * max(1, ceil(length * density)) steps."""
+        key = density, refine
+        if key not in self.groups and self.spans.size:
+            j, i, pa, pb = self.magnus.T
+            steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
+            self.groups[key] = [(int(n), (j[g].astype(int), i[g].astype(int)), pa[g], pb[g])
+                                for n in np.unique(steps) for g in [steps == n]]
+        return self.groups.get(key, [])
 
 
 def _product(system, cells, lams, density: float, refine: int = 1, bound: bool = False):
@@ -334,12 +424,12 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
 
     cells is a list of cells or their _Plan.  A segment (pa, pb, p) is
     exact where p is given, else refine * max(1, ceil(length * density))
-    Magnus steps.  Lambdas go in blocks of at most _BLOCK factor matrices.
+    Magnus steps; the walks of equally many steps take them in one call.
+    Lambdas go in blocks of at most _BLOCK factor matrices.
     """
     plan = cells if isinstance(cells, _Plan) else _Plan(cells)
-    magnus = [(j, i, pa, pb, refine * max(1, math.ceil((pb - pa) * density)))
-              for j, i, pa, pb in plan.magnus]
-    size = len(plan.h) + sum(m[-1] for m in magnus) + plan.count * plan.depth
+    walks = plan.walks(density, refine)
+    size = len(plan.h) + sum(n * len(pa) for n, _, pa, _ in walks) + plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
     out = np.empty((len(lams), plan.count, 2, 2), dtype=system.dtype(lams))
     absolute = np.empty(out.shape) if bound else None
@@ -352,7 +442,7 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
             F[...] = _I2
             if len(plan.h):
                 F[:, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)
-            for j, i, pa, pb, n in magnus:
+            for n, (j, i), pa, pb in walks:
                 F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
         out[lo:lo + block] = _fold(F)
         if bound:
@@ -387,15 +477,14 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
     that product to bound anything); else err is None."""
     plan = segs if isinstance(segs, _Plan) else _Plan([segs])
     k, length = len(lams), plan.length
-    if not plan.magnus:
+    if not plan.spans.size:
         T, err = _product(system, plan, lams, 0, 1, bound), None
         if bound:
             T, P = T
             err = _rounding(system, lams, length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
         return _finite(T[:, 0], "transfer matrix", lams), np.zeros(k, dtype=int), err
 
-    density = np.full(k, 8)
-    spans = np.array([pb - pa for *_, pa, pb in plan.magnus])
+    density, spans = np.full(k, 8), plan.spans
 
     def products(idx, refine):  # at density[idx], grouped
         out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
@@ -418,8 +507,7 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
         err[todo[ok]] = diff[ok] + _rounding(system, lams[todo[ok]], length,
                                              len(plan.h) + steps, scale[ok])
         todo, ratio = todo[~ok], ratio[~ok]
-        # fourth order: each doubling shrinks the difference ~16-fold
-        density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / 4.0)).astype(int)
+        density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / _ORDER)).astype(int)
         if todo.size and 2 * density[todo].max() * length > _MAX_STEPS:
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
         T = products(todo, 1)

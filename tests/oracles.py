@@ -6,8 +6,10 @@ comes from mpmath's Taylor-series ODE solver at 25 digits, the band
 edges of Mathieu and other Fourier potentials come from a truncated
 plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
 finite-difference discretization on a large box; the Hill and Dirac
-exponentials are also written out in scalar math/cmath arithmetic, and
-the symbol norm has its one-start-at-a-time ascent.  The Birman-Schwinger
+exponentials are also written out in scalar math/cmath arithmetic, a
+Magnus step's exponent is the matrix formula of its scheme, the Dirac
+square well has its real matching condition, and the symbol norm has its
+one-start-at-a-time ascent.  The Birman-Schwinger
 reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, its
 Jacobi eigenvalues have a long-double Sturm-bisection reference, the
@@ -140,6 +142,41 @@ def dirac_exponential(W, m, lam, x, h):
         C, S = cmath.cos(z), cmath.sin(z) / z
     e = cmath.exp(t)
     return np.array([[e * (C + S * y00), e * (S * x01)], [e * (S * x10), e * (C + S * y11)]])
+
+
+def magnus_exponent(A, h, order):
+    """The exponent of one Magnus step of length h from A at its three
+    Gauss nodes 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10: the sixth-order
+    a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with C1 = [a1, a2] and
+    C2 = -[a1, 2 a3 + C1]/60 (Blanes, Casas & Ros 2000), or the fourth-order
+    a1 + a3/12 - [a1, a2]/12 of the same samples, as 2x2 matrix arithmetic."""
+    A1, A2, A3 = (np.asarray(a, dtype=complex) for a in A)
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    a1 = h * A2
+    a2 = math.sqrt(15.0) / 3.0 * h * (A3 - A1)
+    a3 = 10.0 / 3.0 * h * (A3 - 2.0 * A2 + A1)
+    c1 = comm(a1, a2)
+    if order == 4:
+        return a1 + a3 / 12.0 - c1 / 12.0
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def dirac_well_condition(m, depth, length, lam):
+    """The matching condition of the 1D Dirac well W = -depth I on an interval
+    of the given length, real and in closed form: zero exactly at the gap
+    eigenvalues lam in (-m, m).  With e = lam + depth, kappa0 = sqrt(m^2 - lam^2)
+    and kappa = sqrt(m^2 - e^2) (imaginary for |e| > m) it is
+    kappa0 cosh(kappa L) + (m^2 - e lam) sinh(kappa L) / kappa."""
+    e = lam + depth
+    kappa0 = math.sqrt((m - lam) * (m + lam))
+    kappa = cmath.sqrt((m - e) * (m + e))
+    kl = kappa * length
+    sh = length if abs(kl) < 1e-12 else cmath.sinh(kl) / kappa
+    return (kappa0 * cmath.cosh(kl) + (m * m - e * lam) * sh).real
 
 
 def ascent(system, xi0, iters=200, gtol=1e-12):

@@ -230,3 +230,13 @@ def test_non_finite_scan_fails_naming_the_input(lam_max, grid_step, message):
     # not as a lambda count: ceil((lam_max - floor) / grid_step) is nan or inf
     with pytest.raises(ValidationError, match=f"^{message}$"):
         band_edges(MATHIEU, lam_max, grid_step=grid_step)
+
+
+def test_mathieu_third_gap_vs_plane_wave_oracle():
+    # 3.2e-4 wide at lambda ~ 88.83: open by more than the certified error of F
+    bs = band_edges(MATHIEU, 400.0)
+    ref = oracles.plane_wave_edges(0.0, [2.0])
+    assert len(bs.gaps) >= 3 and not bs.incomplete
+    a, b = bs.gaps[2]
+    assert b - a == pytest.approx(3.2e-4, rel=0.05)
+    assert abs(a - ref[5]) <= 1e-8 and abs(b - ref[6]) <= 1e-8

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spectral_decay import cli, verify
 from spectral_decay.cli import main
 from spectral_decay.errors import ValidationError
 from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma)
+
+import oracles
 
 ZERO = {"type": "zero"}
 STEP = {"type": "piecewise", "breaks": [0.0, 0.5], "values": [10.0, 0.0]}
@@ -279,3 +282,19 @@ def test_invalid_scan_exits_2(argv, message, cfg, capsys):
     assert main([cfg.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+def test_dirac_eig_heavy_mass_drops_only_the_overflowing_scan_points(capsys):
+    # e^{sqrt(m^2 - lam^2)} overflows near lam = 0 at m = 1000; the bound
+    # states lie near m, where the determinant is finite
+    m, depth, length = 1000.0, 0.5, 1.0
+    assert main(["dirac-eig", "--mass", "1000", "--depth", "0.5", "--support", "0", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == len(doc["eigenvalues"]) >= 1
+    for ev in doc["eigenvalues"]:
+        lam = float(ev["lambda"])
+        root = brentq(lambda x: oracles.dirac_well_condition(m, depth, length, x),
+                      lam - 1e-6, min(lam + 1e-6, m), xtol=1e-13)
+        assert abs(lam - root) <= 1e-9
+        assert float(ev["rate_exact"]) == pytest.approx(np.sqrt(m * m - lam * lam), rel=1e-9)
+        assert float(ev["fitted_delta"]) == pytest.approx(float(ev["rate_exact"]), rel=0.01)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from spectral_decay import floquet, gap, ode
 from spectral_decay.errors import StepFailure, ValidationError
@@ -266,29 +267,30 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 
 @props
 @given(fourier, lams)
-def test_property_magnus_is_fourth_order(coeffs, lam):
+def test_property_magnus_is_sixth_order(coeffs, lam):
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
     segs = system.segments(0.0, 1.0)
     T32, T64, T128 = (ode._product(system, [segs], np.array([lam]), n)[0, 0]
                       for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
-    assert abs(math.log2(ratio) - 4.0) <= 0.25
+    assert abs(math.log2(ratio) - 6.0) <= 0.25
 
 
 @props
 @given(st.floats(1.0, 3.0), st.floats(0.2, 0.5), st.floats(0.5, 2.0),
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-def test_property_dirac_magnus_is_fourth_order(depth, tilt, m, lams):
-    # the exponent is affine in lambda; its lambda part carries the commutator too
+def test_property_dirac_magnus_is_sixth_order(depth, tilt, m, lams):
+    # the exponent is a cubic in lambda; its lambda parts carry the commutators too
     def w(x):
         return np.array([[depth * math.cos(3.0 * x), tilt * x * 1j], [-tilt * x * 1j, -depth]])
 
     system = ode._Dirac(MatrixPerturbation(support=(-0.5, 0.5), func=w), m)
     segs = system.segments(-0.5, 0.5)
-    T32, T64, T128 = (ode._product(system, [segs], np.array(lams), n)[:, 0]
-                      for n in (32, 64, 128))
-    ratio = np.max(np.abs(T32 - T64), axis=(1, 2)) / np.max(np.abs(T64 - T128), axis=(1, 2))
-    assert np.all(np.abs(np.log2(ratio) - 4.0) <= 0.25)
+    # 16 to 64 steps: at 128 the difference reaches the rounding floor, ~5e-15
+    T16, T32, T64 = (ode._product(system, [segs], np.array(lams), n)[:, 0]
+                     for n in (16, 32, 64))
+    ratio = np.max(np.abs(T16 - T32), axis=(1, 2)) / np.max(np.abs(T32 - T64), axis=(1, 2))
+    assert np.all(np.abs(np.log2(ratio) - 6.0) <= 0.25)
 
 
 def _dop853(rhs, x0, x1, y0):
@@ -620,3 +622,88 @@ def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
 def test_nan_lambda_fails_named(call):
     with pytest.raises(StepFailure, match="^lambda = nan is not a number$"):
         call()
+
+
+# sixth-order Magnus steps: all walks of a product with equally many steps
+# take them in one call, and a step outside the convergence disc takes the
+# fourth-order exponent of the same samples
+def _smooth_w(x):
+    return np.cos(x) * np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(fourier, st.sampled_from(["hill", "dirac"]), st.floats(-1.0, 0.5),
+       st.lists(st.floats(0.01, 0.4), min_size=2, max_size=12),
+       st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=4), st.sampled_from([8, 64]))
+def test_property_many_cell_product_is_each_cell_alone(coeffs, kind, lo, widths, lams, density):
+    # lambda up to 400 puts some walks of a group outside the disc and some inside
+    if kind == "hill":
+        system = ode._Hill(PeriodicPotential.fourier(*coeffs))
+    else:
+        system = ode._Dirac(MatrixPerturbation((lo - 1.0, lo + 6.0), _smooth_w), 1.5)
+        lams = [lam / 20.0 for lam in lams]
+    xs = lo + np.cumsum([0.0, *widths])
+    cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
+    lams = np.array(lams)
+    together = ode._product(system, cells, lams, density, 2)
+    alone = [ode._product(system, [cell], lams, density, 2)[:, 0] for cell in cells]
+    assert _bits(together) == _bits(np.stack(alone, axis=1))
+
+
+def _step_exponentials(A, lam, pa, pb, n, order):
+    """expm of oracles.magnus_exponent on each of n steps over [pa, pb]."""
+    h = (pb - pa) / n
+    x = pa + h * np.arange(n)
+    return np.array([expm(oracles.magnus_exponent([A(lam, xi + g * h) for g in ode._GAUSS],
+                                                  h, order)) for xi in x])
+
+
+@pytest.mark.parametrize("kind", ["hill", "dirac"])
+def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent(kind):
+    # two walks of 4 steps, h = 1/8 and 1/4: at lambda = 40 (Hill) or 6
+    # (Dirac) h rate(lambda) is 0.79 and 1.58, or 0.75 and 1.5
+    V = PeriodicPotential.fourier(*THREE)
+    if kind == "hill":
+        system, lam = ode._Hill(V), 40.0
+
+        def A(lam, x):
+            return np.array([[0.0, 1.0], [V(x) - lam, 0.0]])
+    else:
+        W = MatrixPerturbation((-1.0, 2.0), _smooth_w)
+        system, lam = ode._Dirac(W, 1.5), 6.0
+
+        def A(lam, x):
+            return oracles.dirac_coefficient(W, 1.5, lam, x)
+    pa, pb = np.array([0.0, 0.5]), np.array([0.5, 1.5])
+    assert np.array_equal((pb - pa) / 4 * system.rate(lam) > 1.0, [False, True])
+    E = system.steps(np.array([lam, 0.5]), pa, pb, 4)
+    assert E.shape == (2, 2, 4, 2, 2)
+    for i, order in enumerate([6, 4]):
+        ref = _step_exponentials(A, lam, pa[i], pb[i], 4, order)
+        other = _step_exponentials(A, lam, pa[i], pb[i], 4, 10 - order)
+        assert np.max(np.abs(E[0, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(E[0, i] - other)) > 1e-9 * np.max(np.abs(ref))
+        # at lambda = 0.5 both walks lie inside the disc: sixth order
+        ref6 = _step_exponentials(A, 0.5, pa[i], pb[i], 4, 6)
+        assert np.max(np.abs(E[1, i] - ref6)) <= 1e-13 * np.max(np.abs(ref6))
+
+
+def test_tol_1e13_certifies_under_the_step_cap():
+    # the sixth-order rounding floor is ~1e-13 relative: tol = 1e-13 still
+    # meets n vs 2n far below the 2^17 step cap, within 10 tol of mpmath
+    tol = 1e-13
+    V = PeriodicPotential.fourier(*THREE)
+    system, plan = ode._unit_cell(id(V), V)
+    _, density, _ = ode._certify(system, plan, np.linspace(-10.0, 1600.0, 41), tol)
+    assert 2 * density.max() <= ode._MAX_STEPS // 64
+    for coeffs, lam, M_mp in MP_MONODROMY:
+        M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam, tol)
+        F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
+        assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
+    Q = CompactPerturbation((-0.3, 0.9), PeriodicPotential.fourier(1.0, [0.5]))
+    walks = [lambda: ode.propagate_hill(V, 40.0, -0.5, 2.0, (1.0, 0.0), tol),
+             lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, -1.0, 1.5, (0.4, -1.1), tol),
+             lambda: ode.propagate_dirac(MatrixPerturbation((-1.0, 1.0), _smooth_w), 1.0, 0.2,
+                                         -1.0, 1.0, (1.0, 0.5j), tol)]
+    for walk in walks:
+        assert np.all(np.isfinite(walk()))
