@@ -80,15 +80,22 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam):
 
 
 def _scan(W: MatrixPerturbation, m: float, lams) -> np.ndarray:
-    """matching_determinant at lams, nan at the points it cannot represent:
-    a batch that fails is evaluated again in halves."""
+    """matching_determinant at lams, nan at the points it cannot represent: a
+    batch that fails goes again in halves, and fails itself where all do."""
     try:
         return matching_determinant(W, m, lams)
     except StepFailure:
         if len(lams) == 1:
-            return np.array([complex(np.nan, np.nan)])
-        half = len(lams) // 2
-        return np.concatenate([_scan(W, m, lams[:half]), _scan(W, m, lams[half:])])
+            raise
+        half, dets = len(lams) // 2, np.full(len(lams), complex(np.nan, np.nan))
+        for part in (slice(None, half), slice(half, None)):
+            try:
+                dets[part] = _scan(W, m, lams[part])
+            except StepFailure:
+                pass  # every point of the part fails: nan
+        if np.isnan(dets).all():
+            raise
+        return dets
 
 
 def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
@@ -104,19 +111,14 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     """
     eps = 1e-9 * m
     grid = np.linspace(-m + eps, m - eps, N_SCAN)
-    try:
-        dets = matching_determinant(W, m, grid)
-    except StepFailure:
-        dets = _scan(W, m, grid)
-        if np.isnan(dets).all():
-            raise
+    dets = _scan(W, m, grid)
     scale = np.nanmax(np.abs(dets))
 
     def f(lam):
         return matching_determinant(W, m, lam).imag
 
     roots = []
-    vals = dets.imag
+    vals = np.sign(dets.imag)  # a product of two large determinants overflows
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             cand = grid[i]

@@ -9,9 +9,9 @@ segments of [x0, x1] between the jumps of A, and one product multiplies
 closed-form 2x2 exponentials over them, in either direction and through
 optional dense samples; a dense walk lowers [x0, x1] once more with its
 samples as extra cuts, and each cell between neighbouring samples takes
-the segments between its ends.  The monodromy reuses the lowering of [0, 1]
-of the last potential it was given, matched by identity, with the Magnus
-exponents of its walks of up to _NODES steps.  The exponential is exact
+the segments between its ends.  A lowering is a _Plan, which keeps the
+Magnus exponents of its walks; the monodromy reuses the plan of [0, 1] of
+the last potential given, matched by identity.  The exponential is exact
 where A is constant (piecewise V, V - alpha Q with a piecewise profile, W
 constant on its support); elsewhere the product takes sixth-order Magnus
 steps with three Gauss points (Blanes, Casas & Ros 2000; Blanes, Casas,
@@ -29,7 +29,7 @@ only through p and r, affinely: the samples of A differ only in their
 sixth-order exponent is a cubic in lambda with lambda-free coefficient
 matrices.  So the segments, the samples of V or W at the piece midpoints
 and the exponent coefficients at the Gauss nodes are computed once per
-lowering, and numpy evaluates lambda x segments in blocks; each lambda
+plan, and numpy evaluates lambda x segments in blocks; each lambda
 keeps its own certified step density.  A scalar lambda is a batch of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
@@ -208,18 +208,6 @@ def _exponents(A, h, S) -> np.ndarray:
     return out
 
 
-def _walks(system, pa, pb, n: int):
-    """(h, exponents) of n Magnus steps over each walk [pa[i], pb[i]]: the step
-    lengths h (w,) and system.exponents at their Gauss nodes, kept in
-    system.nodes where the walks take at most _NODES steps in all."""
-    key, nodes = (pa.tobytes(), pb.tobytes(), n), system.nodes if len(pa) * n <= _NODES else {}
-    if key not in nodes:
-        h = (pb - pa) / n
-        x = pa[:, None] + h[:, None] * np.arange(n)
-        nodes[key] = h, system.exponents(np.stack([x + g * h[:, None] for g in _GAUSS]), h)
-    return nodes[key]
-
-
 def _order(system, lams, h, coefficients) -> np.ndarray:
     """coefficients (c, 2, w, ...) at each lambda (c, k, w, ...): the
     sixth-order ones, or the fourth-order ones where a walk's steps leave the
@@ -243,9 +231,9 @@ def _spans(xs) -> list:
 
 
 class _Hill:
-    """-y'' + (V - alpha Q) y = lam y lowered once, free of lambda: the cuts
+    """-y'' + (V - alpha Q) y = lam y as a system free of lambda: the cuts
     of V and Q, the value of V - alpha Q on each piece where both are
-    constant, and the Magnus exponents of each walk."""
+    constant."""
 
     def __init__(self, V, Q: CompactPerturbation | None = None, alpha: float = 0.0):
         self.V, self.Q, self.alpha = V, Q, alpha
@@ -255,7 +243,6 @@ class _Hill:
         self.q_smooth = Q is not None and not Q.is_piecewise_constant
         self.qcuts = [] if Q is None else [self.a, self.b, *(
             [] if self.q_smooth else [c for c, _ in Q.q_pieces()])]
-        self.nodes = {}
 
     @staticmethod
     def rate(lams):
@@ -308,10 +295,9 @@ class _Hill:
                          [-pw * one, 0.0 * one], [r6 + rw * u2, a3 / 12.0 + h * u2],
                          [-rw * one, -h * one]])
 
-    def steps(self, lams, pa, pb, n: int) -> np.ndarray:
-        """The Magnus step exponentials (k, w, n, 2, 2) of n steps over each of
-        the w walks [pa[i], pb[i]]."""
-        h, coefficients = _walks(self, pa, pb, n)
+    def steps(self, lams, h, coefficients) -> np.ndarray:
+        """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
+        lengths h (w,), from their exponents (self.exponents)."""
         q, p0, p1, r0, r1 = _order(self, lams, h, coefficients)
         lam = lams[:, None, None]
         p, r = p0 + p1 * lam, r0 + r1 * lam
@@ -326,15 +312,13 @@ def _coefficients(lams, w, m: float) -> np.ndarray:
 
 
 class _Dirac:
-    """-i s1 psi' + m s3 psi + W psi = lam psi lowered once, free of lambda:
-    cuts at the support of W, exact where W is None or constant there, and
-    the Magnus exponents of each walk, cubics in lambda since B = B0 + i lam s1."""
+    """-i s1 psi' + m s3 psi + W psi = lam psi as a system free of lambda:
+    cuts at the support of W, exact where W is None or constant there."""
 
     def __init__(self, W, m: float):
         self.W, self.m = W, m
         self.matrix = isinstance(W, MatrixPerturbation)
         self.a, self.b = W.support if self.matrix else (math.inf, -math.inf)
-        self.nodes = {}
 
     @staticmethod
     def rate(lams):
@@ -367,10 +351,9 @@ class _Dirac:
         B = _coefficients(np.zeros(1), self.w(x.ravel()), self.m)[0]
         return _exponents(B.reshape(x.shape + (2, 2)), h, _ISIGMA1)
 
-    def steps(self, lams, pa, pb, n: int) -> np.ndarray:
-        """The Magnus step exponentials (k, w, n, 2, 2) of n steps over each of
-        the w walks [pa[i], pb[i]]: their exponents are cubics in lambda."""
-        h, coefficients = _walks(self, pa, pb, n)
+    def steps(self, lams, h, coefficients) -> np.ndarray:
+        """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
+        lengths h (w,), from their exponents (self.exponents), cubics in lambda."""
         omega, lam = _order(self, lams, h, coefficients), lams[:, None, None, None, None]
         X = omega[3]
         for c in omega[2::-1]:
@@ -379,7 +362,8 @@ class _Dirac:
 
 
 def _fold(F: np.ndarray) -> np.ndarray:
-    """F[:, :, -1] @ ... @ F[:, :, 0] @ I of a stack (k, c, depth, 2, 2), in turn."""
+    """F[:, :, -1] @ ... @ F[:, :, 0] @ I of the factors (k, c, depth, 2, 2) in the
+    slots of a _Plan, in turn (F @ I may flip the sign of a complex zero)."""
     T = _I2
     for i in range(F.shape[2]):
         T = F[:, :, i] @ T
@@ -387,12 +371,14 @@ def _fold(F: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """The lambda-free part of a product over cells (segment lists): the
-    (cell, depth) slot of each Magnus walk and exact piece, short cells
-    behind identities, the lengths h and values p of the exact pieces, and
-    the walks grouped by step count at each density."""
+    """The lambda-free lowering of a product of system over cells (segment
+    lists): the (cell, depth) slot of each Magnus walk and exact piece, short
+    cells behind identities, the lengths h and values p of the exact pieces,
+    and, per step density, the Magnus walks grouped by step count with their
+    exponents."""
 
-    def __init__(self, cells):
+    def __init__(self, system, cells):
+        self.system = system
         self.count, self.depth = len(cells), max(map(len, cells), default=0)
         self.length = cells[0][-1][1] - cells[0][0][0] if cells and cells[0] else 0.0
         slots = [(j, i, pa, pb, p) for j, cell in enumerate(cells)
@@ -404,32 +390,41 @@ class _Plan:
         self.h, self.p = np.array([e[2] for e in exact]), np.array([e[3] for e in exact])
         self.magnus = np.array(magnus, dtype=float).reshape(-1, 4)  # rows j, i, pa, pb
         self.spans = self.magnus[:, 3] - self.magnus[:, 2]
-        self.groups = {}
+        self.memo = {}
 
     def walks(self, density, refine: int) -> list:
-        """(n, (j, i), pa, pb) of the Magnus walks of n steps each, where a walk
-        takes refine * max(1, ceil(length * density)) steps."""
+        """(n, (j, i), h, coefficients) of the Magnus walks of n steps each, where
+        a walk takes refine * max(1, ceil(length * density)) steps: their slots,
+        step lengths h (w,) and system.exponents at their Gauss nodes.  Kept
+        where they take at most _NODES steps in all."""
         key = density, refine
-        if key not in self.groups and self.spans.size:
-            j, i, pa, pb = self.magnus.T
-            steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
-            self.groups[key] = [(int(n), (j[g].astype(int), i[g].astype(int)), pa[g], pb[g])
-                                for n in np.unique(steps) for g in [steps == n]]
-        return self.groups.get(key, [])
+        if key in self.memo:
+            return self.memo[key]
+        j, i, pa, pb = self.magnus.T
+        steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
+        groups = []
+        for n in np.unique(steps).tolist():
+            g = steps == n
+            h = (pb[g] - pa[g]) / n
+            x = pa[g][:, None] + h[:, None] * np.arange(n)
+            groups.append((n, (j[g].astype(int), i[g].astype(int)), h, self.system.exponents(
+                np.stack([x + c * h[:, None] for c in _GAUSS]), h)))
+        if steps.sum() <= _NODES:
+            self.memo[key] = groups
+        return groups
 
 
-def _product(system, cells, lams, density: float, refine: int = 1, bound: bool = False):
-    """Transfer matrices (k, c, 2, 2) over c cells for k lambdas; with bound,
-    also the products of the factors' absolute values.
+def _product(plan: _Plan, lams, density: float, refine: int = 1, bound: bool = False):
+    """Transfer matrices (k, c, 2, 2) over the c cells of plan for k lambdas;
+    with bound, also the products of the factors' absolute values.
 
-    cells is a list of cells or their _Plan.  A segment (pa, pb, p) is
-    exact where p is given, else refine * max(1, ceil(length * density))
-    Magnus steps; the walks of equally many steps take them in one call.
-    Lambdas go in blocks of at most _BLOCK factor matrices.
+    A segment (pa, pb, p) is exact where p is given, else refine * max(1,
+    ceil(length * density)) Magnus steps; the walks of equally many steps
+    take them in one call.  Lambdas go in blocks of at most _BLOCK factor
+    matrices.
     """
-    plan = cells if isinstance(cells, _Plan) else _Plan(cells)
-    walks = plan.walks(density, refine)
-    size = len(plan.h) + sum(n * len(pa) for n, _, pa, _ in walks) + plan.count * plan.depth
+    system, walks = plan.system, plan.walks(density, refine)
+    size = len(plan.h) + sum(n * len(h) for n, _, h, _ in walks) + plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
     out = np.empty((len(lams), plan.count, 2, 2), dtype=system.dtype(lams))
     absolute = np.empty(out.shape) if bound else None
@@ -442,8 +437,8 @@ def _product(system, cells, lams, density: float, refine: int = 1, bound: bool =
             F[...] = _I2
             if len(plan.h):
                 F[:, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)
-            for n, (j, i), pa, pb in walks:
-                F[:, j, i] = _reduce(system.steps(lb, pa, pb, n))
+            for _, (j, i), h, coefficients in walks:
+                F[:, j, i] = _reduce(system.steps(lb, h, coefficients))
         out[lo:lo + block] = _fold(F)
         if bound:
             absolute[lo:lo + block] = _fold(np.abs(F))
@@ -466,19 +461,18 @@ def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
     return _EPS * (4 * factors + system.rate(lams) * length) * scale
 
 
-def _certify(system, segs, lams, tol: float, bound: bool = False):
-    """(T, density, err) per lambda: the product over segs (segments or
-    their _Plan) at refine 2, the Magnus step density at which it meets tol
+def _certify(plan: _Plan, lams, tol: float, bound: bool = False):
+    """(T, density, err) per lambda: the product over the one cell of plan
+    at refine 2, the Magnus step density at which it meets tol
     (agrees with refine 1), and its error bound: that refine 1-vs-2
     difference plus the rounding of its m factors relative to max|T|.
     Lambdas are grouped by density.  Where every segment is exact, density
     is 0 and, with bound, err bounds the rounding relative to the product
     of the factors' absolute values (a Magnus walk has too many factors for
     that product to bound anything); else err is None."""
-    plan = segs if isinstance(segs, _Plan) else _Plan([segs])
-    k, length = len(lams), plan.length
+    system, k, length = plan.system, len(lams), plan.length
     if not plan.spans.size:
-        T, err = _product(system, plan, lams, 0, 1, bound), None
+        T, err = _product(plan, lams, 0, 1, bound), None
         if bound:
             T, P = T
             err = _rounding(system, lams, length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
@@ -490,7 +484,7 @@ def _certify(system, segs, lams, tol: float, bound: bool = False):
         out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
         for d in np.unique(density[idx]):
             g = density[idx] == d
-            out[g] = _product(system, plan, lams[idx[g]], int(d), refine)[:, 0]
+            out[g] = _product(plan, lams[idx[g]], int(d), refine)[:, 0]
         return out
 
     T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
@@ -531,7 +525,7 @@ def _cells(system, lam, stops, tol: float) -> np.ndarray:
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
     _check_phase(system, lams, lo, hi, tol)
-    T, density, _ = _certify(system, system.segments(lo, hi), lams, tol)
+    T, density, _ = _certify(_Plan(system, [system.segments(lo, hi)]), lams, tol)
     ends = np.array(stops)
     xa, xb = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
     if np.count_nonzero(xa != xb) <= 1:  # that cell spans the certified range
@@ -540,10 +534,11 @@ def _cells(system, lam, stops, tol: float) -> np.ndarray:
     first = np.searchsorted([pa for pa, *_ in segs], xa).tolist()
     last = np.searchsorted([pb for _, pb, _ in segs], xb, side="right").tolist()
     cells = [segs[i:j] for i, j in zip(first, last)]
-    return np.concatenate([_product(system, cells[i:i + _CELLS], lams, density[0], 2)[0]
+    return np.concatenate([_product(_Plan(system, cells[i:i + _CELLS]), lams, density[0], 2)[0]
                            for i in range(0, len(cells), _CELLS)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails typed, in _finite
 def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
     """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
     Returns the end state, or (end, states at dense_xs)."""
@@ -566,30 +561,31 @@ def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFA
 
 
 @functools.lru_cache(maxsize=1)
-def _unit_cell(key: int, V):
-    """(_Hill(V), the _Plan of [0, 1]) under key = id(V) and V: V stays alive, so no
-    other potential takes its id, and equal values (0.0, -0.0) are no key."""
+def _unit_cell(key: int, V) -> _Plan:
+    """The _Plan of [0, 1] of _Hill(V) under key = id(V) and V: V stays alive, so
+    no other potential takes its id, and equal values (0.0, -0.0) are no key."""
     system = _Hill(V)
-    return system, _Plan([system.segments(0.0, 1.0)])
+    return _Plan(system, [system.segments(0.0, 1.0)])
 
 
-def _transfer(system, segs, lams, x0: float, x1: float, tol: float, bound: bool = False):
-    """Certified transfer matrices (*shape, 2, 2) over the segments segs of
-    [x0, x1] for an array of lambda, and (with bound) the error bound of each."""
+@np.errstate(over="ignore", invalid="ignore")
+def _transfer(plan: _Plan, lams, x0: float, x1: float, tol: float, bound: bool = False):
+    """Certified transfer matrices (*shape, 2, 2) over the one cell of plan,
+    [x0, x1], for an array of lambda, and (with bound) the error bound of each."""
     lams = np.asarray(lams)
     check_lambda_count(lams.size)
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
-    _check_phase(system, flat, x0, x1, tol)
-    T, _, err = _certify(system, segs, flat, tol, bound)
+    _check_phase(plan.system, flat, x0, x1, tol)
+    T, _, err = _certify(plan, flat, tol, bound)
     return T.reshape(lams.shape + (2, 2)), err
 
 
 def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _transfer(*_unit_cell(id(V), V), lam, 0.0, 1.0, tol)[0]
+    return _transfer(_unit_cell(id(V), V), lam, 0.0, 1.0, tol)[0]
 
 
 def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
@@ -597,9 +593,10 @@ def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _transfer(*_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, tol, True)
+    return _transfer(_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, tol, True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
     of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
@@ -627,7 +624,7 @@ def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT
     if not x0 <= x1:
         raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
     system = _Dirac(W, m)
-    return _transfer(system, system.segments(x0, x1), lams, x0, x1, tol)[0]
+    return _transfer(_Plan(system, [system.segments(x0, x1)]), lams, x0, x1, tol)[0]
 
 
 def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,

@@ -298,3 +298,10 @@ def test_dirac_eig_heavy_mass_drops_only_the_overflowing_scan_points(capsys):
         assert abs(lam - root) <= 1e-9
         assert float(ev["rate_exact"]) == pytest.approx(np.sqrt(m * m - lam * lam), rel=1e-9)
         assert float(ev["fitted_delta"]) == pytest.approx(float(ev["rate_exact"]), rel=0.01)
+
+
+def test_dirac_eig_scan_failing_everywhere_reports_the_grid_failure(capsys):
+    # every scan point fails its phase check: the error names the grid's first
+    assert main(["dirac-eig", "--mass", "1e6", "--depth", "0.5", "--support", "0", "20"]) == 2
+    assert capsys.readouterr().err == \
+        "error: lambda = -999999.999: phase rounding over [0.0, 20.0] > tol = 1e-10\n"

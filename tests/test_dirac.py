@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_decay import dirac
 from spectral_decay.dirac import (dirac_eigenfunction, dirac_gap_eigenvalues,
                                   dirac_tail, matching_determinant)
 from spectral_decay.errors import OutsideGap, StepFailure
@@ -178,7 +180,8 @@ def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():
     # m = 1000 on a unit support: rate sqrt(m^2 - lam^2) overflows e^rate
     # near lam = 0, not near the gap edges
     W, m = MatrixPerturbation.scalar_well(0.0, (0.0, 1.0)), 1000.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow fails typed, unwarned
         with pytest.raises(StepFailure) as scalar:
             matching_determinant(W, m, 0.0)
         assert np.all(np.isfinite(matching_determinant(W, m, [900.0, 950.0])))
@@ -186,3 +189,12 @@ def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():
             with pytest.raises(StepFailure) as batched:
                 matching_determinant(W, m, batch)
             assert str(batched.value) == str(scalar.value)
+
+
+def test_heavy_mass_scan_evaluates_the_grid_once(monkeypatch):
+    # the overflowing 400-point batch goes on in halves, not again whole
+    sizes, determinant = [], dirac.matching_determinant
+    monkeypatch.setattr(dirac, "matching_determinant",
+                        lambda W, m, lam: sizes.append(np.size(lam)) or determinant(W, m, lam))
+    assert dirac_gap_eigenvalues(MatrixPerturbation.scalar_well(0.5, (0.0, 1.0)), 1000.0)
+    assert sizes[:3] == [dirac.N_SCAN, dirac.N_SCAN // 2, dirac.N_SCAN // 4]

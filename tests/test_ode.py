@@ -1,9 +1,10 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -269,9 +270,8 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 @given(fourier, lams)
 def test_property_magnus_is_sixth_order(coeffs, lam):
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
-    segs = system.segments(0.0, 1.0)
-    T32, T64, T128 = (ode._product(system, [segs], np.array([lam]), n)[0, 0]
-                      for n in (32, 64, 128))
+    plan = ode._Plan(system, [system.segments(0.0, 1.0)])
+    T32, T64, T128 = (ode._product(plan, np.array([lam]), n)[0, 0] for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
     assert abs(math.log2(ratio) - 6.0) <= 0.25
 
@@ -285,10 +285,9 @@ def test_property_dirac_magnus_is_sixth_order(depth, tilt, m, lams):
         return np.array([[depth * math.cos(3.0 * x), tilt * x * 1j], [-tilt * x * 1j, -depth]])
 
     system = ode._Dirac(MatrixPerturbation(support=(-0.5, 0.5), func=w), m)
-    segs = system.segments(-0.5, 0.5)
+    plan = ode._Plan(system, [system.segments(-0.5, 0.5)])
     # 16 to 64 steps: at 128 the difference reaches the rounding floor, ~5e-15
-    T16, T32, T64 = (ode._product(system, [segs], np.array(lams), n)[:, 0]
-                     for n in (16, 32, 64))
+    T16, T32, T64 = (ode._product(plan, np.array(lams), n)[:, 0] for n in (16, 32, 64))
     ratio = np.max(np.abs(T16 - T32), axis=(1, 2)) / np.max(np.abs(T32 - T64), axis=(1, 2))
     assert np.all(np.abs(np.log2(ratio) - 6.0) <= 0.25)
 
@@ -409,6 +408,21 @@ def test_bad_lambda_anywhere_in_a_batch_fails_like_the_scalar(V, bad):
         with pytest.raises(StepFailure) as batched:
             ode.monodromy(V, batch)
         assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
+@pytest.mark.parametrize("call", [
+    lambda V: ode.monodromy(V, -1e6),
+    lambda V: ode.monodromy(V, [1.0, -1e6]),
+    lambda V: ode.propagate_hill(V, -1e5, 0.0, 30.0, (1.0, 0.0)),
+    lambda V: ode.cell_transfers(V, -1e5, np.linspace(0.0, 30.0, 7)),
+], ids=["monodromy", "batch", "walk", "cells"])
+def test_overflow_fails_typed_with_warnings_as_errors(V, call):
+    # the kernel lets inf and nan through to its finiteness check unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match=r"^transfer matrix is not finite \(overflow\)$"):
+            call(V)
 
 
 def test_oversized_lambda_set_fails_typed(monkeypatch):
@@ -572,8 +586,20 @@ def test_kept_gauss_nodes_are_capped_and_change_no_bit(monkeypatch):
     for _ in range(2):  # cold, then warm
         M, err = ode.certified_monodromy(V, lams)
         assert _bits(M) == _bits(ref[0]) and _bits(err) == _bits(ref[1])
-    system, _ = ode._unit_cell(id(V), V)
-    assert system.nodes and max(n for *_, n in system.nodes) <= 64
+    plan = ode._unit_cell(id(V), V)
+    assert plan.memo and max(sum(n * len(h) for n, _, h, _ in walks)
+                             for walks in plan.memo.values()) <= 64
+
+
+def test_warm_batch_of_one_takes_the_plans_exponents(monkeypatch):
+    V, calls, exponents = PeriodicPotential.fourier(*THREE), [], ode._Hill.exponents
+    monkeypatch.setattr(ode._Hill, "exponents",
+                        lambda self, x, h: calls.append(h) or exponents(self, x, h))
+    cold = [floquet.discriminant(V, 2.0), floquet.discriminant_derivative(V, 2.0)]
+    assert calls
+    calls.clear()
+    warm = [floquet.discriminant(V, 2.0), floquet.discriminant_derivative(V, 2.0)]
+    assert _bits(warm) == _bits(cold) and not calls
 
 
 # where the exact pieces fill every (cell, depth) slot, their stack is the
@@ -581,15 +607,18 @@ def test_kept_gauss_nodes_are_capped_and_change_no_bit(monkeypatch):
 @props
 @given(st.one_of(st.none(), hermitian), st.floats(0.2, 3.0), st.floats(-1.0, 0.0),
        st.floats(0.05, 3.0), st.floats(-8.0, 8.0))
+@example(None, 1.0, 0.0, 1.0, 2.0)  # T[0, 1, 0].real is -0.0 where the exponential has +0.0
 def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, length, lam):
     b = a + length
     W = None if w is None else MatrixPerturbation.constant_matrix(w, (a, b))
     T = ode.dirac_transfer(W, m, [lam], a, b)
-    assert _bits(T) == _bits([oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)])
+    # the kernel applies every product to I, which may flip the sign of a zero
+    E = oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)
+    assert _bits(T) == _bits([E @ np.eye(2)])
     system = ode._Dirac(W, m)
     segs = system.segments(a, b)
-    assert ode._Plan([segs]).tiled and not ode._Plan([segs, []]).tiled
-    padded = ode._product(system, [segs, []], np.array([lam]), 0)[:, 0]
+    assert ode._Plan(system, [segs]).tiled and not ode._Plan(system, [segs, []]).tiled
+    padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0)[:, 0]
     assert _bits(T) == _bits(padded)
 
 
@@ -607,8 +636,8 @@ def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
     cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
     if len({len(cell) for cell in cells}) > 1:  # two cuts within 1e-15 of each other
         return
-    assert ode._Plan(cells).tiled and not ode._Plan(cells + [[]]).tiled
-    padded = ode._product(system, cells + [[]], np.array([lam]), 0, 2)[0, :-1]
+    assert ode._Plan(system, cells).tiled and not ode._Plan(system, cells + [[]]).tiled
+    padded = ode._product(ode._Plan(system, cells + [[]]), np.array([lam]), 0, 2)[0, :-1]
     assert _bits(T) == _bits(padded)
 
 
@@ -645,8 +674,8 @@ def test_property_many_cell_product_is_each_cell_alone(coeffs, kind, lo, widths,
     xs = lo + np.cumsum([0.0, *widths])
     cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
     lams = np.array(lams)
-    together = ode._product(system, cells, lams, density, 2)
-    alone = [ode._product(system, [cell], lams, density, 2)[:, 0] for cell in cells]
+    together = ode._product(ode._Plan(system, cells), lams, density, 2)
+    alone = [ode._product(ode._Plan(system, [cell]), lams, density, 2)[:, 0] for cell in cells]
     assert _bits(together) == _bits(np.stack(alone, axis=1))
 
 
@@ -676,7 +705,10 @@ def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent(kind)
             return oracles.dirac_coefficient(W, 1.5, lam, x)
     pa, pb = np.array([0.0, 0.5]), np.array([0.5, 1.5])
     assert np.array_equal((pb - pa) / 4 * system.rate(lam) > 1.0, [False, True])
-    E = system.steps(np.array([lam, 0.5]), pa, pb, 4)
+    plan = ode._Plan(system, [[(0.0, 0.5, None), (0.5, 1.5, None)]])
+    [(n, _, h, coefficients)] = plan.walks(0, 4)  # density 0: each walk takes refine = 4 steps
+    assert n == 4 and np.array_equal(h, (pb - pa) / 4)
+    E = system.steps(np.array([lam, 0.5]), h, coefficients)
     assert E.shape == (2, 2, 4, 2, 2)
     for i, order in enumerate([6, 4]):
         ref = _step_exponentials(A, lam, pa[i], pb[i], 4, order)
@@ -693,8 +725,7 @@ def test_tol_1e13_certifies_under_the_step_cap():
     # meets n vs 2n far below the 2^17 step cap, within 10 tol of mpmath
     tol = 1e-13
     V = PeriodicPotential.fourier(*THREE)
-    system, plan = ode._unit_cell(id(V), V)
-    _, density, _ = ode._certify(system, plan, np.linspace(-10.0, 1600.0, 41), tol)
+    _, density, _ = ode._certify(ode._unit_cell(id(V), V), np.linspace(-10.0, 1600.0, 41), tol)
     assert 2 * density.max() <= ode._MAX_STEPS // 64
     for coeffs, lam, M_mp in MP_MONODROMY:
         M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam, tol)
