@@ -241,8 +241,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails typed
-            return args.func(args)
+        return args.func(args)
     except (SpectralDecayError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

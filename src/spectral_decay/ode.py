@@ -25,12 +25,13 @@ kept with that difference as its error bound.
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
 only through p and r, affinely: the samples of A differ only in their
-(1, 0) entry.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and a
-sixth-order exponent is a cubic in lambda with lambda-free coefficient
-matrices.  So the segments, the samples of V or W at the piece midpoints
-and the exponent coefficients at the Gauss nodes are computed once per
-plan, and numpy evaluates lambda x segments in blocks; each lambda
-keeps its own certified step density.  A scalar lambda is a batch of one.
+(1, 0) entry.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and of the
+combinations a1, a2, a3 of the samples only a1 = h A(middle node) has
+lambda in it; each lambda forms its exponent from them.  So the segments,
+the samples of V or W at the piece midpoints and the lambda-free exponent
+parts at the Gauss nodes are computed once per plan, and numpy evaluates
+lambda x segments in blocks; each lambda keeps its own certified step
+density.  A scalar lambda is a batch of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -170,52 +171,13 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     return E[..., 0, :, :]
 
 
-def _add(*polys) -> np.ndarray:
-    """The sum of polynomials in lambda, stacks (degree + 1, ...) of coefficients."""
-    out = np.zeros((max(map(len, polys)),) + np.broadcast_shapes(*(p.shape[1:] for p in polys)),
-                   dtype=np.result_type(*polys))
-    for p in polys:
-        out[:len(p)] += p
-    return out
-
-
-def _commutator(X, Y) -> np.ndarray:
-    """[X, Y] of polynomials in lambda with 2x2 matrix coefficients."""
-    out = np.zeros((len(X) + len(Y) - 1,) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]),
-                   dtype=np.result_type(X, Y))
-    for i in range(len(X)):
-        for j in range(len(Y)):
-            out[i + j] += X[i] @ Y[j] - Y[j] @ X[i]
-    return out
-
-
-def _exponents(A, h, S) -> np.ndarray:
-    """Magnus exponents of steps of lengths h (w,) with A + lam S at their
-    three Gauss nodes, A (3, w, n, 2, 2): polynomials in lam, the stack
-    (4, 2, w, n, 2, 2) of the coefficients of lam^0..lam^3 of the sixth-order
-    exponent [:, 0] (Blanes, Casas & Ros 2000) and the fourth-order one
-    a1 + a3/12 - [a1, a2]/12 [:, 1], taken where the sixth-order series
-    has left its convergence disc."""
-    h = h[:, None, None, None]
-    a1 = np.stack([h * A[1], np.broadcast_to(h * S, A[1].shape)])
-    a2 = (math.sqrt(15.0) / 3.0 * h * (A[2] - A[0]))[None]
-    a3 = (10.0 / 3.0 * h * (A[2] - 2.0 * A[1] + A[0]))[None]
-    c1 = _commutator(a1, a2)
-    c2 = _commutator(a1, _add(2.0 * a3, c1)) / -60.0
-    out = np.zeros((4, 2) + A.shape[1:], dtype=A.dtype)
-    out[:, 0] = _add(a1, a3 / 12.0, _commutator(_add(-20.0 * a1, -a3, c1), _add(a2, c2)) / 240.0)
-    out[:2, 1] = _add(a1, a3 / 12.0, c1 / -12.0)
-    return out
-
-
-def _order(system, lams, h, coefficients) -> np.ndarray:
-    """coefficients (c, 2, w, ...) at each lambda (c, k, w, ...): the
-    sixth-order ones, or the fourth-order ones where a walk's steps leave the
-    Magnus convergence disc, h rate(lam) > 1 (k = 1 where none does)."""
-    outside = np.multiply.outer(system.rate(lams), h) > 1.0
-    if not outside.any():
-        return coefficients[:, :1, ...]
-    return coefficients[:, outside.astype(int), np.arange(len(h))]
+def _bracket(X, Y) -> np.ndarray:
+    """The commutator XY - YX of stacks (..., 2, 2), entry by entry."""
+    x00, x01, x10, x11 = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    y00, y01, y10, y11 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
+    d = x01 * y10 - y01 * x10
+    return _matrices(d, x01 * (y11 - y00) - y01 * (x11 - x00),
+                     x10 * (y00 - y11) - y10 * (x00 - x11), -d)
 
 
 def _points(xa: float, xb: float, cuts, system_cuts) -> list:
@@ -279,9 +241,10 @@ class _Hill:
     def exponents(self, x, h) -> np.ndarray:
         """(q, p0, p1, r0, r1) (5, 2, w, n) of the Magnus exponents [[p, q], [r, -p]],
         p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w,) with Gauss
-        nodes x (3, w, n), as _exponents: sixth order [:, 0], fourth [:, 1].
-        With A = [[0, 1], [u - lam, 0]] the samples differ only in their (1, 0)
-        entry, so q has no lambda and the exponent is affine in lambda."""
+        nodes x (3, w, n): the sixth-order [:, 0] and fourth-order [:, 1] exponents
+        of _Dirac.steps in closed form.  With A = [[0, 1], [u - lam, 0]]
+        the samples differ only in their (1, 0) entry, so q has no lambda and the
+        exponent is affine in lambda."""
         u1, u2, u3 = self.u(x)
         h = h[:, None]
         a2, a3 = math.sqrt(15.0) / 3.0 * h * (u3 - u1), 10.0 / 3.0 * h * (u3 - 2.0 * u2 + u1)
@@ -297,8 +260,11 @@ class _Hill:
 
     def steps(self, lams, h, coefficients) -> np.ndarray:
         """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
-        lengths h (w,), from their exponents (self.exponents)."""
-        q, p0, p1, r0, r1 = _order(self, lams, h, coefficients)
+        lengths h (w,), from their exponents (self.exponents): the fourth-order
+        ones where a walk's steps leave the Magnus convergence disc, h rate(lam) > 1."""
+        outside = np.multiply.outer(self.rate(lams), h) > 1.0
+        q, p0, p1, r0, r1 = coefficients[:, outside.astype(int), np.arange(len(h))] \
+            if outside.any() else coefficients[:, :1]
         lam = lams[:, None, None]
         p, r = p0 + p1 * lam, r0 + r1 * lam
         C, S = _cs(-p * p - q * r, 1.0)  # det of the exponent
@@ -347,18 +313,31 @@ class _Dirac:
         return _expm2(h[:, None, None] * _coefficients(lams, self.w(mids), self.m))
 
     def exponents(self, x, h) -> np.ndarray:
-        """_exponents of the steps of lengths h (w,) with Gauss nodes x (3, w, n)."""
-        B = _coefficients(np.zeros(1), self.w(x.ravel()), self.m)[0]
-        return _exponents(B.reshape(x.shape + (2, 2)), h, _ISIGMA1)
+        """(a1, a2, a3) (3, w, n, 2, 2) at lam = 0 of the steps of lengths h (w,)
+        with Gauss nodes x (3, w, n): h B2, (sqrt(15)/3) h (B3 - B1) and
+        (10/3) h (B3 - 2 B2 + B1) of the samples B of A; lam adds h lam i s1 to a1 only."""
+        B = _coefficients(np.zeros(1), self.w(x.ravel()), self.m)[0].reshape(x.shape + (2, 2))
+        h = h[:, None, None, None]
+        return np.stack([h * B[1], math.sqrt(15.0) / 3.0 * h * (B[2] - B[0]),
+                         10.0 / 3.0 * h * (B[2] - 2.0 * B[1] + B[0])])
 
-    def steps(self, lams, h, coefficients) -> np.ndarray:
+    def steps(self, lams, h, alphas) -> np.ndarray:
         """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
-        lengths h (w,), from their exponents (self.exponents), cubics in lambda."""
-        omega, lam = _order(self, lams, h, coefficients), lams[:, None, None, None, None]
-        X = omega[3]
-        for c in omega[2::-1]:
-            X = X * lam + c
-        return _expm2(X)
+        lengths h (w,), from their exponents (self.exponents): the sixth-order
+        a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with C1 = [a1, a2] and
+        C2 = -[a1, 2 a3 + C1]/60 (Blanes, Casas & Ros 2000), or the fourth-order
+        a1 + a3/12 - C1/12 where h rate(lam) > 1."""
+        a1, a2, a3 = alphas
+        hl = np.multiply.outer(lams, h)
+        a1 = a1 + hl[:, :, None, None, None] * _ISIGMA1
+        c1 = _bracket(a1, a2)
+        c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
+        base = a1 + a3 / 12.0
+        omega = base + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        outside = self.rate(hl) > 1.0
+        if outside.any():
+            omega = np.where(outside[:, :, None, None, None], base - c1 / 12.0, omega)
+        return _expm2(omega)
 
 
 def _fold(F: np.ndarray) -> np.ndarray:
@@ -374,8 +353,9 @@ class _Plan:
     """The lambda-free lowering of a product of system over cells (segment
     lists): the (cell, depth) slot of each Magnus walk and exact piece, short
     cells behind identities, the lengths h and values p of the exact pieces,
-    and, per step density, the Magnus walks grouped by step count with their
-    exponents."""
+    and, per step density, the Magnus walks grouped by step count with the
+    lambda-free parts of their exponents (system.exponents), from which
+    system.steps forms each lambda's exponent."""
 
     def __init__(self, system, cells):
         self.system = system
@@ -396,12 +376,15 @@ class _Plan:
         """(n, (j, i), h, coefficients) of the Magnus walks of n steps each, where
         a walk takes refine * max(1, ceil(length * density)) steps: their slots,
         step lengths h (w,) and system.exponents at their Gauss nodes.  Kept
-        where they take at most _NODES steps in all."""
+        where they take at most _NODES steps in all, under (density, refine) and
+        under their step counts, which another (density, refine) may share."""
         key = density, refine
         if key in self.memo:
             return self.memo[key]
         j, i, pa, pb = self.magnus.T
         steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
+        if steps.tobytes() in self.memo:
+            return self.memo.setdefault(key, self.memo[steps.tobytes()])
         groups = []
         for n in np.unique(steps).tolist():
             g = steps == n
@@ -410,7 +393,7 @@ class _Plan:
             groups.append((n, (j[g].astype(int), i[g].astype(int)), h, self.system.exponents(
                 np.stack([x + c * h[:, None] for c in _GAUSS]), h)))
         if steps.sum() <= _NODES:
-            self.memo[key] = groups
+            self.memo[key] = self.memo[steps.tobytes()] = groups
         return groups
 
 

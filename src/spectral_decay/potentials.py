@@ -1,8 +1,8 @@
 """Periodic potentials and compactly supported perturbations.
 
-Three potential representations are supported: zero, a finite Fourier
-series, and a right-continuous piecewise-constant step function on the
-unit cell.  Perturbations are stored through their square root G
+Two potential representations are supported: a finite Fourier series
+and a right-continuous step function on the unit cell (zero is the
+one-piece step 0).  Perturbations are stored through their square root G
 (Q = G^2), so the Birman-Schwinger operator can be assembled without
 sign ambiguity.  All objects are immutable after construction.
 """
@@ -23,7 +23,7 @@ _TWO_PI = 2.0 * math.pi
 class PeriodicPotential:
     """A real 1-periodic potential V(x) = V(x+1).
 
-    kind is one of "zero", "fourier", "piecewise".  The period is 1;
+    kind is "fourier" or "piecewise".  The period is 1;
     general periods T are handled by caller-side rescaling x -> x/T,
     lambda -> T^2 lambda.
     """
@@ -36,7 +36,7 @@ class PeriodicPotential:
     values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "fourier", "piecewise"):
+        if self.kind not in ("fourier", "piecewise"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
         if self.kind == "piecewise":
             br = self.breaks
@@ -53,7 +53,7 @@ class PeriodicPotential:
 
     @classmethod
     def zero(cls) -> "PeriodicPotential":
-        return cls(kind="zero")
+        return cls.piecewise([0.0], [0.0])
 
     @classmethod
     def fourier(cls, mean=0.0, cos=(), sin=()) -> "PeriodicPotential":
@@ -71,8 +71,6 @@ class PeriodicPotential:
 
     def __call__(self, x):
         """Evaluate V at x (scalar or array); 1-periodic."""
-        if self.kind == "zero":
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         if self.kind == "fourier":
             x = np.asarray(x, dtype=float)
             out = np.full_like(x, self.mean)
@@ -89,20 +87,16 @@ class PeriodicPotential:
 
     @property
     def is_piecewise_constant(self) -> bool:
-        return self.kind in ("zero", "piecewise")
+        return self.kind == "piecewise"
 
     def max_abs(self) -> float:
-        """Upper bound on max |V| (exact for zero/piecewise)."""
-        if self.kind == "zero":
-            return 0.0
+        """Upper bound on max |V| (exact for piecewise)."""
         if self.kind == "piecewise":
             return max(abs(v) for v in self.values)
         return abs(self.mean) + sum(abs(c) for c in self.cos) + sum(abs(s) for s in self.sin)
 
     def cell_pieces(self):
-        """(break, value) pairs covering [0,1) for piecewise/zero kinds."""
-        if self.kind == "zero":
-            return ((0.0, 0.0),)
+        """(break, value) pairs covering [0,1) for the piecewise kind."""
         if self.kind == "piecewise":
             return tuple(zip(self.breaks, self.values))
         raise ValidationError("cell_pieces requires a piecewise-constant potential")
@@ -110,8 +104,6 @@ class PeriodicPotential:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"type": "zero"}
         if self.kind == "fourier":
             return {"type": "fourier", "mean": self.mean,
                     "cos": list(self.cos), "sin": list(self.sin)}

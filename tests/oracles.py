@@ -78,12 +78,11 @@ def constant_transfer(v, lam, h):
 
 
 def closed_form_monodromy(V, lam):
-    """Monodromy of a zero or piecewise V: the constant_transfer of each
-    piece, multiplied from the left as 2x2 arrays.  The batched kernel must
+    """Monodromy of a piecewise V: the constant_transfer of each piece,
+    multiplied from the left as 2x2 arrays.  The batched kernel must
     reproduce this rounding bit for bit, complex lam included."""
-    breaks, values = ((0.0,), (0.0,)) if V.kind == "zero" else (V.breaks, V.values)
     T = np.eye(2)
-    for pa, pb, v in zip(breaks, (*breaks[1:], 1.0), values):
+    for pa, pb, v in zip(V.breaks, (*V.breaks[1:], 1.0), V.values):
         T = constant_transfer(v, lam, pb - pa) @ T
     return T
 

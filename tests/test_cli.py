@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +309,38 @@ def test_dirac_eig_scan_failing_everywhere_reports_the_grid_failure(capsys):
     assert main(["dirac-eig", "--mass", "1e6", "--depth", "0.5", "--support", "0", "20"]) == 2
     assert capsys.readouterr().err == \
         "error: lambda = -999999.999: phase rounding over [0.0, 20.0] > tol = 1e-10\n"
+
+
+def test_overflow_fails_typed_with_runtime_warnings_as_errors(cfg, tmp_path):
+    # main() adds no errstate of its own: the kernel entry points own their
+    # overflow handling, so no RuntimeWarning escapes from these commands
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps({"type": "piecewise", "breaks": [0.0, 0.5], "values": [1e6, 0.0]}))
+    paths = dict(cfg, tall=str(tall))
+    overflow = "error: transfer matrix is not finite (overflow)\n"
+    cases = [
+        (["dirac-eig", "--mass", "1000", "--depth", "0.5", "--support", "0", "1"], 0, ""),
+        (["dirac-eig", "--mass", "1e6", "--depth", "0.5", "--support", "0", "20"], 2,
+         "error: lambda = -999999.999: phase rounding over [0.0, 20.0] > tol = 1e-10\n"),
+        (["bands", "--potential", "tall", "--lambda-max", "50", "--grid-step", "1000"], 2,
+         overflow),
+        (["discriminant", "--potential", "step", "--lambda-range=-1e6:-1e5:5"], 2, overflow),
+        (["discriminant", "--potential", "mathieu", "--lambda-range=-1e6:-1e5:5"], 2, overflow),
+        (["gap-eig", "--potential", "step", "--perturbation", "box", "--lambda=-1e4"], 2,
+         "error: no sign change up to alpha = 10000.0\n"),
+        (["bs-spectrum", "--potential", "step", "--perturbation", "box", "--lambda=-1e5"], 0, ""),
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from spectral_decay.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        results.append([main(argv), err.getvalue()])\n"
+            "print(json.dumps(results))\n")
+    argvs = [[paths.get(a, a) for a in argv] for argv, _, _ in cases]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                          json.dumps(argvs)], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout) == [[status, err] for _, status, err in cases]

@@ -35,3 +35,24 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_no_dead_private_helpers():
+    # a module-level private function, class or constant that no src/ module
+    # reads is dead code; tests reading it do not keep it alive
+    defined, read = set(), set()
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(path.stem, n.id) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = sorted(f"{module}.{name}" for module, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not dead, f"no src/ module reads {dead}"

@@ -280,7 +280,7 @@ def test_property_magnus_is_sixth_order(coeffs, lam):
 @given(st.floats(1.0, 3.0), st.floats(0.2, 0.5), st.floats(0.5, 2.0),
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_property_dirac_magnus_is_sixth_order(depth, tilt, m, lams):
-    # the exponent is a cubic in lambda; its lambda parts carry the commutators too
+    # lambda enters a1 only, and through it every commutator of the exponent
     def w(x):
         return np.array([[depth * math.cos(3.0 * x), tilt * x * 1j], [-tilt * x * 1j, -depth]])
 
@@ -325,6 +325,23 @@ def test_dirac_smooth_w_vs_dop853():
     Wf = MatrixPerturbation(support=(-1.0, 1.0), func=lambda x: w(0.25))
     assert np.allclose(ode.propagate_dirac(Wc, 1.0, 0.2, -1.0, 1.0, s0),
                        ode.propagate_dirac(Wf, 1.0, 0.2, -1.0, 1.0, s0), atol=1e-12)
+
+
+def test_batched_dirac_smooth_w_vs_dop853():
+    # lambda on both sides of -m and of m; at |lambda| = 40 the first densities
+    # certification tries (16 and 32 steps over [-1, 1]) step outside the
+    # Magnus disc, h |lambda| > 1, and take the fourth-order exponent
+    def w(x):
+        return np.array([[-0.6 + 0.2 * math.cos(3.0 * x), 0.1j * x], [-0.1j * x, -0.6]])
+
+    W = MatrixPerturbation(support=(-1.0, 1.0), func=w)
+    lams = np.array([-40.0, -2.5, -0.4, 0.3, 2.5, 40.0])
+    T = ode.dirac_transfer(W, 1.0, lams, -1.0, 1.0)
+    for lam, T_lam in zip(lams, T):
+        ref = np.column_stack([
+            _dop853(lambda x, p: oracles.dirac_coefficient(W, 1.0, lam, x) @ p, -1.0, 1.0, e)
+            for e in np.eye(2, dtype=complex)])
+        assert np.max(np.abs(T_lam - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r, t]]),
