@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import decay, ode
-from .errors import DegenerateMatch, OutsideGap, StepFailure, ValidationError
+from .errors import DegenerateMatch, OutsideGap, StepFailure
 from .potentials import MatrixPerturbation
 
 N_SCAN = 400           # determinant samples across the gap
@@ -51,8 +51,7 @@ def dirac_tail(m: float, lam):
     norm and proportional to (sqrt(m+lam), +-i sqrt(m-lam)).  An array
     of lambda gives rates (*shape,) and directions (*shape, 2).
     """
-    if m <= 0:
-        raise ValidationError(f"mass m must be positive, got {m}")
+    ode.check_mass(m)
     lams = np.asarray(lam, dtype=float)
     if not np.all(np.abs(lams) < m):
         lam = next(lam for lam in lams.flat if not abs(lam) < m).item()
@@ -109,6 +108,7 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     with the cells next to them; StepFailure only where every point is.
     An empty list is a valid result.
     """
+    ode.check_mass(m)
     eps = 1e-9 * m
     grid = np.linspace(-m + eps, m - eps, N_SCAN)
     dets = _scan(W, m, grid)

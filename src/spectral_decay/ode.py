@@ -12,26 +12,27 @@ samples as extra cuts, and each cell between neighbouring samples takes
 the segments between its ends.  A lowering is a _Plan, which keeps the
 Magnus exponents of its walks; the monodromy reuses the plan of [0, 1] of
 the last potential given, matched by identity.  The exponential is exact
-where A is constant (piecewise V, V - alpha Q with a piecewise profile, W
-constant on its support); elsewhere the product takes sixth-order Magnus
-steps with three Gauss points (Blanes, Casas & Ros 2000; Blanes, Casas,
-Oteo & Ros 2009).  A step outside the Magnus convergence disc, h rate(lambda)
-> 1, takes the fourth-order exponent of the same three samples instead.
-All walks of a product with equally many steps are evaluated in one call.
-tol sets the step count: it grows by powers of two until n and 2n steps
-agree to tol relative to the transfer matrix, and the 2n-step product is
-kept with that difference as its error bound.
+where A is constant: on every Dirac piece (W is one constant matrix on its
+support and zero outside), and on Hill pieces of piecewise V and of
+V - alpha Q with a piecewise profile.  Elsewhere the Hill product takes
+sixth-order Magnus steps with three Gauss points (Blanes, Casas & Ros
+2000; Blanes, Casas, Oteo & Ros 2009).  A step outside the Magnus
+convergence disc, h rate(lambda) > 1, takes the fourth-order exponent of
+the same three samples instead.  All walks of a product with equally
+many steps are evaluated in one call.  tol sets the step count: it grows
+by powers of two until n and 2n steps agree to tol relative to the
+transfer matrix, and the 2n-step product is kept with that difference as
+its error bound.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
 only through p and r, affinely: the samples of A differ only in their
-(1, 0) entry.  In Dirac, A = A0 + i lambda s1 is affine in lambda, and of the
-combinations a1, a2, a3 of the samples only a1 = h A(middle node) has
-lambda in it; each lambda forms its exponent from them.  So the segments,
-the samples of V or W at the piece midpoints and the lambda-free exponent
-parts at the Gauss nodes are computed once per plan, and numpy evaluates
-lambda x segments in blocks; each lambda keeps its own certified step
-density.  A scalar lambda is a batch of one.
+(1, 0) entry.  In Dirac, a piece's exponent h A = h A0 + i h lambda s1 is
+affine in lambda.  So the segments, the values of V or W on the exact
+pieces and the lambda-free exponent parts at the Gauss nodes are computed
+once per plan, and numpy evaluates lambda x segments in blocks; each
+lambda keeps its own certified step density.  A scalar lambda is a batch
+of one.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -54,7 +55,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 from .errors import StepFailure, ValidationError
-from .potentials import CompactPerturbation, MatrixPerturbation
+from .potentials import CompactPerturbation
 
 DEFAULT_TOL = 1e-10
 MAX_LAMBDAS = 2 ** 20  # points in one lambda set; scan grids hold ~10^4
@@ -77,7 +78,8 @@ def check_lambda_count(n) -> int:
     """n as an int, or ValidationError when a lambda set of n points
     exceeds MAX_LAMBDAS (checked before the set is allocated)."""
     if not n <= MAX_LAMBDAS:
-        raise ValidationError(f"{n} lambda points exceed the limit of {MAX_LAMBDAS}")
+        count = int(n) if n < math.inf else n  # a float count names its integer
+        raise ValidationError(f"{count} lambda points exceed the limit of {MAX_LAMBDAS}")
     return int(n)
 
 
@@ -171,15 +173,6 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     return E[..., 0, :, :]
 
 
-def _bracket(X, Y) -> np.ndarray:
-    """The commutator XY - YX of stacks (..., 2, 2), entry by entry."""
-    x00, x01, x10, x11 = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
-    y00, y01, y10, y11 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
-    d = x01 * y10 - y01 * x10
-    return _matrices(d, x01 * (y11 - y00) - y01 * (x11 - x00),
-                     x10 * (y00 - y11) - y10 * (x00 - x11), -d)
-
-
 def _points(xa: float, xb: float, cuts, system_cuts) -> list:
     """xa, the cuts and system cuts strictly inside (xa, xb) in increasing
     order, and xb.  Of equal values (0.0 and -0.0) the one in cuts is kept,
@@ -242,9 +235,9 @@ class _Hill:
         """(q, p0, p1, r0, r1) (5, 2, w, n) of the Magnus exponents [[p, q], [r, -p]],
         p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w,) with Gauss
         nodes x (3, w, n): the sixth-order [:, 0] and fourth-order [:, 1] exponents
-        of _Dirac.steps in closed form.  With A = [[0, 1], [u - lam, 0]]
-        the samples differ only in their (1, 0) entry, so q has no lambda and the
-        exponent is affine in lambda."""
+        of three Gauss samples (Blanes, Casas & Ros 2000) in closed form.  With
+        A = [[0, 1], [u - lam, 0]] the samples differ only in their (1, 0) entry,
+        so q has no lambda and the exponent is affine in lambda."""
         u1, u2, u3 = self.u(x)
         h = h[:, None]
         a2, a3 = math.sqrt(15.0) / 3.0 * h * (u3 - u1), 10.0 / 3.0 * h * (u3 - 2.0 * u2 + u1)
@@ -271,20 +264,14 @@ class _Hill:
         return _matrices(C + S * p, S * q, S * r, C - S * p)
 
 
-def _coefficients(lams, w, m: float) -> np.ndarray:
-    """B = i s1 (lam I - m s3 - w) (k, j, 2, 2) for k lambdas and a stack of
-    j matrices w; lam enters only the diagonal of the bracket."""
-    return _ISIGMA1 @ (lams[:, None, None, None] * _I2 - m * SIGMA3 - w)
-
-
 class _Dirac:
     """-i s1 psi' + m s3 psi + W psi = lam psi as a system free of lambda:
-    cuts at the support of W, exact where W is None or constant there."""
+    cuts at the support of W, every piece exact."""
 
     def __init__(self, W, m: float):
-        self.W, self.m = W, m
-        self.matrix = isinstance(W, MatrixPerturbation)
-        self.a, self.b = W.support if self.matrix else (math.inf, -math.inf)
+        self.m, self.zero = m, np.zeros((2, 2), dtype=complex)
+        self.a, self.b = W.support if W is not None else (math.inf, -math.inf)
+        self.w = np.array(W.matrix, dtype=complex) if W is not None else self.zero
 
     @staticmethod
     def rate(lams):
@@ -295,49 +282,16 @@ class _Dirac:
         return complex
 
     def segments(self, xa: float, xb: float, cuts=()) -> list:
-        """Segments (pa, pb, mid) of [xa, xb], split also at cuts: mid is None
-        where W varies."""
+        """Segments (pa, pb, w) of [xa, xb], split also at cuts: w is the
+        matrix of W on the piece, zero outside its support."""
         a, b = self.a, self.b
-        constant = self.W is None or self.matrix and self.W.constant is not None
-        return [(pa, pb, mid if constant or self.matrix and not a <= mid <= b else None)
+        return [(pa, pb, self.w if a <= mid <= b else self.zero)
                 for pa, pb, mid in _spans(_points(xa, xb, cuts, (a, b)))]
 
-    def w(self, xs) -> np.ndarray:
-        """W at the points xs, (len(xs), 2, 2)."""
-        if self.W is None:
-            return np.zeros((len(xs), 2, 2), dtype=complex)
-        return np.array([self.W(x) for x in xs], dtype=complex)
-
-    def exact(self, lams, mids, h) -> np.ndarray:
-        """exp(h B(mid)) (k, m, 2, 2) on the m pieces where W is constant."""
-        return _expm2(h[:, None, None] * _coefficients(lams, self.w(mids), self.m))
-
-    def exponents(self, x, h) -> np.ndarray:
-        """(a1, a2, a3) (3, w, n, 2, 2) at lam = 0 of the steps of lengths h (w,)
-        with Gauss nodes x (3, w, n): h B2, (sqrt(15)/3) h (B3 - B1) and
-        (10/3) h (B3 - 2 B2 + B1) of the samples B of A; lam adds h lam i s1 to a1 only."""
-        B = _coefficients(np.zeros(1), self.w(x.ravel()), self.m)[0].reshape(x.shape + (2, 2))
-        h = h[:, None, None, None]
-        return np.stack([h * B[1], math.sqrt(15.0) / 3.0 * h * (B[2] - B[0]),
-                         10.0 / 3.0 * h * (B[2] - 2.0 * B[1] + B[0])])
-
-    def steps(self, lams, h, alphas) -> np.ndarray:
-        """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
-        lengths h (w,), from their exponents (self.exponents): the sixth-order
-        a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 with C1 = [a1, a2] and
-        C2 = -[a1, 2 a3 + C1]/60 (Blanes, Casas & Ros 2000), or the fourth-order
-        a1 + a3/12 - C1/12 where h rate(lam) > 1."""
-        a1, a2, a3 = alphas
-        hl = np.multiply.outer(lams, h)
-        a1 = a1 + hl[:, :, None, None, None] * _ISIGMA1
-        c1 = _bracket(a1, a2)
-        c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
-        base = a1 + a3 / 12.0
-        omega = base + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        outside = self.rate(hl) > 1.0
-        if outside.any():
-            omega = np.where(outside[:, :, None, None, None], base - c1 / 12.0, omega)
-        return _expm2(omega)
+    def exact(self, lams, w, h) -> np.ndarray:
+        """exp(h B), B = i s1 (lam I - m s3 - w), (k, m, 2, 2) on m pieces of W = w."""
+        B = _ISIGMA1 @ (lams[:, None, None, None] * _I2 - self.m * SIGMA3 - w)
+        return _expm2(h[:, None, None] * B)
 
 
 def _fold(F: np.ndarray) -> np.ndarray:
@@ -595,15 +549,19 @@ def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float
                  dense_xs)
 
 
-def _check_mass(m: float):
+def check_mass(m: float):
+    """ValidationError unless m > 0 and m * m, which the Dirac tail rate
+    sqrt(m^2 - lambda^2) takes, is finite."""
     if m <= 0:
         raise ValidationError(f"mass m must be positive, got {m}")
+    if math.isinf(float(m) * float(m)):  # floats: no numpy overflow warning
+        raise ValidationError(f"mass m = {m} is too large: m * m overflows")
 
 
 def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT_TOL):
     """Transfer matrices (*shape, 2, 2) of the 1D Dirac system from x0 to
     x1 >= x0 for an array of lambda, over one lowering of W."""
-    _check_mass(m)
+    check_mass(m)
     if not x0 <= x1:
         raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
     system = _Dirac(W, m)
@@ -612,11 +570,7 @@ def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT
 
 def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
                     tol: float = DEFAULT_TOL, dense_xs=None):
-    """Propagate a spinor (psi1, psi2) of the 1D Dirac system.
-
-    W may be None (free), a MatrixPerturbation, or a callable returning
-    2x2 Hermitian matrices.  Exact where W is constant (outside the
-    support, and inside it for a constant MatrixPerturbation).
-    """
-    _check_mass(m)
+    """Propagate a spinor (psi1, psi2) of the 1D Dirac system with W None
+    (free) or a MatrixPerturbation, as propagate_hill."""
+    check_mass(m)
     return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)

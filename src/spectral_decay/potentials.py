@@ -10,7 +10,7 @@ sign ambiguity.  All objects are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,28 +222,31 @@ def load_perturbation(doc: dict) -> CompactPerturbation:
 
 @dataclass(frozen=True)
 class MatrixPerturbation:
-    """Hermitian 2x2 matrix-valued W(x) with compact support [a, b]."""
+    """A constant Hermitian 2x2 matrix W on a compact support [a, b], zero
+    outside.  matrix holds the rows of W as tuples of complex entries."""
 
     support: tuple
-    func: object = field(compare=False)  # x -> 2x2 complex Hermitian
-    constant: object = None  # the matrix itself when W is constant on [a,b]
+    matrix: tuple
 
     def __post_init__(self):
         a, b = self.support
         if not (b > a):
             raise ValidationError("support must be a nondegenerate interval")
-        for x in np.linspace(a, b, 17):
-            w = np.asarray(self.func(x), dtype=complex)
-            if w.shape != (2, 2):
-                raise ValidationError("W samples must be 2x2")
-            if not np.allclose(w, w.conj().T, atol=1e-12):
-                raise ValidationError("W must be Hermitian at every sample")
+        try:
+            w = np.array(self.matrix, dtype=complex)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            w = np.empty(0)
+        if w.shape != (2, 2):
+            raise ValidationError("W must be a 2x2 matrix")
+        if not np.isfinite(w).all():
+            raise ValidationError("W must have finite entries")
+        if not np.allclose(w, w.conj().T, atol=1e-12):
+            raise ValidationError("W must be Hermitian")
+        object.__setattr__(self, "matrix", tuple(map(tuple, w.tolist())))
 
     @classmethod
     def constant_matrix(cls, matrix, support) -> "MatrixPerturbation":
-        m = np.asarray(matrix, dtype=complex)
-        return cls(support=(float(support[0]), float(support[1])),
-                   func=lambda x, _m=m: _m, constant=m)
+        return cls(support=(float(support[0]), float(support[1])), matrix=matrix)
 
     @classmethod
     def scalar_well(cls, depth: float, support) -> "MatrixPerturbation":
@@ -251,7 +254,6 @@ class MatrixPerturbation:
         return cls.constant_matrix(-float(depth) * np.eye(2), support)
 
     def __call__(self, x):
+        """W at the point x."""
         a, b = self.support
-        if a <= x <= b:
-            return np.asarray(self.func(x), dtype=complex)
-        return np.zeros((2, 2), dtype=complex)
+        return np.array(self.matrix if a <= x <= b else np.zeros((2, 2)), dtype=complex)

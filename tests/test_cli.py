@@ -330,6 +330,14 @@ def test_overflow_fails_typed_with_runtime_warnings_as_errors(cfg, tmp_path):
          "error: no sign change up to alpha = 10000.0\n"),
         (["bs-spectrum", "--potential", "step", "--perturbation", "box", "--lambda=-1e5"], 0, ""),
     ]
+    argvs = [[paths.get(a, a) for a in argv] for argv, _, _ in cases]
+    assert _main_with_runtime_warnings_as_errors(argvs) == [[status, err]
+                                                            for _, status, err in cases]
+
+
+def _main_with_runtime_warnings_as_errors(argvs) -> list:
+    """[exit code, stderr] of main on each argv, in one python subprocess
+    run with -W error::RuntimeWarning."""
     code = ("import contextlib, io, json, sys\n"
             "from spectral_decay.cli import main\n"
             "results = []\n"
@@ -338,9 +346,25 @@ def test_overflow_fails_typed_with_runtime_warnings_as_errors(cfg, tmp_path):
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
             "        results.append([main(argv), err.getvalue()])\n"
             "print(json.dumps(results))\n")
-    argvs = [[paths.get(a, a) for a in argv] for argv, _, _ in cases]
     src = str(pathlib.Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
                           json.dumps(argvs)], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert json.loads(out.stdout) == [[status, err] for _, status, err in cases]
+    return json.loads(out.stdout)
+
+
+def test_dirac_eig_huge_mass_fails_typed_with_runtime_warnings_as_errors():
+    # m * m overflows: m is rejected before the scan, in one line that names it
+    argvs = [["dirac-eig", "--mass", mass, "--depth", "0.5", "--support", "0", "1"]
+             for mass in ("1e200", "1e308")]
+    assert _main_with_runtime_warnings_as_errors(argvs) == [
+        [2, "error: mass m = 1e+200 is too large: m * m overflows\n"],
+        [2, "error: mass m = 1e+308 is too large: m * m overflows\n"]]
+
+
+def test_oversized_scan_names_an_integer_point_count(tmp_path, capsys):
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps({"type": "piecewise", "breaks": [0.0, 0.5], "values": [1e12, 0.0]}))
+    assert main(["bands", "--potential", str(tall), "--lambda-max", "50"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 20000000001021 lambda points exceed the limit of 1048576\n"

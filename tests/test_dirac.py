@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spectral_decay import dirac
 from spectral_decay.dirac import (dirac_eigenfunction, dirac_gap_eigenvalues,
                                   dirac_tail, matching_determinant)
-from spectral_decay.errors import OutsideGap, StepFailure
+from spectral_decay.errors import OutsideGap, StepFailure, ValidationError
 from spectral_decay.potentials import MatrixPerturbation
 
 WELL = MatrixPerturbation.scalar_well(0.5, (-1.0, 1.0))
@@ -36,6 +36,17 @@ def test_tail_outside_gap():
         dirac_tail(1.0, 1.5)
     with pytest.raises(OutsideGap):
         dirac_tail(1.0, -1.0)
+
+
+@pytest.mark.parametrize("m", [1e200, np.float64(1e200), 1e308],
+                         ids=["1e200", "float64-1e200", "1e308"])
+def test_mass_whose_square_overflows_fails_typed(m):
+    # m * m in the tail rate overflows: rejected before any lambda is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: dirac_tail(m, 0.0), lambda: dirac_gap_eigenvalues(WELL, m)):
+            with pytest.raises(ValidationError, match=r"^mass m = 1e\+(200|308) is too large"):
+                call()
 
 
 def test_rate_dominates_distance():
@@ -140,21 +151,13 @@ def test_tail_batch_is_stacked_batch_of_one():
         dirac_tail(1.3, [0.0, 1.5, -2.0])
 
 
-# random wells, constant Hermitian W and smooth W, and lambda sets in the gap
+# random wells and constant Hermitian W, and lambda sets in the gap
 support = st.tuples(st.floats(-1.5, 0.0), st.floats(0.1, 2.5)).map(lambda s: (s[0], s[0] + s[1]))
 coef = st.floats(-3.0, 3.0)
 wells = st.builds(MatrixPerturbation.scalar_well, coef, support)
 constant = st.builds(lambda p, q, r, t, sup: MatrixPerturbation.constant_matrix(
     [[p, q + 1j * r], [q - 1j * r, t]], sup), coef, coef, coef, coef, support)
 
-
-def _smooth(depth, tilt, sup):
-    def w(x):
-        return np.array([[-depth * math.cos(x), tilt * x * 1j], [-tilt * x * 1j, -0.5 * depth]])
-    return MatrixPerturbation(support=sup, func=w)
-
-
-smooth = st.builds(_smooth, coef, st.floats(-0.5, 0.5), support)
 gap_points = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6)
 masses = st.floats(0.5, 2.0)
 
@@ -166,14 +169,6 @@ def test_property_batched_determinant_is_stacked_batch_of_one(W, m, fractions):
     dets = matching_determinant(W, m, lams)
     assert dets.shape == lams.shape
     assert np.array_equal(dets, [matching_determinant(W, m, lam) for lam in lams])
-
-
-@settings(max_examples=6, deadline=None, derandomize=True)
-@given(smooth, masses, gap_points)
-def test_property_batched_smooth_determinant_is_stacked_batch_of_one(W, m, fractions):
-    lams = m * np.array(fractions)
-    assert np.array_equal(matching_determinant(W, m, lams),
-                          [matching_determinant(W, m, lam) for lam in lams])
 
 
 def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():

@@ -276,22 +276,6 @@ def test_property_magnus_is_sixth_order(coeffs, lam):
     assert abs(math.log2(ratio) - 6.0) <= 0.25
 
 
-@props
-@given(st.floats(1.0, 3.0), st.floats(0.2, 0.5), st.floats(0.5, 2.0),
-       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-def test_property_dirac_magnus_is_sixth_order(depth, tilt, m, lams):
-    # lambda enters a1 only, and through it every commutator of the exponent
-    def w(x):
-        return np.array([[depth * math.cos(3.0 * x), tilt * x * 1j], [-tilt * x * 1j, -depth]])
-
-    system = ode._Dirac(MatrixPerturbation(support=(-0.5, 0.5), func=w), m)
-    plan = ode._Plan(system, [system.segments(-0.5, 0.5)])
-    # 16 to 64 steps: at 128 the difference reaches the rounding floor, ~5e-15
-    T16, T32, T64 = (ode._product(plan, np.array(lams), n)[:, 0] for n in (16, 32, 64))
-    ratio = np.max(np.abs(T16 - T32), axis=(1, 2)) / np.max(np.abs(T32 - T64), axis=(1, 2))
-    assert np.all(np.abs(np.log2(ratio) - 6.0) <= 0.25)
-
-
 def _dop853(rhs, x0, x1, y0):
     sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=1e-13, atol=1e-13)
     return sol.y[:, -1]
@@ -311,37 +295,40 @@ def test_perturbed_smooth_profile_vs_dop853():
     assert np.allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
-def test_dirac_smooth_w_vs_dop853():
-    def w(x):
-        return np.array([[math.cos(x), 0.3j * x], [-0.3j * x, -0.5]], dtype=complex)
-
-    W = MatrixPerturbation(support=(-1.0, 1.0), func=w)
-    s0 = np.array([1.0, 0.5j])
-    out = ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, s0)
-    ref = _dop853(lambda x, p: oracles.dirac_coefficient(W, 1.0, 0.2, x) @ p, -1.0, 1.0, s0)
-    assert np.allclose(out, ref, rtol=1e-9, atol=1e-9)
-    # the same W held constant goes through the exact closed form
-    Wc = MatrixPerturbation.constant_matrix(w(0.25), (-1.0, 1.0))
-    Wf = MatrixPerturbation(support=(-1.0, 1.0), func=lambda x: w(0.25))
-    assert np.allclose(ode.propagate_dirac(Wc, 1.0, 0.2, -1.0, 1.0, s0),
-                       ode.propagate_dirac(Wf, 1.0, 0.2, -1.0, 1.0, s0), atol=1e-12)
+# the matrix of a constant Hermitian W with complex off-diagonal entries
+W_HERMITIAN = ((0.4, 0.3 + 0.5j), (0.3 - 0.5j, -0.7))
 
 
-def test_batched_dirac_smooth_w_vs_dop853():
-    # lambda on both sides of -m and of m; at |lambda| = 40 the first densities
-    # certification tries (16 and 32 steps over [-1, 1]) step outside the
-    # Magnus disc, h |lambda| > 1, and take the fourth-order exponent
-    def w(x):
-        return np.array([[-0.6 + 0.2 * math.cos(3.0 * x), 0.1j * x], [-0.1j * x, -0.6]])
+def _dirac_dop853(W, m, lam, stops, s0):
+    """DOP853 states of psi' = B psi (oracles.dirac_coefficient) at the stops,
+    a monotone grid with the ends of the support of W among them."""
+    a, b = W.support
+    states = [np.asarray(s0, dtype=complex)]
+    for xa, xb in zip(stops, stops[1:]):
+        Wp = W if a <= 0.5 * (xa + xb) <= b else None  # no stage sees the other side
+        states.append(_dop853(lambda x, p: oracles.dirac_coefficient(Wp, m, lam, x) @ p,
+                              xa, xb, states[-1]))
+    return np.array(states[1:])
 
-    W = MatrixPerturbation(support=(-1.0, 1.0), func=w)
-    lams = np.array([-40.0, -2.5, -0.4, 0.3, 2.5, 40.0])
-    T = ode.dirac_transfer(W, 1.0, lams, -1.0, 1.0)
+
+def test_constant_hermitian_w_vs_dop853():
+    # an integrator independent of the closed form, at lambda inside and
+    # outside (-m, m), over a range that crosses both ends of the support
+    W, m = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0)), 1.0
+    lams = np.array([-3.0, -1.2, -0.4, 0.3, 0.95, 1.6, 2.5])
+    stops = [-1.5, -1.0, 1.0, 1.25]
+    T = ode.dirac_transfer(W, m, lams, stops[0], stops[-1])
     for lam, T_lam in zip(lams, T):
-        ref = np.column_stack([
-            _dop853(lambda x, p: oracles.dirac_coefficient(W, 1.0, lam, x) @ p, -1.0, 1.0, e)
-            for e in np.eye(2, dtype=complex)])
+        ref = np.column_stack([_dirac_dop853(W, m, lam, stops, e)[-1]
+                               for e in np.eye(2, dtype=complex)])
         assert np.max(np.abs(T_lam - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    # one dense walk, backwards through samples inside and outside the support
+    xs = np.linspace(1.25, -1.5, 12)
+    stops = sorted({*xs, -1.0, 1.0}, reverse=True)
+    end, dense = ode.propagate_dirac(W, m, 0.45, xs[0], xs[-1], (1.0, 0.5j), dense_xs=xs[1:-1])
+    ref = _dirac_dop853(W, m, 0.45, stops, (1.0, 0.5j))
+    ref = [ref[stops.index(x) - 1] for x in xs[1:]]
+    assert np.max(np.abs(np.vstack([dense, end]) - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r, t]]),
@@ -504,16 +491,36 @@ def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.sampled_from(["free", "constant", "smooth"]), st.floats(-1.0, 0.5),
+@given(st.sampled_from(["free", "constant"]), st.floats(-1.0, 0.5),
        st.floats(0.5, 2.0), st.floats(-0.95, 0.95), st.data())
 def test_property_one_pass_dirac_cells_are_the_per_cell_lowering(kind, a, m, t, data):
     support = (a, a + 1.3)
-    W = {"free": None, "constant": MatrixPerturbation.scalar_well(1.5, support),
-         "smooth": MatrixPerturbation(support, lambda x: np.cos(x) * np.array([[1.0, 0.5j],
-                                                                              [-0.5j, -1.0]]))}[kind]
+    W = {"free": None, "constant": MatrixPerturbation.scalar_well(1.5, support)}[kind]
     stops = _stops(data, data.draw(st.floats(-1.5, 0.5)), list(support))
     _same_walk(lambda x0, x1, d: ode.propagate_dirac(W, m, t * m, x0, x1, (1.0, 0.5j), dense_xs=d),
                stops)
+
+
+# W is one constant matrix on its support, so every Dirac piece is exact
+supports = st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 2.0)).map(lambda s: (s[0], s[0] + s[1]))
+dirac_ws = st.one_of(st.none(),
+                     st.builds(MatrixPerturbation.scalar_well, st.floats(-3.0, 3.0), supports),
+                     st.builds(MatrixPerturbation.constant_matrix, hermitian, supports))
+
+
+@props
+@given(dirac_ws, st.floats(0.2, 3.0), st.floats(-2.0, 1.0), st.floats(0.05, 4.0),
+       st.lists(st.floats(-2.0, 5.0), max_size=6))
+def test_property_dirac_plans_hold_no_magnus_walk(W, m, xa, length, cuts):
+    system, xb = ode._Dirac(W, m), xa + length
+    segs = system.segments(xa, xb, cuts)
+    plan = ode._Plan(system, [segs])
+    assert plan.spans.size == 0 and plan.tiled and plan.p.shape == (len(segs), 2, 2)
+    for (pa, pb, _), wp in zip(segs, plan.p):  # W's matrix on its support, zero off it
+        assert np.array_equal(wp, W(0.5 * (pa + pb)) if W is not None else np.zeros((2, 2)))
+    stops = sorted({xa, xb, *(c for c in cuts if xa < c < xb)})
+    cells = [system.segments(pa, pb) for pa, pb in zip(stops, stops[1:])]
+    assert ode._Plan(system, cells).spans.size == 0
 
 
 # the unit-cell lowering of the last potential is kept, by identity: random 1-4-step
@@ -670,24 +677,15 @@ def test_nan_lambda_fails_named(call):
         call()
 
 
-# sixth-order Magnus steps: all walks of a product with equally many steps
-# take them in one call, and a step outside the convergence disc takes the
-# fourth-order exponent of the same samples
-def _smooth_w(x):
-    return np.cos(x) * np.array([[1.0, 0.5j], [-0.5j, -1.0]])
-
-
+# sixth-order Magnus steps (Hill): all walks of a product with equally many
+# steps take them in one call, and a step outside the convergence disc takes
+# the fourth-order exponent of the same samples
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(fourier, st.sampled_from(["hill", "dirac"]), st.floats(-1.0, 0.5),
-       st.lists(st.floats(0.01, 0.4), min_size=2, max_size=12),
+@given(fourier, st.floats(-1.0, 0.5), st.lists(st.floats(0.01, 0.4), min_size=2, max_size=12),
        st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=4), st.sampled_from([8, 64]))
-def test_property_many_cell_product_is_each_cell_alone(coeffs, kind, lo, widths, lams, density):
+def test_property_many_cell_product_is_each_cell_alone(coeffs, lo, widths, lams, density):
     # lambda up to 400 puts some walks of a group outside the disc and some inside
-    if kind == "hill":
-        system = ode._Hill(PeriodicPotential.fourier(*coeffs))
-    else:
-        system = ode._Dirac(MatrixPerturbation((lo - 1.0, lo + 6.0), _smooth_w), 1.5)
-        lams = [lam / 20.0 for lam in lams]
+    system = ode._Hill(PeriodicPotential.fourier(*coeffs))
     xs = lo + np.cumsum([0.0, *widths])
     cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
     lams = np.array(lams)
@@ -704,22 +702,15 @@ def _step_exponentials(A, lam, pa, pb, n, order):
                                                   h, order)) for xi in x])
 
 
-@pytest.mark.parametrize("kind", ["hill", "dirac"])
-def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent(kind):
-    # two walks of 4 steps, h = 1/8 and 1/4: at lambda = 40 (Hill) or 6
-    # (Dirac) h rate(lambda) is 0.79 and 1.58, or 0.75 and 1.5
+def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent():
+    # two walks of 4 steps, h = 1/8 and 1/4: at lambda = 40 h rate(lambda)
+    # is 0.79 and 1.58
     V = PeriodicPotential.fourier(*THREE)
-    if kind == "hill":
-        system, lam = ode._Hill(V), 40.0
+    system, lam = ode._Hill(V), 40.0
 
-        def A(lam, x):
-            return np.array([[0.0, 1.0], [V(x) - lam, 0.0]])
-    else:
-        W = MatrixPerturbation((-1.0, 2.0), _smooth_w)
-        system, lam = ode._Dirac(W, 1.5), 6.0
+    def A(lam, x):
+        return np.array([[0.0, 1.0], [V(x) - lam, 0.0]])
 
-        def A(lam, x):
-            return oracles.dirac_coefficient(W, 1.5, lam, x)
     pa, pb = np.array([0.0, 0.5]), np.array([0.5, 1.5])
     assert np.array_equal((pb - pa) / 4 * system.rate(lam) > 1.0, [False, True])
     plan = ode._Plan(system, [[(0.0, 0.5, None), (0.5, 1.5, None)]])
@@ -749,9 +740,9 @@ def test_tol_1e13_certifies_under_the_step_cap():
         F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
         assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
     Q = CompactPerturbation((-0.3, 0.9), PeriodicPotential.fourier(1.0, [0.5]))
+    W = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0))
     walks = [lambda: ode.propagate_hill(V, 40.0, -0.5, 2.0, (1.0, 0.0), tol),
              lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, -1.0, 1.5, (0.4, -1.1), tol),
-             lambda: ode.propagate_dirac(MatrixPerturbation((-1.0, 1.0), _smooth_w), 1.0, 0.2,
-                                         -1.0, 1.0, (1.0, 0.5j), tol)]
+             lambda: ode.propagate_dirac(W, 1.0, 0.2, -1.5, 1.5, (1.0, 0.5j), tol)]
     for walk in walks:
         assert np.all(np.isfinite(walk()))

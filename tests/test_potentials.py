@@ -99,5 +99,18 @@ def test_matrix_perturbation():
     W = MatrixPerturbation.scalar_well(0.5, (-1.0, 1.0))
     assert np.allclose(W(0.0), -0.5 * np.eye(2))
     assert np.allclose(W(2.0), np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
-        MatrixPerturbation.constant_matrix([[0.0, 1.0], [2.0, 0.0]], (-1.0, 1.0))
+    # a value: equal wells compare and hash equal, however the matrix is given
+    same = MatrixPerturbation((-1.0, 1.0), ((-0.5, 0.0), (0.0, -0.5)))
+    assert W == same and hash(W) == hash(same)
+    assert W != MatrixPerturbation.scalar_well(0.5, (-1.0, 2.0))
+    assert W != MatrixPerturbation.scalar_well(0.25, (-1.0, 1.0))
+    for matrix, message in [
+            ([[0.0, 1.0], [2.0, 0.0]], "Hermitian"),
+            ([[1.0, 0.5j], [0.5j, 1.0]], "Hermitian"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "2x2"),
+            ([[1.0, 0.0], [0.0]], "2x2"),
+            (np.eye(3), "2x2")]:
+        with pytest.raises(ValidationError, match=message):
+            MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
