@@ -156,8 +156,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    V = load_potential(_load_json(args.potential)) if args.potential else None
-    report = verify.run_suite(args.suite, V)
+    report = verify.run_suite(args.suite)
     _emit(verify.report_json(report), args.output)
     return 1 if verify.has_failure(report) else 0
 
@@ -224,11 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     out(sp)
     sp.set_defaults(func=cmd_gamma)
 
-    sp = sub.add_parser("verify", help="run a named verification suite")
+    sp = sub.add_parser("verify", help="run a named verification suite on its fixed anchor")
     sp.add_argument("--suite", required=True,
                     choices=sorted(verify.SUITES) + ["all"])
-    sp.add_argument("--potential", default=None,
-                    help="optional potential JSON overriding the suite default")
     out(sp)
     sp.set_defaults(func=cmd_verify)
     return p

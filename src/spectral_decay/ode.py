@@ -110,7 +110,11 @@ def _cs(s, h):
     """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s) elementwise; entire in s.
 
     The arithmetic is that of the scalar math and cmath closed form, bit
-    for bit; StepFailure where math.cosh or math.sinh overflows.
+    for bit; StepFailure where math.cosh or math.sinh overflows.  The
+    hyperbolic branch loops over math.cosh and math.sinh on purpose: under
+    numpy's AVX-512 kernels np.cosh and np.sinh differ from them on about
+    one input in ten, so this loop is what keeps printed output the same
+    on every CPU.
     """
     z2 = s * h * h
     cplx = np.iscomplexobj(z2)

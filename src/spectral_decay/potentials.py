@@ -19,6 +19,13 @@ from .errors import SchemaError, ValidationError
 _TWO_PI = 2.0 * math.pi
 
 
+def _check_finite(name: str, values) -> None:
+    """Reject nan and +-inf in a float field, by name, before numpy sees them."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class PeriodicPotential:
     """A real 1-periodic potential V(x) = V(x+1).
@@ -38,6 +45,9 @@ class PeriodicPotential:
     def __post_init__(self):
         if self.kind not in ("fourier", "piecewise"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
+        _check_finite("mean", (self.mean,))
+        for name in ("cos", "sin", "breaks", "values"):
+            _check_finite(name, getattr(self, name))
         if self.kind == "piecewise":
             br = self.breaks
             if len(br) == 0 or br[0] != 0.0:
@@ -159,6 +169,7 @@ class CompactPerturbation:
     profile: PeriodicPotential
 
     def __post_init__(self):
+        _check_finite("support", self.support)
         a, b = self.support
         if not (b > a):
             raise ValidationError("support must be a nondegenerate interval")
@@ -172,6 +183,7 @@ class CompactPerturbation:
     @classmethod
     def box(cls, a: float, b: float, height: float = 1.0) -> "CompactPerturbation":
         """Q = height^2 on [a, b] (G constant)."""
+        _check_finite("height", (height,))
         return cls(support=(float(a), float(b)),
                    profile=PeriodicPotential.piecewise([0.0], [float(height)]))
 
@@ -229,6 +241,7 @@ class MatrixPerturbation:
     matrix: tuple
 
     def __post_init__(self):
+        _check_finite("support", self.support)
         a, b = self.support
         if not (b > a):
             raise ValidationError("support must be a nondegenerate interval")
@@ -251,6 +264,7 @@ class MatrixPerturbation:
     @classmethod
     def scalar_well(cls, depth: float, support) -> "MatrixPerturbation":
         """W = -depth * I on the support (attractive for depth > 0)."""
+        _check_finite("depth", (depth,))
         return cls.constant_matrix(-float(depth) * np.eye(2), support)
 
     def __call__(self, x):

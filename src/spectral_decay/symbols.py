@@ -47,6 +47,8 @@ class SymbolSystem:
         for a in self.matrices:
             if a.shape != (n, n):
                 raise ValidationError("coefficient matrices must share one size")
+            if not np.isfinite(a).all():
+                raise ValidationError("coefficient matrices must have finite entries")
             if not np.allclose(a, a.conj().T, atol=1e-12):
                 raise ValidationError("coefficient matrices must be Hermitian")
 

@@ -423,7 +423,7 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
 
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)
-    Fs = np.array([discriminant(V, l) for l in grid])
+    Fs = discriminant(V, grid)
     dF = np.abs(np.diff(Fs)) / np.diff(grid)
 
     edges = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,7 +10,9 @@ import pytest
 from scipy.optimize import brentq
 
 from spectral_decay import cli, verify
+from spectral_decay.bands import band_edges
 from spectral_decay.cli import main
+from spectral_decay.decay import CounterexampleWitness
 from spectral_decay.errors import ValidationError
 from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma)
@@ -110,6 +113,33 @@ def test_verify_suite(cfg, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["suite"] == "propH"
     assert all(c["verdict"] == "PASS" for c in doc["cases"])
+
+
+def _no_gaps(V, lam_max):
+    return dataclasses.replace(band_edges(V, lam_max), gaps=())
+
+
+@pytest.mark.parametrize("suite, target, lost, case", [
+    ("edge-asymptotics", "spectral_decay.verify.band_edges", _no_gaps, "no-open-gap"),
+    ("theorem2-dirac", "spectral_decay.verify.dirac_gap_eigenvalues",
+     lambda W, m: [], "no-eigenvalue"),
+    ("counterexample", "spectral_decay.decay.counterexample_search",
+     lambda V, bs, eps: CounterexampleWitness(found=False), "witness"),
+], ids=["edge-asymptotics", "theorem2-dirac", "counterexample"])
+def test_verify_fails_when_its_anchor_loses_its_answer(monkeypatch, tmp_path, suite,
+                                                       target, lost, case):
+    # each anchor has a known gap, eigenvalue or witness; losing it is a regression
+    monkeypatch.setattr(target, lost)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", suite, "-o", str(out)]) == 1
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["cases"]}
+    assert verdicts[case] == "FAIL"
+    assert set(verdicts.values()) <= {"PASS", "FAIL"}
+
+
+def test_verify_takes_no_potential(cfg, capsys):
+    assert main(["verify", "--suite", "all", "--potential", cfg["step"]]) == 2
+    assert "--potential" in capsys.readouterr().err
 
 
 def test_usage_errors(cfg, capsys):

@@ -5,6 +5,9 @@ from spectral_decay.errors import SchemaError, ValidationError
 from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
                                        PeriodicPotential, load_perturbation,
                                        load_potential)
+from spectral_decay.symbols import PAULI, SymbolSystem
+
+INF, NAN = float("inf"), float("nan")
 
 
 def test_periodicity_random_points():
@@ -114,3 +117,29 @@ def test_matrix_perturbation():
             (np.eye(3), "2x2")]:
         with pytest.raises(ValidationError, match=message):
             MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: PeriodicPotential.piecewise([0.0], [INF]), "values", id="values"),
+    pytest.param(lambda: PeriodicPotential.piecewise([0.0, NAN], [1.0, 2.0]), "breaks",
+                 id="breaks"),
+    pytest.param(lambda: PeriodicPotential.fourier(mean=NAN), "mean", id="mean"),
+    pytest.param(lambda: PeriodicPotential.fourier(0.0, [1.0, INF]), "cos", id="cos"),
+    pytest.param(lambda: PeriodicPotential.fourier(sin=[-INF]), "sin", id="sin"),
+    pytest.param(lambda: CompactPerturbation.box(0.0, INF), "support", id="box-support"),
+    pytest.param(lambda: CompactPerturbation((NAN, 1.0), PeriodicPotential.zero()), "support",
+                 id="q-support"),
+    pytest.param(lambda: CompactPerturbation.box(0.0, 1.0, NAN), "height", id="box-height"),
+    pytest.param(lambda: MatrixPerturbation.scalar_well(0.5, (0.0, INF)), "support",
+                 id="w-support"),
+    pytest.param(lambda: MatrixPerturbation.scalar_well(INF, (0.0, 1.0)), "depth",
+                 id="w-depth"),
+    pytest.param(lambda: SymbolSystem((np.array([[NAN + 0j]]),)), "coefficient matrices",
+                 id="symbol-nan"),
+    pytest.param(lambda: SymbolSystem((PAULI[0], np.array([[INF, 0.0], [0.0, 1.0]]))),
+                 "coefficient matrices", id="symbol-inf"),
+])
+def test_non_finite_inputs_fail_where_the_value_is_built(build, field):
+    with pytest.raises(ValidationError, match=f"^{field} must .*finite"):
+        build()
