@@ -18,9 +18,7 @@ from .gap import BSSpectrum, GapEigenpair, birman_schwinger_spectrum, \
 from .dirac import DiracEigenpair, dirac_eigenfunction, dirac_gap_eigenvalues, \
     dirac_tail
 from .decay import (
-    BoundReport,
     DecayFit,
-    bound_report,
     check_F_prime_asymptotics,
     check_edge_asymptotics,
     check_prop_H,

@@ -123,9 +123,15 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
 
 
 def spectral_distance(bands: BandStructure, lam: float) -> float:
-    """d(lambda) = dist(lambda, essential spectrum), within the scan."""
+    """d(lambda) = dist(lambda, essential spectrum), within the scan.
+
+    The edges are the bottom and then gap (left, right) pairs, so an even
+    count means the scan ends inside a gap, whose right edge, needed for
+    d(lambda) above its left one, lies past the ceiling."""
     if lam > bands.scan_ceiling:
         raise OutOfCertifiedRange(f"lambda = {lam} above scan ceiling")
+    if len(bands.edges) % 2 == 0 and lam > max(bands.edges, default=-np.inf):
+        raise OutOfCertifiedRange(f"lambda = {lam} lies in a gap open past the scan ceiling")
     if lam < bands.lambda0:
         return bands.lambda0 - lam
     for a, b in bands.gaps:
@@ -135,18 +141,7 @@ def spectral_distance(bands: BandStructure, lam: float) -> float:
 
 
 def csv_rows(bands: BandStructure):
-    """(lambda_edge, kind) rows; kind in bottom|open_gap_left|open_gap_right."""
-    gap_lo = {a for a, _ in bands.gaps}
-    gap_hi = {b for _, b in bands.gaps}
-    rows = []
-    for e in bands.edges:
-        if e == bands.lambda0:
-            kind = "bottom"
-        elif e in gap_lo:
-            kind = "open_gap_left"
-        elif e in gap_hi:
-            kind = "open_gap_right"
-        else:
-            kind = "band_interior_edge"
-        rows.append((e, kind))
-    return rows
+    """(lambda_edge, kind) rows; kind in bottom|open_gap_left|open_gap_right.
+    A scan that ends inside a gap leaves that gap's left edge last and alone."""
+    sides = ("open_gap_right", "open_gap_left")
+    return [(e, sides[i % 2] if i else "bottom") for i, e in enumerate(bands.edges)]

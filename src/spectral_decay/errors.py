@@ -23,7 +23,8 @@ class BandPointError(SpectralDecayError):
 
 
 class OutOfCertifiedRange(SpectralDecayError):
-    """lambda lies above the scan ceiling of the band structure."""
+    """lambda lies above the scan ceiling of the band structure, or in a gap
+    that the scan leaves open at its ceiling."""
 
 
 class NoSignChange(SpectralDecayError):

@@ -127,18 +127,29 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _check_keys(doc: dict, allowed: tuple, what: str) -> None:
+    """SchemaError naming the first key of doc, in sorted order, not in allowed."""
+    unknown = sorted(set(doc) - set(allowed), key=str)
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r} in {what} document")
+
+
 def load_potential(doc: dict) -> PeriodicPotential:
     """Build a PeriodicPotential from its JSON-schema dict.
 
-    Raises SchemaError for missing/ill-typed fields, ValidationError for
-    invariant violations (e.g. non-increasing breakpoints).
+    Raises SchemaError for missing/ill-typed fields or keys outside the
+    type's own (type; type, mean, cos, sin; type, breaks, values),
+    ValidationError for invariant violations (e.g. non-increasing
+    breakpoints).
     """
     if not isinstance(doc, dict):
         raise SchemaError("potential document must be an object")
     kind = doc.get("type")
     if kind == "zero":
+        _check_keys(doc, ("type",), "potential")
         return PeriodicPotential.zero()
     if kind == "fourier":
+        _check_keys(doc, ("type", "mean", "cos", "sin"), "potential")
         mean = doc.get("mean", 0.0)
         cos = doc.get("cos", [])
         sin = doc.get("sin", [])
@@ -149,6 +160,7 @@ def load_potential(doc: dict) -> PeriodicPotential:
                 raise SchemaError(f"'{name}' must be a list of finite numbers")
         return PeriodicPotential.fourier(mean=mean, cos=cos, sin=sin)
     if kind == "piecewise":
+        _check_keys(doc, ("type", "breaks", "values"), "potential")
         for name in ("breaks", "values"):
             lst = doc.get(name)
             if not isinstance(lst, list) or any(not _is_number(v) for v in lst):
@@ -221,6 +233,7 @@ def load_perturbation(doc: dict) -> CompactPerturbation:
     """Build a CompactPerturbation from {"support":[a,b],"profile":{...}}."""
     if not isinstance(doc, dict):
         raise SchemaError("perturbation document must be an object")
+    _check_keys(doc, ("support", "profile"), "perturbation")
     sup = doc.get("support")
     if (not isinstance(sup, list) or len(sup) != 2
             or any(not _is_number(v) for v in sup)):

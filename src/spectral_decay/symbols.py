@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, SchemaError, ValidationError
-from .potentials import _is_number
+from .potentials import _check_keys, _is_number
 
 STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
 GRID_RESOLUTION = 0.02  # sphere grid spacing in radians (d = 2, 3)
@@ -224,6 +224,7 @@ def load_symbol_system(doc: dict) -> SymbolSystem:
     """
     if not isinstance(doc, dict):
         raise SchemaError("symbol system document must be an object")
+    _check_keys(doc, ("n", "d", "matrices"), "symbol system")
     for key in ("n", "d"):
         v = doc.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_decay import bands, ode
+from spectral_decay import bands, decay, ode
 from spectral_decay.bands import DEFAULT_GRID_STEP, band_edges, csv_rows, spectral_distance
 from spectral_decay.errors import OutOfCertifiedRange, ValidationError
 from spectral_decay.floquet import discriminant, multiplicator
@@ -145,6 +145,34 @@ def test_csv_rows(mathieu_bands):
     assert "open_gap_left" in kinds and "open_gap_right" in kinds
     lams = [l for l, _ in rows]
     assert lams == sorted(lams)
+
+
+@pytest.mark.parametrize("V", [
+    MATHIEU, PeriodicPotential.fourier(0.5, [1.0, -0.7, 0.3], [0.2, 0.0, 0.4]),
+], ids=["mathieu", "three-harmonic"])
+def test_scan_ending_inside_a_gap_certifies_no_distance_past_its_left_edge(V):
+    # the first gap runs past lambda = 10; a scan to 15 closes it
+    bs = band_edges(V, 10.0)
+    left = bs.edges[-1]
+    assert len(bs.edges) == 2 and bs.gaps == ()
+    assert [k for _, k in csv_rows(bs)] == ["bottom", "open_gap_left"]
+    assert spectral_distance(bs, left) == 0.0
+    lam = 0.5 * (left + 10.0)
+    with pytest.raises(OutOfCertifiedRange):
+        spectral_distance(bs, lam)
+    with pytest.raises(OutOfCertifiedRange):
+        decay.gap_ratio(V, bs, lam)
+    full = band_edges(V, 15.0)
+    assert full.edges[1] == pytest.approx(left, abs=1e-10)
+    assert spectral_distance(full, lam) > 0.0
+
+
+def test_scan_below_the_spectrum_certifies_no_distance():
+    # lambda0 = 0 lies above the ceiling, so the scan finds no edge at all
+    bs = band_edges(V0, -0.5)
+    assert bs.edges == ()
+    with pytest.raises(OutOfCertifiedRange):
+        spectral_distance(bs, -0.75)
 
 
 def test_narrow_smooth_gap_is_open():

@@ -52,6 +52,18 @@ def test_bands_json_format(cfg, tmp_path):
     assert doc["edges"][0]["kind"] == "bottom"
 
 
+@pytest.mark.parametrize("potential", [
+    MATHIEU, {"type": "fourier", "mean": 0.5, "cos": [1.0, -0.7, 0.3], "sin": [0.2, 0.0, 0.4]},
+], ids=["mathieu", "three-harmonic"])
+def test_bands_scan_ending_inside_a_gap_labels_its_left_edge(potential, tmp_path, capsys):
+    # the first gap of either V runs past lambda = 10: its left edge is last
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(potential))
+    assert main(["bands", "--potential", str(path), "--lambda-max", "10"]) == 0
+    kinds = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert kinds == ["bottom", "open_gap_left"]
+
+
 def test_discriminant_table(cfg, capsys):
     assert main(["discriminant", "--potential", cfg["zero"],
                  "--lambda-range=-1:1:3", "--derivative"]) == 0
@@ -135,6 +147,28 @@ def test_verify_fails_when_its_anchor_loses_its_answer(monkeypatch, tmp_path, su
     verdicts = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["cases"]}
     assert verdicts[case] == "FAIL"
     assert set(verdicts.values()) <= {"PASS", "FAIL"}
+
+
+@pytest.mark.parametrize("scale, verdicts", [
+    (lambda pair, m: 1.05 * pair.rate_exact,
+     {"eigenvalue-0-sharp-rate": "FAIL", "eigenvalue-0-theorem-bound": "PASS"}),
+    (lambda pair, m: 0.5 * (m - abs(pair.lam)),
+     {"eigenvalue-0-theorem-bound": "FAIL"}),
+], ids=["off-the-sharp-rate", "below-d-over-gamma"])
+def test_verify_judges_the_dirac_rate_chain(monkeypatch, tmp_path, scale, verdicts):
+    # the two Dirac verdicts: |delta_hat - rate| <= REL_TOL rate and
+    # delta_hat >= (1 - REL_TOL) d/gamma
+    eig = verify.dirac_eigenfunction
+
+    def refit(W, m, lam):
+        pair = eig(W, m, lam)
+        return dataclasses.replace(pair, fitted_delta=scale(pair, m))
+
+    monkeypatch.setattr(verify, "dirac_eigenfunction", refit)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "theorem2-dirac", "-o", str(out)]) == 1
+    got = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["cases"]}
+    assert {k: got[k] for k in verdicts} == verdicts
 
 
 def test_verify_takes_no_potential(cfg, capsys):
@@ -277,6 +311,26 @@ def test_booleans_are_not_numbers(argv, doc, cfg, tmp_path, capsys):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, doc, key", [
+    (["bands", "--potential", "bad", "--lambda-max", "10"],
+     {"type": "fourier", "mean": 0.0, "coss": [2.0]}, "coss"),
+    (["bands", "--potential", "bad", "--lambda-max", "10"], dict(STEP, cos=[3.0]), "cos"),
+    (["bands", "--potential", "bad", "--lambda-max", "10"], dict(ZERO, mean=3), "mean"),
+    (["bs-spectrum", "--potential", "zero", "--perturbation", "bad", "--lambda=-1"],
+     dict(BOX, depth=1.0, alpha=2.0), "alpha"),
+    (["gamma", "--matrices", "bad"],
+     {"n": 1, "d": 1, "matrices": [[[[1, 0]]]], "m": 1, "gamma": 1}, "gamma"),
+], ids=["potential-typo", "piecewise-cos", "zero-mean", "perturbation", "symbol-system"])
+def test_unknown_keys_rejected(argv, doc, key, cfg, tmp_path, capsys):
+    # an unknown key would otherwise be ignored, e.g. "coss" running as V = 0;
+    # the first one in sorted order is named
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([dict(cfg, bad=str(path)).get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"unknown key {key!r}" in err[0]
 
 
 @pytest.mark.parametrize("mass", ["0", "-1"])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -122,27 +120,3 @@ def test_counterexample_step_witness():
     w = decay.counterexample_search(STEP, bs, 0.5)
     assert w.found
     assert w.ratio < 0.5
-
-
-def test_bound_report_equality_case():
-    rep = decay.bound_report(lam=-1.0, d_lambda=1.0, delta_hat=1.0,
-                             sharp_rate=1.0, gamma=1.0, below_spectrum=True)
-    assert rep.verdicts["floquet_match"] == "PASS"
-    assert rep.verdicts["agmon_below_spectrum"] == "PASS"
-    assert rep.verdicts["first_order_bound"] == "PASS"
-    assert rep.all_pass
-
-
-def test_bound_report_dirac_case():
-    rate = math.sqrt(1.0 - 0.36)
-    rep = decay.bound_report(lam=0.6, d_lambda=0.4, delta_hat=rate,
-                             sharp_rate=rate, gamma=1.0)
-    assert rep.verdicts["floquet_match"] == "PASS"
-    assert rep.verdicts["first_order_bound"] == "PASS"
-
-
-def test_bound_report_agmon_fails_in_gap_is_informational():
-    rep = decay.bound_report(lam=14.7, d_lambda=0.3, delta_hat=0.5,
-                             sharp_rate=0.5, gamma=1.0)
-    assert rep.verdicts["agmon_in_gap"] == "FAILS-AS-EXPECTED"
-    assert rep.all_pass  # informational verdict is not a failure

@@ -56,3 +56,15 @@ def test_no_dead_private_helpers():
     dead = sorted(f"{module}.{name}" for module, name in defined
                   if name.startswith("_") and not name.startswith("__") and name not in read)
     assert not dead, f"no src/ module reads {dead}"
+
+
+def test_verify_is_the_one_judge():
+    # other modules measure; only verify writes a verdict, and PASS only in _case
+    where = {}
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Constant) and n.value in ("PASS", "FAIL"):
+                    where.setdefault(n.value, []).append((path.stem, getattr(top, "name", None)))
+    assert {module for sites in where.values() for module, _ in sites} == {"verify"}
+    assert where["PASS"] == [("verify", "_case")]
