@@ -8,7 +8,8 @@ either side of c.
 
 The scan samples F on a lambda grid; the bottom edge is the first sign
 change of F - 1.  Each local extremum of the samples brackets c on its
-two cells, and Brent's method finds c as a root of the complex-step F'.
+two cells, and Brent's method (roots.brent) finds c as a root of the
+complex-step F'.
 A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
 the n-vs-2n difference of its Magnus product plus the rounding of its
 steps, or the rounding of its closed form on piecewise V.  The whole grid
@@ -23,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .floquet import discriminant, discriminant_derivative
 from .errors import OutOfCertifiedRange, ValidationError
+from .roots import brent
 
 DEFAULT_GRID_STEP = 0.05
 EDGE_XTOL = 1e-13
@@ -45,10 +46,6 @@ class BandStructure:
     scan_floor: float = field(default=float("nan"))
 
 
-def _root(f, a: float, b: float, *args) -> float:
-    return brentq(f, a, b, args=args, xtol=EDGE_XTOL, rtol=8.9e-16)
-
-
 def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
     """Scan [-max|V| - 1, lam_max] for band edges of -d^2/dx^2 + V
     (F > 1 strictly below the floor, where no spectrum exists)."""
@@ -62,8 +59,8 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     grid = np.linspace(lam_min, lam_max, n)
     Fs = discriminant(V, grid)
 
-    def f(lam, t):
-        return discriminant(V, lam) - t
+    def edge(a, b, t):  # the root of F = t between a and b
+        return brent(lambda lam: discriminant(V, lam) - t, a, b, EDGE_XTOL, 8.9e-16)
 
     def dF(lam):
         return discriminant_derivative(V, lam)
@@ -73,7 +70,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     if not hits.size:
         return BandStructure((), (), float("nan"), lam_max, False, lam_min)
     i = hits[0]
-    edges = [grid[i] if g[i] == 0.0 else _root(f, grid[i], grid[i + 1], 1.0)]
+    edges = [grid[i] if g[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)]
     gaps, incomplete = [], False
 
     d, dF_top = np.diff(Fs), dF(lam_max)
@@ -88,7 +85,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
         if d_lo * d_hi > 0:
             incomplete = True
             continue
-        c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else _root(dF, lo, hi))
+        c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else brent(dF, lo, hi, EDGE_XTOL, 8.9e-16))
         M, err = ode.certified_monodromy(V, [c])
         Fc = 0.5 * (M[0, 0, 0] + M[0, 1, 1])
         if abs(Fc) - 1.0 <= err[0]:
@@ -98,17 +95,17 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
         k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
         a, b = k, k + 1
         if not (inside[a] or inside[b]):  # narrower than a cell
-            edges += [_root(f, grid[k], c, t), _root(f, c, grid[k + 1], t)]
+            edges += [edge(grid[k], c, t), edge(c, grid[k + 1], t)]
             gaps.append((edges[-2], edges[-1]))
             continue
         while inside[a]:
             a -= 1
         while b < n and inside[b]:
             b += 1
-        edges.append(_root(f, grid[a], grid[a + 1], t))
+        edges.append(edge(grid[a], grid[a + 1], t))
         if b == n:  # the scan ends inside this gap
             break
-        edges.append(_root(f, grid[b - 1], grid[b], t))
+        edges.append(edge(grid[b - 1], grid[b], t))
         gaps.append((edges[-2], edges[-1]))
     else:
         if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap whose c lies above it
@@ -116,7 +113,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
             a = n - 1
             while t * Fs[a] > 1.0:
                 a -= 1
-            edges.append(_root(f, grid[a], grid[a + 1], t))
+            edges.append(edge(grid[a], grid[a + 1], t))
     return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=edges[0],
                          scan_ceiling=lam_max, incomplete=incomplete,
                          scan_floor=lam_min)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, spectral_distance
-from .errors import (ClosedGap, InsufficientApproach, InsufficientTail, PoorFit,
-                     ValidationError)
+from .errors import (BandPointError, ClosedGap, InsufficientApproach, InsufficientTail,
+                     PoorFit, ValidationError)
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
@@ -197,10 +197,14 @@ class CounterexampleWitness:
 
 def gap_ratio(V, bands: BandStructure, lam):
     """ln rho(lambda) / sqrt(d(lambda)) at a regular point; a list for an
-    array of lambda, from one batched discriminant."""
+    array of lambda, from one batched discriminant.  BandPointError where
+    d(lambda) = 0: in a band or on its edge."""
     lams = np.asarray(lam, dtype=float)
-    ratios = [math.log(multiplicator(F)) / math.sqrt(spectral_distance(bands, x))
-              for x, F in zip(lams.reshape(-1), np.reshape(discriminant(V, lams), -1))]
+    xs, Fs = lams.reshape(-1), np.reshape(discriminant(V, lams), -1)
+    ds = [spectral_distance(bands, x) for x in xs]
+    if 0.0 in ds:
+        raise BandPointError(f"lambda = {xs[ds.index(0.0)]} lies in the spectrum")
+    ratios = [math.log(multiplicator(F)) / math.sqrt(d) for F, d in zip(Fs, ds)]
     return ratios if lams.ndim else ratios[0]
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import decay, ode
 from .errors import DegenerateMatch, OutsideGap, StepFailure
 from .potentials import MatrixPerturbation
+from .roots import brent
 
 N_SCAN = 400           # determinant samples across the gap
 VERIFY_REL = 1e-6      # a root keeps |det| below this times the scan's max |det|
@@ -123,7 +123,7 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
         if vals[i] == 0.0:
             cand = grid[i]
         elif vals[i] * vals[i + 1] < 0:
-            cand = brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
+            cand = brent(f, grid[i], grid[i + 1], 1e-13, 8.9e-16)
         else:
             continue
         if abs(matching_determinant(W, m, cand)) <= VERIFY_REL * scale:

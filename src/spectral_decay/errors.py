@@ -28,7 +28,11 @@ class OutOfCertifiedRange(SpectralDecayError):
 
 
 class NoSignChange(SpectralDecayError):
-    """Coupling bracket search found no sign change of the determinant."""
+    """A root search found no sign change: a Brent bracket or the coupling one."""
+
+
+class NoConvergence(SpectralDecayError):
+    """Brent's method met a NaN function value or ran out of steps."""
 
 
 class SingularWronskian(SpectralDecayError):

@@ -37,13 +37,12 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from . import decay, ode
 from .errors import NoSignChange, SingularWronskian, ValidationError
 from .floquet import floquet_solutions, floquet_values
 from .potentials import CompactPerturbation
+from .roots import brent
 
 ALPHA_MAX = 1e4  # solve_coupling's bracket expansion stops here
 MAX_GRID = 2 ** 20  # Nystrom nodes, checked before anything is allocated
@@ -115,7 +114,7 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
         if hi > ALPHA_MAX:
             raise NoSignChange(f"no sign change up to alpha = {ALPHA_MAX}")
         fhi = det(hi)
-    return brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return brent(det, lo, hi, 1e-12, 8.9e-16)
 
 
 def _negative_count(d, e) -> int:
@@ -135,6 +134,7 @@ def _nearest_zero(d, e, count: int) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal (d, e) with indices
     [neg - count, neg + count) after the Sturm count neg: they hold the count
     nearest 0.  Bisection of that window alone, O(n count)."""
+    from scipy.linalg import eigvalsh_tridiagonal  # ~0.35 s CPU to import: only BS loads it
     neg = _negative_count(d, e)
     lo, hi = max(neg - count, 0), min(neg + count, len(d))
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1), tol=_TINY)

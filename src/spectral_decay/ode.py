@@ -52,7 +52,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  unused; perfbench/spans.py rebinds it
 
 from .errors import StepFailure, ValidationError
 from .potentials import CompactPerturbation
@@ -578,3 +577,10 @@ def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
     (free) or a MatrixPerturbation, as propagate_hill."""
     check_mass(m)
     return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)
+
+
+def __getattr__(name):  # ode.solve_ivp, read by perfbench/spans.py until ROADMAP item 2
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    return solve_ivp

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, SchemaError, ValidationError
 from .potentials import _check_keys, _is_number
@@ -188,6 +187,7 @@ def gamma(system: SymbolSystem) -> SymbolReport:
 
 
 def _margin(system: SymbolSystem, grid: np.ndarray, gmin: np.ndarray) -> float:
+    from scipy.optimize import minimize  # ~0.6 s CPU to import: only gamma loads it
     k = int(np.argmin(gmin))
     xi0 = grid[k]
 

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -169,6 +171,34 @@ def test_verify_judges_the_dirac_rate_chain(monkeypatch, tmp_path, scale, verdic
     assert main(["verify", "--suite", "theorem2-dirac", "-o", str(out)]) == 1
     got = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["cases"]}
     assert {k: got[k] for k in verdicts} == verdicts
+
+
+def test_verify_prints_the_dirac_bound_it_tests(monkeypatch, tmp_path):
+    # the theorem-bound verdict tests delta_hat against d/gamma; gamma = 1 for
+    # sigma_1 xi, so a patched gamma = 2 shows which bound the text names
+    monkeypatch.setattr(verify, "gamma", lambda system: types.SimpleNamespace(gamma=2.0))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "theorem2-dirac", "-o", str(out)]) == 0
+    case = next(c for c in json.loads(out.read_text())["cases"]
+                if c["name"] == "eigenvalue-0-theorem-bound")
+    d = float(case["inputs"]["d_lambda"])
+    assert case["inputs"]["gamma"] == "2"
+    assert case["expected"] == f"delta_hat >= {format(d / 2, '.17g')}"
+
+
+@pytest.mark.parametrize("target, value, message", [
+    ("spectral_decay.gap._shoot", lambda *args: math.nan,
+     "The function value at x=0.1 is NaN; solver cannot continue."),
+    # 1e-200 squared underflows to 0, so solve_coupling's product test passes
+    # the one-signed bracket [0.1, 1] on to brent
+    ("spectral_decay.gap._shoot", lambda *args: 1e-200, "f(a) and f(b) must have different signs"),
+    ("spectral_decay.roots.MAX_ITER", 1, "Failed to converge after 1 iterations."),
+], ids=["nan", "same-sign", "no-convergence"])
+def test_brent_failures_exit_2_with_one_line(monkeypatch, cfg, capsys, target, value, message):
+    monkeypatch.setattr(target, value)
+    assert main(["gap-eig", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_takes_no_potential(cfg, capsys):

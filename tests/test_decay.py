@@ -6,7 +6,7 @@ from scipy import stats
 
 from spectral_decay import decay
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import (InsufficientApproach, InsufficientTail,
+from spectral_decay.errors import (BandPointError, InsufficientApproach, InsufficientTail,
                                    PoorFit, ValidationError)
 from spectral_decay.potentials import PeriodicPotential
 
@@ -120,3 +120,14 @@ def test_counterexample_step_witness():
     w = decay.counterexample_search(STEP, bs, 0.5)
     assert w.found
     assert w.ratio < 0.5
+
+
+@pytest.mark.parametrize("where", ["band", "lambda0", "gap-left-edge"])
+def test_gap_ratio_in_the_spectrum_fails_typed(where):
+    # d(lambda) = 0 there, and ln rho / sqrt(d) would divide by zero
+    bs = band_edges(MATHIEU, 15.0)
+    lam = {"band": 5.0, "lambda0": bs.lambda0, "gap-left-edge": bs.gaps[0][0]}[where]
+    with pytest.raises(BandPointError, match="lies in the spectrum"):
+        decay.gap_ratio(MATHIEU, bs, lam)
+    with pytest.raises(BandPointError):
+        decay.gap_ratio(MATHIEU, bs, [sum(bs.gaps[0]) / 2, lam])

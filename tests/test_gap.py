@@ -217,14 +217,14 @@ def test_birman_schwinger_rejects_sizes_before_allocating(kwargs, monkeypatch):
 def test_birman_schwinger_matches_long_double_bisection():
     # the Jacobi matrix as the eigensolver receives it; below the spectrum
     # every alpha is positive, so the top 8 |mu| are the 8 smallest alpha
-    seen, solve = [], gap.eigvalsh_tridiagonal
+    seen, solve = [], gap._nearest_zero
 
-    def capture(d, e, **kwargs):
+    def capture(d, e, count):
         seen.append((d, e))
-        return solve(d, e, **kwargs)
+        return solve(d, e, count)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gap, "eigvalsh_tridiagonal", capture)
+        mp.setattr(gap, "_nearest_zero", capture)
         mu = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048, count=8).mu
     (d, e), = seen
     ref = oracles.sturm_bisection(d, e, np.arange(8))

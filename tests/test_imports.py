@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -7,11 +8,10 @@ import sys
 import pytest
 
 import spectral_decay
+from spectral_decay import ode
 
 MODULES = sorted(p for p in pathlib.Path(spectral_decay.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
-# perfbench/spans.py rebinds ode.solve_ivp to trace it
-KEPT = {("ode", "solve_ivp")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -24,17 +24,42 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = {name for name in imported - used if (path.stem, name) not in KEPT}
+    unused = imported - used
     assert not unused, f"{path.name} never uses {sorted(unused)}"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # the decay fits are numpy expressions; scipy.stats costs ~0.5 s to import
+STEP = {"type": "piecewise", "breaks": [0.0, 0.5], "values": [10.0, 0.0]}
+BOX = {"support": [0.0, 1.0], "profile": {"type": "piecewise", "breaks": [0.0], "values": [1.0]}}
+# after the import and after main on each command, the scipy modules loaded
+LOADED = """import json, sys
+from spectral_decay.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert not argv or main(argv) == 0, argv
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # Brent is roots.brent; scipy loads only for BS, gamma's Nelder-Mead and
+    # a read of ode.solve_ivp, so these commands start without its ~0.4 s
+    V, Q = tmp_path / "v.json", tmp_path / "q.json"
+    V.write_text(json.dumps(STEP))
+    Q.write_text(json.dumps(BOX))
+    runs = [[], ["bands", "--potential", str(V), "--lambda-max", "60"],
+            ["discriminant", "--potential", str(V), "--lambda-range=-5:50:11", "--derivative"],
+            ["gap-eig", "--potential", str(V), "--perturbation", str(Q), "--lambda", "14.7"],
+            ["dirac-eig", "--mass", "1", "--depth", "0.5"]]
     src = str(pathlib.Path(spectral_decay.__file__).parents[1])
-    code = "import sys, spectral_decay.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", LOADED, json.dumps(runs)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stderr.splitlines() == ["[]"] * len(runs)
+
+
+def test_ode_solve_ivp_is_scipys():
+    # perfbench/spans.py reads ode.solve_ivp to trace it
+    from scipy.integrate import solve_ivp
+    assert ode.solve_ivp is solve_ivp
+    assert not hasattr(ode, "no_such_name")
 
 
 def test_no_dead_private_helpers():
