@@ -65,24 +65,24 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     def dF(lam):
         return discriminant_derivative(V, lam)
 
-    g = Fs - 1.0
-    hits = np.flatnonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0.0))
+    sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
+    hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
     if not hits.size:
         return BandStructure((), (), float("nan"), lam_max, False, lam_min)
     i = hits[0]
-    edges = [grid[i] if g[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)]
+    edges = [grid[i] if sg[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)]
     gaps, incomplete = [], False
 
-    d, dF_top = np.diff(Fs), dF(lam_max)
-    extrema = (np.flatnonzero(d[i:-1] * d[i + 1:] < 0) + i + 1).tolist()
-    if d[-1] * dF_top < 0:  # a critical point in the last cell
+    sd, dF_top = np.sign(np.diff(Fs)), dF(lam_max)
+    extrema = (np.flatnonzero(sd[i:-1] * sd[i + 1:] < 0) + i + 1).tolist()
+    if sd[-1] * np.sign(dF_top) < 0:  # a critical point in the last cell
         extrema.append(n - 1)
     for j in extrema:
         if grid[j] < edges[-1]:
             continue  # inside the last gap
         lo, hi = grid[j - 1], grid[min(j + 1, n - 1)]
         d_lo, d_hi = dF(lo), (dF_top if hi == lam_max else dF(hi))
-        if d_lo * d_hi > 0:
+        if np.sign(d_lo) * np.sign(d_hi) > 0:
             incomplete = True
             continue
         c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else brent(dF, lo, hi, EDGE_XTOL, 8.9e-16))

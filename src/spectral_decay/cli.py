@@ -2,13 +2,16 @@
 verification suites, with CSV/JSON emission.
 
 Exit codes: 0 success, 1 failed verification verdicts, 2 usage or
-validation errors.  All floats are printed with 17 significant digits so
-identical inputs give byte-identical outputs.
+validation errors.  Commands hand the library's raw values to
+verify.report_json (documents) and _csv (tables), which print every float
+in verify's one 17-significant-digit format, so identical inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,10 +27,6 @@ from .potentials import MatrixPerturbation, load_perturbation, load_potential
 from .symbols import gamma, load_symbol_system
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -39,6 +38,13 @@ def _emit(text: str, path: str | None):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _csv(header: str, rows, path: str | None):
+    """A table: the header line, then each row's cells, floats formatted as
+    in every report, joined by commas."""
+    lines = [header] + [",".join(verify._fmt(row)) for row in rows]
+    _emit("\n".join(lines) + "\n", path)
 
 
 def _finite_float(text: str) -> float:
@@ -70,15 +76,12 @@ def cmd_bands(args) -> int:
     bs = band_edges(V, args.lambda_max, grid_step=args.grid_step)
     rows = csv_rows(bs)
     if args.format == "csv":
-        lines = ["lambda_edge,kind"]
-        lines += [f"{_f(lam)},{kind}" for lam, kind in rows]
-        _emit("\n".join(lines) + "\n", args.output)
+        _csv("lambda_edge,kind", rows, args.output)
     else:
-        doc = {"lambda0": _f(bs.lambda0), "scan_ceiling": _f(bs.scan_ceiling),
+        doc = {"lambda0": bs.lambda0, "scan_ceiling": bs.scan_ceiling,
                "incomplete": bs.incomplete,
-               "edges": [{"lambda_edge": _f(lam), "kind": kind}
-                         for lam, kind in rows],
-               "gaps": [[_f(a), _f(b)] for a, b in bs.gaps]}
+               "edges": [{"lambda_edge": lam, "kind": kind} for lam, kind in rows],
+               "gaps": bs.gaps}
         _emit(verify.report_json(doc), args.output)
     return 0
 
@@ -90,9 +93,7 @@ def cmd_discriminant(args) -> int:
     columns = [lams, discriminant(V, lams)]
     if args.derivative:
         columns.append(discriminant_derivative(V, lams))
-    lines = ["lambda,F,Fprime" if args.derivative else "lambda,F"]
-    lines += [",".join(_f(x) for x in row) for row in zip(*columns)]
-    _emit("\n".join(lines) + "\n", args.output)
+    _csv("lambda,F,Fprime" if args.derivative else "lambda,F", zip(*columns), args.output)
     return 0
 
 
@@ -102,14 +103,11 @@ def cmd_gap_eig(args) -> int:
     lam = args.lam
     alpha = gap.solve_coupling(V, Q, lam)
     pair = gap.eigenfunction(V, Q, alpha, lam)
-    summary = {"lambda": _f(pair.lam), "alpha": _f(pair.alpha),
-               "c_plus": _f(pair.c_plus), "c_minus": _f(pair.c_minus),
-               "fitted_delta": _f(pair.fitted_delta), "ln_rho": _f(pair.ln_rho)}
+    summary = {"lambda": pair.lam, "alpha": pair.alpha, "c_plus": pair.c_plus,
+               "c_minus": pair.c_minus, "fitted_delta": pair.fitted_delta, "ln_rho": pair.ln_rho}
     _emit(verify.report_json(summary), args.output)
     if args.samples_out:
-        lines = ["x,psi"]
-        lines += [f"{_f(x)},{_f(p)}" for x, p in zip(pair.xs, pair.psi)]
-        _emit("\n".join(lines) + "\n", args.samples_out)
+        _csv("x,psi", zip(pair.xs, pair.psi), args.samples_out)
     return 0
 
 
@@ -120,9 +118,8 @@ def cmd_bs_spectrum(args) -> int:
     Q = load_perturbation(_load_json(args.perturbation))
     bss = gap.birman_schwinger_spectrum(V, Q, args.lam, grid_size=args.grid_size,
                                         count=args.count)
-    doc = {"lambda": _f(bss.lam), "grid_size": bss.grid_size,
-           "mu": [_f(m) for m in bss.mu],
-           "alpha": [_f(1.0 / m) for m in bss.mu if m != 0.0]}
+    doc = {"lambda": bss.lam, "grid_size": bss.grid_size, "mu": bss.mu,
+           "alpha": [1.0 / m for m in bss.mu if m != 0.0]}
     _emit(verify.report_json(doc), args.output)
     return 0
 
@@ -131,27 +128,20 @@ def cmd_dirac_eig(args) -> int:
     W = MatrixPerturbation.scalar_well(args.depth, tuple(args.support))
     m = args.mass
     pairs = [dirac_eigenfunction(W, m, lam) for lam in dirac_gap_eigenvalues(W, m)]
-    results = [{"m": _f(m), "lambda": _f(p.lam), "rate_exact": _f(p.rate_exact),
-                "fitted_delta": _f(p.fitted_delta), "d_lambda": _f(m - abs(p.lam))}
-               for p in pairs]
+    results = [{"m": m, "lambda": p.lam, "rate_exact": p.rate_exact,
+                "fitted_delta": p.fitted_delta, "d_lambda": m - abs(p.lam)} for p in pairs]
     _emit(verify.report_json({"eigenvalues": results, "count": len(results)}), args.output)
     if args.samples_out and pairs:
-        lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2"]
-        for x, (p1, p2) in zip(pairs[0].xs, pairs[0].psi):
-            lines.append(",".join([_f(x), _f(p1.real), _f(p1.imag),
-                                   _f(p2.real), _f(p2.imag)]))
-        _emit("\n".join(lines) + "\n", args.samples_out)
+        psi = pairs[0].psi
+        _csv("x,re_psi1,im_psi1,re_psi2,im_psi2",
+             zip(pairs[0].xs, psi[:, 0].real, psi[:, 0].imag, psi[:, 1].real, psi[:, 1].imag),
+             args.samples_out)
     return 0
 
 
 def cmd_gamma(args) -> int:
     system = load_symbol_system(_load_json(args.matrices))
-    rep = gamma(system)
-    doc = {"gamma": _f(rep.gamma),
-           "gamma_argmax": [_f(v) for v in rep.gamma_argmax],
-           "ellipticity_margin": _f(rep.ellipticity_margin),
-           "elliptic": bool(rep.elliptic)}
-    _emit(verify.report_json(doc), args.output)
+    _emit(verify.report_json(dataclasses.asdict(gamma(system))), args.output)
     return 0
 
 

@@ -108,7 +108,7 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
 
     lo, hi = 0.1, 1.0
     flo, fhi = det(lo), det(hi)
-    while flo * fhi > 0:
+    while np.sign(flo) * np.sign(fhi) > 0:  # a product of small values underflows
         lo, flo = hi, fhi
         hi *= 2.0
         if hi > ALPHA_MAX:

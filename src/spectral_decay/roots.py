@@ -31,11 +31,14 @@ def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if short := abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # brentq.c's step is then inf or nan: bisect
+                stry = math.inf
             short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
         spre, scur = (scur, stry) if short else (sbis, sbis)  # a short step, else bisect
         xpre, fpre = xcur, fcur

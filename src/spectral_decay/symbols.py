@@ -27,6 +27,8 @@ from .potentials import _check_keys, _is_number
 STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
 GRID_RESOLUTION = 0.02  # sphere grid spacing in radians (d = 2, 3)
 _BLOCK = 2 ** 16        # matrix entries of the sphere sample evaluated at once
+ASCENT_ITERS = 200      # iterations of each alternating ascent at most
+ASCENT_GTOL = 1e-12     # an ascent stops where its gradient norm falls below this
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -128,8 +130,7 @@ def _sphere_grid(d: int) -> np.ndarray:
     return v
 
 
-def _ascents(system: SymbolSystem, starts: np.ndarray, iters: int = 200,
-             gtol: float = 1e-12):
+def _ascents(system: SymbolSystem, starts: np.ndarray):
     """Alternating ascents of |lambda_max(A(xi))| on the sphere from the
     rows of starts, in lockstep: one stacked eigh an iteration.  A start
     drops out where its gradient vanishes (keeping its point) or where
@@ -139,7 +140,7 @@ def _ascents(system: SymbolSystem, starts: np.ndarray, iters: int = 200,
     xi = starts / _norms(starts)[:, None]
     val = np.full(len(xi), -np.inf)
     active = np.arange(len(xi))
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         if not active.size:
             break
         ev, vec = np.linalg.eigh(_symbols(system, xi[active]))
@@ -149,7 +150,7 @@ def _ascents(system: SymbolSystem, starts: np.ndarray, iters: int = 200,
         grad = np.real(v.conj()[:, None, None, :] @ mats @ v[:, None, :, None])[..., 0, 0]
         g = np.where(mu != 0, np.sign(mu), 1.0)[:, None] * grad
         norm_g = _norms(g)
-        moves = ~(norm_g < gtol)
+        moves = ~(norm_g < ASCENT_GTOL)
         active, g, mu = active[moves], g[moves], mu[moves]
         new_xi, new_val = g / norm_g[moves, None], np.abs(mu)
         done = (np.abs(new_val - val[active]) < 1e-15) & (_norms(new_xi - xi[active]) < 1e-14)

@@ -7,8 +7,9 @@ expected, tol, verdict}; run_suite wraps the list as {"suite": name,
 writes every verdict, PASS or FAIL, from the bool a suite computes, and
 REL_TOL is the relative slack of every tail-rate verdict.  On a fixed
 anchor a missing gap, eigenvalue or witness can only be a regression.
-Floats are emitted with 17 significant digits, so reports are
-byte-identical from run to run.
+Cases hold raw values: report_json, the writer of every report and CLI
+document, formats each float with _fmt (17 significant digits, the CLI's
+tables too), so reports are byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -34,24 +35,22 @@ REL_TOL = 0.01  # relative slack of every tail-rate verdict
 
 
 def _fmt(x):
-    """Fixed 17-significant-digit rendering for report determinism."""
+    """x with every float, through dicts, lists, tuples and numpy arrays, as
+    its 17-significant-digit string; numpy scalars become Python ones."""
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, float):
         return format(x, ".17g")
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
     if isinstance(x, dict):
         return {k: _fmt(v) for k, v in x.items()}
-    if isinstance(x, (np.floating,)):
-        return format(float(x), ".17g")
-    if isinstance(x, (np.integer,)):
-        return int(x)
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_fmt(v) for v in x]
     return x
 
 
 def _case(name, inputs, measured, expected, tol, ok):
-    return {"name": name, "inputs": _fmt(inputs), "measured": _fmt(measured),
-            "expected": _fmt(expected), "tol": _fmt(tol),
-            "verdict": "PASS" if ok else "FAIL"}
+    return {"name": name, "inputs": inputs, "measured": measured, "expected": expected,
+            "tol": tol, "verdict": "PASS" if ok else "FAIL"}
 
 
 def suite_propH():
@@ -78,8 +77,8 @@ def suite_edge_asymptotics():
     cases = []
     for label, edge in (("lower-edge", g[0]), ("upper-edge", g[1])):
         ea = decay.check_edge_asymptotics(_MATHIEU, edge, g)
-        cases.append(_case(label, {"edge": edge, "gap": list(g)},
-                           {"limit": ea.limit, "ratios": list(ea.ratios)},
+        cases.append(_case(label, {"edge": edge, "gap": g},
+                           {"limit": ea.limit, "ratios": ea.ratios},
                            1.0, 1e-3, abs(ea.limit - 1.0) <= 1e-3))
     return cases
 
@@ -89,7 +88,7 @@ def suite_fprime():
     fr = decay.check_F_prime_asymptotics(_STEP, np.logspace(3.0, 5.0, 40))
     return [_case("scaled-residual-slope", {"lambda_range": [1e3, 1e5], "points": 40},
                   {"loglog_slope": fr.loglog_slope,
-                   "max_residual": float(fr.residuals.max())},
+                   "max_residual": fr.residuals.max()},
                   "slope <= 0", 0.05, fr.loglog_slope <= 0.05)]
 
 
@@ -131,7 +130,7 @@ def suite_theorem2_dirac():
                            rate, exact, REL_TOL, abs(rate - exact) <= REL_TOL * exact))
         cases.append(_case(f"eigenvalue-{i}-theorem-bound",
                            {"m": m, "lambda": lam, "d_lambda": d, "gamma": g},
-                           rate, f"delta_hat >= {format(d / g, '.17g')}", REL_TOL,
+                           rate, f"delta_hat >= {_fmt(d / g)}", REL_TOL,
                            rate >= (1.0 - REL_TOL) * (d / g)))
     return cases
 
@@ -189,10 +188,10 @@ def run_suite(name: str) -> dict:
     return {"suite": name, "cases": _RUNNERS[name]()}
 
 
-def report_json(report: dict) -> str:
-    """Canonical serialization of a report or any CLI JSON document: sorted
-    keys, fixed float format, newline-terminated."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def report_json(doc: dict) -> str:
+    """The one serialization of a report or any CLI JSON document: every
+    float formatted by _fmt, sorted keys, newline-terminated."""
+    return json.dumps(_fmt(doc), sort_keys=True, indent=2) + "\n"
 
 
 def has_failure(report: dict) -> bool:

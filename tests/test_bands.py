@@ -184,6 +184,13 @@ def test_narrow_smooth_gap_is_open():
     assert spectral_distance(bs, 0.5 * (ref[1] + ref[2])) > 4e-4
 
 
+def test_same_signed_underflowing_derivative_marks_the_scan_incomplete(monkeypatch):
+    # F' of one sign on both sides of every extremum brackets no critical
+    # point, also where the product of the two values underflows to 0
+    monkeypatch.setattr(bands, "discriminant_derivative", lambda V, lam: 2.0 ** -600)
+    assert band_edges(MATHIEU, 15.0).incomplete
+
+
 @pytest.mark.parametrize("amplitude", [1e-3, 1.0])
 def test_closed_gaps_of_cos_4pi_x_stay_closed(amplitude):
     # period 1/2: gaps 1 and 3 are closed (|F(c)| - 1 is rounding), gap 2 open

@@ -129,6 +129,58 @@ def test_verify_suite(cfg, tmp_path):
     assert all(c["verdict"] == "PASS" for c in doc["cases"])
 
 
+def _leaves(doc) -> list:
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [leaf for v in doc for leaf in _leaves(v)]
+    return [doc]
+
+
+def _assert_one_float_format(cells):
+    """No cell is a JSON float, every string that parses as a float s has
+    format(float(s), ".17g") == s, and there is one at least."""
+    floats = 0
+    for cell in cells:
+        assert not isinstance(cell, float), f"a JSON number {cell!r}"
+        if isinstance(cell, str):
+            try:
+                x = float(cell)
+            except ValueError:
+                continue
+            assert format(x, ".17g") == cell
+            floats += 1
+    assert floats
+
+
+def test_every_printed_float_has_the_one_format(cfg, tmp_path, capsys):
+    # pins the output format: an array or a raw float that slips into a
+    # document, or a number formatted another way, fails here
+    gap_csv, dirac_csv = tmp_path / "gap.csv", tmp_path / "dirac.csv"
+    documents = [
+        ["bands", "--potential", cfg["mathieu"], "--lambda-max", "15", "--format", "json"],
+        ["gap-eig", "--potential", cfg["zero"], "--perturbation", cfg["box"], "--lambda", "-1",
+         "--samples-out", str(gap_csv)],
+        ["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"], "--lambda", "-1"],
+        ["dirac-eig", "--mass", "1", "--depth", "0.5", "--samples-out", str(dirac_csv)],
+        ["gamma", "--matrices", cfg["dirac3d"]],
+        ["verify", "--suite", "propH"],
+    ]
+    tables = [["bands", "--potential", cfg["mathieu"], "--lambda-max", "15"],
+              ["discriminant", "--potential", cfg["mathieu"], "--lambda-range=-5:20:11",
+               "--derivative"]]
+    for argv in documents:
+        assert main(argv) == 0
+        _assert_one_float_format(_leaves(json.loads(capsys.readouterr().out)))
+    texts = []
+    for argv in tables:
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    for text in texts + [gap_csv.read_text(), dirac_csv.read_text()]:
+        for row in text.splitlines()[1:]:
+            _assert_one_float_format(row.split(","))
+
+
 def _no_gaps(V, lam_max):
     return dataclasses.replace(band_edges(V, lam_max), gaps=())
 
@@ -189,9 +241,9 @@ def test_verify_prints_the_dirac_bound_it_tests(monkeypatch, tmp_path):
 @pytest.mark.parametrize("target, value, message", [
     ("spectral_decay.gap._shoot", lambda *args: math.nan,
      "The function value at x=0.1 is NaN; solver cannot continue."),
-    # 1e-200 squared underflows to 0, so solve_coupling's product test passes
-    # the one-signed bracket [0.1, 1] on to brent
-    ("spectral_decay.gap._shoot", lambda *args: 1e-200, "f(a) and f(b) must have different signs"),
+    # 1e-200 squared underflows to 0; solve_coupling compares signs, so it
+    # expands the one-signed bracket to ALPHA_MAX
+    ("spectral_decay.gap._shoot", lambda *args: 1e-200, "no sign change up to alpha = 10000.0"),
     ("spectral_decay.roots.MAX_ITER", 1, "Failed to converge after 1 iterations."),
 ], ids=["nan", "same-sign", "no-convergence"])
 def test_brent_failures_exit_2_with_one_line(monkeypatch, cfg, capsys, target, value, message):

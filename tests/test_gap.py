@@ -103,6 +103,14 @@ def test_no_sign_change(monkeypatch):
         solve_coupling(V0, BOX, -1.0)
 
 
+def test_solve_coupling_with_underflowing_determinants(monkeypatch):
+    # at 2^-600 the product of two determinants underflows to 0, and so do
+    # Brent's interpolation denominators: only their signs bracket the root
+    shoot = gap._shoot
+    monkeypatch.setattr(gap, "_shoot", lambda *args: shoot(*args) * 2.0 ** -600)
+    assert abs(solve_coupling(V0, BOX, -1.0) - 1.740173884394967) <= 1e-12
+
+
 def test_birman_schwinger_matches_shooting():
     bss = birman_schwinger_spectrum(V0, BOX, -1.0)
     alpha = 1.0 / bss.mu[0]

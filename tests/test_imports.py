@@ -93,3 +93,14 @@ def test_verify_is_the_one_judge():
                     where.setdefault(n.value, []).append((path.stem, getattr(top, "name", None)))
     assert {module for sites in where.values() for module, _ in sites} == {"verify"}
     assert where["PASS"] == [("verify", "_case")]
+
+
+def test_one_float_format():
+    # every printed float goes through verify._fmt, the one user of ".17g"
+    sites = []
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        for top in ast.parse(path.read_text()).body:
+            sites += [(path.stem, getattr(top, "name", None)) for n in ast.walk(top)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and ".17g" in n.value]
+    assert sites == [("verify", "_fmt")]

@@ -24,6 +24,9 @@ SHAPES = {
     "flat": lambda r, s: lambda x: s * (x - r) ** 3,
     "sign": lambda r, s: lambda x: math.copysign(s, x - r),
 }
+# the small scales underflow Brent's interpolation denominators to 0, where
+# brentq.c's step is inf or nan and it bisects
+SCALES = (1.0, 2.0 ** -600, 1e-300)
 
 
 def outcome(solve, f, a, b):
@@ -46,17 +49,20 @@ def outcome(solve, f, a, b):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from(sorted(TOLS)),
        st.floats(-50.0, 50.0), st.floats(1e-3, 100.0), st.floats(1e-3, 50.0), st.floats(0.0, 1.0),
-       st.sampled_from(["inside", "at lo", "at hi", "near lo"]), st.booleans(), st.booleans())
-@example("cubic", "bands", 0.0, 1.0, 1.0, 0.5, "at lo", False, False)  # f(a) = 0
-@example("cubic", "bands", 0.0, 1.0, 1.0, 0.5, "at lo", True, False)   # f(b) = 0
-@example("expm1", "gap", -2.0, 3.0, 2.0, 0.5, "at hi", False, True)    # f(b) = 0
-@example("atan", "verify", 0.5, 0.5, 1.0, 0.3, "near lo", True, True)  # root at a cell end
+       st.sampled_from(["inside", "at lo", "at hi", "near lo"]), st.booleans(), st.booleans(),
+       st.sampled_from(SCALES))
+@example("cubic", "bands", 0.0, 1.0, 1.0, 0.5, "at lo", False, False, 1.0)  # f(a) = 0
+@example("cubic", "bands", 0.0, 1.0, 1.0, 0.5, "at lo", True, False, 1.0)   # f(b) = 0
+@example("expm1", "gap", -2.0, 3.0, 2.0, 0.5, "at hi", False, True, 1.0)    # f(b) = 0
+@example("atan", "verify", 0.5, 0.5, 1.0, 0.3, "near lo", True, True, 1.0)  # root at a cell end
+@example("cubic", "gap", 0.0, 3.0, 1.0, 0.4, "inside", False, False, 2.0 ** -600)
+@example("cubic", "gap", 1.0, 1.0, 1.0, 0.3, "inside", False, False, 1e-300)
 def test_property_brent_is_scipy_brentq_bit_for_bit(shape, caller, lo, width, s, u, where,
-                                                   swap, flip):
+                                                   swap, flip, scale):
     hi = lo + width
     r = {"inside": lo + u * width, "at lo": lo, "at hi": hi, "near lo": lo + u * 1e-13}[where]
     f0 = SHAPES[shape](r, s)
-    f = (lambda x: -f0(x)) if flip else f0
+    f = (lambda x: -scale * f0(x)) if flip else (lambda x: scale * f0(x))
     a, b = (hi, lo) if swap else (lo, hi)
     xtol, rtol = TOLS[caller]
     ours = outcome(lambda g, a, b: brent(g, a, b, xtol, rtol), f, a, b)
