@@ -12,11 +12,14 @@ monotone) from random points, the sample's best point and the axes;
 the ascents run in lockstep, one stacked eigh an iteration, each start
 dropping out when it stops, and the first start to reach the best value
 wins.  The minimum is refined from the sample's best point by
-Nelder-Mead.  Neither value carries an error certificate.
+_nelder_mead, a numpy port of scipy's Nelder-Mead that equals
+scipy.optimize.minimize(method="Nelder-Mead") bit for bit, so gamma
+loads no scipy module.  Neither value carries an error certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,10 @@ class SymbolSystem:
                 raise ValidationError("coefficient matrices must have finite entries")
             if not np.allclose(a, a.conj().T, atol=1e-12):
                 raise ValidationError("coefficient matrices must be Hermitian")
+        lip = self.lipschitz()
+        if math.isinf(lip * lip):  # floats: no numpy overflow warning
+            raise ValidationError("coefficient matrices are too large: the square of the "
+                                  "sum of their spectral norms overflows")
 
     @property
     def d(self) -> int:
@@ -62,7 +69,9 @@ class SymbolSystem:
         return self.matrices[0].shape[0]
 
     def lipschitz(self) -> float:
-        return sum(np.linalg.norm(a, 2) for a in self.matrices)
+        """Sum of the spectral norms ||A_j||_2, a Lipschitz constant of A on
+        the sphere; its square bounds the squared gradients of the ascents."""
+        return sum(float(np.linalg.norm(a, 2)) for a in self.matrices)
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,6 @@ def gamma(system: SymbolSystem) -> SymbolReport:
 
 
 def _margin(system: SymbolSystem, grid: np.ndarray, gmin: np.ndarray) -> float:
-    from scipy.optimize import minimize  # ~0.6 s CPU to import: only gamma loads it
     k = int(np.argmin(gmin))
     xi0 = grid[k]
 
@@ -199,9 +207,60 @@ def _margin(system: SymbolSystem, grid: np.ndarray, gmin: np.ndarray) -> float:
         a = symbol(system, xi / nrm)
         return float(np.min(np.abs(np.linalg.eigvalsh(a))))
 
-    res = minimize(obj, xi0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(min(res.fun, gmin[k]))
+    return float(min(_nelder_mead(obj, xi0, xatol=1e-12, fatol=1e-14, maxiter=4000), gmin[k]))
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> float:
+    """The least value of f that Nelder-Mead (1965) finds from x0, stepped
+    as scipy's _minimize_neldermead steps it without bounds, adaptive
+    parameters or maxfev, so that the value and every evaluation point
+    equal scipy.optimize.minimize(method="Nelder-Mead")'s bit for bit."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+
+    def call(x):  # f gets a copy, as in scipy
+        return f(np.copy(x))
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim, fsim = sort(sim, np.array([call(x) for x in sim], dtype=float))
+    for _ in range(1, maxiter):  # scipy's iterations = 1, 2, ... while < maxiter
+        sim, fsim = sort(sim, fsim)  # scipy's second sort, then its sort after each step
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = call(xr)
+        if fxr < fsim[0]:  # expand
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = call(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside where xr beats the worst vertex, else inside
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                keep = (fxc := call(xc)) <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                keep = (fxc := call(xc)) < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = call(sim[j])
+    return np.min(fsim)
 
 
 def dirac_alpha_system() -> SymbolSystem:

@@ -8,9 +8,9 @@ plane-wave (Fourier) matrix, and the Dirac reference is a staggered-grid
 finite-difference discretization on a large box; the Hill and Dirac
 exponentials are also written out in scalar math/cmath arithmetic, a
 Magnus step's exponent is the matrix formula of its scheme, the Dirac
-square well has its real matching condition, and the symbol norm has its
-one-start-at-a-time ascent.  The Birman-Schwinger
-reference assembles the dense Nystrom
+square well has its real matching condition, the symbol norm has its
+one-start-at-a-time ascent, and the ellipticity margin scipy's own
+Nelder-Mead.  The Birman-Schwinger reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, its
 Jacobi eigenvalues have a long-double Sturm-bisection reference, the
 cell transfer matrices have a lowering per cell, and the
@@ -28,7 +28,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from spectral_decay import ode, symbols
 from spectral_decay.bands import EDGE_XTOL, BandStructure
@@ -201,9 +201,21 @@ def ascent(system, xi0, iters=200, gtol=1e-12):
     return float(np.max(np.abs(np.linalg.eigvalsh(symbols.symbol(system, xi))))), xi
 
 
+def margin_objective(system, fallback):
+    """sigma_min(A(xi / |xi|)), the ellipticity margin's objective; fallback
+    at xi = 0."""
+    def obj(xi):
+        nrm = np.linalg.norm(xi)
+        if nrm == 0:
+            return float(fallback)
+        return float(np.min(np.abs(np.linalg.eigvalsh(symbols.symbol(system, xi / nrm)))))
+    return obj
+
+
 def gamma_reference(system):
     """(gamma, argmax, margin) of symbols.gamma with one ascent at a time,
-    keeping a start's result only where it beats every earlier one."""
+    keeping a start's result only where it beats every earlier one, and the
+    margin polished by scipy's own Nelder-Mead."""
     rng = np.random.default_rng(1234)
     grid = symbols._sphere_grid(system.d)
     gmax, gmin = symbols._batch_extreme(system, grid)
@@ -216,7 +228,10 @@ def gamma_reference(system):
         val, xi = ascent(system, xi0)
         if val > best_val:
             best_val, best_xi = val, xi
-    return best_val, best_xi, symbols._margin(system, grid, gmin)
+    k = int(np.argmin(gmin))
+    res = minimize(margin_objective(system, gmin[k]), grid[k], method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+    return best_val, best_xi, float(min(res.fun, gmin[k]))
 
 
 def mathieu_fourier_edges(n_modes=40):

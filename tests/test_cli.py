@@ -369,8 +369,14 @@ def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
     {"n": 2.7, "d": 1, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
     {"n": True, "d": 1, "matrices": [[[[1, 0]]]]},
     {"n": 1, "d": 1, "matrices": [[[[float("inf"), 0]]]]},
-], ids=["rows-beyond-n", "huge-n", "fractional-n", "boolean-n", "infinite-entry"])
+    *({"n": 2, "d": 2, "matrices": [[[[0, 0], [s, 0]], [[s, 0], [0, 0]]],
+                                    [[[0, 0], [0, -s]], [[0, s], [0, 0]]]]}
+      for s in (1e200, 1e308)),
+], ids=["rows-beyond-n", "huge-n", "fractional-n", "boolean-n", "infinite-entry",
+        "pauli-1e200", "pauli-1e308"])
 def test_malformed_symbol_system_rejected(doc, tmp_path, capsys):
+    # the elliptic Pauli pair x 1e200 and x 1e308 are rejected because the
+    # squared gradients of gamma's ascents, bounded by (sum_j |A_j|_2)^2, overflow
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
     assert main(["gamma", "--matrices", str(path)]) == 2

@@ -9,6 +9,7 @@ import pytest
 
 import spectral_decay
 from spectral_decay import ode
+from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system
 
 MODULES = sorted(p for p in pathlib.Path(spectral_decay.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -35,24 +36,40 @@ LOADED = """import json, sys
 from spectral_decay.cli import main
 for argv in json.loads(sys.argv[1]):
     assert not argv or main(argv) == 0, argv
-    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
 """
 
 
-def test_cli_loads_no_scipy(tmp_path):
-    # Brent is roots.brent; scipy loads only for BS, gamma's Nelder-Mead and
-    # a read of ode.solve_ivp, so these commands start without its ~0.4 s
-    V, Q = tmp_path / "v.json", tmp_path / "q.json"
-    V.write_text(json.dumps(STEP))
-    Q.write_text(json.dumps(BOX))
-    runs = [[], ["bands", "--potential", str(V), "--lambda-max", "60"],
-            ["discriminant", "--potential", str(V), "--lambda-range=-5:50:11", "--derivative"],
-            ["gap-eig", "--potential", str(V), "--perturbation", str(Q), "--lambda", "14.7"],
-            ["dirac-eig", "--mass", "1", "--depth", "0.5"]]
+def _scipy_loaded(runs):
+    """The scipy modules loaded after each run, in one fresh process."""
     src = str(pathlib.Path(spectral_decay.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", LOADED, json.dumps(runs)], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stderr.splitlines() == ["[]"] * len(runs)
+    return [json.loads(line) for line in out.stderr.splitlines()]
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # Brent is roots.brent and gamma's Nelder-Mead symbols._nelder_mead; scipy
+    # loads only for BS and a read of ode.solve_ivp, so these commands start
+    # without its ~0.4 s
+    V, Q, A = tmp_path / "v.json", tmp_path / "q.json", tmp_path / "alpha.json"
+    V.write_text(json.dumps(STEP))
+    Q.write_text(json.dumps(BOX))
+    A.write_text(json.dumps(dump_symbol_system(dirac_alpha_system())))
+    runs = [[], ["bands", "--potential", str(V), "--lambda-max", "60"],
+            ["discriminant", "--potential", str(V), "--lambda-range=-5:50:11", "--derivative"],
+            ["gap-eig", "--potential", str(V), "--perturbation", str(Q), "--lambda", "14.7"],
+            ["dirac-eig", "--mass", "1", "--depth", "0.5"],
+            ["gamma", "--matrices", str(A)]]
+    assert _scipy_loaded(runs) == [[]] * len(runs)
+
+
+def test_verify_loads_no_scipy_optimize():
+    # verify's BS case loads scipy.linalg for eigvalsh_tridiagonal, and
+    # nothing loads scipy.optimize
+    [loaded] = _scipy_loaded([["verify", "--suite", "all"]])
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
 def test_ode_solve_ivp_is_scipys():

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from spectral_decay import symbols
 from spectral_decay.errors import DimensionMismatch
@@ -107,6 +108,64 @@ def test_property_lockstep_ascents_match_the_per_start_reference(d, n, seed):
     assert rep.gamma == g and np.array_equal(rep.gamma_argmax, xi)
     attained = np.max(np.abs(np.linalg.eigvalsh(symbol(system, rep.gamma_argmax))))
     assert abs(attained - rep.gamma) <= 4 * np.spacing(rep.gamma)
+
+
+# objectives of x for a centre a; the plateau's steps tie in argsort, on the
+# flat one every contraction fails, so each iteration shrinks, "inplace"
+# writes into its argument, and "holed" is NaN beyond x_0 = a + 1
+OBJECTIVES = {
+    "bowl": lambda a: lambda x: float(np.sum((1 + np.arange(len(x))) * (x - a) ** 2)),
+    "rosenbrock": lambda a: lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2)
+                                            + np.sum((1 - x + a) ** 2)),
+    "kink": lambda a: lambda x: float(np.sum(np.abs(x - a))),
+    "plateau": lambda a: lambda x: float(np.floor(4 * np.sum((x - a) ** 2))),
+    "flat": lambda a: lambda x: 1.0,
+    "inplace": lambda a: lambda x: float(np.sum(np.subtract(x, a, out=x) ** 2)),
+    "holed": lambda a: lambda x: float(np.sum((x - a) ** 2)) if x[0] <= a + 1 else np.nan,
+}
+
+
+def _nelder_mead_run(solve, f, x0):
+    """(least value, points at which f was evaluated), both as hex."""
+    xs = []
+
+    def g(x):
+        xs.append(tuple(v.hex() for v in map(float, x)))
+        return f(x)
+
+    return float(solve(g, x0)).hex(), xs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(OBJECTIVES) + ["margin"]),
+       st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=3),
+       st.floats(-1.0, 1.0), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 5, 30, 4000]), st.sampled_from([(1e-12, 1e-14), (1e-4, 1e-4)]))
+@example("bowl", [0.0, 1.5, 0.0], 0.3, 1, 0, 4000, (1e-12, 1e-14))  # zero coordinates
+@example("rosenbrock", [-1.2, 1.0], 0.0, 1, 0, 30, (1e-12, 1e-14))  # stops at maxiter
+@example("plateau", [2.1, -2.8], 0.5, 1, 0, 4000, (1e-12, 1e-14))  # expansion ties
+@example("plateau", [2.4, 0.5, -2.7], 0.6, 1, 0, 4000, (1e-12, 1e-14))  # shrink rounding
+@example("flat", [-0.4, 2.7, -0.0], 0.0, 1, 0, 4000, (1e-12, 1e-14))  # shrinks only
+@example("margin", [0.6, 0.8, 0.0], 0.0, 3, 11, 4000, (1e-12, 1e-14))
+@example("inplace", [1.0, 2.0], 0.5, 1, 0, 4000, (1e-12, 1e-14))
+@example("holed", [1.0, 2.0], 0.0, 1, 0, 1, (1e-12, 1e-14))  # a NaN vertex left
+def test_property_nelder_mead_is_scipys_bit_for_bit(kind, x0, a, n, seed, maxiter, tols):
+    x0 = np.array(x0)
+    if kind == "margin":
+        system = _random_system(len(x0), n, seed)
+        f = oracles.margin_objective(system, np.inf)
+    else:
+        f = OBJECTIVES[kind](a)
+    xatol, fatol = tols
+
+    def ours(g, x):
+        return symbols._nelder_mead(g, x, xatol=xatol, fatol=fatol, maxiter=maxiter)
+
+    def scipys(g, x):
+        return minimize(g, x, method="Nelder-Mead",
+                        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter}).fun
+
+    assert _nelder_mead_run(ours, f, x0) == _nelder_mead_run(scipys, f, x0)
 
 
 def test_sample_blocks_do_not_change_the_report(monkeypatch):
