@@ -14,14 +14,15 @@ A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
 the n-vs-2n difference of its Magnus product plus the rounding of its
 steps, or the rounding of its closed form on piecewise V.  The whole grid
 is one batched evaluation.
-Edges of a gap with a sample inside are refined on the cells where
-F -+ 1 changes sign; a gap narrower than a cell has no such sample, and
-c and the ends of its cell bracket the edges.
+An open gap adds both edges by one rule: walk each side of c's cell
+outward over the samples inside the gap, and bracket the edge between the
+first sample outside and the one before it, or c if no sample lies inside.
+A gap open at the ceiling adds its left edge alone, walking down from the top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +37,22 @@ EDGE_XTOL = 1e-13
 
 @dataclass(frozen=True)
 class BandStructure:
-    edges: tuple                 # strictly increasing band edges
-    gaps: tuple                  # open intervals (lo, hi) with |F| > 1 inside
-    lambda0: float               # bottom of the essential spectrum
+    edges: tuple                 # the bottom edge, then (left, right) pairs of open gaps
     scan_ceiling: float
     # F' keeps its sign across some sample extremum's two grid cells: two
     # critical points lie too close to separate, so a gap may be missing
     incomplete: bool = False
-    scan_floor: float = field(default=float("nan"))
+    scan_floor: float = float("nan")
+
+    @property
+    def lambda0(self) -> float:
+        """The bottom of the essential spectrum, nan where the scan has no edge."""
+        return self.edges[0] if self.edges else float("nan")
+
+    @property
+    def gaps(self) -> tuple:
+        """The open gaps (left, right) below the ceiling, |F| > 1 inside."""
+        return tuple(zip(self.edges[1::2], self.edges[2::2]))
 
 
 def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
@@ -68,10 +77,9 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
     hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
     if not hits.size:
-        return BandStructure((), (), float("nan"), lam_max, False, lam_min)
+        return BandStructure((), lam_max, False, lam_min)
     i = hits[0]
-    edges = [grid[i] if sg[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)]
-    gaps, incomplete = [], False
+    edges, incomplete = [grid[i] if sg[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)], False
 
     sd, dF_top = np.sign(np.diff(Fs)), dF(lam_max)
     extrema = (np.flatnonzero(sd[i:-1] * sd[i + 1:] < 0) + i + 1).tolist()
@@ -92,31 +100,23 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
             continue  # closed gap
         t = 1.0 if Fc > 0 else -1.0
         inside = t * Fs > 1.0
-        k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
-        a, b = k, k + 1
-        if not (inside[a] or inside[b]):  # narrower than a cell
-            edges += [edge(grid[k], c, t), edge(c, grid[k + 1], t)]
-            gaps.append((edges[-2], edges[-1]))
-            continue
-        while inside[a]:
-            a -= 1
+        a = k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
+        b = k + 1
         while b < n and inside[b]:
             b += 1
+        if b == n:
+            break  # the scan ends inside this gap: its left edge is added below
+        while inside[a]:
+            a -= 1
+        narrow = a == k and b == k + 1  # no sample inside the gap
+        edges += [edge(grid[a], c if narrow else grid[a + 1], t),
+                  edge(c if narrow else grid[b - 1], grid[b], t)]
+    if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap: its left edge
+        t, a = (1.0 if Fs[-1] > 0 else -1.0), n - 1
+        while t * Fs[a] > 1.0:
+            a -= 1
         edges.append(edge(grid[a], grid[a + 1], t))
-        if b == n:  # the scan ends inside this gap
-            break
-        edges.append(edge(grid[b - 1], grid[b], t))
-        gaps.append((edges[-2], edges[-1]))
-    else:
-        if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap whose c lies above it
-            t = 1.0 if Fs[-1] > 0 else -1.0
-            a = n - 1
-            while t * Fs[a] > 1.0:
-                a -= 1
-            edges.append(edge(grid[a], grid[a + 1], t))
-    return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=edges[0],
-                         scan_ceiling=lam_max, incomplete=incomplete,
-                         scan_floor=lam_min)
+    return BandStructure(tuple(edges), lam_max, incomplete, lam_min)
 
 
 def spectral_distance(bands: BandStructure, lam: float) -> float:

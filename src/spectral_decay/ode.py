@@ -333,15 +333,12 @@ class _Plan:
         """(n, (j, i), h, coefficients) of the Magnus walks of n steps each, where
         a walk takes refine * max(1, ceil(length * density)) steps: their slots,
         step lengths h (w,) and system.exponents at their Gauss nodes.  Kept
-        where they take at most _NODES steps in all, under (density, refine) and
-        under their step counts, which another (density, refine) may share."""
+        under (density, refine) where they take at most _NODES steps in all."""
         key = density, refine
         if key in self.memo:
             return self.memo[key]
         j, i, pa, pb = self.magnus.T
         steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
-        if steps.tobytes() in self.memo:
-            return self.memo.setdefault(key, self.memo[steps.tobytes()])
         groups = []
         for n in np.unique(steps).tolist():
             g = steps == n
@@ -350,7 +347,7 @@ class _Plan:
             groups.append((n, (j[g].astype(int), i[g].astype(int)), h, self.system.exponents(
                 np.stack([x + c * h[:, None] for c in _GAUSS]), h)))
         if steps.sum() <= _NODES:
-            self.memo[key] = self.memo[steps.tobytes()] = groups
+            self.memo[key] = groups
         return groups
 
 

@@ -26,6 +26,22 @@ def _check_finite(name: str, values) -> None:
             raise ValidationError(f"{name} must be finite, got {v}")
 
 
+def _check_support(support) -> None:
+    """A finite, nondegenerate interval (a, b)."""
+    _check_finite("support", support)
+    a, b = support
+    if not (b > a):
+        raise ValidationError("support must be a nondegenerate interval")
+
+
+def _check_hermitian(a: np.ndarray, name: str) -> None:
+    """Finite entries, then a = a^H to within 1e-12 of its largest entry."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} must have finite entries")
+    if not np.allclose(a, a.conj().T, atol=1e-12 * np.max(np.abs(a), initial=0.0)):
+        raise ValidationError(f"{name} must be Hermitian")
+
+
 @dataclass(frozen=True)
 class PeriodicPotential:
     """A real 1-periodic potential V(x) = V(x+1).
@@ -181,10 +197,7 @@ class CompactPerturbation:
     profile: PeriodicPotential
 
     def __post_init__(self):
-        _check_finite("support", self.support)
-        a, b = self.support
-        if not (b > a):
-            raise ValidationError("support must be a nondegenerate interval")
+        _check_support(self.support)
         t = np.linspace(0.0, 1.0, 257, endpoint=False)
         g = np.asarray(self.profile(t), dtype=float)
         if np.any(g < 0):
@@ -254,20 +267,14 @@ class MatrixPerturbation:
     matrix: tuple
 
     def __post_init__(self):
-        _check_finite("support", self.support)
-        a, b = self.support
-        if not (b > a):
-            raise ValidationError("support must be a nondegenerate interval")
+        _check_support(self.support)
         try:
             w = np.array(self.matrix, dtype=complex)
         except (TypeError, ValueError):  # ragged rows or non-numbers
             w = np.empty(0)
         if w.shape != (2, 2):
             raise ValidationError("W must be a 2x2 matrix")
-        if not np.isfinite(w).all():
-            raise ValidationError("W must have finite entries")
-        if not np.allclose(w, w.conj().T, atol=1e-12):
-            raise ValidationError("W must be Hermitian")
+        _check_hermitian(w, "W")
         object.__setattr__(self, "matrix", tuple(map(tuple, w.tolist())))
 
     @classmethod

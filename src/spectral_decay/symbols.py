@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchemaError, ValidationError
-from .potentials import _check_keys, _is_number
+from .potentials import _check_hermitian, _check_keys, _is_number
 
 STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
 GRID_RESOLUTION = 0.02  # sphere grid spacing in radians (d = 2, 3)
@@ -51,10 +51,7 @@ class SymbolSystem:
         for a in self.matrices:
             if a.shape != (n, n):
                 raise ValidationError("coefficient matrices must share one size")
-            if not np.isfinite(a).all():
-                raise ValidationError("coefficient matrices must have finite entries")
-            if not np.allclose(a, a.conj().T, atol=1e-12):
-                raise ValidationError("coefficient matrices must be Hermitian")
+            _check_hermitian(a, "coefficient matrices")
         lip = self.lipschitz()
         if math.isinf(lip * lip):  # floats: no numpy overflow warning
             raise ValidationError("coefficient matrices are too large: the square of the "
@@ -108,11 +105,10 @@ def _norms(xis: np.ndarray) -> np.ndarray:
 def _batch_extreme(system: SymbolSystem, xis: np.ndarray):
     """(max|eig|, min|eig|) of A(xi) for a batch of directions, evaluated
     _BLOCK matrix entries at a time."""
-    mats = np.stack(system.matrices)
     step = max(1, _BLOCK // system.n ** 2)
     gmax, gmin = np.empty(len(xis)), np.empty(len(xis))
     for lo in range(0, len(xis), step):
-        aev = np.abs(np.linalg.eigvalsh(np.einsum("kd,dij->kij", xis[lo:lo + step], mats)))
+        aev = np.abs(np.linalg.eigvalsh(_symbols(system, xis[lo:lo + step])))
         gmax[lo:lo + step], gmin[lo:lo + step] = aev.max(axis=1), aev.min(axis=1)
     return gmax, gmin
 

@@ -1,0 +1,107 @@
+"""sha256 digests of a fixed list of CLI runs, to show that a change keeps
+every printed byte.
+
+    PYTHONPATH=src python tests/cli_digest.py
+
+Each run goes in-process through spectral_decay.cli.main, in a temporary
+directory that holds the input documents.  One line per run gives the
+sha256 over its stdout, stderr, exit code and --samples-out file, then a
+last line the sha256 over all runs.  Run it in two checkouts, each with its
+own src on PYTHONPATH, and diff the outputs.  The bytes depend on the BLAS
+kernel numpy selects for the CPU, so compare checkouts on one machine.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+
+from spectral_decay.cli import main
+from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system
+
+BOX = {"type": "piecewise", "breaks": [0.0], "values": [1.0]}
+DOCS = {
+    "zero.json": {"type": "zero"},
+    "step.json": {"type": "piecewise", "breaks": [0.0, 0.5], "values": [10.0, 0.0]},
+    "mathieu.json": {"type": "fourier", "mean": 0.0, "cos": [2.0], "sin": []},
+    "three.json": {"type": "fourier", "mean": 0.1, "cos": [1.5, 0.7, 0.3],
+                   "sin": [0.2, 0.4, 0.1]},
+    "box01.json": {"support": [0.0, 1.0], "profile": BOX},
+    "box11.json": {"support": [-1.0, 1.0], "profile": BOX},
+    "smooth_q.json": {"support": [-0.5, 1.5],
+                      "profile": {"type": "fourier", "mean": 1.0, "cos": [0.5], "sin": [0.2]}},
+    "alpha.json": dump_symbol_system(dirac_alpha_system()),
+}
+SAMPLES = "samples.csv"
+
+
+def _runs():
+    for v in ("zero", "step", "mathieu", "three"):
+        yield ["bands", "--potential", f"{v}.json", "--lambda-max", "60"]
+        yield ["bands", "--potential", f"{v}.json", "--lambda-max", "60", "--format", "json"]
+        yield ["discriminant", "--potential", f"{v}.json", "--lambda-range=-5:120:126",
+               "--derivative"]
+    yield ["bands", "--potential", "mathieu.json", "--lambda-max", "15", "--format", "json"]
+    for v, q, lam in (("step", "box01", "14.7"), ("zero", "box11", "-1"),
+                      ("mathieu", "smooth_q", "9.8")):
+        yield ["gap-eig", "--potential", f"{v}.json", "--perturbation", f"{q}.json",
+               f"--lambda={lam}", "--samples-out", SAMPLES]
+    yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "box11.json",
+           "--lambda=-1"]
+    yield ["bs-spectrum", "--potential", "step.json", "--perturbation", "box01.json",
+           "--lambda=14.7", "--count", "3"]
+    for mass, depth, support in (("1", "0.5", None), ("5", "2", ("0", "3")),
+                                 ("1000", "0.5", ("0", "1")), ("100", "1", ("0", "3"))):
+        yield ["dirac-eig", "--mass", mass, "--depth", depth, "--samples-out", SAMPLES,
+               *(["--support", *support] if support else [])]
+    yield ["gamma", "--matrices", "alpha.json"]
+    for suite in ("all", "propH", "edge-asymptotics", "fprime", "cross-method",
+                  "theorem2-dirac", "counterexample"):
+        yield ["verify", "--suite", suite]
+    yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "box11.json",
+           "--lambda=-1", "--count", "0"]
+    yield ["bands", "--potential", "zero.json", "--lambda-max", "nan"]
+    # narrow high gaps, down to 3.2e-4 (Mathieu) and 1.5e-4 (three) wide: inside one grid cell
+    yield ["bands", "--potential", "mathieu.json", "--lambda-max", "100"]
+    yield ["bands", "--potential", "three.json", "--lambda-max", "400"]
+
+
+def _digest(argv) -> str:
+    """sha256 over the stdout, stderr, exit code and samples file of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    samples = pathlib.Path(SAMPLES)
+    data = samples.read_bytes() if samples.exists() else b""
+    samples.unlink(missing_ok=True)
+    h = hashlib.sha256()
+    for part in (out.getvalue().encode(), err.getvalue().encode(), str(code).encode(), data):
+        h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()
+
+
+def main_digest() -> None:
+    total = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, doc in DOCS.items():
+                pathlib.Path(name).write_text(json.dumps(doc))
+            for argv in _runs():
+                d = _digest(argv)
+                total.update(d.encode())
+                print(d, " ".join(argv))
+        finally:
+            os.chdir(cwd)
+    print(total.hexdigest(), "total")
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -423,7 +423,8 @@ DEGENERATE_TOL = 1e-6  # root pairs closer than this count as a closed gap
 
 
 def bisection_band_edges(V, lam_max, grid_step=0.05):
-    """Band edges as the transversal roots of F = +-1, without F'.
+    """Band edges as the transversal roots of F = +-1, without F', and the
+    gaps found on their own: the consecutive edges with |F(mid)| > 1.
 
     Every grid cell where F -+ 1 changes sign is refined by Brent's
     method; cells where F dips toward +-1 faster than a local slope bound
@@ -475,9 +476,9 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
     for a, b in zip(edges[:-1], edges[1:]):
         if abs(discriminant(V, 0.5 * (a + b))) > 1.0 + 10.0 * noise:
             gaps.append((a, b))
-    lambda0 = edges[0] if edges else float("nan")
-    return BandStructure(edges=tuple(edges), gaps=tuple(gaps), lambda0=lambda0,
-                         scan_ceiling=lam_max, incomplete=incomplete, scan_floor=lam_min)
+    bands = BandStructure(edges=tuple(edges), scan_ceiling=lam_max, incomplete=incomplete,
+                          scan_floor=lam_min)
+    return bands, tuple(gaps)
 
 
 if __name__ == "__main__":

@@ -89,11 +89,14 @@ scans = st.one_of(st.tuples(piecewise, st.floats(5.0, 60.0)),
 def test_property_scan_matches_bisection_oracle(scan, grid_step):
     V, lam_max = scan
     bs = band_edges(V, lam_max, grid_step=grid_step)
-    ref = oracles.bisection_band_edges(V, lam_max, grid_step=grid_step)
+    ref, ref_gaps = oracles.bisection_band_edges(V, lam_max, grid_step=grid_step)
     assert (len(bs.edges), len(bs.gaps), bs.incomplete) == \
-        (len(ref.edges), len(ref.gaps), ref.incomplete)
+        (len(ref.edges), len(ref_gaps), ref.incomplete)
     for e, r in zip(bs.edges, ref.edges):
         assert abs(e - r) <= 1e-12 * max(1.0, abs(r))
+    for gap, ref_gap in zip(bs.gaps, ref_gaps):  # each gap, found apart from the edges
+        for e, r in zip(gap, ref_gap):
+            assert abs(e - r) <= 1e-12 * max(1.0, abs(r))
 
 
 def test_step_potential_gap_widths_decrease():

@@ -12,6 +12,8 @@ from spectral_decay.dirac import (dirac_eigenfunction, dirac_gap_eigenvalues,
 from spectral_decay.errors import OutsideGap, StepFailure, ValidationError
 from spectral_decay.potentials import MatrixPerturbation
 
+import oracles
+
 WELL = MatrixPerturbation.scalar_well(0.5, (-1.0, 1.0))
 
 # frozen staggered finite-difference oracle (tests/oracles.py,
@@ -136,6 +138,19 @@ def test_eigenfunction_support_off_the_sample_grid():
 
 def test_eigenpair_reports_match_residual(well_pair):
     assert 0.0 <= well_pair.match_residual <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the 400-point gap scan misses eigenvalues")
+def test_every_gap_eigenvalue_of_a_long_well_is_found():
+    # a well of depth 1 holds its eigenvalues in [m - 1, m); the closed-form
+    # condition changes sign 21 times there, the scan finds 5
+    m, depth, length = 20.0, 1.0, 10.0
+    lams = np.linspace(m - depth, m, 20001, endpoint=False)
+    sign = np.sign([oracles.dirac_well_condition(m, depth, length, lam) for lam in lams])
+    count = np.count_nonzero(sign[:-1] * sign[1:] < 0)
+    W = MatrixPerturbation.scalar_well(depth, (0.0, length))
+    assert len(dirac_gap_eigenvalues(W, m)) == count
 
 
 def test_tail_batch_is_stacked_batch_of_one():

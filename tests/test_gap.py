@@ -73,6 +73,16 @@ def test_solve_coupling_square_well():
     assert alpha == pytest.approx(square_well_alpha(), rel=1e-10)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: solve_coupling never looks below alpha = 0.1")
+def test_solve_coupling_finds_the_smallest_coupling():
+    # at lambda = -0.001 the smallest coupling, 0.0322922..., is the even state
+    # with k tan k = sqrt(0.001); shooting today returns the next, 2.5312...
+    k = brentq(lambda t: t * math.tan(t) - math.sqrt(0.001), 1e-6, 1.0, xtol=1e-15)
+    alpha = solve_coupling(V0, BOX, -0.001)
+    assert alpha == pytest.approx(k * k + 0.001, rel=1e-9)
+
+
 def test_solved_operator_has_fd_eigenvalue_near_lambda():
     # independent check: discretize H_alpha on a big box and confirm an
     # eigenvalue within O(h^2) of the requested lambda = -1

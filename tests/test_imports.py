@@ -121,3 +121,14 @@ def test_one_float_format():
                       if isinstance(n, ast.Constant) and isinstance(n.value, str)
                       and ".17g" in n.value]
     assert sites == [("verify", "_fmt")]
+
+
+def test_one_hermitian_check():
+    # MatrixPerturbation and SymbolSystem share potentials._check_hermitian,
+    # whose tolerance scales with the largest entry: the one allclose in src/
+    sites = []
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        for top in ast.parse(path.read_text()).body:
+            sites += [(path.stem, getattr(top, "name", None)) for n in ast.walk(top)
+                      if getattr(n, "attr", getattr(n, "id", None)) == "allclose"]
+    assert sites == [("potentials", "_check_hermitian")]

@@ -381,6 +381,26 @@ def test_property_batch_is_stacked_batch_of_one(V, lams):
         assert np.array_equal(M, np.array([ode.monodromy(V, lam) for lam in batch]))
 
 
+# random Fourier V of 1-3 harmonics, and lambda sets holding 64 and 65, on
+# either side of the fourth-order Magnus fallback
+amplitude = st.one_of(st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+smooth_V = st.builds(PeriodicPotential.fourier, st.floats(-2.0, 2.0),
+                     st.lists(amplitude, min_size=1, max_size=3), st.lists(amplitude, max_size=3))
+smooth_lams = st.tuples(st.lists(st.floats(-20.0, 500.0), max_size=4),
+                        st.lists(st.floats(-20.0, 500.0), max_size=4)).map(
+    lambda ends: [*ends[0], 64.0, 65.0, *ends[1]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(smooth_V, smooth_lams)
+def test_property_smooth_batch_is_stacked_batch_of_one(V, lams):
+    # each lambda keeps its own certified step density inside a batch
+    for batch in (np.array(lams), np.array(lams) + 1j * 1e-30):
+        M = ode.monodromy(V, batch)
+        assert M.shape == (len(lams), 2, 2)
+        assert np.array_equal(M, np.array([ode.monodromy(V, lam) for lam in batch]))
+
+
 @props
 @given(piecewise, lam_sets)
 def test_property_piecewise_batch_is_the_scalar_closed_form(V, lams):

@@ -119,6 +119,23 @@ def test_matrix_perturbation():
             MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0.0, 1e-13], [0.0, 0.0]], [[0.0, 0.0], [1e-13, 0.0]], [[0.0, 1e-13], [-1e-13, 0.0]],
+], ids=["upper", "lower", "anti-hermitian"])
+def test_tiny_non_hermitian_matrices_are_rejected(matrix):
+    # the Hermitian check is relative to the largest entry, so scale hides nothing
+    with pytest.raises(ValidationError, match="W must be Hermitian"):
+        MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
+    with pytest.raises(ValidationError, match="coefficient matrices must be Hermitian"):
+        SymbolSystem((np.array(matrix, dtype=complex),))
+
+
+def test_tiny_hermitian_matrices_load():
+    W = MatrixPerturbation.constant_matrix(1e-12 * PAULI[1], (-1.0, 1.0))
+    assert W.matrix == ((0.0, -1e-12j), (1e-12j, 0.0))
+    assert SymbolSystem(tuple(1e-12 * a for a in PAULI[:2])).d == 2
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("build, field", [
     pytest.param(lambda: PeriodicPotential.piecewise([0.0], [INF]), "values", id="values"),
