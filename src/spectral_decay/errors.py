@@ -14,8 +14,9 @@ class ValidationError(SpectralDecayError):
 
 
 class StepFailure(SpectralDecayError):
-    """Propagation failed: a transfer matrix or state overflowed, no step
-    count up to 2**17 met tol, or rounding of the phase alone exceeds tol."""
+    """Propagation failed: lambda is nan, a transfer matrix or state
+    overflowed, no step count up to 2**17 met ode.TOL, or rounding of the
+    phase alone exceeds ode.TOL."""
 
 
 class BandPointError(SpectralDecayError):

@@ -53,10 +53,8 @@ class FloquetData:
     lam: float
     F: float
     rho: float
-    parity: str            # "periodic" | "antiperiodic"
     seed_plus: np.ndarray  # (y_+(0), y_+'(0)), unit norm
     seed_minus: np.ndarray
-    monodromy: np.ndarray
 
     @property
     def sigma(self) -> float:
@@ -93,9 +91,7 @@ def floquet_solutions(V, lam: float) -> FloquetData:
     sigma = 1.0 if F > 0 else -1.0
     seed_plus = _eigvec_2x2(M, sigma / rho)
     seed_minus = _eigvec_2x2(M, sigma * rho)
-    parity = "periodic" if F > 1 else "antiperiodic"
-    return FloquetData(lam=lam, F=F, rho=rho, parity=parity, seed_plus=seed_plus,
-                       seed_minus=seed_minus, monodromy=M)
+    return FloquetData(lam=lam, F=F, rho=rho, seed_plus=seed_plus, seed_minus=seed_minus)
 
 
 def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:

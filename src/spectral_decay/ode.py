@@ -19,10 +19,11 @@ sixth-order Magnus steps with three Gauss points (Blanes, Casas & Ros
 2000; Blanes, Casas, Oteo & Ros 2009).  A step outside the Magnus
 convergence disc, h rate(lambda) > 1, takes the fourth-order exponent of
 the same three samples instead.  All walks of a product with equally
-many steps are evaluated in one call.  tol sets the step count: it grows
-by powers of two until n and 2n steps agree to tol relative to the
-transfer matrix, and the 2n-step product is kept with that difference as
-its error bound.
+many steps are evaluated in one call.  The constant TOL sets the step
+count: it grows by powers of two until n and 2n steps agree to TOL
+relative to the transfer matrix, and the 2n-step product is kept with that
+difference as its error bound.  Before any product, one check names a nan
+lambda and rejects one whose phase rounding alone exceeds TOL.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import StepFailure, ValidationError
 from .potentials import CompactPerturbation
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 MAX_LAMBDAS = 2 ** 20  # points in one lambda set; scan grids hold ~10^4
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,7 +68,7 @@ _I2 = np.eye(2)
 _EPS = sys.float_info.epsilon
 _GAUSS = 0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)
 _ORDER = 6  # of the Magnus steps: a doubling shrinks their error 2^_ORDER-fold
-_MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets tol
+_MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets TOL
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
 _NODES = 2 ** 13      # Magnus steps of the longest walk group whose exponents are kept
@@ -196,11 +197,10 @@ class _Hill:
     def __init__(self, V, Q: CompactPerturbation | None = None, alpha: float = 0.0):
         self.V, self.Q, self.alpha = V, Q, alpha
         self.flat = V.is_piecewise_constant
-        self.cells = V.cell_pieces() if self.flat else ()
         self.a, self.b = Q.support if Q is not None else (math.inf, -math.inf)
         self.q_smooth = Q is not None and not Q.is_piecewise_constant
         self.qcuts = [] if Q is None else [self.a, self.b, *(
-            [] if self.q_smooth else [c for c, _ in Q.q_pieces()])]
+            self.a + t * (self.b - self.a) for t in Q.profile.breaks)]
 
     @staticmethod
     def rate(lams):
@@ -214,19 +214,14 @@ class _Hill:
         """Segments (pa, pb, v) of [xa, xb], xa <= xb, split also at cuts: v is
         the constant potential of an exact piece, or None where Magnus steps
         are taken."""
-        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c, _ in self.cells]
-        segs = []
-        for pa, pb, mid in _spans(_points(xa, xb, cuts, per + self.qcuts)):
-            if not self.flat or self.q_smooth and self.a < mid < self.b:
-                segs.append((pa, pb, None))
-                continue
-            for c, v in reversed(self.cells):  # right-continuous V(mid)
-                if mid % 1.0 >= c:
-                    break
-            if self.Q is not None:
-                v = v - self.alpha * self.Q.q(mid)
-            segs.append((pa, pb, v))
-        return segs
+        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c in self.V.breaks]
+        spans = _spans(_points(xa, xb, cuts, per + self.qcuts))
+        if not self.flat:
+            return [(pa, pb, None) for pa, pb, _ in spans]
+        mids = np.array([mid for _, _, mid in spans])
+        magnus = self.q_smooth & (self.a < mids) & (mids < self.b)
+        return [(pa, pb, None if m else v) for (pa, pb, _), m, v
+                in zip(spans, magnus.tolist(), self.u(mids).tolist())]
 
     exact = staticmethod(_hill_exact)
 
@@ -351,7 +346,7 @@ class _Plan:
         return groups
 
 
-def _product(plan: _Plan, lams, density: float, refine: int = 1, bound: bool = False):
+def _product(plan: _Plan, lams, density: float, refine: int, bound: bool = False):
     """Transfer matrices (k, c, 2, 2) over the c cells of plan for k lambdas;
     with bound, also the products of the factors' absolute values.
 
@@ -382,12 +377,9 @@ def _product(plan: _Plan, lams, density: float, refine: int = 1, bound: bool = F
     return (out, absolute) if bound else out
 
 
-def _finite(a, what: str, lams):
+def _finite(a, what: str):
     if not cmath.isfinite(a.sum()):  # nan and inf propagate into the sum
-        # a nan lambda, by its real part where that is nan: F' passes lambda + i CS_STEP
-        nan = [z.real if math.isnan(z.real) else z for z in np.ravel(lams) if cmath.isnan(z)]
-        raise StepFailure(f"lambda = {nan[0]} is not a number" if nan
-                          else f"{what} is not finite (overflow)")
+        raise StepFailure(f"{what} is not finite (overflow)")
     return a
 
 
@@ -398,9 +390,9 @@ def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
     return _EPS * (4 * factors + system.rate(lams) * length) * scale
 
 
-def _certify(plan: _Plan, lams, tol: float, bound: bool = False):
+def _certify(plan: _Plan, lams, bound: bool = False):
     """(T, density, err) per lambda: the product over the one cell of plan
-    at refine 2, the Magnus step density at which it meets tol
+    at refine 2, the Magnus step density at which it meets TOL
     (agrees with refine 1), and its error bound: that refine 1-vs-2
     difference plus the rounding of its m factors relative to max|T|.
     Lambdas are grouped by density.  Where every segment is exact, density
@@ -413,7 +405,7 @@ def _certify(plan: _Plan, lams, tol: float, bound: bool = False):
         if bound:
             T, P = T
             err = _rounding(system, lams, length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
-        return _finite(T[:, 0], "transfer matrix", lams), np.zeros(k, dtype=int), err
+        return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
 
     density, spans = np.full(k, 8), plan.spans
 
@@ -426,12 +418,12 @@ def _certify(plan: _Plan, lams, tol: float, bound: bool = False):
 
     T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
     todo = np.arange(k)
-    T = _finite(products(todo, 1), "transfer matrix", lams)
+    T = _finite(products(todo, 1), "transfer matrix")
     while todo.size:
         T2 = products(todo, 2)
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
         scale = np.max(np.abs(T2), axis=(1, 2))
-        ratio = _finite(diff / (tol * np.maximum(1.0, scale)), "transfer matrix", lams)
+        ratio = _finite(diff / (TOL * np.maximum(1.0, scale)), "transfer matrix")
         ok = ratio <= 1.0
         steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
         T_out[todo[ok]] = T2[ok]
@@ -440,19 +432,26 @@ def _certify(plan: _Plan, lams, tol: float, bound: bool = False):
         todo, ratio = todo[~ok], ratio[~ok]
         density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / _ORDER)).astype(int)
         if todo.size and 2 * density[todo].max() * length > _MAX_STEPS:
-            raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {tol}")
+            raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {TOL}")
         T = products(todo, 1)
     return T_out, density, err
 
 
-def _check_phase(system, lams, xa: float, xb: float, tol: float):
-    """StepFailure where rounding the phase rate * (xb - xa) alone exceeds tol."""
-    if _EPS * system.rate(np.fmax.reduce(np.abs(lams), initial=0.0)) * (xb - xa) > tol:
-        lam = next(lam for lam in lams if _EPS * system.rate(abs(lam)) * (xb - xa) > tol)
-        raise StepFailure(f"lambda = {lam.item()}: phase rounding over [{xa}, {xb}] > tol = {tol}")
+def _check_phase(system, lams, xa: float, xb: float):
+    """StepFailure where rounding the phase rate * (xb - xa) alone exceeds TOL,
+    else where a lambda is nan (np.max carries a nan through to the test)."""
+    if not _EPS * system.rate(np.max(np.abs(lams), initial=0.0)) * (xb - xa) <= TOL:
+        for lam in lams:
+            if _EPS * system.rate(abs(lam)) * (xb - xa) > TOL:
+                raise StepFailure(f"lambda = {lam.item()}: phase rounding over [{xa}, {xb}] "
+                                  f"> tol = {TOL}")
+        # a nan lambda, by its real part where that is nan: F' passes lambda + i CS_STEP
+        nan = [z.real if math.isnan(z.real) else z for z in lams.tolist() if cmath.isnan(z)]
+        if nan:  # else an infinite lambda over a zero length: its product is I
+            raise StepFailure(f"lambda = {nan[0]} is not a number")
 
 
-def _cells(system, lam, stops, tol: float) -> np.ndarray:
+def _cells(system, lam, stops) -> np.ndarray:
     """Transfer matrices over [min, max] of each pair of neighbouring stops,
     at the step density certified on their range.  The range is lowered once
     more with the stops as cuts, and each cell multiplies the segments
@@ -461,8 +460,8 @@ def _cells(system, lam, stops, tol: float) -> np.ndarray:
     segments of the cell lowered alone, the same floats."""
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
-    _check_phase(system, lams, lo, hi, tol)
-    T, density, _ = _certify(_Plan(system, [system.segments(lo, hi)]), lams, tol)
+    _check_phase(system, lams, lo, hi)
+    T, density, _ = _certify(_Plan(system, [system.segments(lo, hi)]), lams)
     ends = np.array(stops)
     xa, xb = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
     if np.count_nonzero(xa != xb) <= 1:  # that cell spans the certified range
@@ -476,25 +475,24 @@ def _cells(system, lam, stops, tol: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails typed, in _finite
-def _walk(system, lam, x0: float, x1: float, s0, tol: float, dense_xs=None):
+def _walk(system, lam, x0: float, x1: float, s0, dense_xs=None):
     """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
     Returns the end state, or (end, states at dense_xs)."""
     stops = [x0, *(() if dense_xs is None else dense_xs), x1]
     states = [s0]
-    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(system, lam, stops, tol)):
+    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(system, lam, stops)):
         s = states[-1]
         states.append(s if xa == xb else T @ s if xb > xa else np.linalg.solve(T, s))
-    states = _finite(np.array(states[1:]), "state", lam)
+    states = _finite(np.array(states[1:]), "state")
     return states[-1] if dense_xs is None else (states[-1], states[:-1])
 
 
-def propagate_hill(V, lam: float, x0: float, x1: float, state, tol: float = DEFAULT_TOL,
-                   dense_xs=None):
+def propagate_hill(V, lam: float, x0: float, x1: float, state, dense_xs=None):
     """Propagate s = (y, y') of -y'' + V y = lam y from x0 to x1.
 
     With dense_xs (monotone, from the x0 side) returns (end, states at dense_xs).
     """
-    return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), tol, dense_xs)
+    return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), dense_xs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -506,7 +504,7 @@ def _unit_cell(key: int, V) -> _Plan:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transfer(plan: _Plan, lams, x0: float, x1: float, tol: float, bound: bool = False):
+def _transfer(plan: _Plan, lams, x0: float, x1: float, bound: bool = False):
     """Certified transfer matrices (*shape, 2, 2) over the one cell of plan,
     [x0, x1], for an array of lambda, and (with bound) the error bound of each."""
     lams = np.asarray(lams)
@@ -514,39 +512,37 @@ def _transfer(plan: _Plan, lams, x0: float, x1: float, tol: float, bound: bool =
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
-    _check_phase(plan.system, flat, x0, x1, tol)
-    T, _, err = _certify(plan, flat, tol, bound)
+    _check_phase(plan.system, flat, x0, x1)
+    T, _, err = _certify(plan, flat, bound)
     return T.reshape(lams.shape + (2, 2)), err
 
 
-def monodromy(V, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+def monodromy(V, lam) -> np.ndarray:
     """One-period monodromy M(lambda), columns theta, phi; complex for complex
     lambda.  An array of lambda gives the stack (*shape, 2, 2)."""
-    return _transfer(_unit_cell(id(V), V), lam, 0.0, 1.0, tol)[0]
+    return _transfer(_unit_cell(id(V), V), lam, 0.0, 1.0)[0]
 
 
-def certified_monodromy(V, lams, tol: float = DEFAULT_TOL):
+def certified_monodromy(V, lams):
     """Monodromy matrices (k, 2, 2) of a 1-D lambda array and the error
     bound of each: the n-vs-2n difference of its Magnus product plus the
     rounding of its steps, or the rounding of its closed form on
     piecewise V."""
-    return _transfer(_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, tol, True)
+    return _transfer(_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, True)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cell_transfers(V, lam: float, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def cell_transfers(V, lam: float, xs) -> np.ndarray:
     """Transfer matrices of -y'' + V y = lam y over the cells [xs[i], xs[i+1]]
     of an increasing grid, at the step density certified on [xs[0], xs[-1]]."""
-    Ts = _cells(_Hill(V), lam, np.asarray(xs, dtype=float).tolist(), tol)
-    return _finite(Ts.reshape(-1, 2, 2), "transfer matrix", lam)
+    Ts = _cells(_Hill(V), lam, np.asarray(xs, dtype=float).tolist())
+    return _finite(Ts.reshape(-1, 2, 2), "transfer matrix")
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
-                             x0: float, x1: float, state, tol: float = DEFAULT_TOL,
-                             dense_xs=None):
+                             x0: float, x1: float, state, dense_xs=None):
     """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
-    return _walk(_Hill(V, Q, alpha), lam, x0, x1, np.asarray(state, dtype=float), tol,
-                 dense_xs)
+    return _walk(_Hill(V, Q, alpha), lam, x0, x1, np.asarray(state, dtype=float), dense_xs)
 
 
 def check_mass(m: float):
@@ -558,22 +554,21 @@ def check_mass(m: float):
         raise ValidationError(f"mass m = {m} is too large: m * m overflows")
 
 
-def dirac_transfer(W, m: float, lams, x0: float, x1: float, tol: float = DEFAULT_TOL):
+def dirac_transfer(W, m: float, lams, x0: float, x1: float):
     """Transfer matrices (*shape, 2, 2) of the 1D Dirac system from x0 to
     x1 >= x0 for an array of lambda, over one lowering of W."""
     check_mass(m)
     if not x0 <= x1:
         raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
     system = _Dirac(W, m)
-    return _transfer(_Plan(system, [system.segments(x0, x1)]), lams, x0, x1, tol)[0]
+    return _transfer(_Plan(system, [system.segments(x0, x1)]), lams, x0, x1)[0]
 
 
-def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state,
-                    tol: float = DEFAULT_TOL, dense_xs=None):
+def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state, dense_xs=None):
     """Propagate a spinor (psi1, psi2) of the 1D Dirac system with W None
     (free) or a MatrixPerturbation, as propagate_hill."""
     check_mass(m)
-    return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), tol, dense_xs)
+    return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), dense_xs)
 
 
 def __getattr__(name):  # ode.solve_ivp, read by perfbench/spans.py until ROADMAP item 2

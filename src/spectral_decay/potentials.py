@@ -35,10 +35,10 @@ def _check_support(support) -> None:
 
 
 def _check_hermitian(a: np.ndarray, name: str) -> None:
-    """Finite entries, then a = a^H to within 1e-12 of its largest entry."""
+    """Finite entries, then a = a^H to within 1e-12 of its largest entry, rtol 0."""
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} must have finite entries")
-    if not np.allclose(a, a.conj().T, atol=1e-12 * np.max(np.abs(a), initial=0.0)):
+    if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12 * np.max(np.abs(a), initial=0.0)):
         raise ValidationError(f"{name} must be Hermitian")
 
 
@@ -64,6 +64,8 @@ class PeriodicPotential:
         _check_finite("mean", (self.mean,))
         for name in ("cos", "sin", "breaks", "values"):
             _check_finite(name, getattr(self, name))
+        if self.kind == "fourier" and (self.breaks or self.values):  # lowerings cut at breaks
+            raise ValidationError("a fourier potential takes no breaks or values")
         if self.kind == "piecewise":
             br = self.breaks
             if len(br) == 0 or br[0] != 0.0:
@@ -120,12 +122,6 @@ class PeriodicPotential:
         if self.kind == "piecewise":
             return max(abs(v) for v in self.values)
         return abs(self.mean) + sum(abs(c) for c in self.cos) + sum(abs(s) for s in self.sin)
-
-    def cell_pieces(self):
-        """(break, value) pairs covering [0,1) for the piecewise kind."""
-        if self.kind == "piecewise":
-            return tuple(zip(self.breaks, self.values))
-        raise ValidationError("cell_pieces requires a piecewise-constant potential")
 
     # -- serialization ------------------------------------------------
 
@@ -229,14 +225,6 @@ class CompactPerturbation:
     @property
     def is_piecewise_constant(self) -> bool:
         return self.profile.is_piecewise_constant
-
-    def q_pieces(self):
-        """(x_break, Q value) pairs covering [a, b) for piecewise profiles."""
-        a, b = self.support
-        out = []
-        for t, v in self.profile.cell_pieces():
-            out.append((a + t * (b - a), v * v))
-        return tuple(out)
 
     def to_dict(self) -> dict:
         return {"support": list(self.support), "profile": self.profile.to_dict()}

@@ -48,9 +48,9 @@ def _fmt(x):
     return x
 
 
-def _case(name, inputs, measured, expected, tol, ok):
+def _case(name, inputs, measured, expected, bound, ok):
     return {"name": name, "inputs": inputs, "measured": measured, "expected": expected,
-            "tol": tol, "verdict": "PASS" if ok else "FAIL"}
+            "tol": bound, "verdict": "PASS" if ok else "FAIL"}
 
 
 def suite_propH():

@@ -368,14 +368,14 @@ def sturm_bisection(d, e, indices, passes=64):
     return 0.5 * (lo + hi)
 
 
-def cells_reference(system, lam, stops, tol):
+def cells_reference(system, lam, stops):
     """ode._cells with one lowering per cell: the range certified once, then
     each cell [min, max] of neighbouring stops segmented on its own.  The
     one-pass cell lowering must reproduce it bit for bit."""
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
-    ode._check_phase(system, lams, lo, hi, tol)
-    T, density, _ = ode._certify(ode._Plan(system, [system.segments(lo, hi)]), lams, tol)
+    ode._check_phase(system, lams, lo, hi)
+    T, density, _ = ode._certify(ode._Plan(system, [system.segments(lo, hi)]), lams)
     cells = list(zip(stops[:-1], stops[1:]))
     if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
         return np.array([T[0] if xa != xb else ode._I2 for xa, xb in cells])
@@ -435,7 +435,7 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
     """
     lam_min = -V.max_abs() - 1.0 if isinstance(V, PeriodicPotential) else -1.0
     pw = isinstance(V, PeriodicPotential) and V.is_piecewise_constant
-    noise = 1e-13 if pw else 10.0 * ode.DEFAULT_TOL
+    noise = 1e-13 if pw else 10.0 * ode.TOL
 
     n = int(np.ceil((lam_max - lam_min) / grid_step)) + 1
     grid = np.linspace(lam_min, lam_max, n)

@@ -374,9 +374,11 @@ def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
                                     [[[0, 0], [0, -s]], [[0, s], [0, 0]]]]}
       for s in (1e200, 1e308)),
     *({"n": 2, "d": 1, "matrices": [[[[0, 0], [upper, 0]], [[lower, 0], [0, 0]]]]}
-      for upper, lower in ((1e-13, 0), (0, 1e-13), (1e-13, -1e-13))),
+      for upper, lower in ((1e-13, 0), (0, 1e-13), (1e-13, -1e-13), (1, 1.000005),
+                           (1.000005, 1))),
 ], ids=["rows-beyond-n", "huge-n", "fractional-n", "boolean-n", "infinite-entry",
-        "pauli-1e200", "pauli-1e308", "tiny-upper", "tiny-lower", "tiny-anti-hermitian"])
+        "pauli-1e200", "pauli-1e308", "tiny-upper", "tiny-lower", "tiny-anti-hermitian",
+        "relative-lower", "relative-upper"])
 def test_malformed_symbol_system_rejected(doc, tmp_path, capsys):
     # the elliptic Pauli pair x 1e200 and x 1e308 are rejected because the
     # squared gradients of gamma's ascents, bounded by (sum_j |A_j|_2)^2, overflow

@@ -51,13 +51,16 @@ def test_fit_rejects_flat_tail():
 _floats = st.one_of(st.just(0.0), st.floats(1e-50, 1e6), st.floats(-1e6, -1e-50))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(_floats, _floats), min_size=2, max_size=40))
 def test_property_fits_equal_scipy_stats(points):
     # the numpy slope, r and Theil-Sen slope round as scipy.stats does
     x, y = (np.array(v) for v in zip(*points))
     assume(np.ptp(x) > 0 and np.ptp(y) > 0)
-    ref = stats.linregress(x, y)
+    # on collinear points linregress takes the sqrt of a rounded, slightly
+    # negative variance for its stderr, which this test does not compare
+    with np.errstate(invalid="ignore"):
+        ref = stats.linregress(x, y)
     slope, r = decay._line_fit(x, y)
     assert (slope, r) == (ref.slope, ref.rvalue)
     assert decay._theil_sen(x, y) == stats.theilslopes(y, x).slope

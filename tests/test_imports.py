@@ -132,3 +132,14 @@ def test_one_hermitian_check():
             sites += [(path.stem, getattr(top, "name", None)) for n in ast.walk(top)
                       if getattr(n, "attr", getattr(n, "id", None)) == "allclose"]
     assert sites == [("potentials", "_check_hermitian")]
+
+
+def test_no_tol_parameter():
+    # the kernel's tolerance is the constant ode.TOL: no function takes one
+    sites = []
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        sites += [(path.stem, n.name) for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "tol" in [a.arg for a in (*n.args.posonlyargs, *n.args.args,
+                                                *n.args.kwonlyargs)]]
+    assert not sites, f"functions taking tol: {sites}"

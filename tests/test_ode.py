@@ -63,26 +63,27 @@ def test_short_magnus_walk_meets_tol():
     V = PeriodicPotential.fourier(0.0, [0.0], [1.0])
     ref = oracles.rk4_hill(V, -3.0, 0.0, 0.0625, 1.0, 0.0)
     out = ode.propagate_hill(V, -3.0, 0.0, 0.0625, (1.0, 0.0))
-    assert np.allclose(out, ref, rtol=0.0, atol=ode.DEFAULT_TOL)
+    assert np.allclose(out, ref, rtol=0.0, atol=ode.TOL)
 
 
-HILL_WALKS = (lambda V, lam, tol: ode.monodromy(V, lam, tol),
-              lambda V, lam, tol: ode.propagate_hill(V, lam, 0.0, 1.0, (1.0, 0.0), tol))
-DIRAC_WALKS = (lambda W, lam, tol: ode.propagate_dirac(W, 1.0, lam, 0.0, 1.0, (1.0, 0.0), tol),)
+HILL_WALKS = (ode.monodromy,
+              lambda V, lam: ode.propagate_hill(V, lam, 0.0, 1.0, (1.0, 0.0)))
+DIRAC_WALKS = (lambda W, lam: ode.propagate_dirac(W, 1.0, lam, 0.0, 1.0, (1.0, 0.0)),)
 
 
 # the phase over a unit length, eps sqrt|lam| (Hill) or eps |lam| (Dirac),
-# reaches tol = 1e-6 at |lam| = (1e-6 / eps)^2 or 1e-6 / eps
+# reaches TOL = 1e-6 at |lam| = (1e-6 / eps)^2 or 1e-6 / eps
 @pytest.mark.parametrize("V, walks, power", [(V0, HILL_WALKS, 2), (MATHIEU, HILL_WALKS, 2),
                                              (None, DIRAC_WALKS, 1)],
                          ids=["exact", "magnus", "dirac"])
-def test_phase_rounding_limit_follows_tol(V, walks, power):
+def test_phase_rounding_limit_follows_tol(V, walks, power, monkeypatch):
+    monkeypatch.setattr(ode, "TOL", 1e-6)
     edge = (1e-6 / np.finfo(float).eps) ** power
     for walk in walks:
-        assert np.all(np.isfinite(walk(V, 0.9 * edge, 1e-6)))
+        assert np.all(np.isfinite(walk(V, 0.9 * edge)))
         for lam in (1.1 * edge, -1.1 * edge):
             with pytest.raises(StepFailure, match="rounding"):
-                walk(V, lam, 1e-6)
+                walk(V, lam)
 
 
 def test_monodromy_free_closed_forms():
@@ -120,11 +121,12 @@ def test_wronskian_conservation():
         assert abs(w1 - w0) <= 1e-9 * max(1.0, abs(w0))
 
 
-def test_tolerance_monotone_vs_reference():
+def test_tolerance_monotone_vs_reference(monkeypatch):
     ref = MATHIEU_THETA_LAM1[0]
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
-        out = ode.propagate_hill(MATHIEU, 1.0, 0.0, 1.0, (1.0, 0.0), tol=tol)
+        monkeypatch.setattr(ode, "TOL", tol)
+        out = ode.propagate_hill(MATHIEU, 1.0, 0.0, 1.0, (1.0, 0.0))
         errs.append(abs(out[0] - ref))
     assert errs[2] <= errs[0] + 1e-12
 
@@ -208,9 +210,10 @@ def test_dense_samples_past_the_end(V):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("coeffs, lam, M_mp", MP_MONODROMY)
-def test_discriminant_within_tol_of_mpmath(coeffs, lam, M_mp, tol):
-    # what tol means: |F - F_mp| <= 10 tol max(1, |F|)
-    M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam, tol)
+def test_discriminant_within_tol_of_mpmath(coeffs, lam, M_mp, tol, monkeypatch):
+    # what TOL means: |F - F_mp| <= 10 TOL max(1, |F|)
+    monkeypatch.setattr(ode, "TOL", tol)
+    M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam)
     F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
     assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
 
@@ -260,10 +263,9 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
     V = PeriodicPotential.fourier(mean, cs, ss)
     shifted = PeriodicPotential.fourier(mean, cs * np.cos(th) + ss * np.sin(th),
                                         ss * np.cos(th) - cs * np.sin(th))  # V(x + c)
-    tol = ode.DEFAULT_TOL
-    F = 0.5 * np.trace(ode.monodromy(V, lam, tol))
-    assert abs(0.5 * np.trace(ode.monodromy(shifted, lam, tol)) - F) <= \
-        20.0 * tol * max(1.0, abs(F))
+    F = 0.5 * np.trace(ode.monodromy(V, lam))
+    assert abs(0.5 * np.trace(ode.monodromy(shifted, lam)) - F) <= \
+        20.0 * ode.TOL * max(1.0, abs(F))
 
 
 @props
@@ -271,7 +273,7 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 def test_property_magnus_is_sixth_order(coeffs, lam):
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
     plan = ode._Plan(system, [system.segments(0.0, 1.0)])
-    T32, T64, T128 = (ode._product(plan, np.array([lam]), n)[0, 0] for n in (32, 64, 128))
+    T32, T64, T128 = (ode._product(plan, np.array([lam]), n, 1)[0, 0] for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
     assert abs(math.log2(ratio) - 6.0) <= 0.25
 
@@ -412,15 +414,16 @@ def test_property_piecewise_batch_is_the_scalar_closed_form(V, lams):
                                                     for lam in np.array(lams)])
 
 
-def test_smooth_batch_within_tol_of_mpmath():
+def test_smooth_batch_within_tol_of_mpmath(monkeypatch):
     cases = [(lam, M_mp) for coeffs, lam, M_mp in MP_MONODROMY if coeffs == THREE]
     V = PeriodicPotential.fourier(*THREE)
     for tol in (1e-6, 1e-8, 1e-10):
-        Ms = ode.monodromy(V, [lam for lam, _ in cases], tol)
+        monkeypatch.setattr(ode, "TOL", tol)
+        Ms = ode.monodromy(V, [lam for lam, _ in cases])
         for M, (lam, M_mp) in zip(Ms, cases):
             F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
             assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
-            assert np.array_equal(M, ode.monodromy(V, lam, tol))
+            assert np.array_equal(M, ode.monodromy(V, lam))
 
 
 @pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
@@ -477,6 +480,16 @@ def _stops(data, lo, cuts):
     return xs[::-1] if data.draw(st.booleans()) else xs
 
 
+def _cuts(V, Q=None) -> list:
+    """The jumps of V over [-2, 4), then the ends of Q's support and its
+    profile's jumps mapped onto it."""
+    cuts = [n + c for n in range(-2, 4) for c in V.breaks]
+    if Q is not None:
+        a, b = Q.support
+        cuts += [a, b, *(a + t * (b - a) for t in Q.profile.breaks)]
+    return cuts
+
+
 def _same_walk(walk, stops):
     """walk(x0, x1, dense_xs) with the one-pass lowering and with
     oracles.cells_reference, bit for bit."""
@@ -499,15 +512,28 @@ piecewise_q = st.builds(lambda a, cut, g: CompactPerturbation(
        st.one_of(piecewise_q, smooth_q), st.floats(-10.0, 60.0), st.data())
 def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
     lo = data.draw(st.floats(-1.5, 0.5))
-    vcuts = [n + c for n in range(-2, 4) for c, _ in V.cell_pieces()] if V.is_piecewise_constant else []
-    qcuts = [*Q.support, *(c for c, _ in Q.q_pieces())] if Q.is_piecewise_constant else [*Q.support]
-    stops = _stops(data, lo, vcuts + qcuts)
+    stops = _stops(data, lo, _cuts(V, Q))
     xs = sorted(stops)
     assert np.array_equal(ode.cell_transfers(V, lam, xs),
-                          oracles.cells_reference(ode._Hill(V), lam, xs, ode.DEFAULT_TOL))
+                          oracles.cells_reference(ode._Hill(V), lam, xs))
     _same_walk(lambda x0, x1, d: ode.propagate_hill(V, lam, x0, x1, (1.0, 0.5), dense_xs=d), stops)
     _same_walk(lambda x0, x1, d: ode.propagate_hill_perturbed(V, Q, 2.0, lam, x0, x1, (0.3, 1.0),
                                                               dense_xs=d), stops)
+
+
+# V - alpha Q on an exact segment is what the potentials evaluate at its
+# midpoint, bit for bit; Magnus segments are those inside a smooth Q's support
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(piecewise, st.one_of(st.none(), piecewise_q, smooth_q), st.floats(-3.0, 3.0), st.data())
+def test_property_exact_segments_hold_v_minus_alpha_q(V, Q, alpha, data):
+    xs = sorted(_stops(data, data.draw(st.floats(-1.5, 0.5)), _cuts(V, Q)))
+    segs = ode._Hill(V, Q, alpha).segments(xs[0], xs[-1], xs[1:-1])
+    smooth = Q is not None and not Q.is_piecewise_constant
+    for pa, pb, v in segs:
+        mid = 0.5 * (pa + pb)
+        assert (v is None) == (smooth and Q.support[0] < mid < Q.support[1])
+        if v is not None:
+            assert _bits(v) == _bits(V(mid) if Q is None else V(mid) - alpha * Q.q(mid))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -662,7 +688,7 @@ def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, len
     system = ode._Dirac(W, m)
     segs = system.segments(a, b)
     assert ode._Plan(system, [segs]).tiled and not ode._Plan(system, [segs, []]).tiled
-    padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0)[:, 0]
+    padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0, 1)[:, 0]
     assert _bits(T) == _bits(padded)
 
 
@@ -670,12 +696,11 @@ def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, len
 @given(piecewise, st.floats(-10.0, 60.0), st.integers(1, 2), st.floats(-1.5, 0.5))
 def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
     # stops on every per_cell-th cut of V: each cell holds per_cell exact pieces
-    cuts = [n + c for n in range(-2, 4) for c, _ in V.cell_pieces() if lo < n + c < lo + 2.5]
-    xs = cuts[::per_cell]
+    xs = [c for c in _cuts(V) if lo < c < lo + 2.5][::per_cell]
     if len(xs) < 3:
         return
     T = ode.cell_transfers(V, lam, xs)
-    assert _bits(T) == _bits(oracles.cells_reference(ode._Hill(V), lam, xs, ode.DEFAULT_TOL))
+    assert _bits(T) == _bits(oracles.cells_reference(ode._Hill(V), lam, xs))
     system = ode._Hill(V)
     cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
     if len({len(cell) for cell in cells}) > 1:  # two cuts within 1e-15 of each other
@@ -748,21 +773,22 @@ def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent():
         assert np.max(np.abs(E[1, i] - ref6)) <= 1e-13 * np.max(np.abs(ref6))
 
 
-def test_tol_1e13_certifies_under_the_step_cap():
-    # the sixth-order rounding floor is ~1e-13 relative: tol = 1e-13 still
-    # meets n vs 2n far below the 2^17 step cap, within 10 tol of mpmath
+def test_tol_1e13_certifies_under_the_step_cap(monkeypatch):
+    # the sixth-order rounding floor is ~1e-13 relative: TOL = 1e-13 still
+    # meets n vs 2n far below the 2^17 step cap, within 10 TOL of mpmath
     tol = 1e-13
+    monkeypatch.setattr(ode, "TOL", tol)
     V = PeriodicPotential.fourier(*THREE)
-    _, density, _ = ode._certify(ode._unit_cell(id(V), V), np.linspace(-10.0, 1600.0, 41), tol)
+    _, density, _ = ode._certify(ode._unit_cell(id(V), V), np.linspace(-10.0, 1600.0, 41))
     assert 2 * density.max() <= ode._MAX_STEPS // 64
     for coeffs, lam, M_mp in MP_MONODROMY:
-        M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam, tol)
+        M = ode.monodromy(PeriodicPotential.fourier(*coeffs), lam)
         F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
         assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
     Q = CompactPerturbation((-0.3, 0.9), PeriodicPotential.fourier(1.0, [0.5]))
     W = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0))
-    walks = [lambda: ode.propagate_hill(V, 40.0, -0.5, 2.0, (1.0, 0.0), tol),
-             lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, -1.0, 1.5, (0.4, -1.1), tol),
-             lambda: ode.propagate_dirac(W, 1.0, 0.2, -1.5, 1.5, (1.0, 0.5j), tol)]
+    walks = [lambda: ode.propagate_hill(V, 40.0, -0.5, 2.0, (1.0, 0.0)),
+             lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, -1.0, 1.5, (0.4, -1.1)),
+             lambda: ode.propagate_dirac(W, 1.0, 0.2, -1.5, 1.5, (1.0, 0.5j))]
     for walk in walks:
         assert np.all(np.isfinite(walk()))
