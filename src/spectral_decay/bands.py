@@ -68,8 +68,8 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     grid = np.linspace(lam_min, lam_max, n)
     Fs = discriminant(V, grid)
 
-    def edge(a, b, t):  # the root of F = t between a and b
-        return brent(lambda lam: discriminant(V, lam) - t, a, b, EDGE_XTOL, 8.9e-16)
+    def edge(t, a, Fa, b, Fb):  # the root of F = t between a and b, where F is Fa and Fb
+        return brent(lambda lam: discriminant(V, lam) - t, a, b, Fa - t, Fb - t, EDGE_XTOL)
 
     def dF(lam):
         return discriminant_derivative(V, lam)
@@ -79,7 +79,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     if not hits.size:
         return BandStructure((), lam_max, False, lam_min)
     i = hits[0]
-    edges, incomplete = [grid[i] if sg[i] == 0.0 else edge(grid[i], grid[i + 1], 1.0)], False
+    edges, incomplete = [edge(1.0, grid[i], Fs[i], grid[i + 1], Fs[i + 1])], False
 
     sd, dF_top = np.sign(np.diff(Fs)), dF(lam_max)
     extrema = (np.flatnonzero(sd[i:-1] * sd[i + 1:] < 0) + i + 1).tolist()
@@ -93,7 +93,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
         if np.sign(d_lo) * np.sign(d_hi) > 0:
             incomplete = True
             continue
-        c = lo if d_lo == 0.0 else (hi if d_hi == 0.0 else brent(dF, lo, hi, EDGE_XTOL, 8.9e-16))
+        c = brent(dF, lo, hi, d_lo, d_hi, EDGE_XTOL)
         M, err = ode.certified_monodromy(V, [c])
         Fc = 0.5 * (M[0, 0, 0] + M[0, 1, 1])
         if abs(Fc) - 1.0 <= err[0]:
@@ -108,14 +108,14 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
             break  # the scan ends inside this gap: its left edge is added below
         while inside[a]:
             a -= 1
-        narrow = a == k and b == k + 1  # no sample inside the gap
-        edges += [edge(grid[a], c if narrow else grid[a + 1], t),
-                  edge(c if narrow else grid[b - 1], grid[b], t)]
+        narrow = a == k and b == k + 1  # no sample inside the gap: c ends both brackets
+        inner = [(c, Fc)] * 2 if narrow else [(grid[a + 1], Fs[a + 1]), (grid[b - 1], Fs[b - 1])]
+        edges += [edge(t, grid[a], Fs[a], *inner[0]), edge(t, *inner[1], grid[b], Fs[b])]
     if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap: its left edge
         t, a = (1.0 if Fs[-1] > 0 else -1.0), n - 1
         while t * Fs[a] > 1.0:
             a -= 1
-        edges.append(edge(grid[a], grid[a + 1], t))
+        edges.append(edge(t, grid[a], Fs[a], grid[a + 1], Fs[a + 1]))
     return BandStructure(tuple(edges), lam_max, incomplete, lam_min)
 
 

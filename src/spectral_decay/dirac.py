@@ -117,18 +117,10 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     def f(lam):
         return matching_determinant(W, m, lam).imag
 
-    roots = []
-    vals = np.sign(dets.imag)  # a product of two large determinants overflows
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            cand = grid[i]
-        elif vals[i] * vals[i + 1] < 0:
-            cand = brent(f, grid[i], grid[i + 1], 1e-13, 8.9e-16)
-        else:
-            continue
-        if abs(matching_determinant(W, m, cand)) <= VERIFY_REL * scale:
-            roots.append(cand)
-    return roots
+    sg = np.sign(dets.imag)  # a product of two large determinants overflows
+    cells = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
+    cands = (brent(f, grid[i], grid[i + 1], dets[i].imag, dets[i + 1].imag, 1e-13) for i in cells)
+    return [c for c in cands if abs(matching_determinant(W, m, c)) <= VERIFY_REL * scale]
 
 
 def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEigenpair:

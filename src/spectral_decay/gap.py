@@ -109,12 +109,11 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
     lo, hi = 0.1, 1.0
     flo, fhi = det(lo), det(hi)
     while np.sign(flo) * np.sign(fhi) > 0:  # a product of small values underflows
-        lo, flo = hi, fhi
-        hi *= 2.0
+        lo, flo, hi = hi, fhi, 2.0 * hi
         if hi > ALPHA_MAX:
             raise NoSignChange(f"no sign change up to alpha = {ALPHA_MAX}")
         fhi = det(hi)
-    return brent(det, lo, hi, 1e-12, 8.9e-16)
+    return brent(det, lo, hi, flo, fhi, 1e-12)
 
 
 def _negative_count(d, e) -> int:

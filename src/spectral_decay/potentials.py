@@ -67,6 +67,8 @@ class PeriodicPotential:
         if self.kind == "fourier" and (self.breaks or self.values):  # lowerings cut at breaks
             raise ValidationError("a fourier potential takes no breaks or values")
         if self.kind == "piecewise":
+            if self.mean or self.cos or self.sin:
+                raise ValidationError("a piecewise potential takes no mean, cos or sin")
             br = self.breaks
             if len(br) == 0 or br[0] != 0.0:
                 raise ValidationError("piecewise breakpoints must start at 0")
@@ -194,7 +196,7 @@ class CompactPerturbation:
 
     def __post_init__(self):
         _check_support(self.support)
-        t = np.linspace(0.0, 1.0, 257, endpoint=False)
+        t = np.union1d(np.linspace(0.0, 1.0, 257, endpoint=False), self.profile.breaks)
         g = np.asarray(self.profile(t), dtype=float)
         if np.any(g < 0):
             raise ValidationError("profile G must be nonnegative on the support")

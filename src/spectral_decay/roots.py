@@ -1,23 +1,25 @@
-"""Brent's root finder (Brent 1973, ch. 4), stepped as scipy's brentq.c
-steps it, so that a root equals scipy.optimize.brentq's bit for bit."""
+"""Brent's root finder (Brent 1973, ch. 4) on brackets whose end values the caller measured,
+stepped as scipy's brentq.c steps it, so that a root equals scipy.optimize.brentq's bit for bit."""
 
 import math
 
 from .errors import NoConvergence, NoSignChange
 
 MAX_ITER = 100
+RTOL = 8.9e-16  # the one relative tolerance of every root, just above scipy's 4 eps
 
 
-def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """A root of f in the bracket [a, b], either order, to xtol + rtol |root|.
-    NoSignChange if f(a), f(b) share a sign; NoConvergence at NaN or MAX_ITER."""
-    def call(x):
-        if math.isnan(fx := float(f(x))):
+def brent(f, a: float, b: float, fa, fb, xtol: float) -> float:
+    """A root of f in the bracket [a, b], either order, to xtol + RTOL |root|,
+    given fa = f(a) and fb = f(b).  a if fa = 0, else b if fb = 0;
+    NoSignChange if fa, fb share a sign; NoConvergence at NaN or MAX_ITER."""
+    def value(x, fx):
+        if math.isnan(fx := float(fx)):
             raise NoConvergence(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur, xblk, fblk, spre, scur = float(a), float(b), 0.0, 0.0, 0.0, 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
@@ -27,7 +29,7 @@ def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
             xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
         if abs(fblk) < abs(fcur):  # xcur is the best guess, xblk its bracket end
             xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        delta, sbis = (xtol + RTOL * abs(xcur)) / 2, (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if short := abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -43,5 +45,5 @@ def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
         spre, scur = (scur, stry) if short else (sbis, sbis)  # a short step, else bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = value(xcur, f(xcur))
     raise NoConvergence(f"Failed to converge after {MAX_ITER} iterations.")

@@ -94,9 +94,12 @@ def suite_fprime():
 
 def suite_cross_method():
     """Shooting vs Birman-Schwinger coupling for the square-well anchor."""
+    def f(t):  # s tan s = 1 for the even bound state
+        return t * math.tan(t) - 1.0
+
     Q = CompactPerturbation.box(-1.0, 1.0, 1.0)
     lam = -1.0
-    s = brent(lambda t: t * math.tan(t) - 1.0, 0.5, 1.0, 1e-15, 8.881784197001252e-16)  # 4 eps
+    s = brent(f, 0.5, 1.0, f(0.5), f(1.0), 1e-15)
     alpha_ref = 1.0 + s * s
 
     alpha = gap.solve_coupling(_FREE, Q, lam)

@@ -83,6 +83,23 @@ def test_solve_coupling_finds_the_smallest_coupling():
     assert alpha == pytest.approx(k * k + 0.001, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: y+ is normalized at x = 0 and underflows far from it")
+def test_a_whole_period_shift_of_the_support_keeps_the_eigenpair():
+    # H is invariant under whole-period shifts, so supp Q = [300, 302] has the
+    # coupling and tail rate of [0, 2]; there |y+(302)| ~ e^-604 underflows,
+    # and gap-eig printed c_plus = nan with exit 0
+    pairs = []
+    for x0 in (0.0, 300.0):
+        Q = CompactPerturbation.box(x0, x0 + 2.0)
+        with np.errstate(all="ignore"):  # the underflow warns; the asserts pin it
+            pairs.append(eigenfunction(V0, Q, solve_coupling(V0, Q, -4.0), -4.0))
+    near, far = pairs
+    assert math.isfinite(far.c_plus) and math.isfinite(far.c_minus)
+    assert far.alpha == pytest.approx(near.alpha, rel=1e-9)
+    assert far.fitted_delta == pytest.approx(near.fitted_delta, abs=1e-6)
+
+
 def test_solved_operator_has_fd_eigenvalue_near_lambda():
     # independent check: discretize H_alpha on a big box and confirm an
     # eigenvalue within O(h^2) of the requested lambda = -1

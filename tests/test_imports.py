@@ -143,3 +143,20 @@ def test_no_tol_parameter():
                   and "tol" in [a.arg for a in (*n.args.posonlyargs, *n.args.args,
                                                 *n.args.kwonlyargs)]]
     assert not sites, f"functions taking tol: {sites}"
+
+
+def test_one_root_tolerance():
+    # every Brent root is refined to roots.RTOL: no function takes an rtol,
+    # and the value is spelled once, in either of its two forms
+    sites, spelled = [], []
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                args = getattr(n, "args", None)
+                if isinstance(args, ast.arguments) and "rtol" in [
+                        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]:
+                    sites.append((path.stem, getattr(n, "name", "lambda")))
+                if isinstance(n, ast.Constant) and n.value in (8.9e-16, 8.881784197001252e-16):
+                    spelled.append((path.stem, [t.id for t in getattr(top, "targets", [])]))
+    assert not sites, f"functions taking rtol: {sites}"
+    assert spelled == [("roots", ["RTOL"])]

@@ -49,6 +49,10 @@ def test_piecewise_validation():
         PeriodicPotential.piecewise([0.0, 0.5], [1.0])
     with pytest.raises(ValidationError, match="no breaks"):  # Hill lowerings would cut there
         PeriodicPotential("fourier", cos=(2.0,), breaks=(0.0, 0.37), values=(1.0, 2.0))
+    with pytest.raises(ValidationError, match="no mean, cos or sin"):  # they were ignored
+        PeriodicPotential("piecewise", mean=3.0, cos=(5.0,), breaks=(0.0,), values=(1.0,))
+    with pytest.raises(ValidationError, match="no mean, cos or sin"):
+        PeriodicPotential("piecewise", sin=(0.5,), breaks=(0.0,), values=(1.0,))
 
 
 def test_serialization_round_trip():
@@ -92,6 +96,12 @@ def test_perturbation_validation():
         CompactPerturbation.box(1.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         CompactPerturbation.box(0.0, 1.0, 0.0)  # identically zero
+    # a 0.001-wide step between the 257 evenly spaced samples is seen at its break
+    narrow = PeriodicPotential.piecewise([0.0, 0.5, 0.501], [0.0, 1.0, 0.0])
+    assert CompactPerturbation((0.0, 1.0), narrow).q(0.5005) == 1.0
+    with pytest.raises(ValidationError, match="nonnegative"):
+        CompactPerturbation((0.0, 1.0), PeriodicPotential.piecewise([0.0, 0.5, 0.501],
+                                                                    [1.0, -1.0, 1.0]))
     with pytest.raises(SchemaError):
         load_perturbation({"support": [0.0, 1.0]})
     with pytest.raises(SchemaError):

@@ -1,19 +1,20 @@
 import math
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from spectral_decay import roots
+from spectral_decay import bands, dirac, gap, roots
 from spectral_decay.bands import EDGE_XTOL
 from spectral_decay.errors import NoConvergence, NoSignChange, SpectralDecayError
-from spectral_decay.roots import brent
+from spectral_decay.potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
+from spectral_decay.roots import RTOL, brent
 
-# (xtol, rtol) of each caller; verify passes scipy's default rtol, 4 eps
-TOLS = {"bands": (EDGE_XTOL, 8.9e-16), "dirac": (1e-13, 8.9e-16), "gap": (1e-12, 8.9e-16),
-        "verify": (1e-15, 4 * sys.float_info.epsilon)}
+from test_bands import fourier, piecewise
+
+# the xtol of each caller; every caller's relative tolerance is RTOL
+TOLS = {"bands": EDGE_XTOL, "dirac": 1e-13, "gap": 1e-12, "verify": 1e-15}
 
 # each f(r) == 0 exactly; the sign step leaves Brent nothing to interpolate, and
 # the triple root of flat can outlast MAX_ITER steps, in scipy too
@@ -30,7 +31,8 @@ SCALES = (1.0, 2.0 ** -600, 1e-300)
 
 
 def outcome(solve, f, a, b):
-    """(root or failure, points at which f was evaluated), both as hex."""
+    """(root or failure, points at which f was evaluated), both as hex.
+    solve(g, a, b) may evaluate g at a and b itself, as brentq does."""
     xs = []
 
     def g(x):
@@ -64,21 +66,78 @@ def test_property_brent_is_scipy_brentq_bit_for_bit(shape, caller, lo, width, s,
     f0 = SHAPES[shape](r, s)
     f = (lambda x: -scale * f0(x)) if flip else (lambda x: scale * f0(x))
     a, b = (hi, lo) if swap else (lo, hi)
-    xtol, rtol = TOLS[caller]
-    ours = outcome(lambda g, a, b: brent(g, a, b, xtol, rtol), f, a, b)
-    assert ours == outcome(lambda g, a, b: brentq(g, a, b, xtol=xtol, rtol=rtol), f, a, b)
+    xtol = TOLS[caller]
+    ours = outcome(lambda g, a, b: brent(g, a, b, g(a), g(b), xtol), f, a, b)
+    assert ours == outcome(lambda g, a, b: brentq(g, a, b, xtol=xtol, rtol=RTOL), f, a, b)
 
 
 def test_brent_failures_are_typed():
-    xtol, rtol = TOLS["verify"]
+    xtol = TOLS["verify"]
+
+    def solve(f, a, b, xtol=xtol):
+        return brent(f, a, b, f(a), f(b), xtol)
+
     with pytest.raises(NoSignChange, match="must have different signs"):
-        brent(lambda x: x * x + 1.0, -1.0, 2.0, xtol, rtol)
-    with pytest.raises(NoConvergence, match="is NaN"):
-        brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, xtol, rtol)
+        solve(lambda x: x * x + 1.0, -1.0, 2.0)
+    with pytest.raises(NoConvergence, match="value at x=1.0 is NaN"):
+        solve(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+    with pytest.raises(NoConvergence, match="value at x=0.0 is NaN"):
+        solve(lambda x: math.nan if x < 0.5 else x - 0.7, 0.0, 1.0)
     # a sign step at 1e-200 leaves only bisection, ~700 halvings from [0, 1]
     with pytest.raises(NoConvergence, match=f"after {roots.MAX_ITER} iterations"):
-        brent(lambda x: 1.0 if x > 1e-200 else -1.0, 0.0, 1.0, 1e-300, rtol)
+        solve(lambda x: 1.0 if x > 1e-200 else -1.0, 0.0, 1.0, 1e-300)
     with pytest.raises(RuntimeError):
-        brentq(lambda x: 1.0 if x > 1e-200 else -1.0, 0.0, 1.0, xtol=1e-300, rtol=rtol)
+        brentq(lambda x: 1.0 if x > 1e-200 else -1.0, 0.0, 1.0, xtol=1e-300, rtol=RTOL)
     assert issubclass(NoSignChange, SpectralDecayError)
     assert issubclass(NoConvergence, SpectralDecayError)
+
+
+# the callers' brackets: 1-4-step and 1-3-harmonic V scanned to 15-100, the
+# first-gap midpoint coupling of a box Q on [0, 1], and Dirac wells
+potentials = st.one_of(piecewise, fourier)
+jobs = st.one_of(
+    st.tuples(st.just("bands"), potentials, st.floats(15.0, 100.0), st.sampled_from([0.05, 0.3])),
+    st.tuples(st.just("gap"), potentials),
+    st.tuples(st.just("dirac"), st.floats(0.3, 4.0), st.floats(0.1, 3.0), st.floats(-3.0, 3.0),
+              st.floats(0.2, 4.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(jobs)
+@example(("bands", PeriodicPotential.fourier(0.0, [2.0]), 100.0, 0.3))  # gaps inside one cell
+@example(("dirac", 1.0, 0.5, -1.0, 2.0))  # the well of the Dirac oracle
+def test_property_callers_pass_the_values_f_takes_at_the_bracket_ends(job):
+    calls = []
+
+    def checked(f, a, b, fa, fb, xtol):
+        # f(a) and f(b) are measured here, outside what brent may evaluate
+        calls.append((float(fa).hex(), float(fb).hex(), float(f(a)).hex(), float(f(b)).hex()))
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return f(x)
+
+        root = brent(g, a, b, fa, fb, xtol)
+        assert a not in xs and b not in xs
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (bands, dirac, gap):
+            mp.setattr(module, "brent", checked)
+        if job[0] == "bands":
+            _, V, lam_max, grid_step = job
+            bands.band_edges(V, lam_max, grid_step)
+            assert calls
+        elif job[0] == "gap":
+            gaps = bands.band_edges(job[1], 60.0).gaps
+            if gaps:
+                lam = 0.5 * (gaps[0][0] + gaps[0][1])
+                try:
+                    gap.solve_coupling(job[1], CompactPerturbation.box(0.0, 1.0), lam)
+                except NoSignChange:
+                    pass  # the coupling lies above ALPHA_MAX
+        else:
+            _, m, depth, x0, length = job
+            dirac.dirac_gap_eigenvalues(MatrixPerturbation.scalar_well(depth, (x0, x0 + length)), m)
+    assert all(fa == f_a and fb == f_b for fa, fb, f_a, f_b in calls)
