@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import gap, ode, verify
-from .bands import band_edges, csv_rows
+from .bands import DEFAULT_GRID_STEP, band_edges, csv_rows
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
 from .errors import SpectralDecayError, ValidationError
 from .floquet import discriminant, discriminant_derivative
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bands", help="scan band edges and gaps")
     sp.add_argument("--potential", required=True, help="potential JSON path")
     sp.add_argument("--lambda-max", type=_finite_float, required=True)
-    sp.add_argument("--grid-step", type=_finite_float, default=0.05)
+    sp.add_argument("--grid-step", type=_finite_float, default=DEFAULT_GRID_STEP)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     out(sp)
     sp.set_defaults(func=cmd_bands)
@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--potential", required=True)
     sp.add_argument("--perturbation", required=True)
     sp.add_argument("--lambda", type=_finite_float, required=True, dest="lam")
-    sp.add_argument("--grid-size", type=int, default=2048)
-    sp.add_argument("--count", type=int, default=8, help="largest |mu| to compute and report")
+    sp.add_argument("--grid-size", type=int, default=gap.DEFAULT_GRID_SIZE)
+    sp.add_argument("--count", type=int, default=gap.DEFAULT_COUNT,
+                    help="largest |mu| to compute and report")
     out(sp)
     sp.set_defaults(func=cmd_bs_spectrum)
 

@@ -27,14 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, spectral_distance
-from .errors import (BandPointError, ClosedGap, InsufficientApproach, InsufficientTail,
-                     PoorFit, ValidationError)
+from .errors import (BandPointError, ClosedGap, DegenerateMatch, InsufficientApproach,
+                     InsufficientTail, PoorFit, ValidationError)
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
 MIN_FIT_POINTS = 8
 K_MAX = 8       # edge-approach points edge + 4^-k (gap width), k = 1..K_MAX
 SAMPLES_PER_UNIT = 64  # eigenfunction sample spacing 1/64
+MATCH_TOL = 1e-6  # largest residual of an eigenfunction's match at the support edge
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,15 @@ def sample_grid(a: float, b: float, tail: float):
         mid = np.append(mid, b)
     return (np.arange(a - tail, a, step), mid,
             np.arange(b + step, b + tail + 0.5 * step, step))
+
+
+def match_residual(state, tail) -> float:
+    """|state - tail| / |state| of an eigenfunction's state at the right support edge
+    and its decaying tail; DegenerateMatch unless at most MATCH_TOL (nan fails)."""
+    resid = float(np.linalg.norm(state - tail) / max(np.linalg.norm(state), 1e-300))
+    if not resid <= MATCH_TOL:
+        raise DegenerateMatch(f"state does not match the decaying direction (residual {resid:.2e})")
+    return resid
 
 
 def normalize_and_fit(grid, pieces, b: float):

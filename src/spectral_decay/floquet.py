@@ -112,8 +112,6 @@ def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:
     n = np.floor(xs)
     order = np.argsort(xs - n)
     rs = (xs - n)[order]
-    _, walked = ode.propagate_hill(V, fd.lam, 0.0, rs[-1] if len(rs) else 0.0, seed,
-                                   dense_xs=rs)
     states = np.empty((len(xs), 2))
-    states[order] = walked
+    states[order] = ode.propagate_hill(V, fd.lam, [0.0, *rs], seed)[1:]
     return (mu ** n)[:, None] * states

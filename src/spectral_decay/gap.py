@@ -47,6 +47,8 @@ from .roots import brent
 ALPHA_MAX = 1e4  # solve_coupling's bracket expansion stops here
 MAX_GRID = 2 ** 20  # Nystrom nodes, checked before anything is allocated
 N_PERIODS = 8  # eigenfunction tail length on each side of supp Q
+DEFAULT_GRID_SIZE = 2048  # Nystrom nodes of a Birman-Schwinger spectrum
+DEFAULT_COUNT = 8  # largest |mu| a Birman-Schwinger spectrum reports
 _TINY = 2.0 * sys.float_info.min  # dstebz's finest bisection tolerance
 
 
@@ -82,8 +84,7 @@ def _end_states(V, Q: CompactPerturbation, lam: float):
 def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ends) -> float:
     """Wronskian of y_- pushed through supp Q with y_+ at b, from _end_states."""
     _, ym, yp = ends
-    a, b = Q.support
-    return ode.wronskian(ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, ym), yp)
+    return ode.wronskian(ode.propagate_hill_perturbed(V, Q, alpha, lam, Q.support, ym)[-1], yp)
 
 
 def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float) -> float:
@@ -140,7 +141,7 @@ def _nearest_zero(d, e, count: int) -> np.ndarray:
 
 
 def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
-                              grid_size: int = 2048, count: int = 8) -> BSSpectrum:
+                              grid_size=DEFAULT_GRID_SIZE, count=DEFAULT_COUNT) -> BSSpectrum:
     """The count largest |mu| of the Nystrom (trapezoid) spectrum of
     G (H - lambda)^(-1) G on supp Q, |mu| descending: the couplings 1/mu
     nearest 0 of the Jacobi inverse on the nodes where G != 0, then zeros
@@ -184,18 +185,18 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float) -> GapEig
     Samples cover supp Q padded by N_PERIODS on each side.  Outside the
     support the function is c_- y_- (left) and c_+ y_+ (right); tail
     coefficients come from projecting the matched state on the Floquet
-    seeds.
+    seeds.  Raises DegenerateMatch when the state at b is not a multiple
+    of y_+ (alpha is not a coupling at lambda).
     """
     fd, s_a, yp_b = _end_states(V, Q, lam)
     a, b = Q.support
     xs_left, xs_mid, xs_right = grid = decay.sample_grid(a, b, N_PERIODS)
-    s_b, mid_states = ode.propagate_hill_perturbed(V, Q, alpha, lam, a, b, s_a,
-                                                   dense_xs=xs_mid)
+    states = ode.propagate_hill_perturbed(V, Q, alpha, lam, [*xs_mid, b], s_a)
+    with np.errstate(all="ignore"):  # a y_+ that underflows at b fails the match
+        c_plus = float(states[-1] @ yp_b) / (yp_b @ yp_b)
+        resid = decay.match_residual(states[-1], c_plus * yp_b)
 
-    c_plus = float(s_b @ yp_b) / (yp_b @ yp_b)
-    resid = float(np.linalg.norm(s_b - c_plus * yp_b) / max(np.linalg.norm(s_b), 1e-300))
-
-    pieces = (floquet_values(V, fd, xs_left, "minus")[:, 0], mid_states[:, 0],
+    pieces = (floquet_values(V, fd, xs_left, "minus")[:, 0], states[:-1, 0],
               c_plus * floquet_values(V, fd, xs_right, "plus")[:, 0])
     xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
     return GapEigenpair(lam=lam, alpha=alpha, xs=xs, psi=psi,

@@ -5,13 +5,13 @@ the 1D Dirac system, -i s1 psi' + m s3 psi + W psi = lambda psi, has
 s = psi and A = i s1 (lambda - m s3 - W).
 
 There is one route.  Each call lowers its potential once into the
-segments of [x0, x1] between the jumps of A, and one product multiplies
-closed-form 2x2 exponentials over them, in either direction and through
-optional dense samples; a dense walk lowers [x0, x1] once more with its
-samples as extra cuts, and each cell between neighbouring samples takes
-the segments between its ends.  A lowering is a _Plan, which keeps the
-Magnus exponents of its walks; the monodromy reuses the plan of [0, 1] of
-the last potential given, matched by identity.  The exponential is exact
+segments of its range between the jumps of A, and one product multiplies
+closed-form 2x2 exponentials over them.  A walk takes a list of stops,
+lowers their range once more with the stops as cuts, and carries its state
+through each cell between neighbouring stops, in either direction.  A
+lowering is a _Plan, which keeps the Magnus exponents of its walks; the
+monodromy reuses the plan of [0, 1] of the last potential given, matched
+by identity.  The exponential is exact
 where A is constant: on every Dirac piece (W is one constant matrix on its
 support and zero outside), and on Hill pieces of piecewise V and of
 V - alpha Q with a piecewise profile.  Elsewhere the Hill product takes
@@ -177,11 +177,12 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     return E[..., 0, :, :]
 
 
-def _points(xa: float, xb: float, cuts, system_cuts) -> list:
-    """xa, the cuts and system cuts strictly inside (xa, xb) in increasing
-    order, and xb.  Of equal values (0.0 and -0.0) the one in cuts is kept,
-    as a cell lowered alone keeps its own ends."""
-    return [xa, *sorted({c for c in (*cuts, *system_cuts) if xa < c < xb}), xb]
+def _points(xs, system_cuts) -> list:
+    """min xs, the points of xs and the system cuts strictly inside (min xs,
+    max xs) in increasing order, and max xs.  Of equal values (0.0 and -0.0)
+    the one in xs is kept, as a cell lowered alone keeps its own ends."""
+    lo, hi = min(xs), max(xs)
+    return [lo, *sorted({c for c in (*xs, *system_cuts) if lo < c < hi}), hi]
 
 
 def _spans(xs) -> list:
@@ -210,12 +211,13 @@ class _Hill:
     def dtype(lams):
         return np.result_type(lams, float)
 
-    def segments(self, xa: float, xb: float, cuts=()) -> list:
-        """Segments (pa, pb, v) of [xa, xb], xa <= xb, split also at cuts: v is
-        the constant potential of an exact piece, or None where Magnus steps
-        are taken."""
-        per = [n + c for n in range(math.floor(xa), math.floor(xb) + 1) for c in self.V.breaks]
-        spans = _spans(_points(xa, xb, cuts, per + self.qcuts))
+    def segments(self, xs) -> list:
+        """Segments (pa, pb, v) of [min xs, max xs], cut at every point of xs:
+        v is the constant potential of an exact piece, or None where Magnus
+        steps are taken."""
+        per = [n + c for n in range(math.floor(min(xs)), math.floor(max(xs)) + 1)
+               for c in self.V.breaks]
+        spans = _spans(_points(xs, per + self.qcuts))
         if not self.flat:
             return [(pa, pb, None) for pa, pb, _ in spans]
         mids = np.array([mid for _, _, mid in spans])
@@ -267,6 +269,7 @@ class _Dirac:
     cuts at the support of W, every piece exact."""
 
     def __init__(self, W, m: float):
+        check_mass(m)
         self.m, self.zero = m, np.zeros((2, 2), dtype=complex)
         self.a, self.b = W.support if W is not None else (math.inf, -math.inf)
         self.w = np.array(W.matrix, dtype=complex) if W is not None else self.zero
@@ -279,12 +282,12 @@ class _Dirac:
     def dtype(lams):
         return complex
 
-    def segments(self, xa: float, xb: float, cuts=()) -> list:
-        """Segments (pa, pb, w) of [xa, xb], split also at cuts: w is the
-        matrix of W on the piece, zero outside its support."""
+    def segments(self, xs) -> list:
+        """Segments (pa, pb, w) of [min xs, max xs], cut at every point of xs:
+        w is the matrix of W on the piece, zero outside its support."""
         a, b = self.a, self.b
         return [(pa, pb, self.w if a <= mid <= b else self.zero)
-                for pa, pb, mid in _spans(_points(xa, xb, cuts, (a, b)))]
+                for pa, pb, mid in _spans(_points(xs, (a, b)))]
 
     def exact(self, lams, w, h) -> np.ndarray:
         """exp(h B), B = i s1 (lam I - m s3 - w), (k, m, 2, 2) on m pieces of W = w."""
@@ -346,9 +349,8 @@ class _Plan:
         return groups
 
 
-def _product(plan: _Plan, lams, density: float, refine: int, bound: bool = False):
-    """Transfer matrices (k, c, 2, 2) over the c cells of plan for k lambdas;
-    with bound, also the products of the factors' absolute values.
+def _product(plan: _Plan, lams, density: float, refine: int) -> np.ndarray:
+    """Transfer matrices (k, c, 2, 2) over the c cells of plan for k lambdas.
 
     A segment (pa, pb, p) is exact where p is given, else refine * max(1,
     ceil(length * density)) Magnus steps; the walks of equally many steps
@@ -359,7 +361,6 @@ def _product(plan: _Plan, lams, density: float, refine: int, bound: bool = False
     size = len(plan.h) + sum(n * len(h) for n, _, h, _ in walks) + plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
     out = np.empty((len(lams), plan.count, 2, 2), dtype=system.dtype(lams))
-    absolute = np.empty(out.shape) if bound else None
     for lo in range(0, len(lams), block):
         lb = lams[lo:lo + block]
         if plan.tiled:
@@ -372,9 +373,7 @@ def _product(plan: _Plan, lams, density: float, refine: int, bound: bool = False
             for _, (j, i), h, coefficients in walks:
                 F[:, j, i] = _reduce(system.steps(lb, h, coefficients))
         out[lo:lo + block] = _fold(F)
-        if bound:
-            absolute[lo:lo + block] = _fold(np.abs(F))
-    return (out, absolute) if bound else out
+    return out
 
 
 def _finite(a, what: str):
@@ -390,22 +389,17 @@ def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
     return _EPS * (4 * factors + system.rate(lams) * length) * scale
 
 
-def _certify(plan: _Plan, lams, bound: bool = False):
+def _certify(plan: _Plan, lams):
     """(T, density, err) per lambda: the product over the one cell of plan
-    at refine 2, the Magnus step density at which it meets TOL
-    (agrees with refine 1), and its error bound: that refine 1-vs-2
-    difference plus the rounding of its m factors relative to max|T|.
-    Lambdas are grouped by density.  Where every segment is exact, density
-    is 0 and, with bound, err bounds the rounding relative to the product
-    of the factors' absolute values (a Magnus walk has too many factors for
-    that product to bound anything); else err is None."""
+    at refine 2, the Magnus step density at which it meets TOL (agrees with
+    refine 1), and its error bound: that refine 1-vs-2 difference plus the
+    rounding of its m factors relative to max|T|.  Lambdas are grouped by
+    density.  Where every segment is exact, T is the closed form, density is
+    0 and err is None (certified_monodromy bounds the closed form itself)."""
     system, k, length = plan.system, len(lams), plan.length
     if not plan.spans.size:
-        T, err = _product(plan, lams, 0, 1, bound), None
-        if bound:
-            T, P = T
-            err = _rounding(system, lams, length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
-        return _finite(T[:, 0], "transfer matrix"), np.zeros(k, dtype=int), err
+        T = _finite(_product(plan, lams, 0, 1)[:, 0], "transfer matrix")
+        return T, np.zeros(k, dtype=int), None
 
     density, spans = np.full(k, 8), plan.spans
 
@@ -461,12 +455,12 @@ def _cells(system, lam, stops) -> np.ndarray:
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
     _check_phase(system, lams, lo, hi)
-    T, density, _ = _certify(_Plan(system, [system.segments(lo, hi)]), lams)
+    T, density, _ = _certify(_Plan(system, [system.segments((lo, hi))]), lams)
     ends = np.array(stops)
     xa, xb = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
     if np.count_nonzero(xa != xb) <= 1:  # that cell spans the certified range
         return np.where((xa != xb)[:, None, None], T, _I2)
-    segs = system.segments(lo, hi, stops)
+    segs = system.segments(stops)
     first = np.searchsorted([pa for pa, *_ in segs], xa).tolist()
     last = np.searchsorted([pb for _, pb, _ in segs], xb, side="right").tolist()
     cells = [segs[i:j] for i, j in zip(first, last)]
@@ -475,24 +469,20 @@ def _cells(system, lam, stops) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails typed, in _finite
-def _walk(system, lam, x0: float, x1: float, s0, dense_xs=None):
-    """Carry s0 from x0 through dense_xs, then on to x1, in either direction.
-    Returns the end state, or (end, states at dense_xs)."""
-    stops = [x0, *(() if dense_xs is None else dense_xs), x1]
+def _walk(system, lam, xs, s0) -> np.ndarray:
+    """The states (len(xs), 2) at the stops xs: s0 at xs[0], then carried from
+    each stop to the next, in either direction."""
     states = [s0]
-    for xa, xb, T in zip(stops[:-1], stops[1:], _cells(system, lam, stops)):
+    for xa, xb, T in zip(xs[:-1], xs[1:], _cells(system, lam, xs)):
         s = states[-1]
         states.append(s if xa == xb else T @ s if xb > xa else np.linalg.solve(T, s))
-    states = _finite(np.array(states[1:]), "state")
-    return states[-1] if dense_xs is None else (states[-1], states[:-1])
+    return _finite(np.array(states), "state")
 
 
-def propagate_hill(V, lam: float, x0: float, x1: float, state, dense_xs=None):
-    """Propagate s = (y, y') of -y'' + V y = lam y from x0 to x1.
-
-    With dense_xs (monotone, from the x0 side) returns (end, states at dense_xs).
-    """
-    return _walk(_Hill(V), lam, x0, x1, np.asarray(state, dtype=float), dense_xs)
+def propagate_hill(V, lam: float, xs, state) -> np.ndarray:
+    """The states s = (y, y') (len(xs), 2) of -y'' + V y = lam y at the stops
+    xs, from state at xs[0]."""
+    return _walk(_Hill(V), lam, xs, np.asarray(state, dtype=float))
 
 
 @functools.lru_cache(maxsize=1)
@@ -500,20 +490,20 @@ def _unit_cell(key: int, V) -> _Plan:
     """The _Plan of [0, 1] of _Hill(V) under key = id(V) and V: V stays alive, so
     no other potential takes its id, and equal values (0.0, -0.0) are no key."""
     system = _Hill(V)
-    return _Plan(system, [system.segments(0.0, 1.0)])
+    return _Plan(system, [system.segments((0.0, 1.0))])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transfer(plan: _Plan, lams, x0: float, x1: float, bound: bool = False):
+def _transfer(plan: _Plan, lams, x0: float, x1: float):
     """Certified transfer matrices (*shape, 2, 2) over the one cell of plan,
-    [x0, x1], for an array of lambda, and (with bound) the error bound of each."""
+    [x0, x1], for an array of lambda, and _certify's error bounds."""
     lams = np.asarray(lams)
     check_lambda_count(lams.size)
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
     _check_phase(plan.system, flat, x0, x1)
-    T, _, err = _certify(plan, flat, bound)
+    T, _, err = _certify(plan, flat)
     return T.reshape(lams.shape + (2, 2)), err
 
 
@@ -523,12 +513,18 @@ def monodromy(V, lam) -> np.ndarray:
     return _transfer(_unit_cell(id(V), V), lam, 0.0, 1.0)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def certified_monodromy(V, lams):
-    """Monodromy matrices (k, 2, 2) of a 1-D lambda array and the error
-    bound of each: the n-vs-2n difference of its Magnus product plus the
-    rounding of its steps, or the rounding of its closed form on
-    piecewise V."""
-    return _transfer(_unit_cell(id(V), V), np.ravel(lams), 0.0, 1.0, True)
+    """Monodromy matrices (k, 2, 2) of a 1-D lambda array and the error bound
+    of each: _certify's for a Magnus product; on piecewise V the rounding of
+    the closed form relative to the product of its factors' absolute values
+    (a Magnus walk has too many factors for that product to bound anything)."""
+    plan, lams = _unit_cell(id(V), V), np.ravel(lams)
+    T, err = _transfer(plan, lams, 0.0, 1.0)
+    if err is None:
+        P = _fold(np.abs(plan.system.exact(lams, plan.p, plan.h))[:, None])
+        err = _rounding(plan.system, lams, plan.length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
+    return T, err
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -540,15 +536,15 @@ def cell_transfers(V, lam: float, xs) -> np.ndarray:
 
 
 def propagate_hill_perturbed(V, Q: CompactPerturbation, alpha: float, lam: float,
-                             x0: float, x1: float, state, dense_xs=None):
-    """Propagate -y'' + (V - alpha Q) y = lam y from x0 to x1, as propagate_hill."""
-    return _walk(_Hill(V, Q, alpha), lam, x0, x1, np.asarray(state, dtype=float), dense_xs)
+                             xs, state) -> np.ndarray:
+    """The states of -y'' + (V - alpha Q) y = lam y at the stops xs, as propagate_hill."""
+    return _walk(_Hill(V, Q, alpha), lam, xs, np.asarray(state, dtype=float))
 
 
 def check_mass(m: float):
-    """ValidationError unless m > 0 and m * m, which the Dirac tail rate
-    sqrt(m^2 - lambda^2) takes, is finite."""
-    if m <= 0:
+    """ValidationError unless m > 0 (so not nan) and m * m, which the Dirac
+    tail rate sqrt(m^2 - lambda^2) takes, is finite."""
+    if not m > 0:
         raise ValidationError(f"mass m must be positive, got {m}")
     if math.isinf(float(m) * float(m)):  # floats: no numpy overflow warning
         raise ValidationError(f"mass m = {m} is too large: m * m overflows")
@@ -557,18 +553,15 @@ def check_mass(m: float):
 def dirac_transfer(W, m: float, lams, x0: float, x1: float):
     """Transfer matrices (*shape, 2, 2) of the 1D Dirac system from x0 to
     x1 >= x0 for an array of lambda, over one lowering of W."""
-    check_mass(m)
+    system = _Dirac(W, m)
     if not x0 <= x1:
         raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
-    system = _Dirac(W, m)
-    return _transfer(_Plan(system, [system.segments(x0, x1)]), lams, x0, x1)[0]
+    return _transfer(_Plan(system, [system.segments((x0, x1))]), lams, x0, x1)[0]
 
 
-def propagate_dirac(W, m: float, lam: float, x0: float, x1: float, state, dense_xs=None):
-    """Propagate a spinor (psi1, psi2) of the 1D Dirac system with W None
-    (free) or a MatrixPerturbation, as propagate_hill."""
-    check_mass(m)
-    return _walk(_Dirac(W, m), lam, x0, x1, np.asarray(state, dtype=complex), dense_xs)
+def propagate_dirac(W, m: float, lam: float, xs, state) -> np.ndarray:
+    """The spinors of the 1D Dirac system, W None or a MatrixPerturbation, as propagate_hill."""
+    return _walk(_Dirac(W, m), lam, xs, np.asarray(state, dtype=complex))
 
 
 def __getattr__(name):  # ode.solve_ivp, read by perfbench/spans.py until ROADMAP item 2

@@ -161,7 +161,7 @@ def _ascents(system: SymbolSystem, starts: np.ndarray):
         done = (np.abs(new_val - val[active]) < 1e-15) & (_norms(new_xi - xi[active]) < 1e-14)
         xi[active], val[active] = new_xi, new_val
         active = active[~done]
-    return np.abs(np.linalg.eigvalsh(_symbols(system, xi))).max(axis=1), xi
+    return _batch_extreme(system, xi)[0], xi
 
 
 def gamma(system: SymbolSystem) -> SymbolReport:

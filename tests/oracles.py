@@ -375,11 +375,11 @@ def cells_reference(system, lam, stops):
     lams = np.array([lam])
     lo, hi = min(stops), max(stops)
     ode._check_phase(system, lams, lo, hi)
-    T, density, _ = ode._certify(ode._Plan(system, [system.segments(lo, hi)]), lams)
+    T, density, _ = ode._certify(ode._Plan(system, [system.segments((lo, hi))]), lams)
     cells = list(zip(stops[:-1], stops[1:]))
     if sum(xa != xb for xa, xb in cells) <= 1:  # that cell spans the certified range
         return np.array([T[0] if xa != xb else ode._I2 for xa, xb in cells])
-    segs = [system.segments(min(xa, xb), max(xa, xb)) if xa != xb else [] for xa, xb in cells]
+    segs = [system.segments((xa, xb)) if xa != xb else [] for xa, xb in cells]
     return np.concatenate([ode._product(ode._Plan(system, segs[i:i + ode._CELLS]), lams,
                                         density[0], 2)[0] for i in range(0, len(segs), ode._CELLS)])
 

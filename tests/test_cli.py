@@ -530,6 +530,20 @@ def _main_with_runtime_warnings_as_errors(argvs) -> list:
     return json.loads(out.stdout)
 
 
+def test_gap_eig_far_from_the_origin_fails_the_match_in_one_line(cfg, tmp_path):
+    # ROADMAP item 9: y_+ underflows at b = 400 and b = 302, so c_plus is not
+    # finite; gap-eig printed c_plus = nan with exit 0 and RuntimeWarnings
+    argvs = []
+    for lo, hi, lam in ((0.0, 400.0, "-1"), (300.0, 302.0, "-4")):
+        q = tmp_path / f"q{lo:g}.json"
+        q.write_text(json.dumps(dict(BOX, support=[lo, hi])))
+        argvs.append(["gap-eig", "--potential", cfg["zero"], "--perturbation", str(q),
+                      f"--lambda={lam}"])
+    for status, err in _main_with_runtime_warnings_as_errors(argvs):
+        assert status == 2 and len(err.splitlines()) == 1
+        assert err.startswith("error: state does not match the decaying direction")
+
+
 def test_dirac_eig_huge_mass_fails_typed_with_runtime_warnings_as_errors():
     # m * m overflows: m is rejected before the scan, in one line that names it
     argvs = [["dirac-eig", "--mass", mass, "--depth", "0.5", "--support", "0", "1"]

@@ -51,6 +51,14 @@ def test_mass_whose_square_overflows_fails_typed(m):
                 call()
 
 
+def test_a_nan_mass_is_named_as_a_mass():
+    # nan > 0 is false: every entry point names the mass, not a gap or an overflow
+    for call in (lambda: dirac_tail(math.nan, 0.0), lambda: dirac_gap_eigenvalues(WELL, math.nan),
+                 lambda: dirac_eigenfunction(WELL, math.nan, 0.0)):
+        with pytest.raises(ValidationError, match=r"^mass m must be positive, got nan$"):
+            call()
+
+
 def test_rate_dominates_distance():
     m = 1.0
     for lam in np.linspace(-0.99, 0.99, 21):

@@ -116,7 +116,7 @@ def test_floquet_values_one_pass_matches_direct_walks():
         for side, seed in (("plus", fd.seed_plus), ("minus", fd.seed_minus)):
             vals = floquet_values(V, fd, xs, side)
             for x, v in zip(xs, vals):
-                assert np.allclose(v, ode.propagate_hill(V, lam, 0.0, x, seed),
+                assert np.allclose(v, ode.propagate_hill(V, lam, [0.0, x], seed)[-1],
                                    rtol=1e-7, atol=1e-9)
                 assert np.allclose(v, floquet_values(V, fd, [x], side)[0], rtol=1e-9,
                                    atol=1e-12)
@@ -150,7 +150,7 @@ def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
     monkeypatch.setattr(ode, "_product", counted)
     s = floquet_values(V, fd, [0.3], "plus")[0]
     n_state, calls[0] = calls[0], 0
-    direct = ode.propagate_hill(V, lam, 0.0, 0.3, fd.seed_plus)
+    direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.seed_plus)[-1]
     assert n_state == calls[0]
     assert np.array_equal(s, direct)
 

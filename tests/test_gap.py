@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 
 from spectral_decay import gap, ode
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import BandPointError, NoSignChange, ValidationError
+from spectral_decay.errors import (BandPointError, DegenerateMatch, NoSignChange,
+                                   ValidationError)
 from spectral_decay.floquet import discriminant, floquet_solutions
 from spectral_decay.gap import (birman_schwinger_spectrum, eigenfunction,
                                 matching_determinant, solve_coupling)
@@ -54,9 +55,9 @@ def test_solve_coupling_walks_floquet_once(V, Q, lam, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    def walk(*args, dense_xs, **kwargs):
-        walks.append(len(dense_xs))
-        return propagate_hill(*args, dense_xs=dense_xs, **kwargs)
+    def walk(V, lam, xs, state):
+        walks.append(len(xs))
+        return propagate_hill(V, lam, xs, state)
 
     propagate_hill = ode.propagate_hill
     monkeypatch.setattr(gap, "floquet_solutions", count("solutions", gap.floquet_solutions))
@@ -64,7 +65,7 @@ def test_solve_coupling_walks_floquet_once(V, Q, lam, monkeypatch):
     monkeypatch.setattr(ode, "propagate_hill_perturbed",
                         count("dets", ode.propagate_hill_perturbed))
     solve_coupling(V, Q, lam)
-    assert counts["solutions"] == 1 and walks == [1, 1]
+    assert counts["solutions"] == 1 and walks == [2, 2]  # from 0 to one point each
     assert counts["dets"] >= 5
 
 
@@ -83,7 +84,14 @@ def test_solve_coupling_finds_the_smallest_coupling():
     assert alpha == pytest.approx(k * k + 0.001, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
+def test_a_non_coupling_alpha_fails_the_match():
+    # alpha = 3 puts no eigenvalue at lambda = -1 on the box anchor: the state
+    # reaching b is no multiple of y_+ there
+    with pytest.raises(DegenerateMatch, match="residual"):
+        eigenfunction(V0, BOX, 3.0, -1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateMatch),
                    reason="ROADMAP item 9: y+ is normalized at x = 0 and underflows far from it")
 def test_a_whole_period_shift_of_the_support_keeps_the_eigenpair():
     # H is invariant under whole-period shifts, so supp Q = [300, 302] has the
@@ -98,6 +106,17 @@ def test_a_whole_period_shift_of_the_support_keeps_the_eigenpair():
     assert math.isfinite(far.c_plus) and math.isfinite(far.c_minus)
     assert far.alpha == pytest.approx(near.alpha, rel=1e-9)
     assert far.fitted_delta == pytest.approx(near.fitted_delta, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateMatch),
+                   reason="ROADMAP item 9: y+ is normalized at x = 0 and underflows far from it")
+def test_a_long_support_at_the_origin_keeps_the_eigenpair():
+    # supp Q = [0, 400] needs no whole-period shift, yet |y+(400)| ~ e^-400
+    # underflows in c_plus; the tail decays at ln rho = 1
+    Q = CompactPerturbation.box(0.0, 400.0)
+    pair = eigenfunction(V0, Q, solve_coupling(V0, Q, -1.0), -1.0)
+    assert math.isfinite(pair.c_plus) and math.isfinite(pair.c_minus)
+    assert pair.fitted_delta == pytest.approx(1.0, abs=1e-6)
 
 
 def test_solved_operator_has_fd_eigenvalue_near_lambda():

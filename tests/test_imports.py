@@ -160,3 +160,33 @@ def test_one_root_tolerance():
                     spelled.append((path.stem, [t.id for t in getattr(top, "targets", [])]))
     assert not sites, f"functions taking rtol: {sites}"
     assert spelled == [("roots", ["RTOL"])]
+
+
+def _defaulted(node, prefix: str):
+    """module.function.parameter of each parameter with a default in the
+    functions (methods, nested functions, lambdas) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name, args = f"{prefix}.{getattr(child, 'name', 'lambda')}", child.args
+            positional = [*args.posonlyargs, *args.args]
+            named = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}.{a.arg}" for a in named)
+            yield from _defaulted(child, name)
+        else:
+            yield from _defaulted(child, f"{prefix}.{child.name}"
+                                  if isinstance(child, ast.ClassDef) else prefix)
+
+
+def test_defaulted_parameters():
+    # a default is a knob every caller may turn: walks take their stops, and
+    # the closed-form bound belongs to certified_monodromy alone
+    found = sorted(name for path in MODULES + [pathlib.Path(spectral_decay.__file__)]
+                   for name in _defaulted(ast.parse(path.read_text()), path.stem))
+    assert found == sorted([
+        "bands.band_edges.grid_step", "cli.main.argv",
+        "gap.birman_schwinger_spectrum.grid_size", "gap.birman_schwinger_spectrum.count",
+        "ode._Hill.__init__.Q", "ode._Hill.__init__.alpha",
+        "potentials.PeriodicPotential.fourier.mean", "potentials.PeriodicPotential.fourier.cos",
+        "potentials.PeriodicPotential.fourier.sin", "potentials.CompactPerturbation.box.height",
+        "symbols.pauli_system.indices"])

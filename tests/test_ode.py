@@ -42,17 +42,17 @@ MP_MONODROMY = [
 
 
 def test_free_linear_solution():
-    out = ode.propagate_hill(V0, 0.0, 0.0, 1.0, (0.0, 1.0))
+    out = ode.propagate_hill(V0, 0.0, [0.0, 1.0], (0.0, 1.0))[-1]
     assert np.allclose(out, [1.0, 1.0], atol=1e-12)
 
 
 def test_free_cosine_solution():
-    out = ode.propagate_hill(V0, math.pi ** 2, 0.0, 1.0, (1.0, 0.0))
+    out = ode.propagate_hill(V0, math.pi ** 2, [0.0, 1.0], (1.0, 0.0))[-1]
     assert np.allclose(out, [-1.0, 0.0], atol=1e-9)
 
 
 def test_mathieu_vs_fixed_step_reference():
-    out = ode.propagate_hill(MATHIEU, 1.0, 0.0, 1.0, (1.0, 0.0))
+    out = ode.propagate_hill(MATHIEU, 1.0, [0.0, 1.0], (1.0, 0.0))[-1]
     assert out[0] == pytest.approx(MATHIEU_THETA_LAM1[0], abs=1e-9)
     assert out[1] == pytest.approx(MATHIEU_THETA_LAM1[1], abs=1e-9)
 
@@ -62,13 +62,13 @@ def test_short_magnus_walk_meets_tol():
     # must still compare different step counts
     V = PeriodicPotential.fourier(0.0, [0.0], [1.0])
     ref = oracles.rk4_hill(V, -3.0, 0.0, 0.0625, 1.0, 0.0)
-    out = ode.propagate_hill(V, -3.0, 0.0, 0.0625, (1.0, 0.0))
+    out = ode.propagate_hill(V, -3.0, [0.0, 0.0625], (1.0, 0.0))[-1]
     assert np.allclose(out, ref, rtol=0.0, atol=ode.TOL)
 
 
 HILL_WALKS = (ode.monodromy,
-              lambda V, lam: ode.propagate_hill(V, lam, 0.0, 1.0, (1.0, 0.0)))
-DIRAC_WALKS = (lambda W, lam: ode.propagate_dirac(W, 1.0, lam, 0.0, 1.0, (1.0, 0.0)),)
+              lambda V, lam: ode.propagate_hill(V, lam, [0.0, 1.0], (1.0, 0.0))[-1])
+DIRAC_WALKS = (lambda W, lam: ode.propagate_dirac(W, 1.0, lam, [0.0, 1.0], (1.0, 0.0))[-1],)
 
 
 # the phase over a unit length, eps sqrt|lam| (Hill) or eps |lam| (Dirac),
@@ -115,8 +115,8 @@ def test_wronskian_conservation():
         s1 = rng.normal(size=2)
         s2 = rng.normal(size=2)
         w0 = s1[0] * s2[1] - s1[1] * s2[0]
-        e1 = ode.propagate_hill(MATHIEU, lam, 0.0, 2.5, s1)
-        e2 = ode.propagate_hill(MATHIEU, lam, 0.0, 2.5, s2)
+        e1 = ode.propagate_hill(MATHIEU, lam, [0.0, 2.5], s1)[-1]
+        e2 = ode.propagate_hill(MATHIEU, lam, [0.0, 2.5], s2)[-1]
         w1 = e1[0] * e2[1] - e1[1] * e2[0]
         assert abs(w1 - w0) <= 1e-9 * max(1.0, abs(w0))
 
@@ -126,7 +126,7 @@ def test_tolerance_monotone_vs_reference(monkeypatch):
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
         monkeypatch.setattr(ode, "TOL", tol)
-        out = ode.propagate_hill(MATHIEU, 1.0, 0.0, 1.0, (1.0, 0.0))
+        out = ode.propagate_hill(MATHIEU, 1.0, [0.0, 1.0], (1.0, 0.0))[-1]
         errs.append(abs(out[0] - ref))
     assert errs[2] <= errs[0] + 1e-12
 
@@ -145,7 +145,7 @@ def test_perturbed_propagation_constant_shift():
     # potential -alpha, i.e. the closed-form transfer matrix
     Q = CompactPerturbation.box(-1.0, 1.0, 1.0)
     lam, alpha = -1.0, 1.7
-    out = ode.propagate_hill_perturbed(V0, Q, alpha, lam, -1.0, 1.0, (1.0, 0.5))
+    out = ode.propagate_hill_perturbed(V0, Q, alpha, lam, [-1.0, 1.0], (1.0, 0.5))[-1]
     T = oracles.constant_transfer(-alpha, lam, 2.0)
     assert np.allclose(out, T @ np.array([1.0, 0.5]), atol=1e-10)
 
@@ -154,7 +154,7 @@ def test_dirac_free_decaying_mode():
     # decaying direction at lambda=0 is multiplied by e^{-(x1-x0)}
     W = MatrixPerturbation.scalar_well(0.0, (-1.0, 1.0))
     s = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    out = ode.propagate_dirac(W, 1.0, 0.0, 0.0, 1.0, s)
+    out = ode.propagate_dirac(W, 1.0, 0.0, [0.0, 1.0], s)[-1]
     assert np.allclose(out, math.exp(-1.0) * s, atol=1e-10)
 
 
@@ -163,13 +163,13 @@ def test_dirac_free_rate_lam06():
     m, lam = 1.0, 0.6
     d = np.array([math.sqrt(m + lam), 1j * math.sqrt(m - lam)])
     d /= np.linalg.norm(d)
-    out = ode.propagate_dirac(W, m, lam, 0.0, 1.0, d)
+    out = ode.propagate_dirac(W, m, lam, [0.0, 1.0], d)[-1]
     assert np.linalg.norm(out) / 1.0 == pytest.approx(math.exp(-0.8), abs=1e-10)
 
 
 def test_dirac_vs_fixed_step_reference():
     W = MatrixPerturbation.scalar_well(2.0, (-1.0, 1.0))
-    out = ode.propagate_dirac(W, 1.0, 0.3, -1.0, 1.0, np.array([1.0, 0.0]))
+    out = ode.propagate_dirac(W, 1.0, 0.3, [-1.0, 1.0], np.array([1.0, 0.0]))[-1]
     assert abs(out[0] - DIRAC_RK4_PSI[0]) <= 1e-9
     assert abs(out[1] - DIRAC_RK4_PSI[1]) <= 1e-9
 
@@ -180,31 +180,33 @@ def test_dirac_linearity():
     s1 = rng.normal(size=2) + 1j * rng.normal(size=2)
     s2 = rng.normal(size=2) + 1j * rng.normal(size=2)
     a, b = 1.3 - 0.2j, -0.7 + 0.9j
-    lhs = ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, a * s1 + b * s2)
-    rhs = (a * ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, s1)
-           + b * ode.propagate_dirac(W, 1.0, 0.2, -1.0, 1.0, s2))
+    lhs = ode.propagate_dirac(W, 1.0, 0.2, [-1.0, 1.0], a * s1 + b * s2)[-1]
+    rhs = (a * ode.propagate_dirac(W, 1.0, 0.2, [-1.0, 1.0], s1)[-1]
+           + b * ode.propagate_dirac(W, 1.0, 0.2, [-1.0, 1.0], s2)[-1])
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_dense_output_matches_endpoint():
     xs = np.linspace(0.0, 1.0, 17)
-    end, dense = ode.propagate_hill(MATHIEU, 4.0, 0.0, 1.0, (1.0, 0.0), dense_xs=xs)
+    dense = ode.propagate_hill(MATHIEU, 4.0, xs, (1.0, 0.0))
+    end = ode.propagate_hill(MATHIEU, 4.0, [0.0, 1.0], (1.0, 0.0))[-1]
     assert np.allclose(dense[-1], end, atol=1e-9)
-    direct = ode.propagate_hill(MATHIEU, 4.0, 0.0, 0.5, (1.0, 0.0))
+    direct = ode.propagate_hill(MATHIEU, 4.0, [0.0, 0.5], (1.0, 0.0))[-1]
     assert np.allclose(dense[8], direct, atol=1e-8)
 
 
 @pytest.mark.parametrize("V", [STEP, MATHIEU], ids=["exact", "magnus"])
 def test_dense_samples_past_the_end(V):
-    # samples may run past x1; the end state is still the state at x1
+    # samples may run past x1, and a last stop turns back to it: the end
+    # state is still the state at x1
     s0 = (1.0, 0.0)
     xs = np.linspace(0.0, 1.05, 22)
-    end, dense = ode.propagate_hill(V, 4.0, 0.0, 1.0, s0, dense_xs=xs)
-    assert np.allclose(end, ode.propagate_hill(V, 4.0, 0.0, 1.0, s0), atol=1e-8)
-    assert np.allclose(dense[-1], ode.propagate_hill(V, 4.0, 0.0, 1.05, s0), atol=1e-8)
+    *dense, end = ode.propagate_hill(V, 4.0, [*xs, 1.0], s0)
+    assert np.allclose(end, ode.propagate_hill(V, 4.0, [0.0, 1.0], s0)[-1], atol=1e-8)
+    assert np.allclose(dense[-1], ode.propagate_hill(V, 4.0, [0.0, 1.05], s0)[-1], atol=1e-8)
     Q = CompactPerturbation.box(0.0, 0.6, 1.0)
-    end, _ = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0, dense_xs=xs)
-    direct = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, 0.0, 1.0, s0)
+    end = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, [*xs, 1.0], s0)[-1]
+    direct = ode.propagate_hill_perturbed(V, Q, 1.5, 4.0, [0.0, 1.0], s0)[-1]
     assert np.allclose(end, direct, atol=1e-8)
 
 
@@ -248,8 +250,8 @@ def test_property_det_monodromy_is_one(coeffs, lam):
 def test_property_wronskian_is_constant(coeffs, lam, x1, seed):
     V = PeriodicPotential.fourier(*coeffs)
     s1, s2 = np.random.default_rng(seed).normal(size=(2, 2))
-    e1 = ode.propagate_hill(V, lam, 0.0, x1, s1)
-    e2 = ode.propagate_hill(V, lam, 0.0, x1, s2)
+    e1 = ode.propagate_hill(V, lam, [0.0, x1], s1)[-1]
+    e2 = ode.propagate_hill(V, lam, [0.0, x1], s2)[-1]
     w0, w1 = s1[0] * s2[1] - s1[1] * s2[0], e1[0] * e2[1] - e1[1] * e2[0]
     assert abs(w1 - w0) <= 1e-12 * max(1.0, np.linalg.norm(e1) * np.linalg.norm(e2))
 
@@ -272,7 +274,7 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 @given(fourier, lams)
 def test_property_magnus_is_sixth_order(coeffs, lam):
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
-    plan = ode._Plan(system, [system.segments(0.0, 1.0)])
+    plan = ode._Plan(system, [system.segments((0.0, 1.0))])
     T32, T64, T128 = (ode._product(plan, np.array([lam]), n, 1)[0, 0] for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
     assert abs(math.log2(ratio) - 6.0) <= 0.25
@@ -288,7 +290,7 @@ def test_perturbed_smooth_profile_vs_dop853():
     Q = CompactPerturbation(support=(-0.3, 0.9),
                             profile=PeriodicPotential.fourier(mean=1.0, cos=[0.5]))
     lam, alpha, s0 = 3.0, 2.5, np.array([0.4, -1.1])
-    out = ode.propagate_hill_perturbed(MATHIEU, Q, alpha, lam, -1.0, 1.5, s0)
+    out = ode.propagate_hill_perturbed(MATHIEU, Q, alpha, lam, [-1.0, 1.5], s0)[-1]
     ref = _dop853(lambda x, s: [s[1], (MATHIEU(x) - alpha * Q.q(x) - lam) * s[0]],
                   -1.0, -0.3, s0)
     ref = _dop853(lambda x, s: [s[1], (MATHIEU(x) - alpha * Q.q(x) - lam) * s[0]],
@@ -327,10 +329,10 @@ def test_constant_hermitian_w_vs_dop853():
     # one dense walk, backwards through samples inside and outside the support
     xs = np.linspace(1.25, -1.5, 12)
     stops = sorted({*xs, -1.0, 1.0}, reverse=True)
-    end, dense = ode.propagate_dirac(W, m, 0.45, xs[0], xs[-1], (1.0, 0.5j), dense_xs=xs[1:-1])
+    states = ode.propagate_dirac(W, m, 0.45, xs, (1.0, 0.5j))
     ref = _dirac_dop853(W, m, 0.45, stops, (1.0, 0.5j))
     ref = [ref[stops.index(x) - 1] for x in xs[1:]]
-    assert np.max(np.abs(np.vstack([dense, end]) - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(states[1:] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r, t]]),
@@ -349,10 +351,10 @@ def test_property_constant_dirac_exponential_is_the_scalar_closed_form(w, m, a, 
     assert np.array_equal(T, ref)
 
 
-@pytest.mark.parametrize("m", [0.0, -1.0])
+@pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
 def test_propagate_dirac_nonpositive_mass_fails_typed(m):
     with pytest.raises(ValidationError, match="mass"):
-        ode.propagate_dirac(None, m, 0.0, 0.0, 1.0, (1.0, 0.0))
+        ode.propagate_dirac(None, m, 0.0, [0.0, 1.0], (1.0, 0.0))
     with pytest.raises(ValidationError, match="mass"):
         ode.dirac_transfer(None, m, [0.0], 0.0, 1.0)
 
@@ -441,7 +443,7 @@ def test_bad_lambda_anywhere_in_a_batch_fails_like_the_scalar(V, bad):
 @pytest.mark.parametrize("call", [
     lambda V: ode.monodromy(V, -1e6),
     lambda V: ode.monodromy(V, [1.0, -1e6]),
-    lambda V: ode.propagate_hill(V, -1e5, 0.0, 30.0, (1.0, 0.0)),
+    lambda V: ode.propagate_hill(V, -1e5, [0.0, 30.0], (1.0, 0.0))[-1],
     lambda V: ode.cell_transfers(V, -1e5, np.linspace(0.0, 30.0, 7)),
 ], ids=["monodromy", "batch", "walk", "cells"])
 def test_overflow_fails_typed_with_warnings_as_errors(V, call):
@@ -491,13 +493,13 @@ def _cuts(V, Q=None) -> list:
 
 
 def _same_walk(walk, stops):
-    """walk(x0, x1, dense_xs) with the one-pass lowering and with
+    """Every state of walk(stops) with the one-pass lowering and with
     oracles.cells_reference, bit for bit."""
-    out, dense = walk(stops[0], stops[-1], stops[1:-1])
+    out = walk(stops)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ode, "_cells", oracles.cells_reference)
-        ref, ref_dense = walk(stops[0], stops[-1], stops[1:-1])
-    assert np.array_equal(out, ref) and np.array_equal(dense, ref_dense)
+        ref = walk(stops)
+    assert np.array_equal(out, ref)
 
 
 smooth_q = st.builds(lambda a, c: CompactPerturbation(
@@ -516,9 +518,8 @@ def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
     xs = sorted(stops)
     assert np.array_equal(ode.cell_transfers(V, lam, xs),
                           oracles.cells_reference(ode._Hill(V), lam, xs))
-    _same_walk(lambda x0, x1, d: ode.propagate_hill(V, lam, x0, x1, (1.0, 0.5), dense_xs=d), stops)
-    _same_walk(lambda x0, x1, d: ode.propagate_hill_perturbed(V, Q, 2.0, lam, x0, x1, (0.3, 1.0),
-                                                              dense_xs=d), stops)
+    _same_walk(lambda xs: ode.propagate_hill(V, lam, xs, (1.0, 0.5)), stops)
+    _same_walk(lambda xs: ode.propagate_hill_perturbed(V, Q, 2.0, lam, xs, (0.3, 1.0)), stops)
 
 
 # V - alpha Q on an exact segment is what the potentials evaluate at its
@@ -527,7 +528,7 @@ def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
 @given(piecewise, st.one_of(st.none(), piecewise_q, smooth_q), st.floats(-3.0, 3.0), st.data())
 def test_property_exact_segments_hold_v_minus_alpha_q(V, Q, alpha, data):
     xs = sorted(_stops(data, data.draw(st.floats(-1.5, 0.5)), _cuts(V, Q)))
-    segs = ode._Hill(V, Q, alpha).segments(xs[0], xs[-1], xs[1:-1])
+    segs = ode._Hill(V, Q, alpha).segments(xs)
     smooth = Q is not None and not Q.is_piecewise_constant
     for pa, pb, v in segs:
         mid = 0.5 * (pa + pb)
@@ -543,8 +544,7 @@ def test_property_one_pass_dirac_cells_are_the_per_cell_lowering(kind, a, m, t, 
     support = (a, a + 1.3)
     W = {"free": None, "constant": MatrixPerturbation.scalar_well(1.5, support)}[kind]
     stops = _stops(data, data.draw(st.floats(-1.5, 0.5)), list(support))
-    _same_walk(lambda x0, x1, d: ode.propagate_dirac(W, m, t * m, x0, x1, (1.0, 0.5j), dense_xs=d),
-               stops)
+    _same_walk(lambda xs: ode.propagate_dirac(W, m, t * m, xs, (1.0, 0.5j)), stops)
 
 
 # W is one constant matrix on its support, so every Dirac piece is exact
@@ -559,13 +559,13 @@ dirac_ws = st.one_of(st.none(),
        st.lists(st.floats(-2.0, 5.0), max_size=6))
 def test_property_dirac_plans_hold_no_magnus_walk(W, m, xa, length, cuts):
     system, xb = ode._Dirac(W, m), xa + length
-    segs = system.segments(xa, xb, cuts)
+    stops = sorted({xa, xb, *(c for c in cuts if xa < c < xb)})
+    segs = system.segments(stops)
     plan = ode._Plan(system, [segs])
     assert plan.spans.size == 0 and plan.tiled and plan.p.shape == (len(segs), 2, 2)
     for (pa, pb, _), wp in zip(segs, plan.p):  # W's matrix on its support, zero off it
         assert np.array_equal(wp, W(0.5 * (pa + pb)) if W is not None else np.zeros((2, 2)))
-    stops = sorted({xa, xb, *(c for c in cuts if xa < c < xb)})
-    cells = [system.segments(pa, pb) for pa, pb in zip(stops, stops[1:])]
+    cells = [system.segments((pa, pb)) for pa, pb in zip(stops, stops[1:])]
     assert ode._Plan(system, cells).spans.size == 0
 
 
@@ -686,7 +686,7 @@ def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, len
     E = oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)
     assert _bits(T) == _bits([E @ np.eye(2)])
     system = ode._Dirac(W, m)
-    segs = system.segments(a, b)
+    segs = system.segments((a, b))
     assert ode._Plan(system, [segs]).tiled and not ode._Plan(system, [segs, []]).tiled
     padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0, 1)[:, 0]
     assert _bits(T) == _bits(padded)
@@ -702,7 +702,7 @@ def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
     T = ode.cell_transfers(V, lam, xs)
     assert _bits(T) == _bits(oracles.cells_reference(ode._Hill(V), lam, xs))
     system = ode._Hill(V)
-    cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
+    cells = [system.segments((xa, xb)) for xa, xb in zip(xs, xs[1:])]
     if len({len(cell) for cell in cells}) > 1:  # two cuts within 1e-15 of each other
         return
     assert ode._Plan(system, cells).tiled and not ode._Plan(system, cells + [[]]).tiled
@@ -732,7 +732,7 @@ def test_property_many_cell_product_is_each_cell_alone(coeffs, lo, widths, lams,
     # lambda up to 400 puts some walks of a group outside the disc and some inside
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
     xs = lo + np.cumsum([0.0, *widths])
-    cells = [system.segments(xa, xb) for xa, xb in zip(xs, xs[1:])]
+    cells = [system.segments((xa, xb)) for xa, xb in zip(xs, xs[1:])]
     lams = np.array(lams)
     together = ode._product(ode._Plan(system, cells), lams, density, 2)
     alone = [ode._product(ode._Plan(system, [cell]), lams, density, 2)[:, 0] for cell in cells]
@@ -787,8 +787,8 @@ def test_tol_1e13_certifies_under_the_step_cap(monkeypatch):
         assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
     Q = CompactPerturbation((-0.3, 0.9), PeriodicPotential.fourier(1.0, [0.5]))
     W = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0))
-    walks = [lambda: ode.propagate_hill(V, 40.0, -0.5, 2.0, (1.0, 0.0)),
-             lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, -1.0, 1.5, (0.4, -1.1)),
-             lambda: ode.propagate_dirac(W, 1.0, 0.2, -1.5, 1.5, (1.0, 0.5j))]
+    walks = [lambda: ode.propagate_hill(V, 40.0, [-0.5, 2.0], (1.0, 0.0))[-1],
+             lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, [-1.0, 1.5], (0.4, -1.1))[-1],
+             lambda: ode.propagate_dirac(W, 1.0, 0.2, [-1.5, 1.5], (1.0, 0.5j))[-1]]
     for walk in walks:
         assert np.all(np.isfinite(walk()))
