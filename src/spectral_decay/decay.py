@@ -28,7 +28,7 @@ import numpy as np
 
 from .bands import BandStructure, spectral_distance
 from .errors import (BandPointError, ClosedGap, DegenerateMatch, InsufficientApproach,
-                     InsufficientTail, PoorFit, ValidationError)
+                     InsufficientTail, PoorFit, StepFailure, ValidationError)
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
@@ -113,10 +113,15 @@ def normalize_and_fit(grid, pieces, b: float):
     normalize them.  ||psi||^2 is the trapezoid integral of sum_k |psi_k|^2,
     and the right tail is fitted from b + 1/2.
 
-    Returns (xs, psi / ||psi||, ||psi||, DecayFit).
+    Returns (xs, psi / ||psi||, ||psi||, DecayFit); StepFailure, before any
+    division, where ||psi|| is 0 or not finite: its squared samples under-
+    or overflow.
     """
     xs, psi = np.concatenate(grid), np.concatenate(pieces)
-    nrm = math.sqrt(np.trapezoid(np.sum(np.abs(psi.reshape(len(xs), -1)) ** 2, axis=1), xs))
+    with np.errstate(over="ignore", invalid="ignore"):  # fails typed below instead
+        nrm = math.sqrt(np.trapezoid(np.sum(np.abs(psi.reshape(len(xs), -1)) ** 2, axis=1), xs))
+    if not 0.0 < nrm < math.inf:
+        raise StepFailure(f"eigenfunction norm is {nrm}: its squared samples under- or overflow")
     psi = psi / nrm
     return xs, psi, nrm, fit_decay_rate(xs, psi, (b + 0.5, xs[-1]))
 

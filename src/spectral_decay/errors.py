@@ -15,8 +15,9 @@ class ValidationError(SpectralDecayError):
 
 class StepFailure(SpectralDecayError):
     """Propagation failed: lambda is nan, a transfer matrix or state
-    overflowed, no step count up to 2**17 met ode.TOL, or rounding of the
-    phase alone exceeds ode.TOL."""
+    overflowed, no step count up to 2**17 met ode.TOL, rounding of the
+    phase alone exceeds ode.TOL, or an eigenfunction's samples under- or
+    overflow its norm."""
 
 
 class BandPointError(SpectralDecayError):

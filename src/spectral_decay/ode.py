@@ -22,8 +22,11 @@ the same three samples instead.  All walks of a product with equally
 many steps are evaluated in one call.  The constant TOL sets the step
 count: it grows by powers of two until n and 2n steps agree to TOL
 relative to the transfer matrix, and the 2n-step product is kept with that
-difference as its error bound.  Before any product, one check names a nan
-lambda and rejects one whose phase rounding alone exceeds TOL.
+difference as its error bound.  Each round of that check is one product
+pass: the steps of n and 2n are taken in one call per walk group, and the
+two transfer matrices come out of one factor stack and one fold.  Before
+any product, one check names a nan lambda and rejects one whose phase
+rounding alone exceeds TOL.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
@@ -173,7 +176,8 @@ def _reduce(E: np.ndarray) -> np.ndarray:
     """E[..., -1, :, :] @ ... @ E[..., 0, :, :] of a stack (..., n, 2, 2), pairwise."""
     while E.shape[-3] > 1:
         n = E.shape[-3] - E.shape[-3] % 2
-        E = np.concatenate([E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :], E[..., n:, :, :]], axis=-3)
+        pairs = E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :]
+        E = pairs if n == E.shape[-3] else np.concatenate([pairs, E[..., n:, :, :]], axis=-3)
     return E[..., 0, :, :]
 
 
@@ -233,31 +237,29 @@ class _Hill:
 
     def exponents(self, x, h) -> np.ndarray:
         """(q, p0, p1, r0, r1) (5, 2, w, n) of the Magnus exponents [[p, q], [r, -p]],
-        p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w,) with Gauss
+        p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w, n) with Gauss
         nodes x (3, w, n): the sixth-order [:, 0] and fourth-order [:, 1] exponents
         of three Gauss samples (Blanes, Casas & Ros 2000) in closed form.  With
         A = [[0, 1], [u - lam, 0]] the samples differ only in their (1, 0) entry,
         so q has no lambda and the exponent is affine in lambda."""
         u1, u2, u3 = self.u(x)
-        h = h[:, None]
         a2, a3 = math.sqrt(15.0) / 3.0 * h * (u3 - u1), 10.0 / 3.0 * h * (u3 - 2.0 * u2 + u1)
         b2, b3 = h * h * a2 * a2 / 3600.0, h * a3 / 180.0
         # sixth order, with w = u2 - lam: p = p6 + pw w, r = r6 + rw w
         pw, rw = h * h * h * a2 / 180.0, h * (1.0 + b2 + b3)
         p6 = h * a2 * (h * a3 - 600.0) / 7200.0
         r6 = a3 / 12.0 + h * (a3 * a3 - 30.0 * a2 * a2) / 3600.0
-        one = np.ones_like(u2)
-        return np.array([[h * (1.0 + b2 - b3), h * one], [p6 + pw * u2, -h * a2 / 12.0],
-                         [-pw * one, 0.0 * one], [r6 + rw * u2, a3 / 12.0 + h * u2],
-                         [-rw * one, -h * one]])
+        return np.array([[h * (1.0 + b2 - b3), h], [p6 + pw * u2, -h * a2 / 12.0],
+                         [-pw, np.zeros_like(h)], [r6 + rw * u2, a3 / 12.0 + h * u2],
+                         [-rw, -h]])
 
     def steps(self, lams, h, coefficients) -> np.ndarray:
         """The Magnus step exponentials (k, w, n, 2, 2) of w walks of n steps of
-        lengths h (w,), from their exponents (self.exponents): the fourth-order
-        ones where a walk's steps leave the Magnus convergence disc, h rate(lam) > 1."""
+        lengths h (w, n), from their exponents (self.exponents): the fourth-order
+        ones where a step leaves the Magnus convergence disc, h rate(lam) > 1."""
         outside = np.multiply.outer(self.rate(lams), h) > 1.0
-        q, p0, p1, r0, r1 = coefficients[:, outside.astype(int), np.arange(len(h))] \
-            if outside.any() else coefficients[:, :1]
+        q, p0, p1, r0, r1 = np.where(outside, coefficients[:, 1, None], coefficients[:, 0, None]) \
+            if outside.any() else coefficients[:, 0]
         lam = lams[:, None, None]
         p, r = p0 + p1 * lam, r0 + r1 * lam
         C, S = _cs(-p * p - q * r, 1.0)  # det of the exponent
@@ -308,9 +310,9 @@ class _Plan:
     """The lambda-free lowering of a product of system over cells (segment
     lists): the (cell, depth) slot of each Magnus walk and exact piece, short
     cells behind identities, the lengths h and values p of the exact pieces,
-    and, per step density, the Magnus walks grouped by step count with the
-    lambda-free parts of their exponents (system.exponents), from which
-    system.steps forms each lambda's exponent."""
+    and, per step density and refinements, the Magnus walks grouped by step
+    count with the lambda-free parts of their exponents (system.exponents),
+    from which system.steps forms each lambda's exponent."""
 
     def __init__(self, system, cells):
         self.system = system
@@ -327,51 +329,63 @@ class _Plan:
         self.spans = self.magnus[:, 3] - self.magnus[:, 2]
         self.memo = {}
 
-    def walks(self, density, refine: int) -> list:
-        """(n, (j, i), h, coefficients) of the Magnus walks of n steps each, where
-        a walk takes refine * max(1, ceil(length * density)) steps: their slots,
-        step lengths h (w,) and system.exponents at their Gauss nodes.  Kept
-        under (density, refine) where they take at most _NODES steps in all."""
-        key = density, refine
+    def walks(self, density, refines) -> list:
+        """(n, (j, i), h, coefficients) of the Magnus walks of n = max(1,
+        ceil(length * density)) steps at refine 1: their slots, then the steps
+        of each refine of refines in turn, refine * n of length / (refine * n)
+        each, as step lengths h (w, s) and system.exponents at their Gauss
+        nodes (s is the sum of refine * n).  Kept under (density, refines)
+        where they take at most _NODES steps in all."""
+        key = density, refines
         if key in self.memo:
             return self.memo[key]
         j, i, pa, pb = self.magnus.T
-        steps = refine * np.maximum(1, np.ceil(self.spans * density)).astype(int)
+        steps = np.maximum(1, np.ceil(self.spans * density)).astype(int)
         groups = []
         for n in np.unique(steps).tolist():
             g = steps == n
-            h = (pb[g] - pa[g]) / n
-            x = pa[g][:, None] + h[:, None] * np.arange(n)
+            hs = [(refine * n, ((pb[g] - pa[g]) / (refine * n))[:, None]) for refine in refines]
+            h = np.concatenate([np.repeat(hr, m, axis=1) for m, hr in hs], axis=1)
+            x = np.concatenate([pa[g][:, None] + hr * np.arange(m) for m, hr in hs], axis=1)
             groups.append((n, (j[g].astype(int), i[g].astype(int)), h, self.system.exponents(
-                np.stack([x + c * h[:, None] for c in _GAUSS]), h)))
-        if steps.sum() <= _NODES:
+                np.stack([x + c * h for c in _GAUSS]), h)))
+        if sum(refines) * steps.sum() <= _NODES:
             self.memo[key] = groups
         return groups
 
 
-def _product(plan: _Plan, lams, density: float, refine: int) -> np.ndarray:
-    """Transfer matrices (k, c, 2, 2) over the c cells of plan for k lambdas.
+def _product(plan: _Plan, lams, density: float, refines) -> np.ndarray:
+    """Transfer matrices (k, r c, 2, 2) over the c cells of plan for k
+    lambdas: the c of each of the r refinements of refines in turn.
 
     A segment (pa, pb, p) is exact where p is given, else refine * max(1,
-    ceil(length * density)) Magnus steps; the walks of equally many steps
-    take them in one call.  Lambdas go in blocks of at most _BLOCK factor
-    matrices.
+    ceil(length * density)) Magnus steps.  The walks of equally many steps
+    at refine 1 take the steps of every refinement in one call, and the
+    refinements share one factor stack, a set of cells each, and one fold;
+    the exact pieces' exponentials are computed once for all sets.  Where
+    every slot is exact there is nothing to refine, and r is 1.  Lambdas go
+    in blocks of at most _BLOCK factor matrices, counted over every set.
     """
-    system, walks = plan.system, plan.walks(density, refine)
-    size = len(plan.h) + sum(n * len(h) for n, _, h, _ in walks) + plan.count * plan.depth
+    system, dtype = plan.system, plan.system.dtype(lams)
+    walks, sets = plan.walks(density, refines), 1 if plan.tiled else len(refines)
+    size = len(plan.h) + sum(h.size for _, _, h, _ in walks) + sets * plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
-    out = np.empty((len(lams), plan.count, 2, 2), dtype=system.dtype(lams))
+    out = np.empty((len(lams), sets * plan.count, 2, 2), dtype=dtype)
     for lo in range(0, len(lams), block):
         lb = lams[lo:lo + block]
         if plan.tiled:
             F = system.exact(lb, plan.p, plan.h).reshape(len(lb), plan.count, plan.depth, 2, 2)
         else:
-            F = np.empty((len(lb), plan.count, plan.depth, 2, 2), dtype=system.dtype(lams))
+            F = np.empty((len(lb), sets, plan.count, plan.depth, 2, 2), dtype=dtype)
             F[...] = _I2
             if len(plan.h):
-                F[:, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)
-            for _, (j, i), h, coefficients in walks:
-                F[:, j, i] = _reduce(system.steps(lb, h, coefficients))
+                F[:, :, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)[:, None]
+            for n, (j, i), h, coefficients in walks:
+                E, first = system.steps(lb, h, coefficients), 0
+                for r, refine in enumerate(refines):
+                    F[:, r, j, i] = _reduce(E[:, :, first:first + refine * n])
+                    first += refine * n
+            F = F.reshape(len(lb), sets * plan.count, plan.depth, 2, 2)
         out[lo:lo + block] = _fold(F)
     return out
 
@@ -393,42 +407,50 @@ def _certify(plan: _Plan, lams):
     """(T, density, err) per lambda: the product over the one cell of plan
     at refine 2, the Magnus step density at which it meets TOL (agrees with
     refine 1), and its error bound: that refine 1-vs-2 difference plus the
-    rounding of its m factors relative to max|T|.  Lambdas are grouped by
-    density.  Where every segment is exact, T is the closed form, density is
-    0 and err is None (certified_monodromy bounds the closed form itself)."""
+    rounding of its m factors relative to max|T|.  Each round is one
+    _product pass over refine 1 and 2 of its lambdas, or one a density
+    where they differ in density.  Where every segment is exact, T is the
+    closed form, density is 0 and err is None (certified_monodromy bounds
+    the closed form itself)."""
     system, k, length = plan.system, len(lams), plan.length
     if not plan.spans.size:
-        T = _finite(_product(plan, lams, 0, 1)[:, 0], "transfer matrix")
+        T = _finite(_product(plan, lams, 0, (1,))[:, 0], "transfer matrix")
         return T, np.zeros(k, dtype=int), None
 
-    density, spans = np.full(k, 8), plan.spans
+    density, spans, dtype = np.full(k, 8), plan.spans, system.dtype(lams)
 
-    def products(idx, refine):  # at density[idx], grouped
-        out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
-        for d in np.unique(density[idx]):
-            g = density[idx] == d
-            out[g] = _product(plan, lams[idx[g]], int(d), refine)[:, 0]
+    def refined(idx):  # (len(idx), 2, 2, 2): refine 1, then 2, at density[idx]
+        d = density[idx]
+        if d.size and d.min() == d.max():
+            return _product(plan, lams[idx], int(d[0]), (1, 2))
+        out = np.empty((len(idx), 2, 2, 2), dtype=dtype)
+        for x in np.unique(d):
+            g = d == x
+            out[g] = _product(plan, lams[idx[g]], int(x), (1, 2))
         return out
 
-    T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
+    T_out, diff_out, scale_out = np.empty((k, 2, 2), dtype=dtype), np.empty(k), np.empty(k)
     todo = np.arange(k)
-    T = _finite(products(todo, 1), "transfer matrix")
-    while todo.size:
-        T2 = products(todo, 2)
+    P = refined(todo)
+    _finite(P[:, 0], "transfer matrix")
+    while True:
+        T, T2 = P[:, 0], P[:, 1]
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
         scale = np.max(np.abs(T2), axis=(1, 2))
         ratio = _finite(diff / (TOL * np.maximum(1.0, scale)), "transfer matrix")
         ok = ratio <= 1.0
-        steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
-        T_out[todo[ok]] = T2[ok]
-        err[todo[ok]] = diff[ok] + _rounding(system, lams[todo[ok]], length,
-                                             len(plan.h) + steps, scale[ok])
+        done = todo[ok]
+        T_out[done], diff_out[done], scale_out[done] = T2[ok], diff[ok], scale[ok]
         todo, ratio = todo[~ok], ratio[~ok]
+        if not todo.size:
+            break
         density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / _ORDER)).astype(int)
-        if todo.size and 2 * density[todo].max() * length > _MAX_STEPS:
+        if 2 * density[todo].max() * length > _MAX_STEPS:
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {TOL}")
-        T = products(todo, 1)
-    return T_out, density, err
+        P = refined(todo)
+    steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density, spans))).sum(axis=1)
+    return T_out, density, diff_out + _rounding(system, lams, length, len(plan.h) + steps,
+                                                scale_out)
 
 
 def _check_phase(system, lams, xa: float, xb: float):
@@ -464,7 +486,7 @@ def _cells(system, lam, stops) -> np.ndarray:
     first = np.searchsorted([pa for pa, *_ in segs], xa).tolist()
     last = np.searchsorted([pb for _, pb, _ in segs], xb, side="right").tolist()
     cells = [segs[i:j] for i, j in zip(first, last)]
-    return np.concatenate([_product(_Plan(system, cells[i:i + _CELLS]), lams, density[0], 2)[0]
+    return np.concatenate([_product(_Plan(system, cells[i:i + _CELLS]), lams, density[0], (2,))[0]
                            for i in range(0, len(cells), _CELLS)])
 
 
@@ -564,7 +586,7 @@ def propagate_dirac(W, m: float, lam: float, xs, state) -> np.ndarray:
     return _walk(_Dirac(W, m), lam, xs, np.asarray(state, dtype=complex))
 
 
-def __getattr__(name):  # ode.solve_ivp, read by perfbench/spans.py until ROADMAP item 2
+def __getattr__(name):  # ode.solve_ivp, read by perfbench/spans.py until ROADMAP item 4
     if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.integrate import solve_ivp

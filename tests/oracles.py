@@ -13,7 +13,8 @@ one-start-at-a-time ascent, and the ellipticity margin scipy's own
 Nelder-Mead.  The Birman-Schwinger reference assembles the dense Nystrom
 matrix from the package's Floquet values and solves it densely, its
 Jacobi eigenvalues have a long-double Sturm-bisection reference, the
-cell transfer matrices have a lowering per cell, and the
+cell transfer matrices have a lowering per cell, a certification round
+has a product per refinement, and the
 band-scan reference finds band edges by pruned bisection without using
 the critical points of F.  Run
 this module directly to regenerate the frozen constants quoted in the
@@ -368,6 +369,45 @@ def sturm_bisection(d, e, indices, passes=64):
     return 0.5 * (lo + hi)
 
 
+def certify_reference(plan, lams):
+    """ode._certify with two products a round, one refinement each: refine 1
+    at the round's density, then refine 2.  The one-pass round must
+    reproduce its T, density and err bit for bit."""
+    system, k, length = plan.system, len(lams), plan.length
+    if not plan.spans.size:
+        T = ode._finite(ode._product(plan, lams, 0, (1,))[:, 0], "transfer matrix")
+        return T, np.zeros(k, dtype=int), None
+
+    density, spans = np.full(k, 8), plan.spans
+
+    def products(idx, refine):  # at density[idx], grouped
+        out = np.empty((len(idx), 2, 2), dtype=system.dtype(lams))
+        for d in np.unique(density[idx]):
+            g = density[idx] == d
+            out[g] = ode._product(plan, lams[idx[g]], int(d), (refine,))[:, 0]
+        return out
+
+    T_out, err = np.empty((k, 2, 2), dtype=system.dtype(lams)), np.empty(k)
+    todo = np.arange(k)
+    T = ode._finite(products(todo, 1), "transfer matrix")
+    while todo.size:
+        T2 = products(todo, 2)
+        diff = np.max(np.abs(T2 - T), axis=(1, 2))
+        scale = np.max(np.abs(T2), axis=(1, 2))
+        ratio = ode._finite(diff / (ode.TOL * np.maximum(1.0, scale)), "transfer matrix")
+        ok = ratio <= 1.0
+        steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
+        T_out[todo[ok]] = T2[ok]
+        err[todo[ok]] = diff[ok] + ode._rounding(system, lams[todo[ok]], length,
+                                                 len(plan.h) + steps, scale[ok])
+        todo, ratio = todo[~ok], ratio[~ok]
+        density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / ode._ORDER)).astype(int)
+        if todo.size and 2 * density[todo].max() * length > ode._MAX_STEPS:
+            raise ode.StepFailure(f"no step count up to {ode._MAX_STEPS} meets tol = {ode.TOL}")
+        T = products(todo, 1)
+    return T_out, density, err
+
+
 def cells_reference(system, lam, stops):
     """ode._cells with one lowering per cell: the range certified once, then
     each cell [min, max] of neighbouring stops segmented on its own.  The
@@ -381,7 +421,8 @@ def cells_reference(system, lam, stops):
         return np.array([T[0] if xa != xb else ode._I2 for xa, xb in cells])
     segs = [system.segments((xa, xb)) if xa != xb else [] for xa, xb in cells]
     return np.concatenate([ode._product(ode._Plan(system, segs[i:i + ode._CELLS]), lams,
-                                        density[0], 2)[0] for i in range(0, len(segs), ode._CELLS)])
+                                        density[0], (2,))[0]
+                           for i in range(0, len(segs), ode._CELLS)])
 
 
 def _collect_roots(f, a, b, fa, fb, slope_bound, depth, min_width):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,21 @@ def test_gap_eig_far_from_the_origin_fails_the_match_in_one_line(cfg, tmp_path):
     for status, err in _main_with_runtime_warnings_as_errors(argvs):
         assert status == 2 and len(err.splitlines()) == 1
         assert err.startswith("error: state does not match the decaying direction")
+
+
+def test_gap_eig_left_of_the_origin_fails_typed_with_warnings_as_errors(cfg, tmp_path, capsys):
+    # ROADMAP item 9, left side: y_- underflows at a = -302 and every squared
+    # sample with it, so the norm is 0; gap-eig divided by it and ended in a raw
+    # ZeroDivisionError traceback, exit 1, after three RuntimeWarnings
+    q = tmp_path / "left.json"
+    q.write_text(json.dumps(dict(BOX, support=[-302.0, -300.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["gap-eig", "--potential", cfg["zero"], "--perturbation", str(q),
+                       "--lambda=-4"])
+    err = capsys.readouterr().err
+    assert status in (0, 2)
+    assert status == 0 or len(err.splitlines()) == 1
 
 
 def test_dirac_eig_huge_mass_fails_typed_with_runtime_warnings_as_errors():

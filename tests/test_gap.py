@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from spectral_decay import gap, ode
 from spectral_decay.bands import band_edges
 from spectral_decay.errors import (BandPointError, DegenerateMatch, NoSignChange,
-                                   ValidationError)
+                                   StepFailure, ValidationError)
 from spectral_decay.floquet import discriminant, floquet_solutions
 from spectral_decay.gap import (birman_schwinger_spectrum, eigenfunction,
                                 matching_determinant, solve_coupling)
@@ -117,6 +117,21 @@ def test_a_long_support_at_the_origin_keeps_the_eigenpair():
     pair = eigenfunction(V0, Q, solve_coupling(V0, Q, -1.0), -1.0)
     assert math.isfinite(pair.c_plus) and math.isfinite(pair.c_minus)
     assert pair.fitted_delta == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateMatch, StepFailure),
+                   reason="ROADMAP item 9: y- is normalized at x = 0 and underflows far from it")
+def test_a_support_left_of_the_origin_keeps_the_eigenpair():
+    # supp Q = [-302, -300] has the coupling and tail rate of [0, 2]; there
+    # |y-(-302)| ~ 2e-263, every squared sample underflows and the norm is 0
+    pairs = []
+    for x0 in (0.0, -302.0):
+        Q = CompactPerturbation.box(x0, x0 + 2.0)
+        pairs.append(eigenfunction(V0, Q, solve_coupling(V0, Q, -4.0), -4.0))
+    near, far = pairs
+    assert math.isfinite(far.c_plus) and math.isfinite(far.c_minus)
+    assert far.alpha == pytest.approx(near.alpha, rel=1e-9)
+    assert far.fitted_delta == pytest.approx(near.fitted_delta, abs=1e-6)
 
 
 def test_solved_operator_has_fd_eigenvalue_near_lambda():

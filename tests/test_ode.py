@@ -275,7 +275,7 @@ def test_property_discriminant_translation_invariant(coeffs, lam, c):
 def test_property_magnus_is_sixth_order(coeffs, lam):
     system = ode._Hill(PeriodicPotential.fourier(*coeffs))
     plan = ode._Plan(system, [system.segments((0.0, 1.0))])
-    T32, T64, T128 = (ode._product(plan, np.array([lam]), n, 1)[0, 0] for n in (32, 64, 128))
+    T32, T64, T128 = (ode._product(plan, np.array([lam]), n, (1,))[0, 0] for n in (32, 64, 128))
     ratio = np.max(np.abs(T32 - T64)) / np.max(np.abs(T64 - T128))
     assert abs(math.log2(ratio) - 6.0) <= 0.25
 
@@ -522,6 +522,39 @@ def test_property_one_pass_cells_are_the_per_cell_lowering(V, Q, lam, data):
     _same_walk(lambda xs: ode.propagate_hill_perturbed(V, Q, 2.0, lam, xs, (0.3, 1.0)), stops)
 
 
+# a certification round takes refine 1 and 2 in one product pass: T, density
+# and err are those of two passes a round; the cuts of a smooth Q's support
+# leave cells of odd step counts at refine 1, and on piecewise V exact pieces
+# outside it
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(smooth_V, piecewise), st.one_of(st.none(), smooth_q), st.floats(-1.5, 0.5),
+       st.floats(0.3, 2.5), smooth_lams)
+def test_property_one_pass_round_is_two_products(V, Q, lo, length, lams):
+    system = ode._Hill(V, Q, 2.0)
+    for batch in (np.array(lams), np.array(lams) + 1j * floquet.CS_STEP):
+        plan, ref_plan = (ode._Plan(system, [system.segments((lo, lo + length))])
+                          for _ in range(2))
+        T, density, err = ode._certify(plan, batch)
+        T_ref, density_ref, err_ref = oracles.certify_reference(ref_plan, batch)
+        assert _bits(T) == _bits(T_ref)
+        assert np.array_equal(density, density_ref) and np.array_equal(err, err_ref)
+
+
+def test_two_round_certification_makes_two_products(monkeypatch):
+    # Mathieu at lambda = 3.7 meets TOL at density 64, after density 8: one
+    # product pass a round, both refinements in it
+    V, seen = PeriodicPotential.fourier(0.0, [2.0]), []
+    product = ode._product
+
+    def counted(*args):
+        seen.append(args[2:])
+        return product(*args)
+
+    monkeypatch.setattr(ode, "_product", counted)
+    ode.monodromy(V, 3.7)
+    assert seen == [(8, (1, 2)), (64, (1, 2))]
+
+
 # V - alpha Q on an exact segment is what the potentials evaluate at its
 # midpoint, bit for bit; Magnus segments are those inside a smooth Q's support
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -657,7 +690,7 @@ def test_kept_gauss_nodes_are_capped_and_change_no_bit(monkeypatch):
         M, err = ode.certified_monodromy(V, lams)
         assert _bits(M) == _bits(ref[0]) and _bits(err) == _bits(ref[1])
     plan = ode._unit_cell(id(V), V)
-    assert plan.memo and max(sum(n * len(h) for n, _, h, _ in walks)
+    assert plan.memo and max(sum(h.size for _, _, h, _ in walks)
                              for walks in plan.memo.values()) <= 64
 
 
@@ -688,7 +721,7 @@ def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, len
     system = ode._Dirac(W, m)
     segs = system.segments((a, b))
     assert ode._Plan(system, [segs]).tiled and not ode._Plan(system, [segs, []]).tiled
-    padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0, 1)[:, 0]
+    padded = ode._product(ode._Plan(system, [segs, []]), np.array([lam]), 0, (1,))[:, 0]
     assert _bits(T) == _bits(padded)
 
 
@@ -706,7 +739,7 @@ def test_property_unpadded_cells_are_the_padded_product(V, lam, per_cell, lo):
     if len({len(cell) for cell in cells}) > 1:  # two cuts within 1e-15 of each other
         return
     assert ode._Plan(system, cells).tiled and not ode._Plan(system, cells + [[]]).tiled
-    padded = ode._product(ode._Plan(system, cells + [[]]), np.array([lam]), 0, 2)[0, :-1]
+    padded = ode._product(ode._Plan(system, cells + [[]]), np.array([lam]), 0, (2,))[0, :-1]
     assert _bits(T) == _bits(padded)
 
 
@@ -734,8 +767,8 @@ def test_property_many_cell_product_is_each_cell_alone(coeffs, lo, widths, lams,
     xs = lo + np.cumsum([0.0, *widths])
     cells = [system.segments((xa, xb)) for xa, xb in zip(xs, xs[1:])]
     lams = np.array(lams)
-    together = ode._product(ode._Plan(system, cells), lams, density, 2)
-    alone = [ode._product(ode._Plan(system, [cell]), lams, density, 2)[:, 0] for cell in cells]
+    together = ode._product(ode._Plan(system, cells), lams, density, (2,))
+    alone = [ode._product(ode._Plan(system, [cell]), lams, density, (2,))[:, 0] for cell in cells]
     assert _bits(together) == _bits(np.stack(alone, axis=1))
 
 
@@ -759,8 +792,8 @@ def test_step_outside_the_convergence_disc_takes_the_fourth_order_exponent():
     pa, pb = np.array([0.0, 0.5]), np.array([0.5, 1.5])
     assert np.array_equal((pb - pa) / 4 * system.rate(lam) > 1.0, [False, True])
     plan = ode._Plan(system, [[(0.0, 0.5, None), (0.5, 1.5, None)]])
-    [(n, _, h, coefficients)] = plan.walks(0, 4)  # density 0: each walk takes refine = 4 steps
-    assert n == 4 and np.array_equal(h, (pb - pa) / 4)
+    [(n, _, h, coefficients)] = plan.walks(0, (4,))  # density 0: each walk takes refine = 4 steps
+    assert n == 1 and np.array_equal(h, np.repeat(((pb - pa) / 4)[:, None], 4, axis=1))
     E = system.steps(np.array([lam, 0.5]), h, coefficients)
     assert E.shape == (2, 2, 4, 2, 2)
     for i, order in enumerate([6, 4]):
