@@ -42,7 +42,6 @@ class BandStructure:
     # F' keeps its sign across some sample extremum's two grid cells: two
     # critical points lie too close to separate, so a gap may be missing
     incomplete: bool = False
-    scan_floor: float = float("nan")
 
     @property
     def lambda0(self) -> float:
@@ -77,7 +76,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
     hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
     if not hits.size:
-        return BandStructure((), lam_max, False, lam_min)
+        return BandStructure((), lam_max)
     i = hits[0]
     edges, incomplete = [edge(1.0, grid[i], Fs[i], grid[i + 1], Fs[i + 1])], False
 
@@ -116,7 +115,7 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
         while t * Fs[a] > 1.0:
             a -= 1
         edges.append(edge(t, grid[a], Fs[a], grid[a + 1], Fs[a + 1]))
-    return BandStructure(tuple(edges), lam_max, incomplete, lam_min)
+    return BandStructure(tuple(edges), lam_max, incomplete)
 
 
 def spectral_distance(bands: BandStructure, lam: float) -> float:

@@ -42,7 +42,6 @@ MATCH_TOL = 1e-6  # largest residual of an eigenfunction's match at the support 
 class DecayFit:
     delta_hat: float
     r_squared: float
-    window: tuple
 
 
 def _line_fit(x, y):
@@ -84,7 +83,7 @@ def fit_decay_rate(xs, values, window: tuple) -> DecayFit:
     r2 = r ** 2
     if r2 < R2_MIN:
         raise PoorFit(f"r^2 = {r2} below {R2_MIN}")
-    return DecayFit(delta_hat=-slope, r_squared=r2, window=(lo, hi))
+    return DecayFit(delta_hat=-slope, r_squared=r2)
 
 
 def sample_grid(a: float, b: float, tail: float):
@@ -139,9 +138,7 @@ def check_prop_H(V, lambda0: float, lam_grid) -> float:
 
 @dataclass(frozen=True)
 class EdgeAsymptotics:
-    edge: float
     Fprime_edge: float
-    lambdas: np.ndarray
     ratios: np.ndarray
     limit: float
 
@@ -171,13 +168,11 @@ def check_edge_asymptotics(V, edge: float, gap: tuple) -> EdgeAsymptotics:
     ratios = np.array(ratios)
     # leading error is O(sqrt|lam-edge|), halved per k step
     limit = 2.0 * ratios[-1] - ratios[-2]
-    return EdgeAsymptotics(edge=edge, Fprime_edge=fp, lambdas=lams,
-                           ratios=ratios, limit=limit)
+    return EdgeAsymptotics(Fprime_edge=fp, ratios=ratios, limit=limit)
 
 
 @dataclass(frozen=True)
 class FprimeResiduals:
-    lambdas: np.ndarray
     residuals: np.ndarray
     loglog_slope: float
 
@@ -198,7 +193,7 @@ def check_F_prime_asymptotics(V, lam_grid) -> FprimeResiduals:
         slope = _theil_sen(np.log(lams[good]), np.log(res[good]))
     else:
         slope = 0.0  # residual identically zero (exact free formula)
-    return FprimeResiduals(lambdas=lams, residuals=res, loglog_slope=slope)
+    return FprimeResiduals(residuals=res, loglog_slope=slope)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,6 @@ class CounterexampleWitness:
     gap_index: int = 0
     lam: float = float("nan")
     ratio: float = float("nan")
-    ratio_trace: tuple = ()
 
 
 def gap_ratio(V, bands: BandStructure, lam):
@@ -228,22 +222,18 @@ def counterexample_search(V, bands: BandStructure, eps: float) -> Counterexample
 
     Tries gap midpoints first, then a geometric edge-approach grid in
     each gap (near a simple edge the ratio tends to sqrt(2|F'(edge)|),
-    which decays along distant gaps).  NotFound is a valid outcome and
-    is reported with the midpoint ratio trace.
+    which decays along distant gaps).  NotFound (found=False) is a valid
+    outcome.
     """
-    trace = []
     mids = [0.5 * (a + b) for a, b in bands.gaps]
     for n, (mid, r) in enumerate(zip(mids, gap_ratio(V, bands, mids)), start=1):
-        trace.append((n, mid, r))
         if r < eps:
-            return CounterexampleWitness(found=True, gap_index=n, lam=mid,
-                                         ratio=r, ratio_trace=tuple(trace))
+            return CounterexampleWitness(found=True, gap_index=n, lam=mid, ratio=r)
     # edge-refined pass
     points = [(n, edge + sgn * (4.0 ** -k) * (b - a))
               for n, (a, b) in enumerate(bands.gaps, start=1)
               for edge, sgn in ((a, 1.0), (b, -1.0)) for k in range(1, 7)]
     for (n, lam), r in zip(points, gap_ratio(V, bands, [lam for _, lam in points])):
         if r < eps:
-            return CounterexampleWitness(found=True, gap_index=n, lam=lam,
-                                         ratio=r, ratio_trace=tuple(trace))
-    return CounterexampleWitness(found=False, ratio_trace=tuple(trace))
+            return CounterexampleWitness(found=True, gap_index=n, lam=lam, ratio=r)
+    return CounterexampleWitness(found=False)

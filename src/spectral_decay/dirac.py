@@ -31,7 +31,6 @@ _PLUS_MINUS_I = np.array([1j, -1j])
 
 @dataclass(frozen=True)
 class DiracEigenpair:
-    m: float
     lam: float
     xs: np.ndarray
     psi: np.ndarray          # (len(xs), 2) complex samples
@@ -79,19 +78,18 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam):
 
 
 def _scan(W: MatrixPerturbation, m: float, lams) -> np.ndarray:
-    """matching_determinant at lams, nan at the points it cannot represent: a
-    batch that fails goes again in halves, and fails itself where all do."""
+    """matching_determinant at lams in one batched call, then point by point
+    where it fails: nan at the points that fail, and the batch's StepFailure
+    where all do.  A batch's determinants are its stacked batches of one."""
     try:
         return matching_determinant(W, m, lams)
     except StepFailure:
-        if len(lams) == 1:
-            raise
-        half, dets = len(lams) // 2, np.full(len(lams), complex(np.nan, np.nan))
-        for part in (slice(None, half), slice(half, None)):
+        dets = np.full(len(lams), complex(np.nan, np.nan))
+        for i in range(len(lams)):
             try:
-                dets[part] = _scan(W, m, lams[part])
+                dets[i] = matching_determinant(W, m, lams[i:i + 1])[0]
             except StepFailure:
-                pass  # every point of the part fails: nan
+                pass  # the point fails: nan
         if np.isnan(dets).all():
             raise
         return dets
@@ -103,9 +101,10 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     Scans (-m, m) less 1e-9 m at each end in one batched determinant
     call, refines sign changes of Im(det) by Brent, and keeps only roots
     at which the full complex determinant vanishes (|det| below
-    VERIFY_REL times its scan scale).  Scan points whose determinant
-    overflows (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) are dropped,
-    with the cells next to them; StepFailure only where every point is.
+    VERIFY_REL times its scan scale).  Where the batch overflows
+    (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) the scan goes on point
+    by point, and the points that fail are dropped, with the cells next
+    to them; StepFailure only where every point fails.
     An empty list is a valid result.
     """
     ode.check_mass(m)
@@ -140,7 +139,7 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
     pieces = (np.exp(rate * (xs_left - a))[:, None] * dm[None, :], states[:-1],
               (c_plus * np.exp(-rate * (xs_right - b)))[:, None] * dp[None, :])
     xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
-    return DiracEigenpair(m=m, lam=lam, xs=xs, psi=psi, rate_exact=rate,
+    return DiracEigenpair(lam=lam, xs=xs, psi=psi, rate_exact=rate,
                           direction_plus=dp, direction_minus=dm,
                           fitted_delta=fit.delta_hat,
                           c_plus=c_plus / nrm, c_minus=complex(1.0 / nrm),

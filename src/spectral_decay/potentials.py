@@ -1,8 +1,8 @@
 """Periodic potentials and compactly supported perturbations.
 
-Two potential representations are supported: a finite Fourier series
-and a right-continuous step function on the unit cell (zero is the
-one-piece step 0).  Perturbations are stored through their square root G
+A potential is a FourierPotential (a finite Fourier series) or a
+PiecewisePotential (a right-continuous step function on the unit cell;
+zero is the one-piece step 0).  Perturbations are stored through their square root G
 (Q = G^2), so the Birman-Schwinger operator can be assembled without
 sign ambiguity.  All objects are immutable after construction.
 """
@@ -42,97 +42,89 @@ def _check_hermitian(a: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} must be Hermitian")
 
 
-@dataclass(frozen=True)
 class PeriodicPotential:
-    """A real 1-periodic potential V(x) = V(x+1).
-
-    kind is "fourier" or "piecewise".  The period is 1;
-    general periods T are handled by caller-side rescaling x -> x/T,
+    """A real 1-periodic potential V(x) = V(x+1): a FourierPotential or a
+    PiecewisePotential, built by zero, fourier or piecewise.  The period
+    is 1; general periods T are handled by caller-side rescaling x -> x/T,
     lambda -> T^2 lambda.
     """
 
-    kind: str
-    mean: float = 0.0
-    cos: tuple = ()
-    sin: tuple = ()
-    breaks: tuple = ()
-    values: tuple = ()
+    @staticmethod
+    def zero() -> "PiecewisePotential":
+        return PeriodicPotential.piecewise([0.0], [0.0])
+
+    @staticmethod
+    def fourier(mean=0.0, cos=(), sin=()) -> "FourierPotential":
+        return FourierPotential(float(mean), tuple(float(c) for c in cos),
+                                tuple(float(s) for s in sin))
+
+    @staticmethod
+    def piecewise(breaks, values) -> "PiecewisePotential":
+        return PiecewisePotential(tuple(float(b) for b in breaks),
+                                  tuple(float(v) for v in values))
+
+
+@dataclass(frozen=True)
+class FourierPotential(PeriodicPotential):
+    """V(x) = mean + sum_k cos[k-1] cos(2 pi k x) + sin[k-1] sin(2 pi k x)."""
+
+    mean: float
+    cos: tuple
+    sin: tuple
+    breaks = ()  # smooth: a lowering cuts it nowhere
+    is_piecewise_constant = False
 
     def __post_init__(self):
-        if self.kind not in ("fourier", "piecewise"):
-            raise ValidationError(f"unknown potential kind {self.kind!r}")
         _check_finite("mean", (self.mean,))
-        for name in ("cos", "sin", "breaks", "values"):
-            _check_finite(name, getattr(self, name))
-        if self.kind == "fourier" and (self.breaks or self.values):  # lowerings cut at breaks
-            raise ValidationError("a fourier potential takes no breaks or values")
-        if self.kind == "piecewise":
-            if self.mean or self.cos or self.sin:
-                raise ValidationError("a piecewise potential takes no mean, cos or sin")
-            br = self.breaks
-            if len(br) == 0 or br[0] != 0.0:
-                raise ValidationError("piecewise breakpoints must start at 0")
-            if any(b2 <= b1 for b1, b2 in zip(br, br[1:])):
-                raise ValidationError("breakpoints must be strictly increasing")
-            if br[-1] >= 1.0:
-                raise ValidationError("breakpoints must lie in [0, 1)")
-            if len(self.values) != len(br):
-                raise ValidationError("breaks and values must have equal length")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PeriodicPotential":
-        return cls.piecewise([0.0], [0.0])
-
-    @classmethod
-    def fourier(cls, mean=0.0, cos=(), sin=()) -> "PeriodicPotential":
-        return cls(kind="fourier", mean=float(mean),
-                   cos=tuple(float(c) for c in cos),
-                   sin=tuple(float(s) for s in sin))
-
-    @classmethod
-    def piecewise(cls, breaks, values) -> "PeriodicPotential":
-        return cls(kind="piecewise",
-                   breaks=tuple(float(b) for b in breaks),
-                   values=tuple(float(v) for v in values))
-
-    # -- evaluation ---------------------------------------------------
+        _check_finite("cos", self.cos)
+        _check_finite("sin", self.sin)
 
     def __call__(self, x):
-        """Evaluate V at x (scalar or array); 1-periodic."""
-        if self.kind == "fourier":
-            x = np.asarray(x, dtype=float)
-            out = np.full_like(x, self.mean)
-            for k, c in enumerate(self.cos, start=1):
-                out = out + c * np.cos(_TWO_PI * k * x)
-            for k, s in enumerate(self.sin, start=1):
-                out = out + s * np.sin(_TWO_PI * k * x)
-            return float(out) if out.ndim == 0 else out
-        # piecewise, right-continuous on [break_j, break_{j+1})
+        """Evaluate V at x (scalar or array)."""
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, self.mean)
+        for k, c in enumerate(self.cos, start=1):
+            out = out + c * np.cos(_TWO_PI * k * x)
+        for k, s in enumerate(self.sin, start=1):
+            out = out + s * np.sin(_TWO_PI * k * x)
+        return float(out) if out.ndim == 0 else out
+
+    def max_abs(self) -> float:
+        """Upper bound on max |V|."""
+        return abs(self.mean) + sum(abs(c) for c in self.cos) + sum(abs(s) for s in self.sin)
+
+
+@dataclass(frozen=True)
+class PiecewisePotential(PeriodicPotential):
+    """V = values[j] on [breaks[j], breaks[j+1]) in the unit cell, right-continuous."""
+
+    breaks: tuple
+    values: tuple
+    is_piecewise_constant = True
+
+    def __post_init__(self):
+        _check_finite("breaks", self.breaks)
+        _check_finite("values", self.values)
+        br = self.breaks
+        if len(br) == 0 or br[0] != 0.0:
+            raise ValidationError("piecewise breakpoints must start at 0")
+        if any(b2 <= b1 for b1, b2 in zip(br, br[1:])):
+            raise ValidationError("breakpoints must be strictly increasing")
+        if br[-1] >= 1.0:
+            raise ValidationError("breakpoints must lie in [0, 1)")
+        if len(self.values) != len(br):
+            raise ValidationError("breaks and values must have equal length")
+
+    def __call__(self, x):
+        """Evaluate V at x (scalar or array)."""
         frac = np.asarray(x, dtype=float) % 1.0
         idx = np.searchsorted(np.asarray(self.breaks), frac, side="right") - 1
         vals = np.asarray(self.values)[idx]
         return float(vals) if np.ndim(x) == 0 else vals
 
-    @property
-    def is_piecewise_constant(self) -> bool:
-        return self.kind == "piecewise"
-
     def max_abs(self) -> float:
-        """Upper bound on max |V| (exact for piecewise)."""
-        if self.kind == "piecewise":
-            return max(abs(v) for v in self.values)
-        return abs(self.mean) + sum(abs(c) for c in self.cos) + sum(abs(s) for s in self.sin)
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == "fourier":
-            return {"type": "fourier", "mean": self.mean,
-                    "cos": list(self.cos), "sin": list(self.sin)}
-        return {"type": "piecewise", "breaks": list(self.breaks),
-                "values": list(self.values)}
+        """max |V|."""
+        return max(abs(v) for v in self.values)
 
 
 def _is_number(v) -> bool:
@@ -200,7 +192,11 @@ class CompactPerturbation:
         g = np.asarray(self.profile(t), dtype=float)
         if np.any(g < 0):
             raise ValidationError("profile G must be nonnegative on the support")
-        if not np.any(g > 0):
+        with np.errstate(over="ignore"):  # fails typed below instead
+            q = g * g
+        if not np.isfinite(q).all():
+            raise ValidationError(f"profile G = {g.max()} is too large: Q = G * G overflows")
+        if not np.any(q > 0):
             raise ValidationError("Q must not be identically zero")
 
     @classmethod
@@ -227,9 +223,6 @@ class CompactPerturbation:
     @property
     def is_piecewise_constant(self) -> bool:
         return self.profile.is_piecewise_constant
-
-    def to_dict(self) -> dict:
-        return {"support": list(self.support), "profile": self.profile.to_dict()}
 
 
 def load_perturbation(doc: dict) -> CompactPerturbation:
@@ -276,8 +269,3 @@ class MatrixPerturbation:
         """W = -depth * I on the support (attractive for depth > 0)."""
         _check_finite("depth", (depth,))
         return cls.constant_matrix(-float(depth) * np.eye(2), support)
-
-    def __call__(self, x):
-        """W at the point x."""
-        a, b = self.support
-        return np.array(self.matrix if a <= x <= b else np.zeros((2, 2)), dtype=complex)

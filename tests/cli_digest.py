@@ -34,6 +34,9 @@ DOCS = {
                    "sin": [0.2, 0.4, 0.1]},
     "box01.json": {"support": [0.0, 1.0], "profile": BOX},
     "box11.json": {"support": [-1.0, 1.0], "profile": BOX},
+    "box013.json": {"support": [0.0, 1.3], "profile": BOX},
+    "tall01.json": {"support": [0.0, 1.0],
+                    "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e200]}},
     "smooth_q.json": {"support": [-0.5, 1.5],
                       "profile": {"type": "fourier", "mean": 1.0, "cos": [0.5], "sin": [0.2]}},
     "alpha.json": dump_symbol_system(dirac_alpha_system()),
@@ -70,6 +73,14 @@ def _runs():
     # narrow high gaps, down to 3.2e-4 (Mathieu) and 1.5e-4 (three) wide: inside one grid cell
     yield ["bands", "--potential", "mathieu.json", "--lambda-max", "100"]
     yield ["bands", "--potential", "three.json", "--lambda-max", "400"]
+    # supports whose length is no multiple of the 1/64 sample spacing: b is appended
+    yield ["gap-eig", "--potential", "zero.json", "--perturbation", "box013.json",
+           "--lambda=-1", "--samples-out", SAMPLES]
+    yield ["dirac-eig", "--mass", "1", "--depth", "0.5", "--support", "0", "1.3",
+           "--samples-out", SAMPLES]
+    # Q = G^2 = 1e400 overflows
+    yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "tall01.json",
+           "--lambda=-1"]
 
 
 def _digest(argv) -> str:

@@ -122,7 +122,8 @@ def rk4_dirac(Wval, m, lam, x0, x1, psi, h=1e-5):
 
 def dirac_coefficient(W, m, lam, x):
     """Matrix B(x) in psi' = B psi for -i s1 psi' + m s3 psi + W psi = lam psi."""
-    w = W(x) if W is not None else np.zeros((2, 2), dtype=complex)
+    inside = W is not None and W.support[0] <= x <= W.support[1]
+    w = np.array(W.matrix if inside else np.zeros((2, 2)), dtype=complex)
     return 1j * ode.SIGMA1 @ (lam * np.eye(2) - m * ode.SIGMA3 - w)
 
 
@@ -517,8 +518,7 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
     for a, b in zip(edges[:-1], edges[1:]):
         if abs(discriminant(V, 0.5 * (a + b))) > 1.0 + 10.0 * noise:
             gaps.append((a, b))
-    bands = BandStructure(edges=tuple(edges), scan_ceiling=lam_max, incomplete=incomplete,
-                          scan_floor=lam_min)
+    bands = BandStructure(edges=tuple(edges), scan_ceiling=lam_max, incomplete=incomplete)
     return bands, tuple(gaps)
 
 

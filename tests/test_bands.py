@@ -58,7 +58,7 @@ def test_free_scan_evaluation_count(monkeypatch):
         fn = getattr(bands, name)
         monkeypatch.setattr(bands, name, lambda *a, _fn=fn: calls.append(1) or _fn(*a))
     bs = band_edges(V0, 400.0)
-    grid_points = int(np.ceil((400.0 - bs.scan_floor) / DEFAULT_GRID_STEP)) + 1
+    grid_points = int(np.ceil((400.0 - (-V0.max_abs() - 1.0)) / DEFAULT_GRID_STEP)) + 1
     assert bs.edges == (0.0,) and bs.gaps == ()
     assert len(calls) <= grid_points + 100
 

@@ -569,6 +569,32 @@ def test_dirac_eig_huge_mass_fails_typed_with_runtime_warnings_as_errors():
         [2, "error: mass m = 1e+308 is too large: m * m overflows\n"]]
 
 
+def test_perturbation_whose_square_overflows_or_vanishes_fails_typed(cfg, tmp_path, capsys):
+    # Q = G^2 at G = 1e200 overflows and at G = 1e-200 underflows to 0: both
+    # fail where the perturbation is built, in one line and unwarned
+    errs = []
+    for height in (1e200, 1e-200):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"support": [0.0, 1.0], "profile": {
+            "type": "piecewise", "breaks": [0.0], "values": [height]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", str(q),
+                         "--lambda=-1"]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == ["error: profile G = 1e+200 is too large: Q = G * G overflows\n",
+                    "error: Q must not be identically zero\n"]
+
+
+def test_gap_eig_deep_below_the_spectrum_fails_on_the_cosh_overflow(cfg, tmp_path, capsys):
+    # V = 0 at lambda = -1e6: the closed-form cell transfer needs cosh(1000)
+    q = tmp_path / "box01.json"
+    q.write_text(json.dumps(dict(BOX, support=[0.0, 1.0])))
+    assert main(["gap-eig", "--potential", cfg["zero"], "--perturbation", str(q),
+                 "--lambda=-1e6"]) == 2
+    assert capsys.readouterr().err == "error: transfer matrix overflows (math range error)\n"
+
+
 def test_oversized_scan_names_an_integer_point_count(tmp_path, capsys):
     tall = tmp_path / "tall.json"
     tall.write_text(json.dumps({"type": "piecewise", "breaks": [0.0, 0.5], "values": [1e12, 0.0]}))

@@ -125,6 +125,19 @@ def test_counterexample_step_witness():
     assert w.ratio < 0.5
 
 
+def test_counterexample_witness_from_the_edge_pass(monkeypatch):
+    # with every midpoint ratio hidden, the witness is the first edge-approach
+    # point below eps: the step's gap 2 ratios fall to 0.0548 near its edges
+    bs = band_edges(STEP, 100.0)
+    mids, ratio = [0.5 * (a + b) for a, b in bs.gaps], decay.gap_ratio
+    monkeypatch.setattr(decay, "gap_ratio", lambda V, bands, lams: [
+        np.inf if lam in mids else r for lam, r in zip(lams, ratio(V, bands, lams))])
+    w = decay.counterexample_search(STEP, bs, 0.06)
+    a, b = bs.gaps[1]
+    assert w.found and w.gap_index == 2 and a < w.lam < b and w.lam != mids[1]
+    assert w.ratio == ratio(STEP, bs, w.lam) < 0.06
+
+
 @pytest.mark.parametrize("where", ["band", "lambda0", "gap-left-edge"])
 def test_gap_ratio_in_the_spectrum_fails_typed(where):
     # d(lambda) = 0 there, and ln rho / sqrt(d) would divide by zero

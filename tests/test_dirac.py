@@ -144,6 +144,17 @@ def test_eigenfunction_support_off_the_sample_grid():
     assert abs(pair.fitted_delta - pair.rate_exact) <= 0.01 * pair.rate_exact
 
 
+def test_eigenfunction_support_ending_between_samples():
+    # b = 1.3 = 83.2 sample steps: the support samples stop short of b, which
+    # is appended; the tail decays at exactly sqrt(m^2 - lambda^2)
+    W = MatrixPerturbation.scalar_well(0.5, (0.0, 1.3))
+    [lam] = dirac_gap_eigenvalues(W, 1.0)
+    pair = dirac_eigenfunction(W, 1.0, lam)
+    assert 1.3 in pair.xs and 83 / 64 in pair.xs
+    assert pair.rate_exact == math.sqrt(1.0 - lam * lam)
+    assert pair.fitted_delta == pytest.approx(pair.rate_exact, rel=1e-9)
+
+
 def test_eigenpair_reports_match_residual(well_pair):
     assert 0.0 <= well_pair.match_residual <= 1e-6
 
@@ -210,9 +221,12 @@ def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():
 
 
 def test_heavy_mass_scan_evaluates_the_grid_once(monkeypatch):
-    # the overflowing 400-point batch goes on in halves, not again whole
-    sizes, determinant = [], dirac.matching_determinant
+    # the overflowing 400-point batch goes on point by point, not again whole:
+    # 401 determinant calls in the scan
+    shapes, determinant = [], dirac.matching_determinant
     monkeypatch.setattr(dirac, "matching_determinant",
-                        lambda W, m, lam: sizes.append(np.size(lam)) or determinant(W, m, lam))
+                        lambda W, m, lam: shapes.append(np.shape(lam)) or determinant(W, m, lam))
     assert dirac_gap_eigenvalues(MatrixPerturbation.scalar_well(0.5, (0.0, 1.0)), 1000.0)
-    assert sizes[:3] == [dirac.N_SCAN, dirac.N_SCAN // 2, dirac.N_SCAN // 4]
+    scan = [s for s in shapes if s]  # refinement and the root check pass a scalar
+    assert scan == [(dirac.N_SCAN,)] + [(1,)] * dirac.N_SCAN
+    assert shapes[:len(scan)] == scan

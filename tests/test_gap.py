@@ -434,3 +434,12 @@ def test_eigenfunction_support_off_the_sample_grid():
     Q = CompactPerturbation.box(0.0, 1.37, 1.0)
     pair = eigenfunction(V, Q, solve_coupling(V, Q, lam), lam)
     assert abs(pair.fitted_delta - pair.ln_rho) <= 0.01 * pair.ln_rho
+
+
+def test_eigenfunction_support_ending_between_samples():
+    # b = 1.3 = 83.2 sample steps: the support samples stop short of b, which
+    # is appended; V = 0 at lambda = -1 decays at exactly rate 1
+    Q = CompactPerturbation.box(0.0, 1.3, 1.0)
+    pair = eigenfunction(V0, Q, solve_coupling(V0, Q, -1.0), -1.0)
+    assert 1.3 in pair.xs and 83 / 64 in pair.xs
+    assert pair.fitted_delta == pytest.approx(1.0, rel=1e-9)

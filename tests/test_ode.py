@@ -86,6 +86,13 @@ def test_phase_rounding_limit_follows_tol(V, walks, power, monkeypatch):
                 walk(V, lam)
 
 
+def test_no_step_count_up_to_the_limit_fails_typed(monkeypatch):
+    # the Mathieu cell needs more than 64 Magnus steps to meet TOL
+    monkeypatch.setattr(ode, "_MAX_STEPS", 64)
+    with pytest.raises(StepFailure, match="^no step count up to 64 meets tol = 1e-10$"):
+        ode.monodromy(MATHIEU, 1.0)
+
+
 def test_monodromy_free_closed_forms():
     M = ode.monodromy(V0, math.pi ** 2)
     assert np.allclose(M, [[-1.0, 0.0], [0.0, -1.0]], atol=1e-9)
@@ -597,7 +604,8 @@ def test_property_dirac_plans_hold_no_magnus_walk(W, m, xa, length, cuts):
     plan = ode._Plan(system, [segs])
     assert plan.spans.size == 0 and plan.tiled and plan.p.shape == (len(segs), 2, 2)
     for (pa, pb, _), wp in zip(segs, plan.p):  # W's matrix on its support, zero off it
-        assert np.array_equal(wp, W(0.5 * (pa + pb)) if W is not None else np.zeros((2, 2)))
+        inside = W is not None and W.support[0] <= 0.5 * (pa + pb) <= W.support[1]
+        assert np.array_equal(wp, W.matrix if inside else np.zeros((2, 2)))
     cells = [system.segments((pa, pb)) for pa, pb in zip(stops, stops[1:])]
     assert ode._Plan(system, cells).spans.size == 0
 

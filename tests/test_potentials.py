@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,22 +50,16 @@ def test_piecewise_validation():
         PeriodicPotential.piecewise([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         PeriodicPotential.piecewise([0.0, 0.5], [1.0])
-    with pytest.raises(ValidationError, match="no breaks"):  # Hill lowerings would cut there
-        PeriodicPotential("fourier", cos=(2.0,), breaks=(0.0, 0.37), values=(1.0, 2.0))
-    with pytest.raises(ValidationError, match="no mean, cos or sin"):  # they were ignored
-        PeriodicPotential("piecewise", mean=3.0, cos=(5.0,), breaks=(0.0,), values=(1.0,))
-    with pytest.raises(ValidationError, match="no mean, cos or sin"):
-        PeriodicPotential("piecewise", sin=(0.5,), breaks=(0.0,), values=(1.0,))
 
 
-def test_serialization_round_trip():
-    pots = [
-        PeriodicPotential.zero(),
-        PeriodicPotential.fourier(mean=1.5, cos=[1.0, 2.0], sin=[-0.5]),
-        PeriodicPotential.piecewise([0.0, 0.5], [10.0, 0.0]),
-    ]
-    for V in pots:
-        assert load_potential(V.to_dict()) == V
+def test_each_kind_holds_only_its_own_fields():
+    # one type per kind, so a field of the other kind cannot be given
+    pots = [PeriodicPotential.fourier(1.0, [2.0]), PeriodicPotential.zero()]
+    assert {type(V).__name__: [f.name for f in dataclasses.fields(V)] for V in pots} == {
+        "FourierPotential": ["mean", "cos", "sin"], "PiecewisePotential": ["breaks", "values"]}
+    with pytest.raises(TypeError):
+        type(pots[1])(breaks=(0.0,), values=(1.0,), mean=3.0)
+    assert all(isinstance(V, PeriodicPotential) for V in pots)
 
 
 def test_load_potential_schema_errors():
@@ -86,16 +83,22 @@ def test_box_perturbation():
     assert Q.g(-2.0) == 0.0
 
 
-def test_perturbation_round_trip():
-    Q = CompactPerturbation.box(0.0, 1.0, 1.0)
-    assert load_perturbation(Q.to_dict()).support == Q.support
-
-
 def test_perturbation_validation():
     with pytest.raises(ValidationError):
         CompactPerturbation.box(1.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         CompactPerturbation.box(0.0, 1.0, 0.0)  # identically zero
+    # Q = G^2 is checked at the samples of G: it must neither overflow nor vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^profile G = 1e\+200 is too large: Q = G \* G"):
+            CompactPerturbation.box(0.0, 1.0, 1e200)
+        with pytest.raises(ValidationError, match="^Q must not be identically zero"):
+            CompactPerturbation.box(0.0, 1.0, 1e-200)
+        with pytest.raises(ValidationError, match="overflows"):  # one sample is enough
+            CompactPerturbation((0.0, 1.0), PeriodicPotential.piecewise([0.0, 0.5],
+                                                                        [1.0, 1e160]))
+        assert CompactPerturbation.box(0.0, 1.0, 1e150).q(0.5) == 1e150 * 1e150
     # a 0.001-wide step between the 257 evenly spaced samples is seen at its break
     narrow = PeriodicPotential.piecewise([0.0, 0.5, 0.501], [0.0, 1.0, 0.0])
     assert CompactPerturbation((0.0, 1.0), narrow).q(0.5005) == 1.0
@@ -111,8 +114,7 @@ def test_perturbation_validation():
 
 def test_matrix_perturbation():
     W = MatrixPerturbation.scalar_well(0.5, (-1.0, 1.0))
-    assert np.allclose(W(0.0), -0.5 * np.eye(2))
-    assert np.allclose(W(2.0), np.zeros((2, 2)))
+    assert np.allclose(W.matrix, -0.5 * np.eye(2)) and W.support == (-1.0, 1.0)
     # a value: equal wells compare and hash equal, however the matrix is given
     same = MatrixPerturbation((-1.0, 1.0), ((-0.5, 0.0), (0.0, -0.5)))
     assert W == same and hash(W) == hash(same)
