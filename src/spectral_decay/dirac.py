@@ -78,18 +78,19 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam):
 
 
 def _scan(W: MatrixPerturbation, m: float, lams) -> np.ndarray:
-    """matching_determinant at lams in one batched call, then point by point
-    where it fails: nan at the points that fail, and the batch's StepFailure
-    where all do.  A batch's determinants are its stacked batches of one."""
+    """matching_determinant at lams, nan at the points it cannot represent: a
+    batch that fails goes again in halves, and fails itself where all do."""
     try:
         return matching_determinant(W, m, lams)
     except StepFailure:
-        dets = np.full(len(lams), complex(np.nan, np.nan))
-        for i in range(len(lams)):
+        if len(lams) == 1:
+            raise
+        half, dets = len(lams) // 2, np.full(len(lams), complex(np.nan, np.nan))
+        for part in (slice(None, half), slice(half, None)):
             try:
-                dets[i] = matching_determinant(W, m, lams[i:i + 1])[0]
+                dets[part] = _scan(W, m, lams[part])
             except StepFailure:
-                pass  # the point fails: nan
+                pass  # every point of the part fails: nan
         if np.isnan(dets).all():
             raise
         return dets
@@ -101,10 +102,9 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     Scans (-m, m) less 1e-9 m at each end in one batched determinant
     call, refines sign changes of Im(det) by Brent, and keeps only roots
     at which the full complex determinant vanishes (|det| below
-    VERIFY_REL times its scan scale).  Where the batch overflows
-    (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) the scan goes on point
-    by point, and the points that fail are dropped, with the cells next
-    to them; StepFailure only where every point fails.
+    VERIFY_REL times its scan scale).  Scan points whose determinant
+    overflows (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) are dropped,
+    with the cells next to them; StepFailure only where every point is.
     An empty list is a valid result.
     """
     ode.check_mass(m)

@@ -192,11 +192,10 @@ class CompactPerturbation:
         g = np.asarray(self.profile(t), dtype=float)
         if np.any(g < 0):
             raise ValidationError("profile G must be nonnegative on the support")
-        with np.errstate(over="ignore"):  # fails typed below instead
-            q = g * g
-        if not np.isfinite(q).all():
-            raise ValidationError(f"profile G = {g.max()} is too large: Q = G * G overflows")
-        if not np.any(q > 0):
+        bound = self.profile.max_abs()  # |G| between the samples too
+        if not math.isfinite(bound * bound):
+            raise ValidationError(f"profile |G| <= {bound} is too large: Q = G * G overflows")
+        if not np.any(g * g > 0):
             raise ValidationError("Q must not be identically zero")
 
     @classmethod

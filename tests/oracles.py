@@ -120,11 +120,15 @@ def rk4_dirac(Wval, m, lam, x0, x1, psi, h=1e-5):
     return s
 
 
+def w_at(W, x):
+    """W(x): W's matrix on its support, zero off it and for W = None."""
+    inside = W is not None and W.support[0] <= x <= W.support[1]
+    return np.array(W.matrix if inside else np.zeros((2, 2)), dtype=complex)
+
+
 def dirac_coefficient(W, m, lam, x):
     """Matrix B(x) in psi' = B psi for -i s1 psi' + m s3 psi + W psi = lam psi."""
-    inside = W is not None and W.support[0] <= x <= W.support[1]
-    w = np.array(W.matrix if inside else np.zeros((2, 2)), dtype=complex)
-    return 1j * ode.SIGMA1 @ (lam * np.eye(2) - m * ode.SIGMA3 - w)
+    return 1j * ode.SIGMA1 @ (lam * np.eye(2) - m * ode.SIGMA3 - w_at(W, x))
 
 
 def dirac_exponential(W, m, lam, x, h):

@@ -582,7 +582,7 @@ def test_perturbation_whose_square_overflows_or_vanishes_fails_typed(cfg, tmp_pa
             assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", str(q),
                          "--lambda=-1"]) == 2
         errs.append(capsys.readouterr().err)
-    assert errs == ["error: profile G = 1e+200 is too large: Q = G * G overflows\n",
+    assert errs == ["error: profile |G| <= 1e+200 is too large: Q = G * G overflows\n",
                     "error: Q must not be identically zero\n"]
 
 

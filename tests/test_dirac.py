@@ -221,12 +221,23 @@ def test_overflowing_lambda_anywhere_in_a_batch_fails_like_the_scalar():
 
 
 def test_heavy_mass_scan_evaluates_the_grid_once(monkeypatch):
-    # the overflowing 400-point batch goes on point by point, not again whole:
-    # 401 determinant calls in the scan
-    shapes, determinant = [], dirac.matching_determinant
+    # the overflowing 400-point batch goes on in halves, not again whole
+    sizes, determinant = [], dirac.matching_determinant
     monkeypatch.setattr(dirac, "matching_determinant",
-                        lambda W, m, lam: shapes.append(np.shape(lam)) or determinant(W, m, lam))
+                        lambda W, m, lam: sizes.append(np.size(lam)) or determinant(W, m, lam))
     assert dirac_gap_eigenvalues(MatrixPerturbation.scalar_well(0.5, (0.0, 1.0)), 1000.0)
-    scan = [s for s in shapes if s]  # refinement and the root check pass a scalar
-    assert scan == [(dirac.N_SCAN,)] + [(1,)] * dirac.N_SCAN
-    assert shapes[:len(scan)] == scan
+    assert sizes[:3] == [dirac.N_SCAN, dirac.N_SCAN // 2, dirac.N_SCAN // 4]
+
+
+def test_scan_just_past_the_overflow_makes_fewer_calls_than_points(monkeypatch):
+    # m = 720 on a unit support: 67 of the 400 points overflow, and the
+    # halving reaches them in 153 determinant calls, where going point by
+    # point after the failed batch would take 401
+    calls, determinant = [], dirac.matching_determinant
+    monkeypatch.setattr(dirac, "matching_determinant",
+                        lambda W, m, lam: calls.append(np.size(lam)) or determinant(W, m, lam))
+    m = 720.0
+    grid = np.linspace(-m + 1e-9 * m, m - 1e-9 * m, dirac.N_SCAN)
+    dets = dirac._scan(MatrixPerturbation.scalar_well(0.5, (0.0, 1.0)), m, grid)
+    assert np.isnan(dets).sum() == 67
+    assert len(calls) == 153 < dirac.N_SCAN + 1

@@ -88,17 +88,25 @@ def test_perturbation_validation():
         CompactPerturbation.box(1.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         CompactPerturbation.box(0.0, 1.0, 0.0)  # identically zero
-    # Q = G^2 is checked at the samples of G: it must neither overflow nor vanish
+    # Q = G^2 must not overflow anywhere (checked on max |G|) nor vanish at
+    # every sample of G
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=r"^profile G = 1e\+200 is too large: Q = G \* G"):
+        with pytest.raises(ValidationError, match=r"^profile \|G\| <= 1e\+200 is too large: Q = G \* G"):
             CompactPerturbation.box(0.0, 1.0, 1e200)
         with pytest.raises(ValidationError, match="^Q must not be identically zero"):
             CompactPerturbation.box(0.0, 1.0, 1e-200)
-        with pytest.raises(ValidationError, match="overflows"):  # one sample is enough
+        with pytest.raises(ValidationError, match="overflows"):  # one piece is enough
             CompactPerturbation((0.0, 1.0), PeriodicPotential.piecewise([0.0, 0.5],
                                                                         [1.0, 1e160]))
         assert CompactPerturbation.box(0.0, 1.0, 1e150).q(0.5) == 1e150 * 1e150
+        # G = c (1 + sin 2 pi x) peaks at 1/4, between the samples k/257: it
+        # squares to a finite number at every sample and overflows at the peak
+        G = PeriodicPotential.fourier(mean=6.70395e153, sin=[6.70395e153])
+        assert np.isfinite(G(np.arange(257) / 257) ** 2).all()
+        assert G(0.25) * G(0.25) == float("inf")
+        with pytest.raises(ValidationError, match="overflows"):
+            CompactPerturbation((0.0, 1.0), G)
     # a 0.001-wide step between the 257 evenly spaced samples is seen at its break
     narrow = PeriodicPotential.piecewise([0.0, 0.5, 0.501], [0.0, 1.0, 0.0])
     assert CompactPerturbation((0.0, 1.0), narrow).q(0.5005) == 1.0
