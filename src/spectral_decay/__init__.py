@@ -14,7 +14,7 @@ from .bands import BandStructure, band_edges, spectral_distance
 from .symbols import SymbolSystem, SymbolReport, dirac_alpha_system, gamma, \
     pauli_system, symbol
 from .gap import BSSpectrum, GapEigenpair, birman_schwinger_spectrum, \
-    eigenfunction, matching_determinant, solve_coupling
+    eigenfunction, solve_coupling
 from .dirac import DiracEigenpair, dirac_eigenfunction, dirac_gap_eigenvalues, \
     dirac_tail
 from .decay import (

@@ -35,11 +35,7 @@ class DiracEigenpair:
     xs: np.ndarray
     psi: np.ndarray          # (len(xs), 2) complex samples
     rate_exact: float        # sqrt(m^2 - lambda^2)
-    direction_plus: np.ndarray
-    direction_minus: np.ndarray
     fitted_delta: float
-    c_plus: complex
-    c_minus: complex
     match_residual: float    # |psi(b) - c_plus d_plus| / |psi(b)| at the right support edge
 
 
@@ -138,9 +134,6 @@ def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEig
 
     pieces = (np.exp(rate * (xs_left - a))[:, None] * dm[None, :], states[:-1],
               (c_plus * np.exp(-rate * (xs_right - b)))[:, None] * dp[None, :])
-    xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
+    xs, psi, _, fit = decay.normalize_and_fit(grid, pieces, b)
     return DiracEigenpair(lam=lam, xs=xs, psi=psi, rate_exact=rate,
-                          direction_plus=dp, direction_minus=dm,
-                          fitted_delta=fit.delta_hat,
-                          c_plus=c_plus / nrm, c_minus=complex(1.0 / nrm),
-                          match_residual=mismatch)
+                          fitted_delta=fit.delta_hat, match_residual=mismatch)

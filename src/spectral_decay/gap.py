@@ -23,6 +23,8 @@ the Jacobi inverse J_{i,i+1} = -s_i s_{i+1}/T_i[0,1], J_ii = s_i^2 (L_i + R_i)
 with L_i = T_{i-1}[1,1]/T_{i-1}[0,1] and R_i = T_i[0,0]/T_i[0,1], closed by
 the decay conditions L_0 = y_-'/y_-(x_0) and R_{N-1} = -y_+'/y_+(x_{N-1}).
 Its eigenvalues are the couplings alpha: O(N) memory, rounding ~eps/h^2.
+G is scaled first by the power of two c that puts max cG in [1/2, 1), so the
+entries of J and their squares stay in range at every scale of Q; mu = c^2 mu_c.
 Only the count largest |mu|, the couplings nearest 0, are computed: the
 negative pivots of the LDL^T factorization of J count its negative
 eigenvalues neg (a Sturm count, O(N)), and bisection at dstebz's finest
@@ -85,15 +87,6 @@ def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ends) -> float:
     """Wronskian of y_- pushed through supp Q with y_+ at b, from _end_states."""
     _, ym, yp = ends
     return ode.wronskian(ode.propagate_hill_perturbed(V, Q, alpha, lam, Q.support, ym)[-1], yp)
-
-
-def matching_determinant(V, Q: CompactPerturbation, alpha: float, lam: float) -> float:
-    """Wronskian of (y_- propagated through supp Q) with y_+ at b.
-
-    Zero iff lambda is an eigenvalue of H_alpha.  Raises BandPointError
-    when lambda is not a regular point of H.
-    """
-    return _shoot(V, Q, alpha, lam, _end_states(V, Q, lam))
 
 
 def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
@@ -170,12 +163,13 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
         if np.any(t01[np.diff(keep) == 1] <= 0.0):
             raise ValidationError(f"grid_size = {grid_size} leaves less than one node per "
                                   f"half-wavelength at lambda = {lam}")
-        s = 1.0 / (np.sqrt(w[keep]) * g[keep])
+        c = math.ldexp(1.0, -math.frexp(g[keep].max())[1])
+        s = 1.0 / (np.sqrt(w[keep]) * (c * g[keep]))
         left = np.append(sm[1] / sm[0], T[:, 1, 1] / t01)
         right = np.append(T[:, 0, 0] / t01, -sp[1] / sp[0])
         top = np.sort(1.0 / _nearest_zero(s * s * (left + right), -s[:-1] * s[1:] / t01, count))
         top = top[np.argsort(-np.abs(top), kind="stable")][:count]
-        mu[:len(top)] = top
+        mu[:len(top)] = top / (c * c)  # exact: c is a power of two
     return BSSpectrum(lam=lam, mu=mu, grid_size=grid_size)
 
 

@@ -260,11 +260,8 @@ class MatrixPerturbation:
         object.__setattr__(self, "matrix", tuple(map(tuple, w.tolist())))
 
     @classmethod
-    def constant_matrix(cls, matrix, support) -> "MatrixPerturbation":
-        return cls(support=(float(support[0]), float(support[1])), matrix=matrix)
-
-    @classmethod
     def scalar_well(cls, depth: float, support) -> "MatrixPerturbation":
         """W = -depth * I on the support (attractive for depth > 0)."""
         _check_finite("depth", (depth,))
-        return cls.constant_matrix(-float(depth) * np.eye(2), support)
+        return cls(support=(float(support[0]), float(support[1])),
+                   matrix=-float(depth) * np.eye(2))

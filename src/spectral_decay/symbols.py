@@ -268,7 +268,7 @@ def dirac_alpha_system() -> SymbolSystem:
     return SymbolSystem(matrices=tuple(mats))
 
 
-def pauli_system(indices=(1, 2)) -> SymbolSystem:
+def pauli_system(indices) -> SymbolSystem:
     """A system built from a selection of Pauli matrices (1-based)."""
     return SymbolSystem(matrices=tuple(PAULI[i - 1] for i in indices))
 

@@ -23,7 +23,6 @@ from . import decay, gap
 from .bands import band_edges, spectral_distance
 from .dirac import dirac_eigenfunction, dirac_gap_eigenvalues
 from .errors import ValidationError
-from .floquet import discriminant, multiplicator
 from .potentials import CompactPerturbation, MatrixPerturbation, PeriodicPotential
 from .roots import brent
 from .symbols import gamma, pauli_system
@@ -55,11 +54,9 @@ def _case(name, inputs, measured, expected, bound, ok):
 
 def suite_propH():
     """Sub-spectrum decay inequality; equality case for the free operator."""
-    lams = np.linspace(-10.0, -0.01, 500)
-    err = max(abs(math.log(multiplicator(F)) ** 2 - (-l))
-              for l, F in zip(lams, discriminant(_FREE, lams)))
+    err = np.abs(decay.check_prop_H(_FREE, 0.0, np.linspace(-10.0, -0.01, 500))).max()
     lam0 = band_edges(_MATHIEU, 5.0).lambda0
-    margin = decay.check_prop_H(_MATHIEU, lam0, np.linspace(lam0 - 10.0, lam0 - 1e-4, 200))
+    margin = decay.check_prop_H(_MATHIEU, lam0, np.linspace(lam0 - 10.0, lam0 - 1e-4, 200)).min()
     return [_case("free-equality", {"lambda_range": [-10.0, -0.01], "points": 500},
                   err, 0.0, 1e-8, err <= 1e-8),
             _case("inequality-below-lambda0",
@@ -75,8 +72,8 @@ def suite_edge_asymptotics():
                       "an open first gap", None, False)]
     g = bs.gaps[0]
     cases = []
-    for label, edge in (("lower-edge", g[0]), ("upper-edge", g[1])):
-        ea = decay.check_edge_asymptotics(_MATHIEU, edge, g)
+    for label, edge, other in (("lower-edge", g[0], g[1]), ("upper-edge", g[1], g[0])):
+        ea = decay.check_edge_asymptotics(_MATHIEU, edge, other)
         cases.append(_case(label, {"edge": edge, "gap": g},
                            {"limit": ea.limit, "ratios": ea.ratios},
                            1.0, 1e-3, abs(ea.limit - 1.0) <= 1e-3))
@@ -150,7 +147,7 @@ def suite_counterexample():
                    len(ratios) >= 6 and inversions <= 1)]
 
     w = decay.counterexample_search(_STEP, bs, 0.5)
-    if not w.found:
+    if w is None:
         return cases + [_case("witness", {"epsilon": 0.5}, None,
                               "ratio < 0.5 in some gap", None, False)]
     cases.append(_case("witness", {"epsilon": 0.5},

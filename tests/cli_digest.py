@@ -37,6 +37,10 @@ DOCS = {
     "box013.json": {"support": [0.0, 1.3], "profile": BOX},
     "tall01.json": {"support": [0.0, 1.0],
                     "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e200]}},
+    "huge01.json": {"support": [0.0, 1.0],
+                    "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e150]}},
+    "tiny01.json": {"support": [0.0, 1.0],
+                    "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e-100]}},
     "smooth_q.json": {"support": [-0.5, 1.5],
                       "profile": {"type": "fourier", "mean": 1.0, "cos": [0.5], "sin": [0.2]}},
     "alpha.json": dump_symbol_system(dirac_alpha_system()),
@@ -81,6 +85,10 @@ def _runs():
     # Q = G^2 = 1e400 overflows
     yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "tall01.json",
            "--lambda=-1"]
+    # Q = G^2 = 1e300 and 1e-200: the couplings of G = 1 over G^2
+    for q in ("huge01", "tiny01"):
+        yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", f"{q}.json",
+               "--lambda=-1"]
 
 
 def _digest(argv) -> str:

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from spectral_decay import cli, verify
 from spectral_decay.bands import band_edges
 from spectral_decay.cli import main
-from spectral_decay.decay import CounterexampleWitness
 from spectral_decay.errors import ValidationError
 from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma)
@@ -192,7 +191,7 @@ def _no_gaps(V, lam_max):
     ("theorem2-dirac", "spectral_decay.verify.dirac_gap_eigenvalues",
      lambda W, m: [], "no-eigenvalue"),
     ("counterexample", "spectral_decay.decay.counterexample_search",
-     lambda V, bs, eps: CounterexampleWitness(found=False), "witness"),
+     lambda V, bs, eps: None, "witness"),
 ], ids=["edge-asymptotics", "theorem2-dirac", "counterexample"])
 def test_verify_fails_when_its_anchor_loses_its_answer(monkeypatch, tmp_path, suite,
                                                        target, lost, case):
@@ -340,6 +339,7 @@ def test_overflow_fails_typed(kind, lam, cfg, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bands", "--potential", "zero", "--lambda-max", "inf"],
+    ["bands", "--potential", "zero", "--lambda-max", "abc"],
     ["bands", "--potential", "zero", "--lambda-max", "5", "--grid-step", "nan"],
     ["discriminant", "--potential", "mathieu", "--lambda-range", "nan:1:2"],
     ["discriminant", "--potential", "mathieu", "--lambda-range", "inf:inf:1"],
@@ -349,8 +349,8 @@ def test_overflow_fails_typed(kind, lam, cfg, capsys):
     ["dirac-eig", "--mass", "inf", "--depth", "0.5"],
     ["dirac-eig", "--mass", "1", "--depth", "nan"],
     ["dirac-eig", "--mass", "1", "--depth", "0.5", "--support", "-1", "inf"],
-], ids=["lambda-max", "grid-step", "range-start", "range-inf", "range-stop", "gap-eig-lambda",
-        "bs-lambda", "mass", "depth", "support"])
+], ids=["lambda-max", "lambda-max-text", "grid-step", "range-start", "range-inf", "range-stop",
+        "gap-eig-lambda", "bs-lambda", "mass", "depth", "support"])
 def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
     def never(*args, **kwargs):
         pytest.fail("compute step reached with a non-finite argument")
@@ -362,6 +362,15 @@ def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
         monkeypatch.setattr(cli.gap, name, never)
     assert main([cfg.get(a, a) for a in argv]) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0:1", "range must be start:stop:count, got '0:1'"),
+    ("0:1:0", "range count must be >= 1"),
+], ids=["two-fields", "zero-count"])
+def test_malformed_lambda_range_rejected(spec, message, cfg, capsys):
+    assert main(["discriminant", "--potential", cfg["zero"], f"--lambda-range={spec}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [
@@ -584,6 +593,23 @@ def test_perturbation_whose_square_overflows_or_vanishes_fails_typed(cfg, tmp_pa
         errs.append(capsys.readouterr().err)
     assert errs == ["error: profile |G| <= 1e+200 is too large: Q = G * G overflows\n",
                     "error: Q must not be identically zero\n"]
+
+
+def test_bs_spectrum_keeps_its_couplings_far_from_unit_scale(cfg, tmp_path, capsys):
+    # the couplings of G are those of G = 1 over G^2: the Jacobi entries, which
+    # scale as 1/G^2, are brought to G ~ 1 before their squares are formed
+    for height in (1e150, 1e-100):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"support": [0.0, 1.0], "profile": {
+            "type": "piecewise", "breaks": [0.0], "values": [height]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", str(q),
+                         "--lambda=-1"]) == 0
+        out = capsys.readouterr()
+        alphas = [float(a) for a in json.loads(out.out)["alpha"]]
+        assert out.err == "" and len(set(alphas)) == len(alphas) == 8
+        assert alphas[0] * height * height == pytest.approx(2.7070529859047383, rel=2.5e-10)
 
 
 def test_gap_eig_deep_below_the_spectrum_fails_on_the_cosh_overflow(cfg, tmp_path, capsys):

@@ -6,8 +6,8 @@ from scipy import stats
 
 from spectral_decay import decay
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import (BandPointError, InsufficientApproach, InsufficientTail,
-                                   PoorFit, ValidationError)
+from spectral_decay.errors import (BandPointError, ClosedGap, InsufficientApproach,
+                                   InsufficientTail, PoorFit, ValidationError)
 from spectral_decay.potentials import PeriodicPotential
 
 V0 = PeriodicPotential.zero()
@@ -40,6 +40,13 @@ def test_fit_errors():
         decay.fit_decay_rate(xs, noisy, (10.0, 20.0))
 
 
+def test_fit_rejects_a_tail_that_vanishes_in_its_window():
+    # log|psi| of a zero sample is -inf: no line can be fitted through it
+    xs = np.arange(0.0, 20.0, 0.01)
+    with pytest.raises(InsufficientTail, match="vanishes"):
+        decay.fit_decay_rate(xs, np.where(xs < 15.0, np.exp(-xs), 0.0), (10.0, 20.0))
+
+
 def test_fit_rejects_flat_tail():
     # a constant |psi| has no correlation to fit: r is undefined, not a pass
     xs = np.arange(0.0, 20.0, 0.01)
@@ -67,14 +74,15 @@ def test_property_fits_equal_scipy_stats(points):
 
 
 def test_prop_h_free_equality():
-    worst = decay.check_prop_H(V0, 0.0, np.linspace(-10.0, -0.01, 100))
-    assert abs(worst) <= 1e-8
+    margins = decay.check_prop_H(V0, 0.0, np.linspace(-10.0, -0.01, 100))
+    assert margins.shape == (100,)
+    assert np.max(np.abs(margins)) <= 1e-8
 
 
 def test_prop_h_mathieu_inequality():
     lam0 = band_edges(MATHIEU, 5.0).lambda0
-    worst = decay.check_prop_H(MATHIEU, lam0, np.linspace(lam0 - 10.0, lam0 - 1e-4, 80))
-    assert worst >= -1e-8
+    margins = decay.check_prop_H(MATHIEU, lam0, np.linspace(lam0 - 10.0, lam0 - 1e-4, 80))
+    assert margins.min() >= -1e-8
 
 
 def test_prop_h_rejects_points_above():
@@ -84,22 +92,29 @@ def test_prop_h_rejects_points_above():
 
 def test_edge_asymptotics_free_bottom():
     # ln^2 rho = -lambda exactly and 2|F'(0)| = 1: ratio is identically 1
-    ea = decay.check_edge_asymptotics(V0, 0.0, (-1.0, 0.0))
+    ea = decay.check_edge_asymptotics(V0, 0.0, -1.0)
     assert np.allclose(ea.ratios, 1.0, atol=1e-6)
     assert ea.limit == pytest.approx(1.0, abs=1e-6)
 
 
 def test_edge_asymptotics_mathieu_first_gap():
     bs = band_edges(MATHIEU, 15.0)
-    g = bs.gaps[0]
-    for edge in g:
-        ea = decay.check_edge_asymptotics(MATHIEU, edge, g)
+    a, b = bs.gaps[0]
+    for edge, other in ((a, b), (b, a)):
+        ea = decay.check_edge_asymptotics(MATHIEU, edge, other)
         assert abs(ea.limit - 1.0) <= 1e-3
 
 
-def test_edge_asymptotics_requires_edge():
-    with pytest.raises(InsufficientApproach):
-        decay.check_edge_asymptotics(V0, 5.0, (8.0, 9.0))
+def test_edge_asymptotics_at_a_closed_edge_fails_typed():
+    # every gap of V = 0 is closed: F'(pi^2) = -sin(pi)/(2 pi) ~ 0
+    with pytest.raises(ClosedGap, match="degenerate"):
+        decay.check_edge_asymptotics(V0, np.pi ** 2, np.pi ** 2 + 1.0)
+
+
+def test_edge_asymptotics_grid_inside_a_band_fails_typed():
+    # from the bottom edge 0 of V = 0 toward 1 the grid lies in the band: rho = 1
+    with pytest.raises(InsufficientApproach, match="not a regular point"):
+        decay.check_edge_asymptotics(V0, 0.0, 1.0)
 
 
 def test_fprime_asymptotics_free_zero_residual():
@@ -114,14 +129,13 @@ def test_fprime_asymptotics_step_bounded():
 
 def test_counterexample_free_not_found():
     bs = band_edges(V0, 50.0)
-    w = decay.counterexample_search(V0, bs, 10.0)
-    assert not w.found
+    assert decay.counterexample_search(V0, bs, 10.0) is None
 
 
 def test_counterexample_step_witness():
     bs = band_edges(STEP, 100.0)
     w = decay.counterexample_search(STEP, bs, 0.5)
-    assert w.found
+    assert w is not None
     assert w.ratio < 0.5
 
 
@@ -134,7 +148,7 @@ def test_counterexample_witness_from_the_edge_pass(monkeypatch):
         np.inf if lam in mids else r for lam, r in zip(lams, ratio(V, bands, lams))])
     w = decay.counterexample_search(STEP, bs, 0.06)
     a, b = bs.gaps[1]
-    assert w.found and w.gap_index == 2 and a < w.lam < b and w.lam != mids[1]
+    assert w.gap_index == 2 and a < w.lam < b and w.lam != mids[1]
     assert w.ratio == ratio(STEP, bs, w.lam) < 0.06
 
 

@@ -126,7 +126,7 @@ def test_tail_spinor_alignment(well_pair):
     pair = well_pair
     i = np.argmin(np.abs(pair.xs - 5.0))
     psi = pair.psi[i]
-    overlap = abs(np.vdot(pair.direction_plus, psi)) / np.linalg.norm(psi)
+    overlap = abs(np.vdot(dirac_tail(1.0, pair.lam)[1], psi)) / np.linalg.norm(psi)
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
@@ -189,8 +189,8 @@ def test_tail_batch_is_stacked_batch_of_one():
 support = st.tuples(st.floats(-1.5, 0.0), st.floats(0.1, 2.5)).map(lambda s: (s[0], s[0] + s[1]))
 coef = st.floats(-3.0, 3.0)
 wells = st.builds(MatrixPerturbation.scalar_well, coef, support)
-constant = st.builds(lambda p, q, r, t, sup: MatrixPerturbation.constant_matrix(
-    [[p, q + 1j * r], [q - 1j * r, t]], sup), coef, coef, coef, coef, support)
+constant = st.builds(lambda p, q, r, t, sup: MatrixPerturbation(
+    sup, [[p, q + 1j * r], [q - 1j * r, t]]), coef, coef, coef, coef, support)
 
 gap_points = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6)
 masses = st.floats(0.5, 2.0)

@@ -24,6 +24,14 @@ def test_free_discriminant():
     assert discriminant(V0, 4.0) == pytest.approx(math.cos(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("V", [V0, STEP, MATHIEU], ids=["zero", "step", "mathieu"])
+def test_integer_lambdas_give_the_float_lambdas_values(V):
+    ints = np.arange(-5, 30, 3)
+    assert np.array_equal(discriminant(V, ints), discriminant(V, ints.astype(float)))
+    assert np.array_equal(discriminant_derivative(V, ints),
+                          discriminant_derivative(V, ints.astype(float)))
+
+
 def test_mathieu_discriminant_vs_reference():
     assert discriminant(MATHIEU, 0.0) == pytest.approx(MATHIEU_F0, abs=1e-9)
 

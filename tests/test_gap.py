@@ -13,8 +13,7 @@ from spectral_decay.bands import band_edges
 from spectral_decay.errors import (BandPointError, DegenerateMatch, NoSignChange,
                                    StepFailure, ValidationError)
 from spectral_decay.floquet import discriminant, floquet_solutions
-from spectral_decay.gap import (birman_schwinger_spectrum, eigenfunction,
-                                matching_determinant, solve_coupling)
+from spectral_decay.gap import birman_schwinger_spectrum, eigenfunction, solve_coupling
 from spectral_decay.potentials import CompactPerturbation, PeriodicPotential
 
 import oracles
@@ -32,11 +31,12 @@ def square_well_alpha():
 
 
 def test_matching_determinant_nonzero_without_coupling():
-    assert matching_determinant(V0, BOX, 0.0, -1.0) != 0.0
+    assert gap._shoot(V0, BOX, 0.0, -1.0, gap._end_states(V0, BOX, -1.0)) != 0.0
 
 
 def test_matching_determinant_root_at_oracle_alpha():
-    assert abs(matching_determinant(V0, BOX, square_well_alpha(), -1.0)) <= 1e-6
+    ends = gap._end_states(V0, BOX, -1.0)
+    assert abs(gap._shoot(V0, BOX, square_well_alpha(), -1.0, ends)) <= 1e-6
 
 
 @pytest.mark.parametrize("V, Q, lam", [
@@ -226,6 +226,27 @@ fourier = st.builds(lambda mean, cs, ss: PeriodicPotential.fourier(mean, cs, ss)
 grid_sizes = st.one_of(st.sampled_from([2, 3]), st.integers(256, 1024))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(piecewise, fourier), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(0.5, 2.0), st.tuples(st.floats(0.2, 2.0), levels), st.floats(0.2, 0.8),
+       st.integers(-500, 500))
+@example(V0, 0.0, 0.0, 1.0, (1.0, 1.0), 0.5, 500)
+@example(V0, 0.0, 0.0, 1.0, (1.0, 1.0), 0.5, -500)
+def test_property_birman_schwinger_scales_with_a_power_of_two(V, u, a, length, g, cut, k):
+    # mu(2^k G) = 4^k mu(G) bit for bit: the Jacobi matrix is formed from G
+    # brought to [1/2, 1) by a power of two, the same matrix at every k
+    lam = -V.max_abs() - 0.5 - 3.0 * u
+
+    def spectrum(scale):
+        G = PeriodicPotential.piecewise([0.0, cut], [scale * v for v in g])
+        return birman_schwinger_spectrum(V, CompactPerturbation((a, a + length), G), lam,
+                                         grid_size=256).mu
+
+    mu = spectrum(1.0)
+    assert np.all(mu != 0.0)
+    assert np.array_equal(spectrum(2.0 ** k), np.ldexp(mu, 2 * k))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.one_of(piecewise, fourier), st.integers(0, 2), st.floats(0.3, 0.7),
        st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.tuples(levels, levels),
@@ -284,21 +305,22 @@ def test_birman_schwinger_rejects_sizes_before_allocating(kwargs, monkeypatch):
 
 
 def test_birman_schwinger_matches_long_double_bisection():
-    # the Jacobi matrix as the eigensolver receives it; below the spectrum
-    # every alpha is positive, so the top 8 |mu| are the 8 smallest alpha
+    # the Jacobi matrix as the eigensolver receives it, after the power-of-two
+    # scale of G, and the eigenvalues it returns; below the spectrum every
+    # alpha is positive, so the window [0, 8) holds the 8 smallest
     seen, solve = [], gap._nearest_zero
 
     def capture(d, e, count):
-        seen.append((d, e))
-        return solve(d, e, count)
+        seen.append((d, e, solve(d, e, count)))
+        return seen[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gap, "_nearest_zero", capture)
-        mu = birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048, count=8).mu
-    (d, e), = seen
+        birman_schwinger_spectrum(V0, BOX, -1.0, grid_size=2048, count=8)
+    (d, e, alphas), = seen
     ref = oracles.sturm_bisection(d, e, np.arange(8))
     assert np.all(ref > 0)
-    assert np.max(np.abs((1.0 / mu - ref) / ref)) <= 1e-10
+    assert np.max(np.abs((alphas - ref) / ref)) <= 1e-10
 
 
 # random symmetric tridiagonals, entries of mixed sign, size 1 to 60

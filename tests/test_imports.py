@@ -188,5 +188,37 @@ def test_defaulted_parameters():
         "gap.birman_schwinger_spectrum.grid_size", "gap.birman_schwinger_spectrum.count",
         "ode._Hill.__init__.Q", "ode._Hill.__init__.alpha",
         "potentials.PeriodicPotential.fourier.mean", "potentials.PeriodicPotential.fourier.cos",
-        "potentials.PeriodicPotential.fourier.sin", "potentials.CompactPerturbation.box.height",
-        "symbols.pauli_system.indices"])
+        "potentials.PeriodicPotential.fourier.sin", "potentials.CompactPerturbation.box.height"])
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+        for d in node.decorator_list)
+
+
+# fields no attribute read reaches, each with the reader that keeps it
+UNREAD_FIELDS = {
+    "SymbolReport": "the gamma command prints every field through dataclasses.asdict",
+    "DecayFit.r_squared": "ROADMAP item 8 reports it as the fit's evidence",
+}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a result field that no src/ or perfbench/ code reads is a value computed
+    # and dropped; tests reading it do not keep it alive
+    perfbench = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    fields, read = [], set()
+    for path in MODULES + perfbench:
+        tree = ast.parse(path.read_text())
+        if path in MODULES:
+            fields += [(top.name, n.target.id) for top in tree.body if _is_dataclass(top)
+                       for n in top.body if isinstance(n, ast.AnnAssign)]
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert perfbench, "perfbench/ not found beside tests/"
+    unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
+    excused = {f for f in unread if f in UNREAD_FIELDS or f.split(".")[0] in UNREAD_FIELDS}
+    assert unread == excused, f"no src/ or perfbench/ code reads {sorted(unread - excused)}"
+    # each exception is still needed
+    assert {f if f in UNREAD_FIELDS else f.split(".")[0] for f in excused} == set(UNREAD_FIELDS)

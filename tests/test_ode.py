@@ -325,7 +325,7 @@ def _dirac_dop853(W, m, lam, stops, s0):
 def test_constant_hermitian_w_vs_dop853():
     # an integrator independent of the closed form, at lambda inside and
     # outside (-m, m), over a range that crosses both ends of the support
-    W, m = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0)), 1.0
+    W, m = MatrixPerturbation((-1.0, 1.0), W_HERMITIAN), 1.0
     lams = np.array([-3.0, -1.2, -0.4, 0.3, 0.95, 1.6, 2.5])
     stops = [-1.5, -1.0, 1.0, 1.25]
     T = ode.dirac_transfer(W, m, lams, stops[0], stops[-1])
@@ -351,7 +351,7 @@ hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r,
        st.floats(0.05, 3.0), st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8))
 def test_property_constant_dirac_exponential_is_the_scalar_closed_form(w, m, a, length, lams):
     # a constant W over its support is one exact piece: exp(h B(mid))
-    W = None if w is None else MatrixPerturbation.constant_matrix(w, (a, a + length))
+    W = None if w is None else MatrixPerturbation((a, a + length), w)
     b = a + length
     T = ode.dirac_transfer(W, m, np.array(lams), a, b)
     ref = [oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a) for lam in lams]
@@ -591,7 +591,7 @@ def test_property_one_pass_dirac_cells_are_the_per_cell_lowering(kind, a, m, t, 
 supports = st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 2.0)).map(lambda s: (s[0], s[0] + s[1]))
 dirac_ws = st.one_of(st.none(),
                      st.builds(MatrixPerturbation.scalar_well, st.floats(-3.0, 3.0), supports),
-                     st.builds(MatrixPerturbation.constant_matrix, hermitian, supports))
+                     st.builds(lambda w, sup: MatrixPerturbation(sup, w), hermitian, supports))
 
 
 @props
@@ -720,7 +720,7 @@ def test_warm_batch_of_one_takes_the_plans_exponents(monkeypatch):
 @example(None, 1.0, 0.0, 1.0, 2.0)  # T[0, 1, 0].real is -0.0 where the exponential has +0.0
 def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, length, lam):
     b = a + length
-    W = None if w is None else MatrixPerturbation.constant_matrix(w, (a, b))
+    W = None if w is None else MatrixPerturbation((a, b), w)
     T = ode.dirac_transfer(W, m, [lam], a, b)
     # the kernel applies every product to I, which may flip the sign of a zero
     E = oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)
@@ -826,7 +826,7 @@ def test_tol_1e13_certifies_under_the_step_cap(monkeypatch):
         F, F_mp = 0.5 * (M[0, 0] + M[1, 1]), 0.5 * (M_mp[0][0] + M_mp[1][1])
         assert abs(F - F_mp) <= 10.0 * tol * max(1.0, abs(F))
     Q = CompactPerturbation((-0.3, 0.9), PeriodicPotential.fourier(1.0, [0.5]))
-    W = MatrixPerturbation.constant_matrix(W_HERMITIAN, (-1.0, 1.0))
+    W = MatrixPerturbation((-1.0, 1.0), W_HERMITIAN)
     walks = [lambda: ode.propagate_hill(V, 40.0, [-0.5, 2.0], (1.0, 0.0))[-1],
              lambda: ode.propagate_hill_perturbed(V, Q, 2.5, 3.0, [-1.0, 1.5], (0.4, -1.1))[-1],
              lambda: ode.propagate_dirac(W, 1.0, 0.2, [-1.5, 1.5], (1.0, 0.5j))[-1]]

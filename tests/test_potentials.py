@@ -113,6 +113,8 @@ def test_perturbation_validation():
     with pytest.raises(ValidationError, match="nonnegative"):
         CompactPerturbation((0.0, 1.0), PeriodicPotential.piecewise([0.0, 0.5, 0.501],
                                                                     [1.0, -1.0, 1.0]))
+    with pytest.raises(SchemaError, match="perturbation document must be an object"):
+        load_perturbation([])
     with pytest.raises(SchemaError):
         load_perturbation({"support": [0.0, 1.0]})
     with pytest.raises(SchemaError):
@@ -138,7 +140,7 @@ def test_matrix_perturbation():
             ([[1.0, 0.0], [0.0]], "2x2"),
             (np.eye(3), "2x2")]:
         with pytest.raises(ValidationError, match=message):
-            MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
+            MatrixPerturbation((-1.0, 1.0), matrix)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -147,13 +149,13 @@ def test_matrix_perturbation():
 def test_tiny_non_hermitian_matrices_are_rejected(matrix):
     # the Hermitian check is relative to the largest entry, so scale hides nothing
     with pytest.raises(ValidationError, match="W must be Hermitian"):
-        MatrixPerturbation.constant_matrix(matrix, (-1.0, 1.0))
+        MatrixPerturbation((-1.0, 1.0), matrix)
     with pytest.raises(ValidationError, match="coefficient matrices must be Hermitian"):
         SymbolSystem((np.array(matrix, dtype=complex),))
 
 
 def test_tiny_hermitian_matrices_load():
-    W = MatrixPerturbation.constant_matrix(1e-12 * PAULI[1], (-1.0, 1.0))
+    W = MatrixPerturbation((-1.0, 1.0), 1e-12 * PAULI[1])
     assert W.matrix == ((0.0, -1e-12j), (1e-12j, 0.0))
     assert SymbolSystem(tuple(1e-12 * a for a in PAULI[:2])).d == 2
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spectral_decay import symbols
-from spectral_decay.errors import DimensionMismatch
+from spectral_decay.errors import DimensionMismatch, SchemaError, ValidationError
 from spectral_decay.symbols import (PAULI, SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma,
                                     load_symbol_system, pauli_system, symbol)
@@ -86,6 +86,18 @@ def test_ellipticity_margin():
     degenerate = SymbolSystem(matrices=(PAULI[2], PAULI[2]))
     assert gamma(degenerate).ellipticity_margin <= 1e-10
     assert gamma(dirac_alpha_system()).ellipticity_margin == pytest.approx(1.0, abs=1e-8)
+
+
+def test_malformed_symbol_documents_and_systems_fail_typed():
+    with pytest.raises(SchemaError, match="symbol system document must be an object"):
+        load_symbol_system([])
+    pauli = dump_symbol_system(pauli_system((1, 2)))
+    with pytest.raises(SchemaError, match="'matrices' must list d = 3 matrices"):
+        load_symbol_system(dict(pauli, d=3))
+    with pytest.raises(ValidationError, match="at least one coefficient matrix"):
+        SymbolSystem(matrices=())
+    with pytest.raises(ValidationError, match="share one size"):
+        SymbolSystem(matrices=(PAULI[0], np.eye(3)))
 
 
 def test_json_round_trip():
