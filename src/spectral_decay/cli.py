@@ -118,8 +118,12 @@ def cmd_bs_spectrum(args) -> int:
     Q = load_perturbation(_load_json(args.perturbation))
     bss = gap.birman_schwinger_spectrum(V, Q, args.lam, grid_size=args.grid_size,
                                         count=args.count)
+    mu = [m for m in bss.mu.tolist() if m != 0.0]
+    for m in mu:
+        if not math.isfinite(1.0 / m):
+            raise ValidationError(f"mu = {m}: its coupling 1/mu exceeds the float range")
     doc = {"lambda": bss.lam, "grid_size": bss.grid_size, "mu": bss.mu,
-           "alpha": [1.0 / m for m in bss.mu if m != 0.0]}
+           "alpha": [1.0 / m for m in mu]}
     _emit(verify.report_json(doc), args.output)
     return 0
 

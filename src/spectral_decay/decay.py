@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandStructure, spectral_distance
-from .errors import (BandPointError, ClosedGap, DegenerateMatch, InsufficientApproach,
-                     InsufficientTail, PoorFit, StepFailure, ValidationError)
+from .errors import (BandPointError, ClosedGap, DegenerateMatch, InsufficientTail, PoorFit,
+                     StepFailure, ValidationError)
 from .floquet import discriminant, discriminant_derivative, multiplicator
 
 R2_MIN = 0.999
@@ -157,7 +157,7 @@ def check_edge_asymptotics(V, edge: float, other: float) -> EdgeAsymptotics:
     for lam, F in zip(lams, discriminant(V, lams)):
         rho = multiplicator(F)
         if rho <= 1.0:
-            raise InsufficientApproach(f"lambda = {lam} is not a regular point")
+            raise BandPointError(f"lambda = {lam} is not a regular point")
         ratios.append(math.log(rho) ** 2 / (2.0 * abs(fp) * abs(lam - edge)))
     ratios = np.array(ratios)
     # leading error is O(sqrt|lam-edge|), halved per k step

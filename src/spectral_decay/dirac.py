@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decay, ode
-from .errors import OutsideGap, StepFailure
+from .errors import BandPointError, StepFailure
 from .potentials import MatrixPerturbation
 from .roots import brent
 
@@ -50,7 +50,7 @@ def dirac_tail(m: float, lam):
     lams = np.asarray(lam, dtype=float)
     if not np.all(np.abs(lams) < m):
         lam = next(lam for lam in lams.flat if not abs(lam) < m).item()
-        raise OutsideGap(f"lambda = {lam} outside (-{m}, {m})")
+        raise BandPointError(f"lambda = {lam} outside (-{m}, {m})")
     rate = np.sqrt(m * m - lams * lams)
     re, im = np.sqrt(m + lams), np.sqrt(m - lams)
     d = np.empty(lams.shape + (2, 2), dtype=complex)  # rows d_plus, d_minus
@@ -69,7 +69,7 @@ def matching_determinant(W: MatrixPerturbation, m: float, lam):
     """
     lams = np.asarray(lam, dtype=float)
     _, dp, dm = dirac_tail(m, lams)
-    T = ode.dirac_transfer(W, m, lams, *W.support)
+    T = ode.dirac_transfer(W, m, lams)
     return ode.wronskian((T @ dm[..., None])[..., 0], dp)
 
 

@@ -21,7 +21,9 @@ class StepFailure(SpectralDecayError):
 
 
 class BandPointError(SpectralDecayError):
-    """Operation requires |F(lambda)| > 1 but lambda is at/inside a band."""
+    """lambda lies in the essential spectrum: at or inside a band of H
+    (|F(lambda)| <= 1, also at an edge-approach point), or outside the Dirac
+    gap (-m, m)."""
 
 
 class OutOfCertifiedRange(SpectralDecayError):
@@ -45,14 +47,6 @@ class DegenerateMatch(SpectralDecayError):
     """Matched eigenfunction has vanishing tail coefficients."""
 
 
-class OutsideGap(SpectralDecayError):
-    """lambda is outside the Dirac gap (-m, m)."""
-
-
-class DimensionMismatch(SpectralDecayError):
-    """Vector/matrix dimensions disagree with the symbol system."""
-
-
 class InsufficientTail(SpectralDecayError):
     """Too few period-spaced points in the fitting window."""
 
@@ -63,7 +57,3 @@ class PoorFit(SpectralDecayError):
 
 class ClosedGap(SpectralDecayError):
     """Band edge is degenerate (closed gap); asymptotics undefined."""
-
-
-class InsufficientApproach(SpectralDecayError):
-    """Approach grid does not converge to the band edge."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import BandPointError, ValidationError
+from .errors import BandPointError
 
 TOL_EDGE = 1e-9
 CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
@@ -50,15 +50,9 @@ def multiplicator(F: float) -> float:
 
 @dataclass(frozen=True)
 class FloquetData:
-    lam: float
-    F: float
     rho: float
-    seed_plus: np.ndarray  # (y_+(0), y_+'(0)), unit norm
-    seed_minus: np.ndarray
-
-    @property
-    def sigma(self) -> float:
-        return 1.0 if self.F > 0 else -1.0
+    plus: tuple  # (seed (y_+(0), y_+'(0)) of unit norm, mu = sigma/rho): y_+(x + 1) = mu y_+(x)
+    minus: tuple  # (seed of y_-, mu = sigma*rho)
 
 
 def _eigvec_2x2(M: np.ndarray, mu: float) -> np.ndarray:
@@ -89,29 +83,24 @@ def floquet_solutions(V, lam: float) -> FloquetData:
         raise BandPointError(f"|F({lam})| = {abs(F)} <= 1 + {TOL_EDGE}")
     rho = multiplicator(F)
     sigma = 1.0 if F > 0 else -1.0
-    seed_plus = _eigvec_2x2(M, sigma / rho)
-    seed_minus = _eigvec_2x2(M, sigma * rho)
-    return FloquetData(lam=lam, F=F, rho=rho, seed_plus=seed_plus, seed_minus=seed_minus)
+    mu_plus, mu_minus = sigma / rho, sigma * rho
+    return FloquetData(rho=rho, plus=(_eigvec_2x2(M, mu_plus), mu_plus),
+                       minus=(_eigvec_2x2(M, mu_minus), mu_minus))
 
 
-def floquet_values(V, fd: FloquetData, xs, side: str) -> np.ndarray:
-    """States of y_+/- at an array of points; (len(xs), 2).
+def floquet_values(V, lam: float, xs, solution) -> np.ndarray:
+    """States (len(xs), 2) at an array of points of the Floquet solution
+    (seed, mu) at lambda, FloquetData.plus or .minus.
 
     Normalized so that the seed at x = 0 has unit norm.  Each x = n + r
-    is reduced modulo the period, y(x) = mu^n * P(0 -> r) seed with
-    mu = sigma/rho (plus) or sigma*rho (minus), and one walk through the
-    sorted fractional parts r gives every P(0 -> r) seed.
+    is reduced modulo the period, y(x) = mu^n * P(0 -> r) seed, and one
+    walk through the sorted fractional parts r gives every P(0 -> r) seed.
     """
-    if side == "plus":
-        seed, mu = fd.seed_plus, fd.sigma / fd.rho
-    elif side == "minus":
-        seed, mu = fd.seed_minus, fd.sigma * fd.rho
-    else:
-        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    seed, mu = solution
     xs = np.asarray(xs, dtype=float)
     n = np.floor(xs)
     order = np.argsort(xs - n)
     rs = (xs - n)[order]
     states = np.empty((len(xs), 2))
-    states[order] = ode.propagate_hill(V, fd.lam, [0.0, *rs], seed)[1:]
+    states[order] = ode.propagate_hill(V, lam, [0.0, *rs], seed)[1:]
     return (mu ** n)[:, None] * states

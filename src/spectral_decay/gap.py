@@ -80,7 +80,7 @@ def _end_states(V, Q: CompactPerturbation, lam: float):
     not a regular point of H."""
     fd = floquet_solutions(V, lam)
     a, b = Q.support
-    return fd, floquet_values(V, fd, [a], "minus")[0], floquet_values(V, fd, [b], "plus")[0]
+    return fd, floquet_values(V, lam, [a], fd.minus)[0], floquet_values(V, lam, [b], fd.plus)[0]
 
 
 def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ends) -> float:
@@ -154,8 +154,8 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     mu = np.zeros(min(count, grid_size))
     if len(keep):
         x = xs[keep]
-        sm = floquet_values(V, fd, [x[0]], "minus")[0]
-        sp0, sp = floquet_values(V, fd, x[[0, -1]], "plus")
+        sm = floquet_values(V, lam, [x[0]], fd.minus)[0]
+        sp0, sp = floquet_values(V, lam, x[[0, -1]], fd.plus)
         if abs(ode.wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
             raise SingularWronskian("Floquet pair numerically dependent")
         T = ode.cell_transfers(V, lam, x)
@@ -190,8 +190,8 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float) -> GapEig
         c_plus = float(states[-1] @ yp_b) / (yp_b @ yp_b)
         resid = decay.match_residual(states[-1], c_plus * yp_b)
 
-    pieces = (floquet_values(V, fd, xs_left, "minus")[:, 0], states[:-1, 0],
-              c_plus * floquet_values(V, fd, xs_right, "plus")[:, 0])
+    pieces = (floquet_values(V, lam, xs_left, fd.minus)[:, 0], states[:-1, 0],
+              c_plus * floquet_values(V, lam, xs_right, fd.plus)[:, 0])
     xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
     return GapEigenpair(lam=lam, alpha=alpha, xs=xs, psi=psi,
                         c_plus=c_plus / nrm, c_minus=1.0 / nrm,

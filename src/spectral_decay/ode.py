@@ -396,11 +396,11 @@ def _finite(a, what: str):
     return a
 
 
-def _rounding(system, lams, length: float, factors, scale) -> np.ndarray:
+def _rounding(plan: _Plan, lams, factors, scale) -> np.ndarray:
     """Rounding bound eps (4 factors + rate length) scale of a product of
-    closed-form factors over length: four roundings a factor and those of
-    the phase rate * length, relative to scale."""
-    return _EPS * (4 * factors + system.rate(lams) * length) * scale
+    closed-form factors over the length of plan: four roundings a factor and
+    those of the phase rate * length, relative to scale."""
+    return _EPS * (4 * factors + plan.system.rate(lams) * plan.length) * scale
 
 
 def _certify(plan: _Plan, lams):
@@ -432,7 +432,6 @@ def _certify(plan: _Plan, lams):
     T_out, diff_out, scale_out = np.empty((k, 2, 2), dtype=dtype), np.empty(k), np.empty(k)
     todo = np.arange(k)
     P = refined(todo)
-    _finite(P[:, 0], "transfer matrix")
     while True:
         T, T2 = P[:, 0], P[:, 1]
         diff = np.max(np.abs(T2 - T), axis=(1, 2))
@@ -449,8 +448,7 @@ def _certify(plan: _Plan, lams):
             raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {TOL}")
         P = refined(todo)
     steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density, spans))).sum(axis=1)
-    return T_out, density, diff_out + _rounding(system, lams, length, len(plan.h) + steps,
-                                                scale_out)
+    return T_out, density, diff_out + _rounding(plan, lams, len(plan.h) + steps, scale_out)
 
 
 def _check_phase(system, lams, xa: float, xb: float):
@@ -545,7 +543,7 @@ def certified_monodromy(V, lams):
     T, err = _transfer(plan, lams, 0.0, 1.0)
     if err is None:
         P = _fold(np.abs(plan.system.exact(lams, plan.p, plan.h))[:, None])
-        err = _rounding(plan.system, lams, plan.length, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
+        err = _rounding(plan, lams, len(plan.h), np.max(P[:, 0], axis=(1, 2)))
     return T, err
 
 
@@ -572,13 +570,11 @@ def check_mass(m: float):
         raise ValidationError(f"mass m = {m} is too large: m * m overflows")
 
 
-def dirac_transfer(W, m: float, lams, x0: float, x1: float):
-    """Transfer matrices (*shape, 2, 2) of the 1D Dirac system from x0 to
-    x1 >= x0 for an array of lambda, over one lowering of W."""
+def dirac_transfer(W, m: float, lams):
+    """Transfer matrices (*shape, 2, 2) of the 1D Dirac system across the
+    support of W for an array of lambda, over one lowering of W."""
     system = _Dirac(W, m)
-    if not x0 <= x1:
-        raise ValidationError(f"dirac_transfer needs x0 <= x1, got [{x0}, {x1}]")
-    return _transfer(_Plan(system, [system.segments((x0, x1))]), lams, x0, x1)[0]
+    return _transfer(_Plan(system, [system.segments(W.support)]), lams, *W.support)[0]
 
 
 def propagate_dirac(W, m: float, lam: float, xs, state) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SchemaError, ValidationError
+from . import ode
+from .errors import SchemaError, ValidationError
 from .potentials import _check_hermitian, _check_keys, _is_number
 
 STARTS_PER_DIM = 32     # random ascent starts per sphere dimension
@@ -33,11 +34,7 @@ _BLOCK = 2 ** 16        # matrix entries of the sphere sample evaluated at once
 ASCENT_ITERS = 200      # iterations of each alternating ascent at most
 ASCENT_GTOL = 1e-12     # an ascent stops where its gradient norm falls below this
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+PAULI = (ode.SIGMA1, np.array([[0, -1j], [1j, 0]], dtype=complex), ode.SIGMA3)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def symbol(system: SymbolSystem, xi) -> np.ndarray:
     """A(xi) = sum_j A_j xi_j."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (system.d,):
-        raise DimensionMismatch(f"xi must have length {system.d}")
+        raise ValidationError(f"xi must have length {system.d}")
     return _symbols(system, xi[None])[0]
 
 

@@ -35,12 +35,15 @@ DOCS = {
     "box01.json": {"support": [0.0, 1.0], "profile": BOX},
     "box11.json": {"support": [-1.0, 1.0], "profile": BOX},
     "box013.json": {"support": [0.0, 1.3], "profile": BOX},
+    "box0101.json": {"support": [0.0, 1.01], "profile": BOX},
     "tall01.json": {"support": [0.0, 1.0],
                     "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e200]}},
     "huge01.json": {"support": [0.0, 1.0],
                     "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e150]}},
     "tiny01.json": {"support": [0.0, 1.0],
                     "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e-100]}},
+    "sub01.json": {"support": [0.0, 1.0],
+                   "profile": {"type": "piecewise", "breaks": [0.0], "values": [1e-154]}},
     "smooth_q.json": {"support": [-0.5, 1.5],
                       "profile": {"type": "fourier", "mean": 1.0, "cos": [0.5], "sin": [0.2]}},
     "alpha.json": dump_symbol_system(dirac_alpha_system()),
@@ -89,6 +92,17 @@ def _runs():
     for q in ("huge01", "tiny01"):
         yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", f"{q}.json",
                "--lambda=-1"]
+    # a scan whose ceiling lies inside a gap
+    yield ["bands", "--potential", "mathieu.json", "--lambda-max", "10"]
+    yield ["bands", "--potential", "mathieu.json", "--lambda-max", "10", "--format", "json"]
+    # the last sample (1.015625) lies past b = 1.01: the walk steps back to b
+    yield ["gap-eig", "--potential", "zero.json", "--perturbation", "box0101.json",
+           "--lambda=-1", "--samples-out", SAMPLES]
+    yield ["dirac-eig", "--mass", "1", "--depth", "0.5", "--support", "0", "1.01",
+           "--samples-out", SAMPLES]
+    # Q = G^2 = 1e-308: a subnormal mu, whose coupling 1/mu no float holds
+    yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "sub01.json",
+           "--lambda=-1", "--count", "2"]
 
 
 def _digest(argv) -> str:

@@ -331,10 +331,10 @@ def dense_birman_schwinger(V, Q, lam, grid_size):
     h = (b - a) / (grid_size - 1)
     w = np.full(grid_size, h)
     w[0] = w[-1] = 0.5 * h
-    ym = floquet_values(V, fd, xs, "minus")[:, 0]
-    yp = floquet_values(V, fd, xs, "plus")[:, 0]
-    sm = floquet_values(V, fd, [a], "minus")[0]
-    sp = floquet_values(V, fd, [a], "plus")[0]
+    ym = floquet_values(V, lam, xs, fd.minus)[:, 0]
+    yp = floquet_values(V, lam, xs, fd.plus)[:, 0]
+    sm = floquet_values(V, lam, [a], fd.minus)[0]
+    sp = floquet_values(V, lam, [a], fd.plus)[0]
     W0 = sm[0] * sp[1] - sm[1] * sp[0]
     ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
     green = ym[np.minimum(ii, jj)] * yp[np.maximum(ii, jj)] / (-W0)
@@ -403,8 +403,8 @@ def certify_reference(plan, lams):
         ok = ratio <= 1.0
         steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density[todo[ok]], spans))).sum(axis=1)
         T_out[todo[ok]] = T2[ok]
-        err[todo[ok]] = diff[ok] + ode._rounding(system, lams[todo[ok]], length,
-                                                 len(plan.h) + steps, scale[ok])
+        err[todo[ok]] = diff[ok] + ode._rounding(plan, lams[todo[ok]], len(plan.h) + steps,
+                                                 scale[ok])
         todo, ratio = todo[~ok], ratio[~ok]
         density[todo] *= 2 ** np.maximum(1, np.ceil(np.log2(ratio) / ode._ORDER)).astype(int)
         if todo.size and 2 * density[todo].max() * length > ode._MAX_STEPS:

@@ -612,6 +612,21 @@ def test_bs_spectrum_keeps_its_couplings_far_from_unit_scale(cfg, tmp_path, caps
         assert alphas[0] * height * height == pytest.approx(2.7070529859047383, rel=2.5e-10)
 
 
+def test_bs_spectrum_coupling_beyond_the_float_range_fails_typed(cfg, tmp_path, capsys):
+    # G = 1e-154: Q ~ 1e-308 is accepted, but mu is subnormal and 1/mu is no float
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"support": [0.0, 1.0], "profile": {
+        "type": "piecewise", "breaks": [0.0], "values": [1e-154]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", str(q),
+                     "--lambda=-1", "--count", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: mu = 3.694054032764833e-309: its coupling 1/mu exceeds the " \
+                      "float range\n"
+
+
 def test_gap_eig_deep_below_the_spectrum_fails_on_the_cosh_overflow(cfg, tmp_path, capsys):
     # V = 0 at lambda = -1e6: the closed-form cell transfer needs cosh(1000)
     q = tmp_path / "box01.json"

@@ -6,8 +6,8 @@ from scipy import stats
 
 from spectral_decay import decay
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import (BandPointError, ClosedGap, InsufficientApproach,
-                                   InsufficientTail, PoorFit, ValidationError)
+from spectral_decay.errors import (BandPointError, ClosedGap, InsufficientTail, PoorFit,
+                                   ValidationError)
 from spectral_decay.potentials import PeriodicPotential
 
 V0 = PeriodicPotential.zero()
@@ -113,7 +113,7 @@ def test_edge_asymptotics_at_a_closed_edge_fails_typed():
 
 def test_edge_asymptotics_grid_inside_a_band_fails_typed():
     # from the bottom edge 0 of V = 0 toward 1 the grid lies in the band: rho = 1
-    with pytest.raises(InsufficientApproach, match="not a regular point"):
+    with pytest.raises(BandPointError, match="not a regular point"):
         decay.check_edge_asymptotics(V0, 0.0, 1.0)
 
 

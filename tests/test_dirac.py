@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spectral_decay import dirac
 from spectral_decay.dirac import (dirac_eigenfunction, dirac_gap_eigenvalues,
                                   dirac_tail, matching_determinant)
-from spectral_decay.errors import OutsideGap, StepFailure, ValidationError
+from spectral_decay.errors import BandPointError, StepFailure, ValidationError
 from spectral_decay.potentials import MatrixPerturbation
 
 import oracles
@@ -34,9 +34,9 @@ def test_tail_law_closed_forms():
 
 
 def test_tail_outside_gap():
-    with pytest.raises(OutsideGap):
+    with pytest.raises(BandPointError):
         dirac_tail(1.0, 1.5)
-    with pytest.raises(OutsideGap):
+    with pytest.raises(BandPointError):
         dirac_tail(1.0, -1.0)
 
 
@@ -181,7 +181,7 @@ def test_tail_batch_is_stacked_batch_of_one():
         assert r == r1 and np.array_equal(p, p1) and np.array_equal(q, q1)
         ref = np.array([math.sqrt(1.3 + lam), 1j * math.sqrt(1.3 - lam)])
         assert np.array_equal(p, ref / np.linalg.norm(ref))  # the scalar rounding
-    with pytest.raises(OutsideGap, match="lambda = 1.5 outside"):
+    with pytest.raises(BandPointError, match="lambda = 1.5 outside"):
         dirac_tail(1.3, [0.0, 1.5, -2.0])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_decay import ode
-from spectral_decay.errors import BandPointError, ValidationError
+from spectral_decay.errors import BandPointError
 from spectral_decay.floquet import (discriminant, discriminant_derivative,
                                     floquet_solutions, floquet_values,
                                     multiplicator)
@@ -61,9 +61,9 @@ def test_discriminant_derivative_vs_central_difference():
 def test_free_floquet_data():
     fd = floquet_solutions(V0, -1.0)
     assert fd.rho == pytest.approx(math.e, abs=1e-12)
-    assert fd.F > 1  # periodic
+    assert fd.plus[1] > 0 and fd.minus[1] > 0  # periodic: sigma = sign F = 1
     # y_+ = e^{-x} has Cauchy data proportional to (1, -1)
-    ratio = fd.seed_plus[1] / fd.seed_plus[0]
+    ratio = fd.plus[0][1] / fd.plus[0][0]
     assert ratio == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -75,30 +75,28 @@ def test_band_point_rejected():
 def test_seed_eigenvector_residuals():
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7), (V0, -2.0)):
         fd, M = floquet_solutions(V, lam), ode.monodromy(V, lam)
-        sig = fd.sigma
-        rp = M @ fd.seed_plus - (sig / fd.rho) * fd.seed_plus
-        rm = M @ fd.seed_minus - (sig * fd.rho) * fd.seed_minus
-        assert np.linalg.norm(rp) <= 1e-8
-        assert np.linalg.norm(rm) <= 1e-8
+        sig = math.copysign(1.0, discriminant(V, lam))
+        assert fd.plus[1] == sig / fd.rho and fd.minus[1] == sig * fd.rho
+        for seed, mu in (fd.plus, fd.minus):
+            assert np.linalg.norm(M @ seed - mu * seed) <= 1e-8
 
 
 def test_multiplicator_branches_product():
     fd = floquet_solutions(MATHIEU, 9.5)
-    assert abs((fd.sigma * fd.rho) * (fd.sigma / fd.rho) - 1.0) <= 1e-8
+    assert abs(fd.minus[1] * fd.plus[1] - 1.0) <= 1e-8
 
 
 def test_quasi_periodicity_three_periods():
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7)):
         fd = floquet_solutions(V, lam)
-        mu_p = fd.sigma / fd.rho
-        mu_m = fd.sigma * fd.rho
+        mu_p, mu_m = fd.plus[1], fd.minus[1]
         xs = np.linspace(0.1, 0.9, 5)
         for k in range(3):
-            vp = floquet_values(V, fd, xs + k, "plus")
-            vp1 = floquet_values(V, fd, xs + k + 1, "plus")
+            vp = floquet_values(V, lam, xs + k, fd.plus)
+            vp1 = floquet_values(V, lam, xs + k + 1, fd.plus)
             assert np.allclose(vp1, mu_p * vp, rtol=1e-6, atol=1e-12)
-            vm = floquet_values(V, fd, xs + k, "minus")
-            vm1 = floquet_values(V, fd, xs + k + 1, "minus")
+            vm = floquet_values(V, lam, xs + k, fd.minus)
+            vm1 = floquet_values(V, lam, xs + k + 1, fd.minus)
             assert np.allclose(vm1, mu_m * vm, rtol=1e-6, atol=1e-12)
 
 
@@ -110,9 +108,9 @@ def test_free_ln_rho_equals_sqrt_minus_lambda():
 
 def test_floquet_state_free_exponential():
     fd = floquet_solutions(V0, -1.0)
-    s0 = floquet_values(V0, fd, [0.0], "plus")[0]
+    s0 = floquet_values(V0, -1.0, [0.0], fd.plus)[0]
     for x in (0.5, 1.7, 3.2):
-        s = floquet_values(V0, fd, [x], "plus")[0]
+        s = floquet_values(V0, -1.0, [x], fd.plus)[0]
         assert s[0] == pytest.approx(s0[0] * math.exp(-x), rel=1e-9)
 
 
@@ -121,12 +119,12 @@ def test_floquet_values_one_pass_matches_direct_walks():
     xs = np.array([2.3, -0.4, 0.0, 0.7, 2.3, 1.0, -1.75, 0.25])
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7)):
         fd = floquet_solutions(V, lam)
-        for side, seed in (("plus", fd.seed_plus), ("minus", fd.seed_minus)):
-            vals = floquet_values(V, fd, xs, side)
+        for solution in (fd.plus, fd.minus):
+            vals = floquet_values(V, lam, xs, solution)
             for x, v in zip(xs, vals):
-                assert np.allclose(v, ode.propagate_hill(V, lam, [0.0, x], seed)[-1],
+                assert np.allclose(v, ode.propagate_hill(V, lam, [0.0, x], solution[0])[-1],
                                    rtol=1e-7, atol=1e-9)
-                assert np.allclose(v, floquet_values(V, fd, [x], side)[0], rtol=1e-9,
+                assert np.allclose(v, floquet_values(V, lam, [x], solution)[0], rtol=1e-9,
                                    atol=1e-12)
 
 
@@ -156,14 +154,8 @@ def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(ode, "_product", counted)
-    s = floquet_values(V, fd, [0.3], "plus")[0]
+    s = floquet_values(V, lam, [0.3], fd.plus)[0]
     n_state, calls[0] = calls[0], 0
-    direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.seed_plus)[-1]
+    direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.plus[0])[-1]
     assert n_state == calls[0]
     assert np.array_equal(s, direct)
-
-
-def test_floquet_values_rejects_unknown_side():
-    fd = floquet_solutions(V0, -1.0)
-    with pytest.raises(ValidationError, match="side"):
-        floquet_values(V0, fd, [0.5], "left")

@@ -403,8 +403,7 @@ def test_eigenfunction_residual(square_well_pair):
 
 def test_eigenfunction_tail_ratio(square_well_pair):
     pair = square_well_pair
-    fd = floquet_solutions(V0, -1.0)
-    mu = fd.sigma / fd.rho
+    mu = floquet_solutions(V0, -1.0).plus[1]
     for x in (2.0, 3.25, 4.5):
         v0 = np.interp(x, pair.xs, pair.psi)
         v1 = np.interp(x + 1.0, pair.xs, pair.psi)
@@ -417,7 +416,7 @@ def test_eigenfunction_tail_is_floquet_multiple(square_well_pair):
     fd = floquet_solutions(V0, -1.0)
     from spectral_decay.floquet import floquet_values
     xs = np.array([1.5, 2.5, 4.0, 6.0])
-    yp = floquet_values(V0, fd, xs, "plus")[:, 0]
+    yp = floquet_values(V0, -1.0, xs, fd.plus)[:, 0]
     ratios = np.interp(xs, pair.xs, pair.psi) / yp
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
 

@@ -162,6 +162,34 @@ def test_one_root_tolerance():
     assert spelled == [("roots", ["RTOL"])]
 
 
+def _strings(node) -> bool:
+    """node is a str literal, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_callers_pass_values_not_names():
+    # outside the CLI and verify, which parse names from the command line, a
+    # caller passes the value it means (FloquetData.plus), not a name of it
+    sites = []
+    for path in MODULES:
+        if path.stem in ("cli", "verify"):
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            params = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Compare):
+                    sides = [n.left, *n.comparators]
+                    if any(isinstance(x, ast.Name) and x.id in params for x in sides) \
+                            and any(map(_strings, sides)):
+                        sites.append(f"{path.stem}.{fn.name}")
+    assert not sites, f"parameters compared with a string literal in {sorted(set(sites))}"
+
+
 def _defaulted(node, prefix: str):
     """module.function.parameter of each parameter with a default in the
     functions (methods, nested functions, lambdas) under node."""

@@ -328,8 +328,9 @@ def test_constant_hermitian_w_vs_dop853():
     W, m = MatrixPerturbation((-1.0, 1.0), W_HERMITIAN), 1.0
     lams = np.array([-3.0, -1.2, -0.4, 0.3, 0.95, 1.6, 2.5])
     stops = [-1.5, -1.0, 1.0, 1.25]
-    T = ode.dirac_transfer(W, m, lams, stops[0], stops[-1])
-    for lam, T_lam in zip(lams, T):
+    for lam in lams:
+        T_lam = np.column_stack([ode.propagate_dirac(W, m, lam, [stops[0], stops[-1]], e)[-1]
+                                 for e in np.eye(2, dtype=complex)])
         ref = np.column_stack([_dirac_dop853(W, m, lam, stops, e)[-1]
                                for e in np.eye(2, dtype=complex)])
         assert np.max(np.abs(T_lam - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
@@ -350,11 +351,13 @@ hermitian = st.builds(lambda p, q, r, t: np.array([[p, q + 1j * r], [q - 1j * r,
 @given(st.one_of(st.none(), hermitian), st.floats(0.2, 3.0), st.floats(-1.0, 0.0),
        st.floats(0.05, 3.0), st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8))
 def test_property_constant_dirac_exponential_is_the_scalar_closed_form(w, m, a, length, lams):
-    # a constant W over its support is one exact piece: exp(h B(mid))
-    W = None if w is None else MatrixPerturbation((a, a + length), w)
+    # a constant W over its support is one exact piece: exp(h B(mid)); a zero W
+    # gives the free exponential's bits
     b = a + length
-    T = ode.dirac_transfer(W, m, np.array(lams), a, b)
-    ref = [oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a) for lam in lams]
+    W = MatrixPerturbation((a, b), np.zeros((2, 2)) if w is None else w)
+    T = ode.dirac_transfer(W, m, np.array(lams))
+    ref = [oracles.dirac_exponential(None if w is None else W, m, lam, 0.5 * (a + b), b - a)
+           for lam in lams]
     assert np.array_equal(T, ref)
 
 
@@ -363,12 +366,7 @@ def test_propagate_dirac_nonpositive_mass_fails_typed(m):
     with pytest.raises(ValidationError, match="mass"):
         ode.propagate_dirac(None, m, 0.0, [0.0, 1.0], (1.0, 0.0))
     with pytest.raises(ValidationError, match="mass"):
-        ode.dirac_transfer(None, m, [0.0], 0.0, 1.0)
-
-
-def test_dirac_transfer_rejects_a_reversed_interval():
-    with pytest.raises(ValidationError, match="x0 <= x1"):
-        ode.dirac_transfer(None, 1.0, [0.0], 1.0, 0.0)
+        ode.dirac_transfer(MatrixPerturbation((0.0, 1.0), np.zeros((2, 2))), m, [0.0])
 
 
 # random 1-4-step V and lambda sets across the barrier, some exactly at a
@@ -452,7 +450,8 @@ def test_bad_lambda_anywhere_in_a_batch_fails_like_the_scalar(V, bad):
     lambda V: ode.monodromy(V, [1.0, -1e6]),
     lambda V: ode.propagate_hill(V, -1e5, [0.0, 30.0], (1.0, 0.0))[-1],
     lambda V: ode.cell_transfers(V, -1e5, np.linspace(0.0, 30.0, 7)),
-], ids=["monodromy", "batch", "walk", "cells"])
+    lambda V: floquet.discriminant_derivative(V, -1e6),
+], ids=["monodromy", "batch", "walk", "cells", "derivative"])
 def test_overflow_fails_typed_with_warnings_as_errors(V, call):
     # the kernel lets inf and nan through to its finiteness check unwarned
     with warnings.catch_warnings():
@@ -720,10 +719,11 @@ def test_warm_batch_of_one_takes_the_plans_exponents(monkeypatch):
 @example(None, 1.0, 0.0, 1.0, 2.0)  # T[0, 1, 0].real is -0.0 where the exponential has +0.0
 def test_property_unpadded_dirac_batch_of_one_is_the_padded_product(w, m, a, length, lam):
     b = a + length
-    W = None if w is None else MatrixPerturbation((a, b), w)
-    T = ode.dirac_transfer(W, m, [lam], a, b)
-    # the kernel applies every product to I, which may flip the sign of a zero
-    E = oracles.dirac_exponential(W, m, lam, 0.5 * (a + b), b - a)
+    W = MatrixPerturbation((a, b), np.zeros((2, 2)) if w is None else w)
+    T = ode.dirac_transfer(W, m, [lam])
+    # the kernel applies every product to I, which may flip the sign of a zero;
+    # a zero W gives the free exponential's bits
+    E = oracles.dirac_exponential(None if w is None else W, m, lam, 0.5 * (a + b), b - a)
     assert _bits(T) == _bits([E @ np.eye(2)])
     system = ode._Dirac(W, m)
     segs = system.segments((a, b))

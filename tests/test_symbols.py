@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spectral_decay import symbols
-from spectral_decay.errors import DimensionMismatch, SchemaError, ValidationError
+from spectral_decay.errors import SchemaError, ValidationError
 from spectral_decay.symbols import (PAULI, SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma,
                                     load_symbol_system, pauli_system, symbol)
@@ -31,7 +31,7 @@ def test_symbol_evaluation():
     expected[:2, 2:] = PAULI[0]
     expected[2:, :2] = PAULI[0]
     assert np.allclose(A, expected)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="xi must have length 3"):
         symbol(dirac, [1.0, 0.0])
 
 
