@@ -6,18 +6,18 @@ exactly one critical point c in each gap, open or closed.  The gap is
 open iff |F(c)| > 1, and its edges are the roots of F = sign F(c) on
 either side of c.
 
-The scan samples F on a lambda grid; the bottom edge is the first sign
-change of F - 1.  Each local extremum of the samples brackets c on its
-two cells, and Brent's method (roots.brent) finds c as a root of the
-complex-step F'.
-A gap counts as open when |F(c)| - 1 exceeds the certified error of F(c):
-the n-vs-2n difference of its Magnus product plus the rounding of its
-steps, or the rounding of its closed form on piecewise V.  The whole grid
-is one batched evaluation.
-An open gap adds both edges by one rule: walk each side of c's cell
-outward over the samples inside the gap, and bracket the edge between the
-first sample outside and the one before it, or c if no sample lies inside.
-A gap open at the ceiling adds its left edge alone, walking down from the top.
+The scan samples F on a lambda grid; every edge is a root of F - 1 or
+F + 1 that Brent's method (roots.grid_roots) finds in a cell where the
+samples change sign, and the lowest is the bottom edge.  A gap with no
+sample inside shows as a sample extremum with |F| <= 1: its two cells
+bracket c as a root of the complex-step F', and where |F(c)| > 1, c ends
+both brackets of the gap's edges.  F' of one sign at both ends of an
+extremum's cells marks the scan incomplete.
+A gap counts as open when |F| - 1 at its midpoint (at the ceiling, for a
+gap open there) exceeds the certified error of F: the n-vs-2n difference
+of its Magnus product plus the rounding of its steps, or the rounding of
+its closed form on piecewise V.  The grid is one batched evaluation, and
+the midpoints of all gaps another.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import ode
 from .floquet import discriminant, discriminant_derivative
 from .errors import OutOfCertifiedRange, ValidationError
-from .roots import brent
+from .roots import brent, grid_roots
 
 DEFAULT_GRID_STEP = 0.05
 EDGE_XTOL = 1e-13
@@ -67,54 +67,36 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     grid = np.linspace(lam_min, lam_max, n)
     Fs = discriminant(V, grid)
 
-    def edge(t, a, Fa, b, Fb):  # the root of F = t between a and b, where F is Fa and Fb
-        return brent(lambda lam: discriminant(V, lam) - t, a, b, Fa - t, Fb - t, EDGE_XTOL)
+    def F(t):  # F - t, whose roots are the edges where F = t
+        return lambda lam: discriminant(V, lam) - t
 
     def dF(lam):
         return discriminant_derivative(V, lam)
 
-    sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
-    hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
-    if not hits.size:
-        return BandStructure((), lam_max)
-    i = hits[0]
-    edges, incomplete = [edge(1.0, grid[i], Fs[i], grid[i + 1], Fs[i + 1])], False
-
-    sd, dF_top = np.sign(np.diff(Fs)), dF(lam_max)
-    extrema = (np.flatnonzero(sd[i:-1] * sd[i + 1:] < 0) + i + 1).tolist()
+    edges = [e for t in (1.0, -1.0) for e in grid_roots(F(t), grid, Fs - t, EDGE_XTOL)]
+    sd, dF_top, incomplete = np.sign(np.diff(Fs)), dF(lam_max), False
+    extrema = (np.flatnonzero(sd[:-1] * sd[1:] < 0) + 1).tolist()
     if sd[-1] * np.sign(dF_top) < 0:  # a critical point in the last cell
         extrema.append(n - 1)
     for j in extrema:
-        if grid[j] < edges[-1]:
-            continue  # inside the last gap
         lo, hi = grid[j - 1], grid[min(j + 1, n - 1)]
         d_lo, d_hi = dF(lo), (dF_top if hi == lam_max else dF(hi))
         if np.sign(d_lo) * np.sign(d_hi) > 0:
             incomplete = True
-            continue
-        c = brent(dF, lo, hi, d_lo, d_hi, EDGE_XTOL)
-        M, err = ode.certified_monodromy(V, [c])
-        Fc = 0.5 * (M[0, 0, 0] + M[0, 1, 1])
-        if abs(Fc) - 1.0 <= err[0]:
-            continue  # closed gap
-        t = 1.0 if Fc > 0 else -1.0
-        inside = t * Fs > 1.0
-        a = k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
-        b = k + 1
-        while b < n and inside[b]:
-            b += 1
-        if b == n:
-            break  # the scan ends inside this gap: its left edge is added below
-        while inside[a]:
-            a -= 1
-        narrow = a == k and b == k + 1  # no sample inside the gap: c ends both brackets
-        inner = [(c, Fc)] * 2 if narrow else [(grid[a + 1], Fs[a + 1]), (grid[b - 1], Fs[b - 1])]
-        edges += [edge(t, grid[a], Fs[a], *inner[0]), edge(t, *inner[1], grid[b], Fs[b])]
-    if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap: its left edge
-        t, a = (1.0 if Fs[-1] > 0 else -1.0), n - 1
-        while t * Fs[a] > 1.0:
-            a -= 1
-        edges.append(edge(t, grid[a], Fs[a], grid[a + 1], Fs[a + 1]))
+        elif abs(Fs[j]) <= 1.0:  # no sample inside a gap here: c ends both brackets
+            c = brent(dF, lo, hi, d_lo, d_hi, EDGE_XTOL)
+            Fc = discriminant(V, c)
+            if abs(Fc) > 1.0:
+                t = 1.0 if Fc > 0 else -1.0
+                k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
+                edges += grid_roots(F(t), [grid[k], c, grid[k + 1]],
+                                    np.array([Fs[k], Fc, Fs[k + 1]]) - t, EDGE_XTOL)
+    edges.sort()
+    lefts, rights = edges[1::2], edges[2::2]  # a scan ending inside a gap leaves its left edge last
+    M, err = ode.certified_monodromy(V, [0.5 * (a + b) for a, b in zip(lefts, rights)]
+                                     + [lam_max] * (len(lefts) - len(rights)))
+    certified = np.abs(0.5 * (M[:, 0, 0] + M[:, 1, 1])) - 1.0 > err
+    edges = edges[:1] + [e for i, e in enumerate(edges[1:]) if certified[i // 2]]
     return BandStructure(tuple(edges), lam_max, incomplete)
 
 

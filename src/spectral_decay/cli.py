@@ -68,6 +68,8 @@ def _parse_range(spec: str) -> tuple:
             f"range must be start:stop:count, got {spec!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
+    if not math.isfinite(stop - start):  # the linspace step would overflow
+        raise argparse.ArgumentTypeError(f"range stop - start overflows, got {spec!r}")
     return start, stop, count
 
 

@@ -7,8 +7,8 @@ sqrt(m^2 - lambda^2) are closed-form.  Eigenvalues of H = -i s1 d/dx
 is propagated through supp W and its linear dependence on the
 right-decaying direction is tested at the right support edge.  The
 determinant takes an array of lambda, so the gap scan is one call over
-one lowering of W; Brent refinement and the root check call it with a
-scalar lambda, a batch of one.
+one lowering of W; Brent refinement calls it with a scalar lambda, a
+batch of one, and the root check with every root at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import decay, ode
 from .errors import BandPointError, StepFailure
 from .potentials import MatrixPerturbation
-from .roots import brent
+from .roots import grid_roots
 
 N_SCAN = 400           # determinant samples across the gap
 VERIFY_REL = 1e-6      # a root keeps |det| below this times the scan's max |det|
@@ -96,11 +96,12 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     """Eigenvalues of the Dirac operator inside the gap (-m, m).
 
     Scans (-m, m) less 1e-9 m at each end in one batched determinant
-    call, refines sign changes of Im(det) by Brent, and keeps only roots
-    at which the full complex determinant vanishes (|det| below
-    VERIFY_REL times its scan scale).  Scan points whose determinant
-    overflows (e^{sqrt(m^2 - lambda^2) L} for a heavy mass) are dropped,
-    with the cells next to them; StepFailure only where every point is.
+    call, refines sign changes of Im(det) by Brent (roots.grid_roots), and
+    keeps only roots at which the full complex determinant vanishes (|det|
+    below VERIFY_REL times its scan scale), checked in one batched call.
+    Scan points whose determinant overflows (e^{sqrt(m^2 - lambda^2) L}
+    for a heavy mass) are dropped, with the cells next to them;
+    StepFailure only where every point is.
     An empty list is a valid result.
     """
     ode.check_mass(m)
@@ -112,10 +113,9 @@ def dirac_gap_eigenvalues(W: MatrixPerturbation, m: float) -> list:
     def f(lam):
         return matching_determinant(W, m, lam).imag
 
-    sg = np.sign(dets.imag)  # a product of two large determinants overflows
-    cells = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
-    cands = (brent(f, grid[i], grid[i + 1], dets[i].imag, dets[i + 1].imag, 1e-13) for i in cells)
-    return [c for c in cands if abs(matching_determinant(W, m, c)) <= VERIFY_REL * scale]
+    cands = grid_roots(f, grid, dets.imag, 1e-13)
+    checks = np.abs(matching_determinant(W, m, np.array(cands)))
+    return [c for c, d in zip(cands, checks) if d <= VERIFY_REL * scale]
 
 
 def dirac_eigenfunction(W: MatrixPerturbation, m: float, lam: float) -> DiracEigenpair:

@@ -3,6 +3,8 @@ stepped as scipy's brentq.c steps it, so that a root equals scipy.optimize.brent
 
 import math
 
+import numpy as np
+
 from .errors import NoConvergence, NoSignChange
 
 MAX_ITER = 100
@@ -47,3 +49,11 @@ def brent(f, a: float, b: float, fa, fb, xtol: float) -> float:
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur, f(xcur))
     raise NoConvergence(f"Failed to converge after {MAX_ITER} iterations.")
+
+
+def grid_roots(f, grid, values, xtol: float) -> list:
+    """The roots of f that brent finds, in increasing order, one in each cell of
+    grid where values = f(grid) change sign or that starts at an exact zero."""
+    sg = np.sign(values)  # signs are multiplied: a product of two values under- or overflows
+    cells = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
+    return [brent(f, grid[i], grid[i + 1], values[i], values[i + 1], xtol) for i in cells]

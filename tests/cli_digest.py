@@ -29,6 +29,8 @@ BOX = {"type": "piecewise", "breaks": [0.0], "values": [1.0]}
 DOCS = {
     "zero.json": {"type": "zero"},
     "step.json": {"type": "piecewise", "breaks": [0.0, 0.5], "values": [10.0, 0.0]},
+    "well.json": {"type": "piecewise", "breaks": [0.0, 0.5], "values": [-400.0, 0.0]},
+    "flat.json": {"type": "fourier", "mean": 2.0, "cos": [], "sin": []},
     "mathieu.json": {"type": "fourier", "mean": 0.0, "cos": [2.0], "sin": []},
     "three.json": {"type": "fourier", "mean": 0.1, "cos": [1.5, 0.7, 0.3],
                    "sin": [0.2, 0.4, 0.1]},
@@ -103,6 +105,10 @@ def _runs():
     # Q = G^2 = 1e-308: a subnormal mu, whose coupling 1/mu no float holds
     yield ["bs-spectrum", "--potential", "zero.json", "--perturbation", "sub01.json",
            "--lambda=-1", "--count", "2"]
+    # bands narrower than a grid cell (2.2e-3 and 2.3e-2 wide), the ceiling inside a gap
+    yield ["bands", "--potential", "well.json", "--lambda-max", "20"]
+    # V = 2: every gap closed, |F| - 1 at each critical point within the certified error
+    yield ["bands", "--potential", "flat.json", "--lambda-max", "400"]
 
 
 def _digest(argv) -> str:

@@ -16,7 +16,9 @@ Jacobi eigenvalues have a long-double Sturm-bisection reference, the
 cell transfer matrices have a lowering per cell, a certification round
 has a product per refinement, and the
 band-scan reference finds band edges by pruned bisection without using
-the critical points of F.  Run
+the critical points of F; the walking band scan, which bracketed each
+edge from its gap's critical point, is kept as it was, for the grid-root
+scan to reproduce bit for bit.  Run
 this module directly to regenerate the frozen constants quoted in the
 tests.
 """
@@ -32,9 +34,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq, minimize
 
 from spectral_decay import ode, symbols
-from spectral_decay.bands import EDGE_XTOL, BandStructure
-from spectral_decay.floquet import discriminant, floquet_solutions, floquet_values
+from spectral_decay.bands import DEFAULT_GRID_STEP, EDGE_XTOL, BandStructure
+from spectral_decay.errors import ValidationError
+from spectral_decay.floquet import (discriminant, discriminant_derivative,
+                                    floquet_solutions, floquet_values)
 from spectral_decay.potentials import PeriodicPotential
+from spectral_decay.roots import brent
 
 
 def rk4_hill(V, lam, x0, x1, y, yp, h=1e-5):
@@ -524,6 +529,72 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
             gaps.append((a, b))
     bands = BandStructure(edges=tuple(edges), scan_ceiling=lam_max, incomplete=incomplete)
     return bands, tuple(gaps)
+
+
+def walking_band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
+    """bands.band_edges as it was before every edge became a grid root of F -+ 1:
+    the bottom edge is the first sign change of F - 1, Brent finds every gap's
+    critical point c, each gap open at c walks outward from c's cell for its
+    brackets, and a gap open at the ceiling adds its left edge uncertified."""
+    if not 0 < grid_step < np.inf:
+        raise ValidationError(f"grid_step must be positive and finite, got {grid_step}")
+    lam_min = -V.max_abs() - 1.0
+    if not lam_min < lam_max < np.inf:
+        raise ValidationError(f"lam_max must be finite and exceed the scan floor, got {lam_max}")
+
+    n = ode.check_lambda_count(np.ceil((lam_max - lam_min) / grid_step) + 1)
+    grid = np.linspace(lam_min, lam_max, n)
+    Fs = discriminant(V, grid)
+
+    def edge(t, a, Fa, b, Fb):  # the root of F = t between a and b, where F is Fa and Fb
+        return brent(lambda lam: discriminant(V, lam) - t, a, b, Fa - t, Fb - t, EDGE_XTOL)
+
+    def dF(lam):
+        return discriminant_derivative(V, lam)
+
+    sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
+    hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
+    if not hits.size:
+        return BandStructure((), lam_max)
+    i = hits[0]
+    edges, incomplete = [edge(1.0, grid[i], Fs[i], grid[i + 1], Fs[i + 1])], False
+
+    sd, dF_top = np.sign(np.diff(Fs)), dF(lam_max)
+    extrema = (np.flatnonzero(sd[i:-1] * sd[i + 1:] < 0) + i + 1).tolist()
+    if sd[-1] * np.sign(dF_top) < 0:  # a critical point in the last cell
+        extrema.append(n - 1)
+    for j in extrema:
+        if grid[j] < edges[-1]:
+            continue  # inside the last gap
+        lo, hi = grid[j - 1], grid[min(j + 1, n - 1)]
+        d_lo, d_hi = dF(lo), (dF_top if hi == lam_max else dF(hi))
+        if np.sign(d_lo) * np.sign(d_hi) > 0:
+            incomplete = True
+            continue
+        c = brent(dF, lo, hi, d_lo, d_hi, EDGE_XTOL)
+        M, err = ode.certified_monodromy(V, [c])
+        Fc = 0.5 * (M[0, 0, 0] + M[0, 1, 1])
+        if abs(Fc) - 1.0 <= err[0]:
+            continue  # closed gap
+        t = 1.0 if Fc > 0 else -1.0
+        inside = t * Fs > 1.0
+        a = k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
+        b = k + 1
+        while b < n and inside[b]:
+            b += 1
+        if b == n:
+            break  # the scan ends inside this gap: its left edge is added below
+        while inside[a]:
+            a -= 1
+        narrow = a == k and b == k + 1  # no sample inside the gap: c ends both brackets
+        inner = [(c, Fc)] * 2 if narrow else [(grid[a + 1], Fs[a + 1]), (grid[b - 1], Fs[b - 1])]
+        edges += [edge(t, grid[a], Fs[a], *inner[0]), edge(t, *inner[1], grid[b], Fs[b])]
+    if abs(Fs[-1]) > 1.0:  # the scan ends inside a gap: its left edge
+        t, a = (1.0 if Fs[-1] > 0 else -1.0), n - 1
+        while t * Fs[a] > 1.0:
+            a -= 1
+        edges.append(edge(t, grid[a], Fs[a], grid[a + 1], Fs[a + 1]))
+    return BandStructure(tuple(edges), lam_max, incomplete)
 
 
 if __name__ == "__main__":

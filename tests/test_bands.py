@@ -99,6 +99,76 @@ def test_property_scan_matches_bisection_oracle(scan, grid_step):
             assert abs(e - r) <= 1e-12 * max(1.0, abs(r))
 
 
+# two-step wells, whose lowest bands are narrower than a cell at depth 400
+# (2.2e-3 and 2.3e-2 wide at width 1/2), so that one cell holds two edges,
+# and harmonics of 1e-3, whose gaps lie inside one cell or are closed
+WELL = PeriodicPotential.piecewise([0.0, 0.5], [-400.0, 0.0])
+wells = st.builds(lambda depth, width: PeriodicPotential.piecewise([0.0, width], [-depth, 0.0]),
+                  st.floats(50.0, 400.0), st.floats(0.2, 0.8))
+faint = st.builds(lambda mean, cs: PeriodicPotential.fourier(mean, cs), st.floats(-1.0, 1.0),
+                  st.lists(st.sampled_from([1e-3, -1e-3]), min_size=1, max_size=3))
+walks = st.one_of(st.tuples(piecewise, st.floats(5.0, 100.0)),
+                  st.tuples(fourier, st.floats(5.0, 40.0)),
+                  st.tuples(wells, st.floats(-45.0, 60.0)),
+                  st.tuples(faint, st.floats(5.0, 60.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(walks, st.sampled_from([0.05, 0.3, 1.0]))
+@example((WELL, 20.0), DEFAULT_GRID_STEP)  # two edges in one cell, the ceiling in a gap
+@example((WELL, -385.0), 1.0)  # the ceiling below the spectrum: no edge
+@example((MATHIEU, 10.0), DEFAULT_GRID_STEP)  # the ceiling inside gap 1
+@example((MATHIEU, 100.0), 1.0)  # gaps 2 and 3 inside one cell
+@example((PeriodicPotential.fourier(0.0, [0.0, 1e-3]), 100.0), 0.3)  # closed gaps 1 and 3
+def test_property_scan_matches_the_walking_scan_bit_for_bit(scan, grid_step):
+    # the grid roots of F -+ 1 are the edges the walks from each gap's
+    # critical point bracketed, in the same cells, with the same end values
+    V, lam_max = scan
+    bs = band_edges(V, lam_max, grid_step=grid_step)
+    ref = oracles.walking_band_edges(V, lam_max, grid_step=grid_step)
+    assert [e.hex() for e in bs.edges] == [e.hex() for e in ref.edges]
+    assert bs.incomplete == ref.incomplete
+
+
+def test_incomplete_scan_keeps_every_gap_with_a_sample_inside():
+    # at step 26 a sample extremum's two cells hold two critical points; the
+    # walking scan skipped the gap there, the grid roots of F + 1 keep it
+    V = PeriodicPotential.fourier(1.5, [28.8])
+    bs, ref = band_edges(V, 44.4, grid_step=26.0), oracles.walking_band_edges(V, 44.4, 26.0)
+    fine = band_edges(V, 44.4)
+    assert bs.incomplete and ref.incomplete and not fine.incomplete
+    assert len(bs.gaps) == len(fine.gaps) == 1 and ref.gaps == ()
+    assert bs.gaps[0] == pytest.approx(fine.gaps[0], abs=1e-9)
+
+
+STEP4 = PeriodicPotential.piecewise([0.0, 0.2, 0.5, 0.7], [5.0, -3.0, 8.0, 1.0])
+
+
+@pytest.mark.parametrize("V, lam_max, most", [(STEP4, 400.0, 13), (MATHIEU, 100.0, 11)],
+                         ids=["four-step", "mathieu"])
+def test_scan_work(monkeypatch, V, lam_max, most):
+    # F' at the ends of each sample extremum's two cells and in the Brent
+    # steps for c of a gap with no sample inside; one certified call for all
+    # gaps.  The walking scan made 37 and 19 F' calls, 6 and 3 certified ones.
+    calls = []
+    for module, name in ((bands, "discriminant_derivative"), (ode, "certified_monodromy")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+    band_edges(V, lam_max)
+    assert calls.count("discriminant_derivative") <= most
+    assert calls.count("certified_monodromy") == 1
+
+
+def test_a_gap_is_kept_only_where_its_certificate_holds(monkeypatch):
+    # with an infinite error no gap is open, also the one open at the
+    # ceiling, whose left edge 8.857098951351979 the walking scan kept uncertified
+    certified = ode.certified_monodromy
+    monkeypatch.setattr(ode, "certified_monodromy",
+                        lambda V, lams: (certified(V, lams)[0], np.full(len(lams), np.inf)))
+    assert band_edges(MATHIEU, 10.0).edges == (pytest.approx(MATHIEU_LAMBDA0, abs=1e-7),)
+    assert band_edges(MATHIEU, 50.0).edges == (pytest.approx(MATHIEU_LAMBDA0, abs=1e-7),)
+
+
 def test_step_potential_gap_widths_decrease():
     bs = band_edges(STEP, 500.0)
     widths = [b - a for a, b in bs.gaps]

@@ -367,7 +367,8 @@ def test_non_finite_cli_floats_rejected(argv, cfg, capsys, monkeypatch):
 @pytest.mark.parametrize("spec, message", [
     ("0:1", "range must be start:stop:count, got '0:1'"),
     ("0:1:0", "range count must be >= 1"),
-], ids=["two-fields", "zero-count"])
+    ("-1e308:1e308:3", "range stop - start overflows, got '-1e308:1e308:3'"),
+], ids=["two-fields", "zero-count", "overflowing-width"])
 def test_malformed_lambda_range_rejected(spec, message, cfg, capsys):
     assert main(["discriminant", "--potential", cfg["zero"], f"--lambda-range={spec}"]) == 2
     assert message in capsys.readouterr().err

@@ -134,6 +134,17 @@ def test_one_hermitian_check():
     assert sites == [("potentials", "_check_hermitian")]
 
 
+def test_one_bracket_rule():
+    # a grid cell brackets a root where the values change sign or where it
+    # starts at an exact zero: roots.grid_roots, shared by every scan
+    sites = []
+    for path in MODULES + [pathlib.Path(spectral_decay.__file__)]:
+        for top in ast.parse(path.read_text()).body:
+            sites += [(path.stem, getattr(top, "name", None)) for n in ast.walk(top)
+                      if isinstance(n, ast.Compare) and ast.unparse(n).endswith("[:-1] == 0.0")]
+    assert sites == [("roots", "grid_roots")]
+
+
 def test_no_tol_parameter():
     # the kernel's tolerance is the constant ode.TOL: no function takes one
     sites = []

@@ -123,7 +123,7 @@ def test_property_callers_pass_the_values_f_takes_at_the_bracket_ends(job):
         return root
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (bands, dirac, gap):
+        for module in (bands, gap, roots):  # roots.grid_roots calls roots.brent
             mp.setattr(module, "brent", checked)
         if job[0] == "bands":
             _, V, lam_max, grid_step = job
