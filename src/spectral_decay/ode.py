@@ -68,6 +68,7 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ISIGMA1 = 1j * SIGMA1
 
 _I2 = np.eye(2)
+_I2C = _I2.astype(complex)
 _EPS = sys.float_info.epsilon
 _GAUSS = 0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)
 _ORDER = 6  # of the Magnus steps: a doubling shrinks their error 2^_ORDER-fold
@@ -92,21 +93,44 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _parts(a, b) -> tuple:
+    """The real and imaginary parts of same-shape arrays a and b, flattened:
+    numpy takes its fast loop over strided views only in one dimension."""
+    a, b = a.ravel(), b.ravel()
+    return a.real, a.imag, b.real, b.imag
+
+
 def _cmul(a, b) -> np.ndarray:
-    """a * b rounded as complex scalars round it (numpy's complex array loop
-    differs from them in the last bit)."""
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+    """a * b of same-shape arrays rounded as complex scalars round it (numpy's
+    complex array loop differs from them in the last bit)."""
+    ar, ai, br, bi = _parts(a, b)
+    return _complex(ar * br - ai * bi, ar * bi + ai * br).reshape(a.shape)
+
+
+def _quot(ar, ai, br, bi, big: bool) -> np.ndarray:
+    """(ar + i ai) / (br + i bi) by one branch of CPython's complex division:
+    the one dividing by br where big (|br| >= |bi|), else the one dividing by bi."""
+    if big:
+        ratio = bi / br
+        denom = br + bi * ratio
+        return _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    ratio = br / bi
+    denom = bi + br * ratio
+    return _complex((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
 
 
 def _cdiv(a, b) -> np.ndarray:
-    """a / b by CPython's complex division (numpy's differs in the last bit)."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    """a / b of same-shape arrays by CPython's complex division (numpy's
+    differs in the last bit), each branch on the entries that take it."""
+    ar, ai, br, bi = _parts(a, b)
     big = np.abs(br) >= np.abs(bi)
-    p, q = np.where(big, br, bi), np.where(big, bi, br)
-    ratio = q / p
-    denom = p + q * ratio
-    rr, ir = ar * ratio, ai * ratio
-    return _complex(np.where(big, ar + ir, rr + ai) / denom, np.where(big, ai - rr, ir - ar) / denom)
+    n = np.count_nonzero(big)
+    if n in (0, big.size):
+        return _quot(ar, ai, br, bi, n > 0).reshape(a.shape)
+    out, small = np.empty(big.shape, dtype=complex), ~big
+    out[big] = _quot(ar[big], ai[big], br[big], bi[big], True)
+    out[small] = _quot(ar[small], ai[small], br[small], bi[small], False)
+    return out.reshape(a.shape)
 
 
 def _cs(s, h):
@@ -116,29 +140,32 @@ def _cs(s, h):
     for bit; StepFailure where math.cosh or math.sinh overflows.  The
     hyperbolic branch loops over math.cosh and math.sinh on purpose: under
     numpy's AVX-512 kernels np.cosh and np.sinh differ from them on about
-    one input in ten, so this loop is what keeps printed output the same
-    on every CPU.
+    one input in ten.  The loop only avoids numpy's SIMD variants: glibc
+    still picks an FMA or a non-FMA variant of cosh, sinh, sin and cos by
+    CPU, so the printed bytes still depend on the CPU (ROADMAP item 15).
     """
     z2 = s * h * h
-    cplx = np.iscomplexobj(z2)
-    mul, div = (_cmul, _cdiv) if cplx else (np.multiply, np.divide)
-    series = np.abs(z2) <= 1e-8  # keeps truncation below 1e-25
+    cplx = z2.dtype.kind == "c"
     z = np.sqrt(s if cplx else np.abs(s))
     zh = z * h
     C, S = np.cos(zh), np.sin(zh)
-    hyp = not cplx and z2 < -1e-8
-    if np.count_nonzero(hyp):
-        zh_hyp = zh[hyp].tolist()
-        try:
-            C[hyp] = [math.cosh(t) for t in zh_hyp]
-            S[hyp] = [math.sinh(t) for t in zh_hyp]
-        except OverflowError as exc:
-            raise StepFailure(f"transfer matrix overflows ({exc})") from exc
+    if not cplx:
+        hyp = z2 < -1e-8
+        if np.count_nonzero(hyp):
+            zh_hyp = zh[hyp].tolist()
+            try:
+                C[hyp] = [math.cosh(t) for t in zh_hyp]
+                S[hyp] = [math.sinh(t) for t in zh_hyp]
+            except OverflowError as exc:
+                raise StepFailure(f"transfer matrix overflows ({exc})") from exc
+    mul, div = (_cmul, _cdiv) if cplx else (np.multiply, np.divide)
+    series = np.abs(z2) <= 1e-8  # keeps truncation below 1e-25
+    if not np.count_nonzero(series):
+        return C, div(S, z)
     S = div(S, np.where(series, 1.0, z))
-    if np.count_nonzero(series):
-        z2, h = z2[series], np.broadcast_to(h, z2.shape)[series]
-        C[series] = 1.0 - z2 / 2.0 + mul(z2, z2) / 24.0
-        S[series] = h * (1.0 - z2 / 6.0 + mul(z2, z2) / 120.0)
+    z2, h = z2[series], np.broadcast_to(h, z2.shape)[series]
+    C[series] = 1.0 - z2 / 2.0 + mul(z2, z2) / 24.0
+    S[series] = h * (1.0 - z2 / 6.0 + mul(z2, z2) / 120.0)
     return C, S
 
 
@@ -154,7 +181,7 @@ def _hill_exact(lams, v, h) -> np.ndarray:
     for k lambdas and m pieces."""
     s = lams[:, None] - v
     C, S = _cs(s, h)
-    return _matrices(C, S, (_cmul if np.iscomplexobj(s) else np.multiply)(-s, S), C)
+    return _matrices(C, S, (_cmul if s.dtype.kind == "c" else np.multiply)(-s, S), C)
 
 
 def wronskian(u, v):
@@ -300,7 +327,7 @@ class _Dirac:
 def _fold(F: np.ndarray) -> np.ndarray:
     """F[:, :, -1] @ ... @ F[:, :, 0] @ I of the factors (k, c, depth, 2, 2) in the
     slots of a _Plan, in turn (F @ I may flip the sign of a complex zero)."""
-    T = _I2
+    T = _I2C if F.dtype.kind == "c" else _I2
     for i in range(F.shape[2]):
         T = F[:, :, i] @ T
     return T
@@ -364,29 +391,34 @@ def _product(plan: _Plan, lams, density: float, refines) -> np.ndarray:
     refinements share one factor stack, a set of cells each, and one fold;
     the exact pieces' exponentials are computed once for all sets.  Where
     every slot is exact there is nothing to refine, and r is 1.  Lambdas go
-    in blocks of at most _BLOCK factor matrices, counted over every set.
+    in blocks of at most _BLOCK factor matrices, counted over every set; the
+    fold of a single block is returned as it is.
     """
-    system, dtype = plan.system, plan.system.dtype(lams)
+    system = plan.system
     walks, sets = plan.walks(density, refines), 1 if plan.tiled else len(refines)
     size = len(plan.h) + sum(h.size for _, _, h, _ in walks) + sets * plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
-    out = np.empty((len(lams), sets * plan.count, 2, 2), dtype=dtype)
-    for lo in range(0, len(lams), block):
-        lb = lams[lo:lo + block]
+
+    def fold(lb):
         if plan.tiled:
-            F = system.exact(lb, plan.p, plan.h).reshape(len(lb), plan.count, plan.depth, 2, 2)
-        else:
-            F = np.empty((len(lb), sets, plan.count, plan.depth, 2, 2), dtype=dtype)
-            F[...] = _I2
-            if len(plan.h):
-                F[:, :, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)[:, None]
-            for n, (j, i), h, coefficients in walks:
-                E, first = system.steps(lb, h, coefficients), 0
-                for r, refine in enumerate(refines):
-                    F[:, r, j, i] = _reduce(E[:, :, first:first + refine * n])
-                    first += refine * n
-            F = F.reshape(len(lb), sets * plan.count, plan.depth, 2, 2)
-        out[lo:lo + block] = _fold(F)
+            return _fold(system.exact(lb, plan.p, plan.h).reshape(
+                len(lb), plan.count, plan.depth, 2, 2))
+        F = np.empty((len(lb), sets, plan.count, plan.depth, 2, 2), dtype=system.dtype(lb))
+        F[...] = _I2
+        if len(plan.h):
+            F[:, :, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)[:, None]
+        for n, (j, i), h, coefficients in walks:
+            E, first = system.steps(lb, h, coefficients), 0
+            for r, refine in enumerate(refines):
+                F[:, r, j, i] = _reduce(E[:, :, first:first + refine * n])
+                first += refine * n
+        return _fold(F.reshape(len(lb), sets * plan.count, plan.depth, 2, 2))
+
+    if plan.depth and len(lams) <= block:  # with no slot the fold is one identity
+        return fold(lams)
+    out = np.empty((len(lams), sets * plan.count, 2, 2), dtype=system.dtype(lams))
+    for lo in range(0, len(lams), block):
+        out[lo:lo + block] = fold(lams[lo:lo + block])
     return out
 
 
@@ -453,8 +485,8 @@ def _certify(plan: _Plan, lams):
 
 def _check_phase(system, lams, xa: float, xb: float):
     """StepFailure where rounding the phase rate * (xb - xa) alone exceeds TOL,
-    else where a lambda is nan (np.max carries a nan through to the test)."""
-    if not _EPS * system.rate(np.max(np.abs(lams), initial=0.0)) * (xb - xa) <= TOL:
+    else where a lambda is nan (the reduction carries a nan through to the test)."""
+    if not _EPS * system.rate(np.maximum.reduce(np.abs(lams), initial=0.0)) * (xb - xa) <= TOL:
         for lam in lams:
             if _EPS * system.rate(abs(lam)) * (xb - xa) > TOL:
                 raise StepFailure(f"lambda = {lam.item()}: phase rounding over [{xa}, {xb}] "

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -419,6 +419,51 @@ def test_property_piecewise_batch_is_the_scalar_closed_form(V, lams):
         assert np.array_equal(ode.monodromy(V, batch), ref)
     assert np.array_equal(ode.monodromy(V0, lams), [oracles.closed_form_monodromy(V0, lam)
                                                     for lam in np.array(lams)])
+
+
+def test_closed_form_over_many_blocks_is_the_batch_of_one():
+    # one block of the 4-step V holds 4096 // 8 = 512 lambdas: 1,537 take four
+    # blocks into one buffer, and each lambda alone one block, returned as
+    # folded; a piece value at each end of a block takes the series branch
+    V = PeriodicPotential.piecewise([0.0, 0.2, 0.5, 0.7], [5.0, -3.0, 8.0, 1.0])
+    lams = np.linspace(-20.0, 500.0, 1537)
+    lams[[0, 511, 512, 1023, 1536]] = 5.0, -3.0, 8.0, 1.0, 5.0
+    for batch in (lams, lams + 1j * floquet.CS_STEP):
+        M = ode.monodromy(V, batch)
+        assert _bits(M) == _bits([ode.monodromy(V, lam) for lam in batch])
+        assert _bits(M) == _bits([oracles.closed_form_monodromy(V, lam) for lam in batch])
+
+
+def _signed(magnitude, negative):
+    return -magnitude if negative else magnitude
+
+
+# complex parts: zeros of either sign, and magnitudes in [1e-3, 1e3] so that
+# no quotient over- or underflows
+cdiv_part = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.builds(_signed, st.floats(1e-3, 1e3), st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[cdiv_part] * 4), min_size=1, max_size=16),
+       st.sampled_from(["by real part", "by imaginary part", "mixed"]))
+def test_property_cdiv_is_cpython_division(rows, branch):
+    # each row a / b, b != 0, turned so that |b.real| >= |b.imag| holds on
+    # every row, on none or (mixed) on every other row
+    a, b, bigs = [], [], set()
+    for i, (ar, ai, br, bi) in enumerate(rows):
+        big = branch == "by real part" or (branch == "mixed" and i % 2 == 0)
+        if (abs(br) >= abs(bi)) != big:
+            br, bi = bi, br
+        if (abs(br) >= abs(bi)) == big and (br or bi):  # else |br| == |bi| or b == 0
+            a.append(complex(ar, ai))
+            b.append(complex(br, bi))
+            bigs.add(big)
+    assume(len(bigs) == (2 if branch == "mixed" else 1))
+    ref = [x / y for x, y in zip(a, b)]
+    for shape in ((len(a),), (1, len(a))):
+        out = ode._cdiv(np.array(a).reshape(shape), np.array(b).reshape(shape))
+        assert out.shape == shape and _bits(out) == _bits(np.array(ref).reshape(shape))
 
 
 def test_smooth_batch_within_tol_of_mpmath(monkeypatch):
