@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ode
 from .errors import BandPointError
+from .potentials import PeriodicPotential
 
 TOL_EDGE = 1e-9
 CS_STEP = 1e-30  # complex step: Im M(lambda + ih)/h is dM/dlambda to rounding
@@ -49,10 +50,30 @@ def multiplicator(F: float) -> float:
 
 
 @dataclass(frozen=True)
+class FloquetSolution:
+    """y of -y'' + V y = lam y with (y, y')(0) = seed (unit norm) and y(x + 1) = mu y(x)."""
+    V: PeriodicPotential
+    lam: float
+    seed: np.ndarray
+    mu: float
+
+    def __call__(self, xs) -> np.ndarray:
+        """States (len(xs), 2) at an array of points x = n + r, y(x) = mu^n P(0 -> r) seed:
+        one walk through the sorted fractional parts r gives every P(0 -> r) seed."""
+        xs = np.asarray(xs, dtype=float)
+        n = np.floor(xs)
+        order = np.argsort(xs - n)
+        rs = (xs - n)[order]
+        states = np.empty((len(xs), 2))
+        states[order] = ode.propagate_hill(self.V, self.lam, [0.0, *rs], self.seed)[1:]
+        return (self.mu ** n)[:, None] * states
+
+
+@dataclass(frozen=True)
 class FloquetData:
     rho: float
-    plus: tuple  # (seed (y_+(0), y_+'(0)) of unit norm, mu = sigma/rho): y_+(x + 1) = mu y_+(x)
-    minus: tuple  # (seed of y_-, mu = sigma*rho)
+    plus: FloquetSolution  # y_+, mu = sigma/rho
+    minus: FloquetSolution  # y_-, mu = sigma*rho
 
 
 def _eigvec_2x2(M: np.ndarray, mu: float) -> np.ndarray:
@@ -83,24 +104,6 @@ def floquet_solutions(V, lam: float) -> FloquetData:
         raise BandPointError(f"|F({lam})| = {abs(F)} <= 1 + {TOL_EDGE}")
     rho = multiplicator(F)
     sigma = 1.0 if F > 0 else -1.0
-    mu_plus, mu_minus = sigma / rho, sigma * rho
-    return FloquetData(rho=rho, plus=(_eigvec_2x2(M, mu_plus), mu_plus),
-                       minus=(_eigvec_2x2(M, mu_minus), mu_minus))
+    return FloquetData(rho, *(FloquetSolution(V, lam, _eigvec_2x2(M, mu), mu)
+                              for mu in (sigma / rho, sigma * rho)))
 
-
-def floquet_values(V, lam: float, xs, solution) -> np.ndarray:
-    """States (len(xs), 2) at an array of points of the Floquet solution
-    (seed, mu) at lambda, FloquetData.plus or .minus.
-
-    Normalized so that the seed at x = 0 has unit norm.  Each x = n + r
-    is reduced modulo the period, y(x) = mu^n * P(0 -> r) seed, and one
-    walk through the sorted fractional parts r gives every P(0 -> r) seed.
-    """
-    seed, mu = solution
-    xs = np.asarray(xs, dtype=float)
-    n = np.floor(xs)
-    order = np.argsort(xs - n)
-    rs = (xs - n)[order]
-    states = np.empty((len(xs), 2))
-    states[order] = ode.propagate_hill(V, lam, [0.0, *rs], seed)[1:]
-    return (mu ** n)[:, None] * states

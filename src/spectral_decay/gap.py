@@ -42,7 +42,7 @@ import numpy as np
 
 from . import decay, ode
 from .errors import NoSignChange, SingularWronskian, ValidationError
-from .floquet import floquet_solutions, floquet_values
+from .floquet import floquet_solutions
 from .potentials import CompactPerturbation
 from .roots import brent
 
@@ -80,12 +80,11 @@ def _end_states(V, Q: CompactPerturbation, lam: float):
     not a regular point of H."""
     fd = floquet_solutions(V, lam)
     a, b = Q.support
-    return fd, floquet_values(V, lam, [a], fd.minus)[0], floquet_values(V, lam, [b], fd.plus)[0]
+    return fd, fd.minus([a])[0], fd.plus([b])[0]
 
 
-def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ends) -> float:
-    """Wronskian of y_- pushed through supp Q with y_+ at b, from _end_states."""
-    _, ym, yp = ends
+def _shoot(V, Q: CompactPerturbation, alpha: float, lam: float, ym, yp) -> float:
+    """Wronskian of y_- pushed through supp Q from ym at a with y_+ at b, yp."""
     return ode.wronskian(ode.propagate_hill_perturbed(V, Q, alpha, lam, Q.support, ym)[-1], yp)
 
 
@@ -95,10 +94,10 @@ def solve_coupling(V, Q: CompactPerturbation, lam: float) -> float:
     Expands the bracket [0.1, 1] geometrically up to ALPHA_MAX before
     raising NoSignChange.
     """
-    ends = _end_states(V, Q, lam)
+    _, ym, yp = _end_states(V, Q, lam)
 
     def det(alpha):
-        return _shoot(V, Q, alpha, lam, ends)
+        return _shoot(V, Q, alpha, lam, ym, yp)
 
     lo, hi = 0.1, 1.0
     flo, fhi = det(lo), det(hi)
@@ -154,8 +153,7 @@ def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,
     mu = np.zeros(min(count, grid_size))
     if len(keep):
         x = xs[keep]
-        sm = floquet_values(V, lam, [x[0]], fd.minus)[0]
-        sp0, sp = floquet_values(V, lam, x[[0, -1]], fd.plus)
+        (sm,), (sp0, sp) = fd.minus(x[:1]), fd.plus(x[[0, -1]])
         if abs(ode.wronskian(sm, sp0)) < 1e-12 * (np.linalg.norm(sm) * np.linalg.norm(sp0)):
             raise SingularWronskian("Floquet pair numerically dependent")
         T = ode.cell_transfers(V, lam, x)
@@ -190,8 +188,7 @@ def eigenfunction(V, Q: CompactPerturbation, alpha: float, lam: float) -> GapEig
         c_plus = float(states[-1] @ yp_b) / (yp_b @ yp_b)
         resid = decay.match_residual(states[-1], c_plus * yp_b)
 
-    pieces = (floquet_values(V, lam, xs_left, fd.minus)[:, 0], states[:-1, 0],
-              c_plus * floquet_values(V, lam, xs_right, fd.plus)[:, 0])
+    pieces = fd.minus(xs_left)[:, 0], states[:-1, 0], c_plus * fd.plus(xs_right)[:, 0]
     xs, psi, nrm, fit = decay.normalize_and_fit(grid, pieces, b)
     return GapEigenpair(lam=lam, alpha=alpha, xs=xs, psi=psi,
                         c_plus=c_plus / nrm, c_minus=1.0 / nrm,

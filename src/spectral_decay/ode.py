@@ -504,10 +504,8 @@ def _cells(system, lam, stops) -> np.ndarray:
     between its ends.  Where no other stop lies inside a cell (monotone
     stops, or a last stop that turns back onto a cut), these are the
     segments of the cell lowered alone, the same floats."""
-    lams = np.array([lam])
-    lo, hi = min(stops), max(stops)
-    _check_phase(system, lams, lo, hi)
-    T, density, _ = _certify(_Plan(system, [system.segments((lo, hi))]), lams)
+    lams, lo, hi = np.array([lam]), min(stops), max(stops)
+    T, density, _ = _transfer(_Plan(system, [system.segments((lo, hi))]), lams, lo, hi)
     ends = np.array(stops)
     xa, xb = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
     if np.count_nonzero(xa != xb) <= 1:  # that cell spans the certified range
@@ -548,15 +546,16 @@ def _unit_cell(key: int, V) -> _Plan:
 @np.errstate(over="ignore", invalid="ignore")
 def _transfer(plan: _Plan, lams, x0: float, x1: float):
     """Certified transfer matrices (*shape, 2, 2) over the one cell of plan,
-    [x0, x1], for an array of lambda, and _certify's error bounds."""
+    [x0, x1], for an array of lambda, and _certify's step densities and error
+    bounds, flat: the one entry to the phase check and the certification."""
     lams = np.asarray(lams)
     check_lambda_count(lams.size)
     flat = lams.reshape(-1)
     if flat.dtype.kind not in "fc":
         flat = flat.astype(float)
     _check_phase(plan.system, flat, x0, x1)
-    T, _, err = _certify(plan, flat)
-    return T.reshape(lams.shape + (2, 2)), err
+    T, density, err = _certify(plan, flat)
+    return T.reshape(lams.shape + (2, 2)), density, err
 
 
 def monodromy(V, lam) -> np.ndarray:
@@ -572,7 +571,7 @@ def certified_monodromy(V, lams):
     the closed form relative to the product of its factors' absolute values
     (a Magnus walk has too many factors for that product to bound anything)."""
     plan, lams = _unit_cell(id(V), V), np.ravel(lams)
-    T, err = _transfer(plan, lams, 0.0, 1.0)
+    T, _, err = _transfer(plan, lams, 0.0, 1.0)
     if err is None:
         P = _fold(np.abs(plan.system.exact(lams, plan.p, plan.h))[:, None])
         err = _rounding(plan, lams, len(plan.h), np.max(P[:, 0], axis=(1, 2)))

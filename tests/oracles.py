@@ -36,8 +36,7 @@ from scipy.optimize import brentq, minimize
 from spectral_decay import ode, symbols
 from spectral_decay.bands import DEFAULT_GRID_STEP, EDGE_XTOL, BandStructure
 from spectral_decay.errors import ValidationError
-from spectral_decay.floquet import (discriminant, discriminant_derivative,
-                                    floquet_solutions, floquet_values)
+from spectral_decay.floquet import discriminant, discriminant_derivative, floquet_solutions
 from spectral_decay.potentials import PeriodicPotential
 from spectral_decay.roots import brent
 
@@ -336,10 +335,10 @@ def dense_birman_schwinger(V, Q, lam, grid_size):
     h = (b - a) / (grid_size - 1)
     w = np.full(grid_size, h)
     w[0] = w[-1] = 0.5 * h
-    ym = floquet_values(V, lam, xs, fd.minus)[:, 0]
-    yp = floquet_values(V, lam, xs, fd.plus)[:, 0]
-    sm = floquet_values(V, lam, [a], fd.minus)[0]
-    sp = floquet_values(V, lam, [a], fd.plus)[0]
+    ym = fd.minus(xs)[:, 0]
+    yp = fd.plus(xs)[:, 0]
+    sm = fd.minus([a])[0]
+    sp = fd.plus([a])[0]
     W0 = sm[0] * sp[1] - sm[1] * sp[0]
     ii, jj = np.meshgrid(np.arange(grid_size), np.arange(grid_size), indexing="ij")
     green = ym[np.minimum(ii, jj)] * yp[np.maximum(ii, jj)] / (-W0)

@@ -100,7 +100,7 @@ def test_criterion_06_floquet_tail_law():
     Q = sd.CompactPerturbation.box(0.0, 1.0, 1.0)
     alpha = sd.solve_coupling(STEP, Q, lam)
     pair = sd.eigenfunction(STEP, Q, alpha, lam)
-    mu = sd.floquet_solutions(STEP, lam).plus[1]
+    mu = sd.floquet_solutions(STEP, lam).plus.mu
     x = 2.5
     ratio = (np.interp(x + 1.0, pair.xs, pair.psi)
              / np.interp(x, pair.xs, pair.psi))

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spectral_decay import cli, verify
+from spectral_decay import cli, gap, verify
 from spectral_decay.bands import band_edges
 from spectral_decay.cli import main
 from spectral_decay.errors import ValidationError
+from spectral_decay.floquet import floquet_solutions
 from spectral_decay.symbols import (SymbolSystem, dirac_alpha_system,
                                     dump_symbol_system, gamma)
 
@@ -281,6 +282,18 @@ def test_non_finite_potential_rejected(doc, tmp_path, capsys, monkeypatch):
     assert main(["discriminant", "--potential", str(path), "--lambda-range", "0:1:2"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_bs_spectrum_dependent_floquet_pair_exits_2_with_one_line(cfg, capsys, monkeypatch):
+    # y_- passed as y_+: birman_schwinger_spectrum raises SingularWronskian
+    def swapped(V, lam):
+        fd = floquet_solutions(V, lam)
+        return dataclasses.replace(fd, plus=fd.minus)
+
+    monkeypatch.setattr(gap, "floquet_solutions", swapped)
+    assert main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", cfg["box"],
+                 "--lambda", "-1"]) == 2
+    assert capsys.readouterr().err == "error: Floquet pair numerically dependent\n"
 
 
 def test_bs_spectrum_grid_too_small(cfg, capsys):

@@ -6,8 +6,7 @@ import pytest
 from spectral_decay import ode
 from spectral_decay.errors import BandPointError
 from spectral_decay.floquet import (discriminant, discriminant_derivative,
-                                    floquet_solutions, floquet_values,
-                                    multiplicator)
+                                    floquet_solutions, multiplicator)
 from spectral_decay.potentials import PeriodicPotential
 
 V0 = PeriodicPotential.zero()
@@ -61,9 +60,9 @@ def test_discriminant_derivative_vs_central_difference():
 def test_free_floquet_data():
     fd = floquet_solutions(V0, -1.0)
     assert fd.rho == pytest.approx(math.e, abs=1e-12)
-    assert fd.plus[1] > 0 and fd.minus[1] > 0  # periodic: sigma = sign F = 1
+    assert fd.plus.mu > 0 and fd.minus.mu > 0  # periodic: sigma = sign F = 1
     # y_+ = e^{-x} has Cauchy data proportional to (1, -1)
-    ratio = fd.plus[0][1] / fd.plus[0][0]
+    ratio = fd.plus.seed[1] / fd.plus.seed[0]
     assert ratio == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -76,27 +75,27 @@ def test_seed_eigenvector_residuals():
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7), (V0, -2.0)):
         fd, M = floquet_solutions(V, lam), ode.monodromy(V, lam)
         sig = math.copysign(1.0, discriminant(V, lam))
-        assert fd.plus[1] == sig / fd.rho and fd.minus[1] == sig * fd.rho
-        for seed, mu in (fd.plus, fd.minus):
-            assert np.linalg.norm(M @ seed - mu * seed) <= 1e-8
+        assert fd.plus.mu == sig / fd.rho and fd.minus.mu == sig * fd.rho
+        for y in (fd.plus, fd.minus):
+            assert np.linalg.norm(M @ y.seed - y.mu * y.seed) <= 1e-8
 
 
 def test_multiplicator_branches_product():
     fd = floquet_solutions(MATHIEU, 9.5)
-    assert abs(fd.minus[1] * fd.plus[1] - 1.0) <= 1e-8
+    assert abs(fd.minus.mu * fd.plus.mu - 1.0) <= 1e-8
 
 
 def test_quasi_periodicity_three_periods():
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7)):
         fd = floquet_solutions(V, lam)
-        mu_p, mu_m = fd.plus[1], fd.minus[1]
+        mu_p, mu_m = fd.plus.mu, fd.minus.mu
         xs = np.linspace(0.1, 0.9, 5)
         for k in range(3):
-            vp = floquet_values(V, lam, xs + k, fd.plus)
-            vp1 = floquet_values(V, lam, xs + k + 1, fd.plus)
+            vp = fd.plus(xs + k)
+            vp1 = fd.plus(xs + k + 1)
             assert np.allclose(vp1, mu_p * vp, rtol=1e-6, atol=1e-12)
-            vm = floquet_values(V, lam, xs + k, fd.minus)
-            vm1 = floquet_values(V, lam, xs + k + 1, fd.minus)
+            vm = fd.minus(xs + k)
+            vm1 = fd.minus(xs + k + 1)
             assert np.allclose(vm1, mu_m * vm, rtol=1e-6, atol=1e-12)
 
 
@@ -108,24 +107,23 @@ def test_free_ln_rho_equals_sqrt_minus_lambda():
 
 def test_floquet_state_free_exponential():
     fd = floquet_solutions(V0, -1.0)
-    s0 = floquet_values(V0, -1.0, [0.0], fd.plus)[0]
+    s0 = fd.plus([0.0])[0]
     for x in (0.5, 1.7, 3.2):
-        s = floquet_values(V0, -1.0, [x], fd.plus)[0]
+        s = fd.plus([x])[0]
         assert s[0] == pytest.approx(s0[0] * math.exp(-x), rel=1e-9)
 
 
-def test_floquet_values_one_pass_matches_direct_walks():
+def test_floquet_solution_one_pass_matches_direct_walks():
     # unsorted, repeated and negative points share one walk over [0, 1)
     xs = np.array([2.3, -0.4, 0.0, 0.7, 2.3, 1.0, -1.75, 0.25])
     for V, lam in ((MATHIEU, 9.5), (STEP, 14.7)):
         fd = floquet_solutions(V, lam)
         for solution in (fd.plus, fd.minus):
-            vals = floquet_values(V, lam, xs, solution)
+            vals = solution(xs)
             for x, v in zip(xs, vals):
-                assert np.allclose(v, ode.propagate_hill(V, lam, [0.0, x], solution[0])[-1],
+                assert np.allclose(v, ode.propagate_hill(V, lam, [0.0, x], solution.seed)[-1],
                                    rtol=1e-7, atol=1e-9)
-                assert np.allclose(v, floquet_values(V, lam, [x], solution)[0], rtol=1e-9,
-                                   atol=1e-12)
+                assert np.allclose(v, solution([x])[0], rtol=1e-9, atol=1e-12)
 
 
 def test_floquet_solutions_walks_real_lambda(monkeypatch):
@@ -154,8 +152,8 @@ def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(ode, "_product", counted)
-    s = floquet_values(V, lam, [0.3], fd.plus)[0]
+    s = fd.plus([0.3])[0]
     n_state, calls[0] = calls[0], 0
-    direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.plus[0])[-1]
+    direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.plus.seed)[-1]
     assert n_state == calls[0]
     assert np.array_equal(s, direct)

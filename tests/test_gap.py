@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from scipy.optimize import brentq
 from spectral_decay import gap, ode
 from spectral_decay.bands import band_edges
 from spectral_decay.errors import (BandPointError, DegenerateMatch, NoSignChange,
-                                   StepFailure, ValidationError)
+                                   SingularWronskian, StepFailure, ValidationError)
 from spectral_decay.floquet import discriminant, floquet_solutions
 from spectral_decay.gap import birman_schwinger_spectrum, eigenfunction, solve_coupling
 from spectral_decay.potentials import CompactPerturbation, PeriodicPotential
@@ -31,12 +32,13 @@ def square_well_alpha():
 
 
 def test_matching_determinant_nonzero_without_coupling():
-    assert gap._shoot(V0, BOX, 0.0, -1.0, gap._end_states(V0, BOX, -1.0)) != 0.0
+    _, ym, yp = gap._end_states(V0, BOX, -1.0)
+    assert gap._shoot(V0, BOX, 0.0, -1.0, ym, yp) != 0.0
 
 
 def test_matching_determinant_root_at_oracle_alpha():
-    ends = gap._end_states(V0, BOX, -1.0)
-    assert abs(gap._shoot(V0, BOX, square_well_alpha(), -1.0, ends)) <= 1e-6
+    _, ym, yp = gap._end_states(V0, BOX, -1.0)
+    assert abs(gap._shoot(V0, BOX, square_well_alpha(), -1.0, ym, yp)) <= 1e-6
 
 
 @pytest.mark.parametrize("V, Q, lam", [
@@ -208,6 +210,17 @@ def test_birman_schwinger_grid_below_half_wavelength():
     with pytest.raises(ValidationError, match="grid_size = 3"):
         birman_schwinger_spectrum(STEP, CompactPerturbation.box(-1.0, 1.0), 0.5 * (a + b),
                                   grid_size=3)
+
+
+def test_birman_schwinger_dependent_floquet_pair(monkeypatch):
+    # y_- passed as y_+: their Wronskian is 0 and the Green kernel undefined
+    def swapped(V, lam):
+        fd = floquet_solutions(V, lam)
+        return dataclasses.replace(fd, plus=fd.minus)
+
+    monkeypatch.setattr(gap, "floquet_solutions", swapped)
+    with pytest.raises(SingularWronskian, match="^Floquet pair numerically dependent$"):
+        birman_schwinger_spectrum(V0, BOX, -1.0)
 
 
 # random piecewise and 1-3 harmonic V; lambda below the spectrum (gap 0,
@@ -403,7 +416,7 @@ def test_eigenfunction_residual(square_well_pair):
 
 def test_eigenfunction_tail_ratio(square_well_pair):
     pair = square_well_pair
-    mu = floquet_solutions(V0, -1.0).plus[1]
+    mu = floquet_solutions(V0, -1.0).plus.mu
     for x in (2.0, 3.25, 4.5):
         v0 = np.interp(x, pair.xs, pair.psi)
         v1 = np.interp(x + 1.0, pair.xs, pair.psi)
@@ -414,9 +427,8 @@ def test_eigenfunction_tail_is_floquet_multiple(square_well_pair):
     # outside supp Q the ratio psi / y_+ is constant
     pair = square_well_pair
     fd = floquet_solutions(V0, -1.0)
-    from spectral_decay.floquet import floquet_values
     xs = np.array([1.5, 2.5, 4.0, 6.0])
-    yp = floquet_values(V0, -1.0, xs, fd.plus)[:, 0]
+    yp = fd.plus(xs)[:, 0]
     ratios = np.interp(xs, pair.xs, pair.psi) / yp
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
 
