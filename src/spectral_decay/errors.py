@@ -36,7 +36,8 @@ class NoSignChange(SpectralDecayError):
 
 
 class NoConvergence(SpectralDecayError):
-    """Brent's method met a NaN function value or ran out of steps."""
+    """Brent's method met a NaN function value or ran out of steps, or
+    LAPACK's dstebz reported a failed bisection."""
 
 
 class SingularWronskian(SpectralDecayError):

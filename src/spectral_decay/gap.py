@@ -29,19 +29,24 @@ Only the count largest |mu|, the couplings nearest 0, are computed: the
 negative pivots of the LDL^T factorization of J count its negative
 eigenvalues neg (a Sturm count, O(N)), and bisection at dstebz's finest
 tolerance solves the index window [neg - count, neg + count) alone, in
-O(N count) time.
+O(N count) time.  That bisection is LAPACK's dstebz, loaded from scipy's
+extension module scipy.linalg._flapack alone, without the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import decay, ode
-from .errors import NoSignChange, SingularWronskian, ValidationError
+from .errors import NoConvergence, NoSignChange, SingularWronskian, StepFailure, ValidationError
 from .floquet import floquet_solutions
 from .potentials import CompactPerturbation
 from .roots import brent
@@ -122,14 +127,36 @@ def _negative_count(d, e) -> int:
     return neg
 
 
+@functools.cache
+def _dstebz():
+    """LAPACK's dstebz from scipy's extension module scipy.linalg._flapack,
+    loaded without running the __init__ of scipy or scipy.linalg: that
+    package import costs a fresh process more than BS's own work."""
+    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(linalg, loaders).find_spec("scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dstebz
+
+
 def _nearest_zero(d, e, count: int) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal (d, e) with indices
     [neg - count, neg + count) after the Sturm count neg: they hold the count
-    nearest 0.  Bisection of that window alone, O(n count)."""
-    from scipy.linalg import eigvalsh_tridiagonal  # ~0.35 s CPU to import: only BS loads it
+    nearest 0.  Bisection of that window alone, O(n count), with the arguments
+    scipy.linalg.eigvalsh_tridiagonal(select="i", tol=_TINY) passes to dstebz."""
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise StepFailure("Birman-Schwinger matrix is not finite")
+    if len(d) == 1:  # f2py rejects dstebz's empty e
+        return d.copy()
     neg = _negative_count(d, e)
     lo, hi = max(neg - count, 0), min(neg + count, len(d))
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1), tol=_TINY)
+    # range 2 selects the 1-based indices lo + 1 .. hi; vl and vu are unused
+    m, w, _, _, info = _dstebz()(d, e, 2, 0.0, 1.0, lo + 1, hi, _TINY, "E")
+    if info:
+        raise NoConvergence(f"dstebz failed with info = {info}")
+    return w[:m]
 
 
 def birman_schwinger_spectrum(V, Q: CompactPerturbation, lam: float,

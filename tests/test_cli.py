@@ -583,6 +583,22 @@ def test_gap_eig_left_of_the_origin_fails_typed_with_warnings_as_errors(cfg, tmp
     assert status == 0 or len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("support", [[300.0, 302.0], [-302.0, -300.0]])
+def test_bs_spectrum_far_from_the_origin_fails_typed(cfg, tmp_path, capsys, support):
+    # ROADMAP item 9: at lambda = -16 a Floquet state overflows this far from
+    # 0; bs-spectrum ended with scipy's "array must not contain infs or NaNs".
+    # The overflow warnings before the error stay item 9's to mend
+    q = tmp_path / "far.json"
+    q.write_text(json.dumps(dict(BOX, support=support)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        status = main(["bs-spectrum", "--potential", cfg["zero"], "--perturbation", str(q),
+                       "--lambda=-16"])
+    out = capsys.readouterr()
+    assert status == 2 and out.out == ""
+    assert out.err.splitlines()[-1] == "error: Birman-Schwinger matrix is not finite"
+
+
 def test_dirac_eig_huge_mass_fails_typed_with_runtime_warnings_as_errors():
     # m * m overflows: m is rejected before the scan, in one line that names it
     argvs = [["dirac-eig", "--mass", mass, "--depth", "0.5", "--support", "0", "1"]

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +15,7 @@ from scipy.optimize import brentq
 
 from spectral_decay import gap, ode
 from spectral_decay.bands import band_edges
-from spectral_decay.errors import (BandPointError, DegenerateMatch, NoSignChange,
+from spectral_decay.errors import (BandPointError, DegenerateMatch, NoConvergence, NoSignChange,
                                    SingularWronskian, StepFailure, ValidationError)
 from spectral_decay.floquet import discriminant, floquet_solutions
 from spectral_decay.gap import birman_schwinger_spectrum, eigenfunction, solve_coupling
@@ -353,6 +357,56 @@ def test_property_sturm_count_and_window(de, count):
     assert neg == np.count_nonzero(full < 0.0)
     window = full[max(neg - count, 0):neg + count]
     assert np.max(np.abs(gap._nearest_zero(d, e, count) - window)) <= 1e-12 * norm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tridiagonals, st.integers(1, 64))
+@example(([2.5], []), 1)  # one node: scipy's quick exit, no call to dstebz
+@example(([-1.0, -2.0, -3.0, -4.0], [0.5, 0.5, 0.5]), 2)  # neg = n: clipped at the top
+@example(([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5]), 2)  # neg = 0: clipped at the bottom
+@example(([1.0, -2.0, 3.0], [0.5, 0.5]), 3)  # count >= n: clipped at both ends
+def test_property_nearest_zero_is_scipys_window_bit_for_bit(de, count):
+    # dstebz called as scipy.linalg.eigvalsh_tridiagonal calls it: same
+    # routine, same arguments, so the same bits and the same shape
+    d, e = np.array(de[0]), np.array(de[1], dtype=float)
+    neg = gap._negative_count(d, e)
+    lo, hi = max(neg - count, 0), min(neg + count, len(d))
+    ref = scipy_eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi - 1), tol=gap._TINY)
+    got = gap._nearest_zero(d, e, count)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_nearest_zero_fails_typed_where_dstebz_reports_failure(monkeypatch):
+    monkeypatch.setattr(gap, "_dstebz", lambda: lambda *args: (0, np.zeros(2), None, None, 1))
+    with pytest.raises(NoConvergence, match="^dstebz failed with info = 1$"):
+        gap._nearest_zero(np.ones(2), np.ones(1), 1)
+
+
+def test_scipy_linalg_imported_after_birman_schwinger_shares_its_dstebz():
+    # BS loads scipy.linalg._flapack alone; a later scipy.linalg import finds
+    # that module and its functions, and works as usual
+    code = ("import numpy as np\n"
+            "from spectral_decay import gap\n"
+            "from spectral_decay.potentials import CompactPerturbation, PeriodicPotential\n"
+            "gap.birman_schwinger_spectrum(PeriodicPotential.zero(),\n"
+            "                              CompactPerturbation.box(-1.0, 1.0), -1.0, 64)\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.lapack.dstebz is gap._dstebz()\n"
+            "print(scipy.linalg.eigvalsh_tridiagonal(np.array([2.0, 2.0]), np.array([1.0])))\n")
+    src = str(pathlib.Path(gap.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[1. 3.]\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ROADMAP item 9's overflow warnings
+@pytest.mark.parametrize("support", [(300.0, 302.0), (-302.0, -300.0)])
+def test_birman_schwinger_far_support_fails_typed(support):
+    # ROADMAP item 9: at lambda = -16 a Floquet state overflows this far from
+    # 0 and the Jacobi matrix is not finite; scipy's ValueError leaked here
+    with pytest.raises(StepFailure, match="^Birman-Schwinger matrix is not finite$"):
+        birman_schwinger_spectrum(V0, CompactPerturbation.box(*support), -16.0)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

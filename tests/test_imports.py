@@ -51,8 +51,8 @@ def _scipy_loaded(runs):
 
 def test_cli_loads_no_scipy(tmp_path):
     # Brent is roots.brent and gamma's Nelder-Mead symbols._nelder_mead; scipy
-    # loads only for BS and a read of ode.solve_ivp, so these commands start
-    # without its ~0.4 s
+    # loads only for BS (its LAPACK extension alone) and a read of
+    # ode.solve_ivp, so these commands import no scipy module
     V, Q, A = tmp_path / "v.json", tmp_path / "q.json", tmp_path / "alpha.json"
     V.write_text(json.dumps(STEP))
     Q.write_text(json.dumps(BOX))
@@ -65,12 +65,16 @@ def test_cli_loads_no_scipy(tmp_path):
     assert _scipy_loaded(runs) == [[]] * len(runs)
 
 
-def test_verify_loads_no_scipy_optimize():
-    # verify's BS case loads scipy.linalg for eigvalsh_tridiagonal, and
-    # nothing loads scipy.optimize
-    [loaded] = _scipy_loaded([["verify", "--suite", "all"]])
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+def test_bs_loads_only_scipys_lapack_extension(tmp_path):
+    # BS bisects with dstebz from scipy.linalg._flapack, loaded alone: verify
+    # and bs-spectrum load neither scipy.linalg nor scipy.optimize
+    V, Q = tmp_path / "v.json", tmp_path / "q.json"
+    V.write_text(json.dumps(STEP))
+    Q.write_text(json.dumps(BOX))
+    runs = [["verify", "--suite", "all"],
+            ["bs-spectrum", "--potential", str(V), "--perturbation", str(Q), "--lambda=-1"]]
+    for argv in runs:
+        assert _scipy_loaded([argv]) == [["scipy.linalg._flapack"]]
 
 
 def test_ode_solve_ivp_is_scipys():
