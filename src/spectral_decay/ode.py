@@ -36,7 +36,9 @@ affine in lambda.  So the segments, the values of V or W on the exact
 pieces and the lambda-free exponent parts at the Gauss nodes are computed
 once per plan, and numpy evaluates lambda x segments in blocks; each
 lambda keeps its own certified step density.  A scalar lambda is a batch
-of one.
+of one, except on a closed-form Hill cell of at most _SCALAR pieces: there
+one lambda is folded in Python scalars (_scalar_cell), with the batch's
+bits, since numpy's fixed cost per call outweighs its work on so few.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -76,6 +78,7 @@ _MAX_STEPS = 2 ** 17  # bounds time and memory when no step count meets TOL
 _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
 _NODES = 2 ** 13      # Magnus steps of the longest walk group whose exponents are kept
+_SCALAR = 24          # exact pieces of a cell up to which one lambda folds in Python scalars
 
 
 def check_lambda_count(n) -> int:
@@ -137,7 +140,9 @@ def _cs(s, h):
     """C = cos(h sqrt(s)), S = sin(h sqrt(s))/sqrt(s) elementwise; entire in s.
 
     The arithmetic is that of the scalar math and cmath closed form, bit
-    for bit; StepFailure where math.cosh or math.sinh overflows.  The
+    for bit, but for a complex s in the series (|s h^2| <= 1e-8), where
+    numpy divides by 2, 6, 24 and 120 through their reciprocals and CPython
+    divides directly; StepFailure where math.cosh or math.sinh overflows.  The
     hyperbolic branch loops over math.cosh and math.sinh on purpose: under
     numpy's AVX-512 kernels np.cosh and np.sinh differ from them on about
     one input in ten.  The loop only avoids numpy's SIMD variants: glibc
@@ -333,6 +338,38 @@ def _fold(F: np.ndarray) -> np.ndarray:
     return T
 
 
+def _scalar_cell(plan, lams):
+    """The closed form over the one cell of a Hill plan of at most _SCALAR
+    pieces at the one lambda of lams in Python math and cmath: each factor
+    [[C, S], [-s S, C]] rounded as _cs rounds it, folded as _fold folds
+    (ndarray.dot calls the BLAS gemm that @ calls, at less cost).  None
+    where _product takes the lambda: other plans, a complex piece in the
+    series (numpy's division rounds it, see _cs) and an overflow, which
+    _product reports."""
+    if not (plan.system.exact is _hill_exact and plan.count == 1 and 0 < len(plan.h) <= _SCALAR):
+        return None
+    lam = lams[0].item()
+    cplx = isinstance(lam, complex)
+    T = _I2C if cplx else _I2
+    try:
+        for v, h in zip(plan.p.tolist(), plan.h.tolist()):
+            s = lam - v
+            z2 = s * h * h
+            if abs(z2) <= 1e-8:
+                if cplx:
+                    return None
+                C, S = 1.0 - z2 / 2.0 + z2 * z2 / 24.0, h * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+            else:
+                cos, sin = (cmath.cos, cmath.sin) if cplx else (
+                    (math.cos, math.sin) if z2 > 0.0 else (math.cosh, math.sinh))
+                z = cmath.sqrt(s) if cplx else math.sqrt(abs(s))
+                C, S = cos(z * h), sin(z * h) / z
+            T = np.array([[C, S], [-s * S, C]]).dot(T)
+    except OverflowError:
+        return None
+    return T
+
+
 class _Plan:
     """The lambda-free lowering of a product of system over cells (segment
     lists): the (cell, depth) slot of each Magnus walk and exact piece, short
@@ -442,12 +479,14 @@ def _certify(plan: _Plan, lams):
     rounding of its m factors relative to max|T|.  Each round is one
     _product pass over refine 1 and 2 of its lambdas, or one a density
     where they differ in density.  Where every segment is exact, T is the
-    closed form, density is 0 and err is None (certified_monodromy bounds
-    the closed form itself)."""
+    closed form (_scalar_cell's for one lambda where it takes it, else one
+    _product pass), density is 0 and err is None (certified_monodromy
+    bounds the closed form itself)."""
     system, k, length = plan.system, len(lams), plan.length
     if not plan.spans.size:
-        T = _finite(_product(plan, lams, 0, (1,))[:, 0], "transfer matrix")
-        return T, np.zeros(k, dtype=int), None
+        T = _scalar_cell(plan, lams) if k == 1 else None
+        T = _product(plan, lams, 0, (1,))[:, 0] if T is None else T[None]
+        return _finite(T, "transfer matrix"), np.zeros(k, dtype=int), None
 
     density, spans, dtype = np.full(k, 8), plan.spans, system.dtype(lams)
 

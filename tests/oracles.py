@@ -84,8 +84,10 @@ def constant_transfer(v, lam, h):
 
 def closed_form_monodromy(V, lam):
     """Monodromy of a piecewise V: the constant_transfer of each piece,
-    multiplied from the left as 2x2 arrays.  The batched kernel must
-    reproduce this rounding bit for bit, complex lam included."""
+    multiplied from the left as 2x2 arrays.  The kernel reproduces this
+    rounding bit for bit, complex lam included, except where a complex
+    s = lam - v takes the series (|s h^2| <= 1e-8): numpy divides by the
+    series' constants through their reciprocals, and CPython here directly."""
     T = np.eye(2)
     for pa, pb, v in zip(V.breaks, (*V.breaks[1:], 1.0), V.values):
         T = constant_transfer(v, lam, pb - pa) @ T

@@ -387,7 +387,51 @@ def test_property_batch_is_stacked_batch_of_one(V, lams):
     for batch in (np.array(lams), np.array(lams) + 1j * 1e-30):
         M = ode.monodromy(V, batch)
         assert M.shape == (len(lams), 2, 2)
-        assert np.array_equal(M, np.array([ode.monodromy(V, lam) for lam in batch]))
+        assert _bits(M) == _bits([ode.monodromy(V, lam) for lam in batch])
+
+
+STEP4 = PeriodicPotential.piecewise([0.0, 0.2, 0.5, 0.7], [5.0, -3.0, 8.0, 1.0])
+STEP30 = PeriodicPotential.piecewise([k / 30 for k in range(30)], [(-1.0) ** k * k for k in range(30)])
+
+
+@pytest.mark.parametrize("V, lams, scalar", [
+    (STEP4, [5.0, 5.0 + 1e-9, 5.0 - 1e-9, -3.0, -3.0 + 1e-9, 1.0 - 1e-9, 0.0, -0.0, 50.0, -20.0],
+     True),
+    (V0, [0.0, -0.0, 1e-9, -1e-9, -4.9e5, 7.5], True),
+    (STEP30, [0.0, 2.0, 2.0 + 1e-9, -7.5, 50.0], False),
+], ids=["at-piece-values", "zero", "more-pieces"])
+def test_scalar_cell_is_the_stacked_batch(monkeypatch, V, lams, scalar):
+    # one lambda on a closed-form Hill cell of at most ode._SCALAR pieces is
+    # folded in Python scalars, a batch by _product: the same bits in every
+    # branch of _cs (series, trigonometric, hyperbolic to just below
+    # overflow).  A complex piece in the series and a cell of more pieces
+    # leave the scalar fold for _product.
+    assert (len(ode._unit_cell(id(V), V).h) <= ode._SCALAR) == scalar
+    pieces = list(zip(V.values, np.diff([*V.breaks, 1.0]).tolist()))
+    product = ode._product
+    for batch in (np.array(lams), np.array(lams) + 1j * floquet.CS_STEP):
+        taken = []
+        monkeypatch.setattr(ode, "_product", lambda plan, lb, *args: taken.append(lb.item())
+                            or product(plan, lb, *args))
+        ones = [ode.monodromy(V, lam) for lam in batch]
+        monkeypatch.setattr(ode, "_product", product)
+        assert _bits(ode.monodromy(V, batch)) == _bits(ones)
+        series = [lam for lam in batch.tolist() if isinstance(lam, complex)
+                  and min(abs((lam - v) * h * h) for v, h in pieces) <= 1e-8]
+        assert taken == (series if scalar else batch.tolist())
+
+
+@pytest.mark.parametrize("lam", [-1e6, -5.1e5])
+@pytest.mark.parametrize("size", [1, 2])
+def test_overflow_fails_alike_in_a_batch_of_one_and_of_two(lam, size):
+    # F's real cosh overflows in _cs; F''s complex cos leaves inf for _finite
+    lams = np.full(size, lam)
+    with pytest.raises(StepFailure) as F:
+        floquet.discriminant(V0, lams)
+    assert str(F.value) == "transfer matrix overflows (math range error)"
+    with pytest.raises(StepFailure) as dF:
+        floquet.discriminant_derivative(V0, lams)
+    assert str(dF.value) == "transfer matrix is not finite (overflow)"
 
 
 # random Fourier V of 1-3 harmonics, and lambda sets holding 64 and 65, on
