@@ -89,8 +89,9 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
             if abs(Fc) > 1.0:
                 t = 1.0 if Fc > 0 else -1.0
                 k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
-                edges += grid_roots(F(t), [grid[k], c, grid[k + 1]],
-                                    np.array([Fs[k], Fc, Fs[k + 1]]) - t, EDGE_XTOL)
+                roots = grid_roots(F(t), [grid[k], c, grid[k + 1]],
+                                   np.array([Fs[k], Fc, Fs[k + 1]]) - t, EDGE_XTOL)
+                edges += [e for e in roots if e not in edges]  # an end the main grid found
     edges.sort()
     lefts, rights = edges[1::2], edges[2::2]  # a scan ending inside a gap leaves its left edge last
     M, err = ode.certified_monodromy(V, [0.5 * (a + b) for a, b in zip(lefts, rights)]

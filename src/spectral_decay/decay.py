@@ -7,8 +7,8 @@ The fitted rate delta_hat is the negative slope of log|psi| read at
 period-spaced abscissae in a tail window; spacing by exactly one period
 cancels the periodic/antiperiodic factor of a Floquet tail, so the fit
 sees a pure exponential.  The slope is a least-squares line, and the F'
-check takes a Theil-Sen median; both are numpy expressions that round as
-scipy.stats rounds them, so the package never imports scipy.stats.  Hill
+check takes a Theil-Sen median; both round as scipy.stats rounds them
+(the median in plain Python), so the package never imports scipy.stats.  Hill
 (gap) and Dirac eigenfunctions share one sampler and one normalize-and-fit
 step.  The remaining operations measure, for verify to judge:
 
@@ -55,9 +55,11 @@ def _line_fit(x, y):
 
 def _theil_sen(x, y) -> float:
     """Median of the slopes over all pairs of points, as
-    scipy.stats.theilslopes computes it."""
+    scipy.stats.theilslopes computes it (np.median's mean of the middle two)."""
     dx, dy = x[:, None] - x, y[:, None] - y
-    return float(np.median(dy[dx > 0] / dx[dx > 0]))
+    s = sorted((dy[dx > 0] / dx[dx > 0]).tolist())
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
 def fit_decay_rate(xs, values, window: tuple) -> DecayFit:

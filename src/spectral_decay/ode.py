@@ -110,30 +110,18 @@ def _cmul(a, b) -> np.ndarray:
     return _complex(ar * br - ai * bi, ar * bi + ai * br).reshape(a.shape)
 
 
-def _quot(ar, ai, br, bi, big: bool) -> np.ndarray:
-    """(ar + i ai) / (br + i bi) by one branch of CPython's complex division:
-    the one dividing by br where big (|br| >= |bi|), else the one dividing by bi."""
-    if big:
-        ratio = bi / br
-        denom = br + bi * ratio
-        return _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-    ratio = br / bi
-    denom = bi + br * ratio
-    return _complex((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-
-
 def _cdiv(a, b) -> np.ndarray:
     """a / b of same-shape arrays by CPython's complex division (numpy's
-    differs in the last bit), each branch on the entries that take it."""
+    differs in the last bit): each entry takes the branch CPython takes,
+    through Re b where |Re b| >= |Im b|, else through Im b, in one formula."""
     ar, ai, br, bi = _parts(a, b)
     big = np.abs(br) >= np.abs(bi)
-    n = np.count_nonzero(big)
-    if n in (0, big.size):
-        return _quot(ar, ai, br, bi, n > 0).reshape(a.shape)
-    out, small = np.empty(big.shape, dtype=complex), ~big
-    out[big] = _quot(ar[big], ai[big], br[big], bi[big], True)
-    out[small] = _quot(ar[small], ai[small], br[small], bi[small], False)
-    return out.reshape(a.shape)
+    p, q = np.where(big, br, bi), np.where(big, bi, br)
+    ratio = q / p
+    denom = p + q * ratio
+    rr, ir = ar * ratio, ai * ratio
+    return _complex(np.where(big, ar + ir, rr + ai) / denom,
+                    np.where(big, ai - rr, ir - ar) / denom).reshape(a.shape)
 
 
 def _cs(s, h):
@@ -406,7 +394,7 @@ class _Plan:
         j, i, pa, pb = self.magnus.T
         steps = np.maximum(1, np.ceil(self.spans * density)).astype(int)
         groups = []
-        for n in np.unique(steps).tolist():
+        for n in sorted(set(steps.tolist())):
             g = steps == n
             hs = [(refine * n, ((pb[g] - pa[g]) / (refine * n))[:, None]) for refine in refines]
             h = np.concatenate([np.repeat(hr, m, axis=1) for m, hr in hs], axis=1)
@@ -491,13 +479,10 @@ def _certify(plan: _Plan, lams):
     density, spans, dtype = np.full(k, 8), plan.spans, system.dtype(lams)
 
     def refined(idx):  # (len(idx), 2, 2, 2): refine 1, then 2, at density[idx]
-        d = density[idx]
-        if d.size and d.min() == d.max():
-            return _product(plan, lams[idx], int(d[0]), (1, 2))
-        out = np.empty((len(idx), 2, 2, 2), dtype=dtype)
-        for x in np.unique(d):
+        d, out = density[idx], np.empty((len(idx), 2, 2, 2), dtype=dtype)
+        for x in sorted(set(d.tolist())):
             g = d == x
-            out[g] = _product(plan, lams[idx[g]], int(x), (1, 2))
+            out[g] = _product(plan, lams[idx[g]], x, (1, 2))
         return out
 
     T_out, diff_out, scale_out = np.empty((k, 2, 2), dtype=dtype), np.empty(k), np.empty(k)

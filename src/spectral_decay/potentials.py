@@ -188,7 +188,7 @@ class CompactPerturbation:
 
     def __post_init__(self):
         _check_support(self.support)
-        t = np.union1d(np.linspace(0.0, 1.0, 257, endpoint=False), self.profile.breaks)
+        t = sorted({*np.linspace(0.0, 1.0, 257, endpoint=False).tolist(), *self.profile.breaks})
         g = np.asarray(self.profile(t), dtype=float)
         if np.any(g < 0):
             raise ValidationError("profile G must be nonnegative on the support")

@@ -53,7 +53,9 @@ def brent(f, a: float, b: float, fa, fb, xtol: float) -> float:
 
 def grid_roots(f, grid, values, xtol: float) -> list:
     """The roots of f that brent finds, in increasing order, one in each cell of
-    grid where values = f(grid) change sign or that starts at an exact zero."""
+    grid where values = f(grid) change sign or that starts at an exact zero,
+    and the last point of grid where its value is an exact zero."""
     sg = np.sign(values)  # signs are multiplied: a product of two values under- or overflows
     cells = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
-    return [brent(f, grid[i], grid[i + 1], values[i], values[i + 1], xtol) for i in cells]
+    last = [float(grid[-1])] if sg[-1] == 0.0 else []
+    return [brent(f, grid[i], grid[i + 1], values[i], values[i + 1], xtol) for i in cells] + last

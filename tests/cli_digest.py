@@ -8,19 +8,27 @@ directory that holds the input documents.  One line per run gives the
 sha256 over its stdout, stderr, exit code and --samples-out file, then a
 last line the sha256 over all runs.  Run it in two checkouts, each with its
 own src on PYTHONPATH, and diff the outputs.  The bytes depend on the BLAS
-kernel numpy selects for the CPU, so compare checkouts on one machine.
+kernel numpy selects for the CPU and on the libm variants glibc selects, so
+compare checkouts on one machine; a leading "#" line names what they depend
+on: the numpy and scipy versions, the OpenBLAS core in use, the
+OPENBLAS_CORETYPE and GLIBC_TUNABLES overrides where set, and the libc.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
 import pathlib
+import platform
 import tempfile
+
+import numpy as np
 
 from spectral_decay.cli import main
 from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system
@@ -49,6 +57,7 @@ DOCS = {
     "smooth_q.json": {"support": [-0.5, 1.5],
                       "profile": {"type": "fourier", "mean": 1.0, "cos": [0.5], "sin": [0.2]}},
     "alpha.json": dump_symbol_system(dirac_alpha_system()),
+    "five.json": {"type": "piecewise", "breaks": [0.0], "values": [5.0]},
 }
 SAMPLES = "samples.csv"
 
@@ -109,6 +118,35 @@ def _runs():
     yield ["bands", "--potential", "well.json", "--lambda-max", "20"]
     # V = 2: every gap closed, |F| - 1 at each critical point within the certified error
     yield ["bands", "--potential", "flat.json", "--lambda-max", "400"]
+    # F = 1 exactly on the last sample: the spectrum starts at the ceiling
+    yield ["bands", "--potential", "five.json", "--lambda-max", "5", "--format", "json"]
+
+
+def _version(package: str) -> str:
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return "unknown"
+
+
+def _openblas_core() -> str:
+    """The core of the OpenBLAS that numpy's wheel bundles, as it reports it."""
+    libs = (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")
+    try:
+        corename = ctypes.CDLL(str(next(libs))).scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _environment() -> str:
+    """One line naming what the printed bytes depend on."""
+    overrides = [f"{k}={os.environ[k]}" for k in ("OPENBLAS_CORETYPE", "GLIBC_TUNABLES")
+                 if k in os.environ]
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown"
+    return " ".join(["# numpy", _version("numpy"), "scipy", _version("scipy"),
+                     "openblas-core", _openblas_core(), *overrides, "libc", libc])
 
 
 def _digest(argv) -> str:
@@ -126,6 +164,7 @@ def _digest(argv) -> str:
 
 
 def main_digest() -> None:
+    print(_environment())
     total = hashlib.sha256()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -534,7 +534,8 @@ def bisection_band_edges(V, lam_max, grid_step=0.05):
 
 def walking_band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandStructure:
     """bands.band_edges as it was before every edge became a grid root of F -+ 1:
-    the bottom edge is the first sign change of F - 1, Brent finds every gap's
+    the bottom edge is the first sign change of F - 1, else the last sample where
+    F is exactly 1, as grid_roots reports it; Brent finds every gap's
     critical point c, each gap open at c walks outward from c's cell for its
     brackets, and a gap open at the ceiling adds its left edge uncertified."""
     if not 0 < grid_step < np.inf:
@@ -555,6 +556,8 @@ def walking_band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) 
 
     sg = np.sign(Fs - 1.0)  # signs are multiplied: a product of small values underflows
     hits = np.flatnonzero((sg[:-1] * sg[1:] < 0) | (sg[:-1] == 0.0))
+    if not hits.size and sg[-1] == 0.0:  # the spectrum starts on the last sample
+        hits = np.array([n - 2])
     if not hits.size:
         return BandStructure((), lam_max)
     i = hits[0]

@@ -248,6 +248,43 @@ def test_scan_below_the_spectrum_certifies_no_distance():
         spectral_distance(bs, -0.75)
 
 
+@pytest.mark.parametrize("V, lam_max", [
+    (PeriodicPotential.piecewise([0.0], [5.0]), 5.0), (V0, 0.0), (V0, 1e-17),
+], ids=["five-at-five", "zero-at-zero", "zero-at-1e-17"])
+def test_edge_on_the_last_sample_is_the_bottom_edge(V, lam_max):
+    # F is exactly 1 at the ceiling (at 1e-17 cos sqrt(lambda) rounds to 1): the
+    # spectrum starts there, and every lambda below has a certified distance
+    assert discriminant(V, lam_max) == 1.0
+    bs = band_edges(V, lam_max)
+    assert bs.edges == (lam_max,) and bs.lambda0 == lam_max
+    assert spectral_distance(bs, -1.0) == lam_max + 1.0
+    assert bs.edges == oracles.walking_band_edges(V, lam_max).edges
+
+
+def test_a_sample_shared_with_a_narrow_gap_grid_is_one_edge(monkeypatch):
+    # a stand-in F on the grid -1, 0, ..., 4: a narrow gap F > 1 in (0, 1)
+    # ends exactly on the sample 1, which the gap's own three-point grid
+    # shares; listed twice it would pair with the gap (g1, g2) of F < -1 above
+    def F(V, lam):
+        lam = np.asarray(lam, dtype=float)
+        return np.where(lam <= 2.0, 1.0 + (lam - 1.0) * (0.5 - 0.8 * lam),
+                        -0.1 + (lam - 2.0) * (1.95 * (lam - 2.0) - 3.85))
+
+    def certified(V, lams):
+        M = np.zeros((len(lams), 2, 2))
+        M[:, 0, 0] = M[:, 1, 1] = F(V, lams)
+        return M, np.zeros(len(lams))
+
+    monkeypatch.setattr(bands, "discriminant", F)
+    monkeypatch.setattr(bands, "discriminant_derivative",
+                        lambda V, lam: 1.3 - 1.6 * lam if lam <= 2.0 else 3.9 * lam - 11.65)
+    monkeypatch.setattr(ode, "certified_monodromy", certified)
+    bs = band_edges(V0, 4.0, grid_step=1.0)
+    assert len(bs.edges) == 5 and bs.edges[2] == 1.0
+    g1, g2 = sorted(2.0 + np.roots([1.95, -3.85, 0.9]))  # F = -1 on lambda > 2
+    assert bs.gaps == (pytest.approx((0.625, 1.0)), pytest.approx((g1, g2)))
+
+
 def test_narrow_smooth_gap_is_open():
     # width 1e-3: |F(c)| - 1 ~ 3e-9, above the certified error of F(c)
     bs = band_edges(PeriodicPotential.fourier(0, [1e-3]), 20.0)

@@ -77,6 +77,41 @@ def test_bs_loads_only_scipys_lapack_extension(tmp_path):
         assert _scipy_loaded([argv]) == [["scipy.linalg._flapack"]]
 
 
+# whether a bare import numpy loads numpy.ma, then whether main on argv loads it
+MASKED = """import sys
+import numpy
+bare = "numpy.ma" in sys.modules
+from spectral_decay.cli import main
+assert main(sys.argv[1:]) == 0, sys.argv[1:]
+print(bare, "numpy.ma" in sys.modules)
+"""
+COMMANDS = {
+    "bands": ["bands", "--potential", "v.json", "--lambda-max", "60"],
+    "discriminant": ["discriminant", "--potential", "v.json", "--lambda-range=-5:50:11",
+                     "--derivative"],
+    "gap-eig": ["gap-eig", "--potential", "v.json", "--perturbation", "q.json", "--lambda", "14.7"],
+    "bs-spectrum": ["bs-spectrum", "--potential", "v.json", "--perturbation", "q.json",
+                    "--lambda=-1"],
+    "dirac-eig": ["dirac-eig", "--mass", "1", "--depth", "0.5"],
+    "gamma": ["gamma", "--matrices", "alpha.json"],
+    "verify": ["verify", "--suite", "all"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_load_no_masked_arrays(tmp_path, command):
+    # numpy 2.4 loads numpy.ma on a first np.unique, np.union1d or np.median,
+    # about 10 ms and 1 MB a fresh process: src/ groups and sorts in Python
+    (tmp_path / "v.json").write_text(json.dumps(STEP))
+    (tmp_path / "q.json").write_text(json.dumps(BOX))
+    (tmp_path / "alpha.json").write_text(json.dumps(dump_symbol_system(dirac_alpha_system())))
+    src = str(pathlib.Path(spectral_decay.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", MASKED, *COMMANDS[command]], capture_output=True,
+                         text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    bare, loaded = out.stdout.split()[-2:]
+    assert loaded == bare, f"{command} loads numpy.ma"
+
+
 def test_ode_solve_ivp_is_scipys():
     # perfbench/spans.py reads ode.solve_ivp to trace it
     from scipy.integrate import solve_ivp
