@@ -6,13 +6,13 @@ exactly one critical point c in each gap, open or closed.  The gap is
 open iff |F(c)| > 1, and its edges are the roots of F = sign F(c) on
 either side of c.
 
-The scan samples F on a lambda grid; every edge is a root of F - 1 or
-F + 1 that Brent's method (roots.grid_roots) finds in a cell where the
-samples change sign, and the lowest is the bottom edge.  A gap with no
-sample inside shows as a sample extremum with |F| <= 1: its two cells
-bracket c as a root of the complex-step F', and where |F(c)| > 1, c ends
-both brackets of the gap's edges.  F' of one sign at both ends of an
-extremum's cells marks the scan incomplete.
+The scan samples F on a lambda grid.  A gap with no sample inside shows
+as a sample extremum with |F| <= 1: its two cells bracket c as a root of
+the complex-step F' (one batched call at all extrema's cell ends), and
+where |F(c)| > 1, c joins the scan grid.  Every edge is a root of F - 1 or
+F + 1 that Brent's method (roots.grid_roots) finds in a cell of that grid
+where its values change sign; the lowest is the bottom edge.  F' of one
+sign at both ends of an extremum's cells marks the scan incomplete.
 A gap counts as open when |F| - 1 at its midpoint (at the ceiling, for a
 gap open there) exceeds the certified error of F: the n-vs-2n difference
 of its Magnus product plus the rounding of its steps, or the rounding of
@@ -73,32 +73,28 @@ def band_edges(V, lam_max: float, grid_step: float = DEFAULT_GRID_STEP) -> BandS
     def dF(lam):
         return discriminant_derivative(V, lam)
 
-    edges = [e for t in (1.0, -1.0) for e in grid_roots(F(t), grid, Fs - t, EDGE_XTOL)]
-    sd, dF_top, incomplete = np.sign(np.diff(Fs)), dF(lam_max), False
-    extrema = (np.flatnonzero(sd[:-1] * sd[1:] < 0) + 1).tolist()
-    if sd[-1] * np.sign(dF_top) < 0:  # a critical point in the last cell
-        extrema.append(n - 1)
-    for j in extrema:
-        lo, hi = grid[j - 1], grid[min(j + 1, n - 1)]
-        d_lo, d_hi = dF(lo), (dF_top if hi == lam_max else dF(hi))
-        if np.sign(d_lo) * np.sign(d_hi) > 0:
-            incomplete = True
-        elif abs(Fs[j]) <= 1.0:  # no sample inside a gap here: c ends both brackets
-            c = brent(dF, lo, hi, d_lo, d_hi, EDGE_XTOL)
-            Fc = discriminant(V, c)
-            if abs(Fc) > 1.0:
-                t = 1.0 if Fc > 0 else -1.0
-                k = min(int(np.searchsorted(grid, c, side="right")) - 1, n - 2)
-                roots = grid_roots(F(t), [grid[k], c, grid[k + 1]],
-                                   np.array([Fs[k], Fc, Fs[k + 1]]) - t, EDGE_XTOL)
-                edges += [e for e in roots if e not in edges]  # an end the main grid found
-    edges.sort()
+    sd = np.sign(np.diff(Fs))
+    extrema = np.flatnonzero(sd[:-1] * sd[1:] < 0) + 1
+    if sd[-1] * np.sign(dF(lam_max)) < 0:  # a critical point in the last cell
+        extrema = np.append(extrema, n - 1)
+    lo, hi = grid[extrema - 1], grid[np.minimum(extrema + 1, n - 1)]
+    d_lo, d_hi = np.split(dF(np.concatenate([lo, hi])), 2)
+    one_signed = np.sign(d_lo) * np.sign(d_hi) > 0  # brackets no critical point
+    narrow = ~one_signed & (np.abs(Fs[extrema]) <= 1.0)  # no sample inside a gap here
+    cs = np.array([brent(dF, *ends, EDGE_XTOL)
+                   for ends in zip(lo[narrow], hi[narrow], d_lo[narrow], d_hi[narrow])])
+    Fc = discriminant(V, cs)
+    opened = np.abs(Fc) > 1.0  # c joins the scan grid
+    lams, Fs = np.concatenate([grid, cs[opened]]), np.concatenate([Fs, Fc[opened]])
+    order = np.argsort(lams)
+    edges = sorted(e for t in (1.0, -1.0)
+                   for e in grid_roots(F(t), lams[order], Fs[order] - t, EDGE_XTOL))
     lefts, rights = edges[1::2], edges[2::2]  # a scan ending inside a gap leaves its left edge last
     M, err = ode.certified_monodromy(V, [0.5 * (a + b) for a, b in zip(lefts, rights)]
                                      + [lam_max] * (len(lefts) - len(rights)))
     certified = np.abs(0.5 * (M[:, 0, 0] + M[:, 1, 1])) - 1.0 > err
     edges = edges[:1] + [e for i, e in enumerate(edges[1:]) if certified[i // 2]]
-    return BandStructure(tuple(edges), lam_max, incomplete)
+    return BandStructure(tuple(edges), lam_max, bool(one_signed.any()))
 
 
 def spectral_distance(bands: BandStructure, lam: float) -> float:

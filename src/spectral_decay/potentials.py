@@ -17,6 +17,7 @@ import numpy as np
 from .errors import SchemaError, ValidationError
 
 _TWO_PI = 2.0 * math.pi
+MAX_SUPPORT = 2 ** 11  # the longest support b - a, checked before any lowering or sampling
 
 
 def _check_finite(name: str, values) -> None:
@@ -27,11 +28,13 @@ def _check_finite(name: str, values) -> None:
 
 
 def _check_support(support) -> None:
-    """A finite, nondegenerate interval (a, b)."""
+    """A finite, nondegenerate interval (a, b) no longer than MAX_SUPPORT."""
     _check_finite("support", support)
     a, b = support
     if not (b > a):
         raise ValidationError("support must be a nondegenerate interval")
+    if not b - a <= MAX_SUPPORT:
+        raise ValidationError(f"support length {b - a} exceeds the limit of {MAX_SUPPORT}")
 
 
 def _check_hermitian(a: np.ndarray, name: str) -> None:

@@ -144,12 +144,13 @@ def test_incomplete_scan_keeps_every_gap_with_a_sample_inside():
 STEP4 = PeriodicPotential.piecewise([0.0, 0.2, 0.5, 0.7], [5.0, -3.0, 8.0, 1.0])
 
 
-@pytest.mark.parametrize("V, lam_max, most", [(STEP4, 400.0, 13), (MATHIEU, 100.0, 11)],
+@pytest.mark.parametrize("V, lam_max, most", [(STEP4, 400.0, 2), (MATHIEU, 100.0, 6)],
                          ids=["four-step", "mathieu"])
 def test_scan_work(monkeypatch, V, lam_max, most):
-    # F' at the ends of each sample extremum's two cells and in the Brent
-    # steps for c of a gap with no sample inside; one certified call for all
-    # gaps.  The walking scan made 37 and 19 F' calls, 6 and 3 certified ones.
+    # F' at the ceiling, at the ends of every sample extremum's two cells in
+    # one batched call, and in the Brent steps for c of a gap with no sample
+    # inside; one certified call for all gaps.  The walking scan made 37 and
+    # 19 F' calls, 6 and 3 certified ones; one call per extremum made 13 and 11.
     calls = []
     for module, name in ((bands, "discriminant_derivative"), (ode, "certified_monodromy")):
         fn = getattr(module, name)
@@ -157,6 +158,33 @@ def test_scan_work(monkeypatch, V, lam_max, most):
     band_edges(V, lam_max)
     assert calls.count("discriminant_derivative") <= most
     assert calls.count("certified_monodromy") == 1
+
+
+@pytest.mark.parametrize("V, lam_max, grid_step, joined", [
+    (STEP4, 400.0, DEFAULT_GRID_STEP, 0), (MATHIEU, 50.0, 2.0, 1), (V0, 100.0, 1.0, 0),
+], ids=["four-step", "mathieu-gap-2-in-one-cell", "free-closed-gaps"])
+def test_every_edge_is_a_root_on_one_grid(monkeypatch, V, lam_max, grid_step, joined):
+    # grid_roots runs once for F - 1 and once for F + 1, on the scan samples
+    # with the c of each open gap that has no sample inside; F' at the ends
+    # of every sample extremum's two cells is one batched call
+    grids, batches = [], []
+    roots, dF = bands.grid_roots, bands.discriminant_derivative
+
+    def batched_dF(V, lam):
+        if np.ndim(lam):
+            batches.append(np.array(lam))
+        return dF(V, lam)
+
+    monkeypatch.setattr(bands, "grid_roots",
+                        lambda f, grid, *a: grids.append(np.array(grid)) or roots(f, grid, *a))
+    monkeypatch.setattr(bands, "discriminant_derivative", batched_dF)
+    bs = band_edges(V, lam_max, grid_step=grid_step)
+    samples = np.linspace(-V.max_abs() - 1.0, lam_max, len(grids[0]) - joined)
+    assert len(grids) == 2 and np.array_equal(grids[0], grids[1])
+    assert np.all(np.diff(grids[0]) >= 0) and np.isin(samples, grids[0]).all()
+    [ends] = batches
+    lo, hi = np.split(ends, 2)
+    assert len(lo) >= len(bs.gaps) and np.all(lo < hi) and np.isin(ends, samples).all()
 
 
 def test_a_gap_is_kept_only_where_its_certificate_holds(monkeypatch):
@@ -277,7 +305,7 @@ def test_a_sample_shared_with_a_narrow_gap_grid_is_one_edge(monkeypatch):
 
     monkeypatch.setattr(bands, "discriminant", F)
     monkeypatch.setattr(bands, "discriminant_derivative",
-                        lambda V, lam: 1.3 - 1.6 * lam if lam <= 2.0 else 3.9 * lam - 11.65)
+                        lambda V, lam: np.where(lam <= 2.0, 1.3 - 1.6 * lam, 3.9 * lam - 11.65))
     monkeypatch.setattr(ode, "certified_monodromy", certified)
     bs = band_edges(V0, 4.0, grid_step=1.0)
     assert len(bs.edges) == 5 and bs.edges[2] == 1.0
@@ -297,7 +325,8 @@ def test_narrow_smooth_gap_is_open():
 def test_same_signed_underflowing_derivative_marks_the_scan_incomplete(monkeypatch):
     # F' of one sign on both sides of every extremum brackets no critical
     # point, also where the product of the two values underflows to 0
-    monkeypatch.setattr(bands, "discriminant_derivative", lambda V, lam: 2.0 ** -600)
+    monkeypatch.setattr(bands, "discriminant_derivative",
+                        lambda V, lam: np.full(np.shape(lam), 2.0 ** -600))
     assert band_edges(MATHIEU, 15.0).incomplete
 
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 import warnings
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spectral_decay import cli, gap, verify
+from spectral_decay import cli, gap, potentials, verify
 from spectral_decay.bands import band_edges
 from spectral_decay.cli import main
 from spectral_decay.errors import ValidationError
@@ -672,3 +673,30 @@ def test_oversized_scan_names_an_integer_point_count(tmp_path, capsys):
     assert main(["bands", "--potential", str(tall), "--lambda-max", "50"]) == 2
     assert capsys.readouterr().err == \
         "error: 20000000001021 lambda points exceed the limit of 1048576\n"
+
+
+def test_support_over_its_limit_fails_typed_before_any_sampling(cfg, tmp_path, capsys,
+                                                               monkeypatch):
+    # ROADMAP item 11: gap-eig on a box on [0, 1e8] ended in a MemoryError
+    # traceback from the lowering, and on [0, 1e5] it ran for about a minute
+    over = math.nextafter(float(potentials.MAX_SUPPORT), math.inf)
+    runs = []
+    for b in (over, 1e8):
+        q = tmp_path / f"q{b!r}.json"
+        q.write_text(json.dumps(dict(BOX, support=[0.0, b])))
+        runs += [(b, [command, "--potential", cfg["zero"], "--perturbation", str(q),
+                      "--lambda=-1"]) for command in ("gap-eig", "bs-spectrum")]
+    runs.append((over, ["dirac-eig", "--mass", "1", "--depth", "0.5", "--support", "0",
+                        repr(over)]))
+
+    def never(*args, **kwargs):
+        pytest.fail("the support was sampled")
+
+    monkeypatch.setattr(np, "linspace", never)
+    for b, argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == \
+            f"error: support length {b!r} exceeds the limit of {potentials.MAX_SUPPORT}\n"

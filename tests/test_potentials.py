@@ -1,13 +1,13 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from spectral_decay.errors import SchemaError, ValidationError
-from spectral_decay.potentials import (CompactPerturbation, MatrixPerturbation,
-                                       PeriodicPotential, load_perturbation,
-                                       load_potential)
+from spectral_decay.potentials import (MAX_SUPPORT, CompactPerturbation, MatrixPerturbation,
+                                       PeriodicPotential, load_perturbation, load_potential)
 from spectral_decay.symbols import PAULI, SymbolSystem
 
 INF, NAN = float("inf"), float("nan")
@@ -184,3 +184,16 @@ def test_tiny_hermitian_matrices_load():
 def test_non_finite_inputs_fail_where_the_value_is_built(build, field):
     with pytest.raises(ValidationError, match=f"^{field} must .*finite"):
         build()
+
+
+def test_support_length_limit_is_inclusive():
+    # the longest support is MAX_SUPPORT; a longer one fails where it is built
+    limit = float(MAX_SUPPORT)
+    assert CompactPerturbation.box(-1.0, limit - 1.0).support == (-1.0, limit - 1.0)
+    assert MatrixPerturbation.scalar_well(0.5, (0.0, limit)).support == (0.0, limit)
+    for build in (CompactPerturbation.box,
+                  lambda a, b: MatrixPerturbation.scalar_well(0.5, (a, b))):
+        with pytest.raises(ValidationError, match=f"exceeds the limit of {MAX_SUPPORT}"):
+            build(0.0, math.nextafter(limit, math.inf))
+        with pytest.raises(ValidationError, match="support length inf exceeds"):  # b - a overflows
+            build(-1e308, 1e308)

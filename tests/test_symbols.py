@@ -122,6 +122,22 @@ def test_property_lockstep_ascents_match_the_per_start_reference(d, n, seed):
     assert abs(attained - rep.gamma) <= 4 * np.spacing(rep.gamma)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_property_one_dimensional_gamma_is_its_sphere_grid(n, scale, seed):
+    # d = 1: the sphere is {1, -1}, and the grid holds both points, so the
+    # ascents and the Nelder-Mead polish move neither gamma, its argmax nor
+    # the margin off the first grid maximum and the grid minimum (ROADMAP item 20)
+    system = SymbolSystem(matrices=(10.0 ** scale * _random_system(1, n, seed).matrices[0],))
+    grid = symbols._sphere_grid(1)
+    gmax, gmin = symbols._batch_extreme(system, grid)
+    k = int(np.argmax(gmax))
+    rep = gamma(system)
+    assert rep.gamma.hex() == float(gmax[k]).hex()
+    assert rep.gamma_argmax.tobytes() == grid[k].tobytes()
+    assert rep.ellipticity_margin.hex() == float(gmin.min()).hex()
+
+
 # objectives of x for a centre a; the plateau's steps tie in argsort, on the
 # flat one every contraction fails, so each iteration shrinks, "inplace"
 # writes into its argument, and "holed" is NaN beyond x_0 = a + 1
