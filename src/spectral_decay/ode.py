@@ -24,9 +24,14 @@ count: it grows by powers of two until n and 2n steps agree to TOL
 relative to the transfer matrix, and the 2n-step product is kept with that
 difference as its error bound.  Each round of that check is one product
 pass: the steps of n and 2n are taken in one call per walk group, and the
-two transfer matrices come out of one factor stack and one fold.  Before
-any product, one check names a nan lambda and rejects one whose phase
-rounding alone exceeds TOL.
+two transfer matrices come out of one factor stack and one fold, whose
+pairwise reductions share a level while no pair crosses two of them.  One
+lambda is certified in Python scalars, and its first pass also takes the
+density the last one-lambda certification ended at (_remembered): a round
+that reaches that density reads its product, so a run of nearby lambdas
+needs one pass each.  What is remembered saves work and changes no bit.
+Before any product, one check names a nan lambda and rejects one whose
+phase rounding alone exceeds TOL.
 
 Both systems are batched over lambda.  In Hill, lambda enters an exact
 piece only through s = lambda - v, and a Magnus exponent [[p, q], [r, -p]]
@@ -35,10 +40,14 @@ only through p and r, affinely: the samples of A differ only in their
 affine in lambda.  So the segments, the values of V or W on the exact
 pieces and the lambda-free exponent parts at the Gauss nodes are computed
 once per plan, and numpy evaluates lambda x segments in blocks; each
-lambda keeps its own certified step density.  A scalar lambda is a batch
-of one, except on a closed-form Hill cell of at most _SCALAR pieces: there
-one lambda is folded in Python scalars (_scalar_cell), with the batch's
-bits, since numpy's fixed cost per call outweighs its work on so few.
+lambda keeps its own certified step density.  The samples of V and Q at
+the Gauss nodes are free of the coupling too: they are kept per (V, Q)
+(_sampled), so each coupling alpha of a shooting, and an eigenfunction's
+walk over the same range, forms only V - alpha Q and the exponents.  A
+scalar lambda is a batch of one, except on a closed-form Hill cell of at
+most _SCALAR pieces: there one lambda is folded in Python scalars
+(_scalar_cell), with the batch's bits, since numpy's fixed cost per call
+outweighs its work on so few.
 
 The Hill monodromy matrix maps (y(0), y'(0)) to (y(1), y'(1)); its
 columns are (theta, theta')(1) and (phi, phi')(1) and its determinant is
@@ -79,6 +88,8 @@ _BLOCK = 2 ** 12      # lambda x factor matrices a product holds at once
 _CELLS = 2 ** 8       # cells of a dense walk a product holds at once
 _NODES = 2 ** 13      # Magnus steps of the longest walk group whose exponents are kept
 _SCALAR = 24          # exact pieces of a cell up to which one lambda folds in Python scalars
+
+_remembered = 8  # step density at which the last one-lambda Magnus certification ended
 
 
 def check_lambda_count(n) -> int:
@@ -192,13 +203,34 @@ def _expm2(X: np.ndarray) -> np.ndarray:
     return np.exp(t)[..., None, None] * (C[..., None, None] * _I2 + S[..., None, None] * Y)
 
 
-def _reduce(E: np.ndarray) -> np.ndarray:
-    """E[..., -1, :, :] @ ... @ E[..., 0, :, :] of a stack (..., n, 2, 2), pairwise."""
-    while E.shape[-3] > 1:
-        n = E.shape[-3] - E.shape[-3] % 2
-        pairs = E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :]
-        E = pairs if n == E.shape[-3] else np.concatenate([pairs, E[..., n:, :, :]], axis=-3)
-    return E[..., 0, :, :]
+def _level(E: np.ndarray) -> np.ndarray:
+    """One level of a pairwise product of a stack (..., n, 2, 2): the products
+    E[..., 2i + 1, :, :] @ E[..., 2i, :, :], then the last factor where n is odd."""
+    n = E.shape[-3] - E.shape[-3] % 2
+    pairs = E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :]
+    return pairs if n == E.shape[-3] else np.concatenate([pairs, E[..., n:, :, :]], axis=-3)
+
+
+def _reduce(E: np.ndarray, counts) -> list:
+    """E[..., last, :, :] @ ... @ E[..., first, :, :] of each run of counts
+    consecutive factors of a stack (..., sum(counts), 2, 2), in turn, each
+    pairwise (_level).  The runs share each level's product while all but the
+    last have even length, so that no pair crosses two runs, and a run that
+    ends in front leaves; then each run left takes its own levels."""
+    out = []
+    while len(counts) > 1 and not any(m % 2 for m in counts[:-1]):
+        E, counts = _level(E), [(m + 1) // 2 for m in counts]
+        while len(counts) > 1 and counts[0] == 1:
+            out.append(E[..., 0, :, :])
+            E, counts = E[..., 1:, :, :], counts[1:]
+    first = 0
+    for m in counts:
+        R = E[..., first:first + m, :, :]
+        while R.shape[-3] > 1:
+            R = _level(R)
+        out.append(R[..., 0, :, :])
+        first += m
+    return out
 
 
 def _points(xs, system_cuts) -> list:
@@ -247,22 +279,29 @@ class _Hill:
         mids = np.array([mid for _, _, mid in spans])
         magnus = self.q_smooth & (self.a < mids) & (mids < self.b)
         return [(pa, pb, None if m else v) for (pa, pb, _), m, v
-                in zip(spans, magnus.tolist(), self.u(mids).tolist())]
+                in zip(spans, magnus.tolist(), self.u(self.samples(mids)).tolist())]
 
     exact = staticmethod(_hill_exact)
 
-    def u(self, x):
-        """V - alpha Q at the points x."""
-        return self.V(x) if self.Q is None else self.V(x) - self.alpha * self.Q.q(x)
+    def samples(self, x):
+        """(V(x), Q(x)) at the points x, Q(x) None without Q: what V - alpha Q
+        takes from x, free of the coupling."""
+        return self.V(x), None if self.Q is None else self.Q.q(x)
 
-    def exponents(self, x, h) -> np.ndarray:
+    def u(self, samples):
+        """V - alpha Q from its samples."""
+        v, q = samples
+        return v if q is None else v - self.alpha * q
+
+    def exponents(self, samples, h) -> np.ndarray:
         """(q, p0, p1, r0, r1) (5, 2, w, n) of the Magnus exponents [[p, q], [r, -p]],
-        p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w, n) with Gauss
-        nodes x (3, w, n): the sixth-order [:, 0] and fourth-order [:, 1] exponents
-        of three Gauss samples (Blanes, Casas & Ros 2000) in closed form.  With
-        A = [[0, 1], [u - lam, 0]] the samples differ only in their (1, 0) entry,
-        so q has no lambda and the exponent is affine in lambda."""
-        u1, u2, u3 = self.u(x)
+        p = p0 + lam p1 and r = r0 + lam r1, of steps of lengths h (w, n) with the
+        samples (self.samples) of their Gauss nodes (3, w, n): the sixth-order
+        [:, 0] and fourth-order [:, 1] exponents of three Gauss samples (Blanes,
+        Casas & Ros 2000) in closed form.  With A = [[0, 1], [u - lam, 0]] the
+        samples differ only in their (1, 0) entry, so q has no lambda and the
+        exponent is affine in lambda."""
+        u1, u2, u3 = self.u(samples)
         a2, a3 = math.sqrt(15.0) / 3.0 * h * (u3 - u1), 10.0 / 3.0 * h * (u3 - 2.0 * u2 + u1)
         b2, b3 = h * h * a2 * a2 / 3600.0, h * a3 / 180.0
         # sixth order, with w = u2 - lam: p = p6 + pw w, r = r6 + rw w
@@ -362,8 +401,8 @@ class _Plan:
     """The lambda-free lowering of a product of system over cells (segment
     lists): the (cell, depth) slot of each Magnus walk and exact piece, short
     cells behind identities, the lengths h and values p of the exact pieces,
-    and, per step density and refinements, the Magnus walks grouped by step
-    count with the lambda-free parts of their exponents (system.exponents),
+    and, per step densities and refinements, the Magnus walks grouped by step
+    counts with the lambda-free parts of their exponents (system.exponents),
     from which system.steps forms each lambda's exponent."""
 
     def __init__(self, system, cells):
@@ -383,44 +422,78 @@ class _Plan:
 
     def walks(self, density, refines) -> list:
         """(n, (j, i), h, coefficients) of the Magnus walks of n = max(1,
-        ceil(length * density)) steps at refine 1: their slots, then the steps
-        of each refine of refines in turn, refine * n of length / (refine * n)
-        each, as step lengths h (w, s) and system.exponents at their Gauss
-        nodes (s is the sum of refine * n).  Kept under (density, refines)
-        where they take at most _NODES steps in all."""
+        ceil(length * density)) steps at refine 1, n a tuple of them where
+        density is a tuple of densities: their slots, then the steps of each
+        refine of refines at each density in turn, refine * n of length /
+        (refine * n) each, as step lengths h (w, s) and system.exponents of
+        their node samples (s is the sum of refine * n).  Kept under (density,
+        refines) where they take at most _NODES steps in all."""
         key = density, refines
         if key in self.memo:
             return self.memo[key]
-        j, i, pa, pb = self.magnus.T
-        steps = np.maximum(1, np.ceil(self.spans * density)).astype(int)
-        groups = []
-        for n in sorted(set(steps.tolist())):
-            g = steps == n
-            hs = [(refine * n, ((pb[g] - pa[g]) / (refine * n))[:, None]) for refine in refines]
-            h = np.concatenate([np.repeat(hr, m, axis=1) for m, hr in hs], axis=1)
-            x = np.concatenate([pa[g][:, None] + hr * np.arange(m) for m, hr in hs], axis=1)
-            groups.append((n, (j[g].astype(int), i[g].astype(int)), h, self.system.exponents(
-                np.stack([x + c * h for c in _GAUSS]), h)))
-        if sum(refines) * steps.sum() <= _NODES:
+        groups = [(n, slots, h, self.system.exponents(samples, h))
+                  for n, slots, h, samples in self.nodes(density, refines)]
+        if sum(h.size for _, _, h, _ in groups) <= _NODES:
             self.memo[key] = groups
         return groups
 
+    def nodes(self, density, refines) -> list:
+        """(n, (j, i), h, samples) of the walks: walks without the coupling,
+        system.samples at their Gauss nodes.  Kept in the store of the
+        system's V and Q (_sampled) under the walks' rows, density and
+        refines, so a walk of V - alpha Q samples V and Q once for every alpha."""
+        if not len(self.magnus):
+            return []
+        V, Q = self.system.V, self.system.Q
+        kept, where = _sampled((id(V), id(Q)), V, Q), (self.magnus.tobytes(), density, refines)
+        if where in kept:
+            return kept[where]
+        j, i, pa, pb = self.magnus.T
+        densities = density if isinstance(density, tuple) else (density,)
+        steps = np.array([np.maximum(1, np.ceil(self.spans * d)) for d in densities]).astype(int)
+        groups = []
+        for n in sorted(set(zip(*steps.tolist()))):
+            g = (steps.T == n).all(axis=1)
+            hs = [(refine * m, ((pb[g] - pa[g]) / (refine * m))[:, None])
+                  for m in n for refine in refines]
+            h = np.concatenate([np.repeat(hr, m, axis=1) for m, hr in hs], axis=1)
+            x = np.concatenate([pa[g][:, None] + hr * np.arange(m) for m, hr in hs], axis=1)
+            samples = self.system.samples(np.stack([x + c * h for c in _GAUSS]))
+            groups.append((n if isinstance(density, tuple) else n[0],
+                           (j[g].astype(int), i[g].astype(int)), h, samples))
+        size = sum(refines) * steps.sum()
+        if size <= _NODES:
+            if size + sum(h.size for nodes in kept.values() for _, _, h, _ in nodes) > _NODES:
+                kept.clear()
+            kept[where] = groups
+        return groups
 
-def _product(plan: _Plan, lams, density: float, refines) -> np.ndarray:
+
+@functools.lru_cache(maxsize=4)
+def _sampled(key: tuple, V, Q) -> dict:
+    """The store of node samples (_Plan.nodes) of V and Q, at most _NODES steps,
+    under key = (id(V), id(Q)) for the last four pairs: both stay alive, as in
+    _unit_cell, so no other potential takes their ids."""
+    return {}
+
+
+def _product(plan: _Plan, lams, density, refines) -> np.ndarray:
     """Transfer matrices (k, r c, 2, 2) over the c cells of plan for k
-    lambdas: the c of each of the r refinements of refines in turn.
+    lambdas: the c of each of the r refinements of refines in turn, at a
+    step density, or at each density of a tuple of them in turn.
 
     A segment (pa, pb, p) is exact where p is given, else refine * max(1,
     ceil(length * density)) Magnus steps.  The walks of equally many steps
-    at refine 1 take the steps of every refinement in one call, and the
-    refinements share one factor stack, a set of cells each, and one fold;
-    the exact pieces' exponentials are computed once for all sets.  Where
-    every slot is exact there is nothing to refine, and r is 1.  Lambdas go
-    in blocks of at most _BLOCK factor matrices, counted over every set; the
-    fold of a single block is returned as it is.
+    in every set take the steps of every set in one call, and the sets share
+    one factor stack, a set of cells each, and one fold; the exact pieces'
+    exponentials are computed once for all sets.  Where every slot is exact
+    there is nothing to refine, and r is 1.  Lambdas go in blocks of at most
+    _BLOCK factor matrices, counted over every set; the fold of a single
+    block is returned as it is.
     """
-    system = plan.system
-    walks, sets = plan.walks(density, refines), 1 if plan.tiled else len(refines)
+    system, densities = plan.system, density if isinstance(density, tuple) else (density,)
+    walks = plan.walks(densities, refines)  # n a tuple: one count per density
+    sets = 1 if plan.tiled else len(densities) * len(refines)
     size = len(plan.h) + sum(h.size for _, _, h, _ in walks) + sets * plan.count * plan.depth
     block = max(1, _BLOCK // max(1, size))
 
@@ -433,10 +506,9 @@ def _product(plan: _Plan, lams, density: float, refines) -> np.ndarray:
         if len(plan.h):
             F[:, :, plan.at[0], plan.at[1]] = system.exact(lb, plan.p, plan.h)[:, None]
         for n, (j, i), h, coefficients in walks:
-            E, first = system.steps(lb, h, coefficients), 0
-            for r, refine in enumerate(refines):
-                F[:, r, j, i] = _reduce(E[:, :, first:first + refine * n])
-                first += refine * n
+            E = system.steps(lb, h, coefficients)
+            for r, T in enumerate(_reduce(E, [refine * c for c in n for refine in refines])):
+                F[:, r, j, i] = T
         return _fold(F.reshape(len(lb), sets * plan.count, plan.depth, 2, 2))
 
     if plan.depth and len(lams) <= block:  # with no slot the fold is one identity
@@ -476,6 +548,8 @@ def _certify(plan: _Plan, lams):
         T = _product(plan, lams, 0, (1,))[:, 0] if T is None else T[None]
         return _finite(T, "transfer matrix"), np.zeros(k, dtype=int), None
 
+    if k == 1:
+        return _certify_one(plan, lams)
     density, spans, dtype = np.full(k, 8), plan.spans, system.dtype(lams)
 
     def refined(idx):  # (len(idx), 2, 2, 2): refine 1, then 2, at density[idx]
@@ -505,6 +579,40 @@ def _certify(plan: _Plan, lams):
         P = refined(todo)
     steps = 2 * np.maximum(1, np.ceil(np.multiply.outer(density, spans))).sum(axis=1)
     return T_out, density, diff_out + _rounding(plan, lams, len(plan.h) + steps, scale_out)
+
+
+def _certify_one(plan: _Plan, lams):
+    """_certify of one lambda on Magnus walks, its rounds in Python scalars
+    with the batch's arithmetic.  The first pass also takes the density the
+    last such certification ended at (_remembered), where that is above 8
+    and within _MAX_STEPS, and a round that reaches it reads its product:
+    a guess that saves a pass, never a result.  A first pass that fails is
+    made again at 8 alone, so that it raises what the rounds raise."""
+    global _remembered
+    length = plan.length
+    ahead = _remembered if 8 < _remembered and 2 * _remembered * length <= _MAX_STEPS else None
+    try:
+        first = _product(plan, lams, (8, ahead) if ahead else 8, (1, 2))[0]
+    except StepFailure:
+        if ahead is None:
+            raise
+        first, ahead = _product(plan, lams, 8, (1, 2))[0], None
+    density, P = 8, first
+    while True:
+        d = np.abs(P[1] - P[0]).ravel().tolist()
+        diff = max(d) if all(map(math.isfinite, d)) else math.nan  # as np.max, which keeps a nan
+        scale = max(np.abs(P[1]).ravel().tolist())
+        ratio = _finite(np.float64(diff) / (TOL * max(1.0, scale)), "transfer matrix")
+        if ratio <= 1.0:
+            break
+        density *= 2 ** max(1, math.ceil(np.log2(ratio) / _ORDER))
+        if 2 * density * length > _MAX_STEPS:
+            raise StepFailure(f"no step count up to {_MAX_STEPS} meets tol = {TOL}")
+        P = first[2:] if density == ahead else _product(plan, lams, density, (1, 2))[0]
+    _remembered = density
+    steps = 2 * sum(max(1, math.ceil(density * span)) for span in plan.spans.tolist())
+    err = diff + _rounding(plan, lams[0], len(plan.h) + steps, scale)
+    return P[None, 1], np.array([density]), np.array([err])
 
 
 def _check_phase(system, lams, xa: float, xb: float):

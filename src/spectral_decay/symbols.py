@@ -167,7 +167,6 @@ def gamma(system: SymbolSystem) -> SymbolReport:
     The report also carries the ellipticity margin (min smallest
     singular value on the sphere).
     """
-    rng = np.random.default_rng(1234)
     d = system.d
 
     # grid pass: both the max (ascent seed) and the min (margin seed)
@@ -176,14 +175,16 @@ def gamma(system: SymbolSystem) -> SymbolReport:
     k = int(np.argmax(gmax))
     best_val, best_xi = float(gmax[k]), grid[k]
 
-    starts = rng.standard_normal((STARTS_PER_DIM * d, d))
-    starts = np.vstack([starts, best_xi[None, :], np.eye(d)])
-    vals, xis = _ascents(system, starts[_norms(starts) != 0])
-    i = int(np.argmax(vals))  # the first start to reach the best value
-    if vals[i] > best_val:
-        best_val, best_xi = float(vals[i]), xis[i]
-
-    margin = _margin(system, grid, gmin)
+    if d == 1:  # the sphere is {1, -1}, all of it on the grid: no ascent or polish moves it
+        margin = float(gmin.min())
+    else:
+        starts = np.random.default_rng(1234).standard_normal((STARTS_PER_DIM * d, d))
+        starts = np.vstack([starts, best_xi[None, :], np.eye(d)])
+        vals, xis = _ascents(system, starts[_norms(starts) != 0])
+        i = int(np.argmax(vals))  # the first start to reach the best value
+        if vals[i] > best_val:
+            best_val, best_xi = float(vals[i]), xis[i]
+        margin = _margin(system, grid, gmin)
     tol = 1e-10 * max(1.0, system.lipschitz())
     return SymbolReport(gamma=best_val, gamma_argmax=best_xi,
                         ellipticity_margin=margin, elliptic=margin > tol)

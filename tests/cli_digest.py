@@ -12,11 +12,17 @@ kernel numpy selects for the CPU and on the libm variants glibc selects, so
 compare checkouts on one machine; a leading "#" line names what they depend
 on: the numpy and scipy versions, the OpenBLAS core in use, the
 OPENBLAS_CORETYPE and GLIBC_TUNABLES overrides where set, and the libc.
-pytest does not collect this file.
+
+    PYTHONPATH=src python tests/cli_digest.py --against before.txt
+
+compares with a saved output instead: it prints the line of each run whose
+line differs from the saved one (or that the saved output lacks), and exits
+1 if any does, else 0.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import ctypes
 import hashlib
@@ -26,6 +32,7 @@ import json
 import os
 import pathlib
 import platform
+import sys
 import tempfile
 
 import numpy as np
@@ -163,8 +170,9 @@ def _digest(argv) -> str:
     return h.hexdigest()
 
 
-def main_digest() -> None:
-    print(_environment())
+def _lines():
+    """The output lines: the environment, one per run, then the total."""
+    yield _environment()
     total = hashlib.sha256()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -175,11 +183,30 @@ def main_digest() -> None:
             for argv in _runs():
                 d = _digest(argv)
                 total.update(d.encode())
-                print(d, " ".join(argv))
+                yield f"{d} {' '.join(argv)}"
         finally:
             os.chdir(cwd)
-    print(total.hexdigest(), "total")
+    yield f"{total.hexdigest()} total"
+
+
+def main_digest(against=None) -> int:
+    """Print every line; or, against a saved output, the line of each run that
+    differs from it.  Returns 1 where a run differs, else 0."""
+    if against is None:
+        for line in _lines():
+            print(line, flush=True)
+        return 0
+    saved = {line.split(" ", 1)[1]: line for line in pathlib.Path(against).read_text().splitlines()
+             if line and not line.startswith("#")}
+    runs = [line for line in _lines() if not line.startswith("#") and not line.endswith(" total")]
+    differ = [line for line in runs if saved.get(line.split(" ", 1)[1]) != line]
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len(runs)} runs differ from {against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main_digest()
+    parser = argparse.ArgumentParser(description="sha256 digests of fixed CLI runs")
+    parser.add_argument("--against", metavar="FILE", help="a saved output to compare with")
+    sys.exit(main_digest(parser.parse_args().against))

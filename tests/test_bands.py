@@ -289,10 +289,11 @@ def test_edge_on_the_last_sample_is_the_bottom_edge(V, lam_max):
     assert bs.edges == oracles.walking_band_edges(V, lam_max).edges
 
 
-def test_a_sample_shared_with_a_narrow_gap_grid_is_one_edge(monkeypatch):
+def test_an_edge_on_the_sample_after_an_inserted_critical_point_is_one_edge(monkeypatch):
     # a stand-in F on the grid -1, 0, ..., 4: a narrow gap F > 1 in (0, 1)
-    # ends exactly on the sample 1, which the gap's own three-point grid
-    # shares; listed twice it would pair with the gap (g1, g2) of F < -1 above
+    # ends exactly on the sample 1.  Its critical point c joins the scan grid,
+    # so the cell [c, 1] ends at that zero of F - 1 and the cell [1, 2] starts
+    # at it; listed twice it would pair with the gap (g1, g2) of F < -1 above
     def F(V, lam):
         lam = np.asarray(lam, dtype=float)
         return np.where(lam <= 2.0, 1.0 + (lam - 1.0) * (0.5 - 0.8 * lam),

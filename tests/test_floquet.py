@@ -142,7 +142,8 @@ def test_floquet_solutions_walks_real_lambda(monkeypatch):
 
 @pytest.mark.parametrize("V, lam", [(STEP, 14.7), (MATHIEU, 9.5)], ids=["step", "mathieu"])
 def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
-    # one point at r in [0, 1) costs what one walk over [0, r] costs
+    # one point at r in [0, 1) costs what one walk over [0, r] costs, each
+    # walk from the same remembered step density
     fd = floquet_solutions(V, lam)
     calls = [0]
     product = ode._product
@@ -152,8 +153,10 @@ def test_one_point_floquet_walk_like_propagate_hill(V, lam, monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(ode, "_product", counted)
+    monkeypatch.setattr(ode, "_remembered", 8)
     s = fd.plus([0.3])[0]
     n_state, calls[0] = calls[0], 0
+    monkeypatch.setattr(ode, "_remembered", 8)
     direct = ode.propagate_hill(V, lam, [0.0, 0.3], fd.plus.seed)[-1]
     assert n_state == calls[0]
     assert np.array_equal(s, direct)

@@ -10,7 +10,7 @@ import pytest
 
 import spectral_decay
 from spectral_decay import ode
-from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system
+from spectral_decay.symbols import dirac_alpha_system, dump_symbol_system, pauli_system
 
 MODULES = sorted(p for p in pathlib.Path(spectral_decay.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -110,6 +110,22 @@ def test_commands_load_no_masked_arrays(tmp_path, command):
                          text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
     bare, loaded = out.stdout.split()[-2:]
     assert loaded == bare, f"{command} loads numpy.ma"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all"],
+                                  ["gamma", "--matrices", "pauli1.json"]],
+                         ids=["verify", "gamma-d1"])
+def test_one_dimensional_gamma_loads_no_random(tmp_path, argv):
+    # gamma on a d = 1 system (verify's only one) is its sphere grid {1, -1}:
+    # no random ascent starts, so numpy.random, about 15 ms with secrets and
+    # hashlib, loads only where a bare import numpy loads it
+    (tmp_path / "pauli1.json").write_text(json.dumps(dump_symbol_system(pauli_system((1,)))))
+    src = str(pathlib.Path(spectral_decay.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", MASKED.replace("numpy.ma", "numpy.random"),
+                          *argv], capture_output=True, text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src})
+    bare, loaded = out.stdout.split()[-2:]
+    assert loaded == bare, f"{argv[0]} loads numpy.random"
 
 
 def test_ode_solve_ivp_is_scipys():

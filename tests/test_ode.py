@@ -637,17 +637,146 @@ def test_property_one_pass_round_is_two_products(V, Q, lo, length, lams):
 
 def test_two_round_certification_makes_two_products(monkeypatch):
     # Mathieu at lambda = 3.7 meets TOL at density 64, after density 8: one
-    # product pass a round, both refinements in it
-    V, seen = PeriodicPotential.fourier(0.0, [2.0]), []
-    product = ode._product
+    # product pass a round, both refinements in it.  The first pass also
+    # takes the density the last one-lambda certification ended at: one pass
+    # in all where that is 64, two where it is 32, which the round skips
+    V, seen, steps = PeriodicPotential.fourier(0.0, [2.0]), [], []
+    product, hill_steps = ode._product, ode._Hill.steps
 
     def counted(*args):
         seen.append(args[2:])
         return product(*args)
 
     monkeypatch.setattr(ode, "_product", counted)
-    ode.monodromy(V, 3.7)
-    assert seen == [(8, (1, 2)), (64, (1, 2))]
+    monkeypatch.setattr(ode._Hill, "steps", lambda *args: steps.append(1) or hill_steps(*args))
+    M = []
+    for remembered, passes in ((8, [(8, (1, 2)), (64, (1, 2))]),
+                               (64, [((8, 64), (1, 2))]),
+                               (32, [((8, 32), (1, 2)), (64, (1, 2))])):
+        monkeypatch.setattr(ode, "_remembered", remembered)
+        seen.clear()
+        steps.clear()
+        M.append(ode.monodromy(V, 3.7))
+        assert seen == passes and len(steps) == len(passes)
+        assert ode._remembered == 64
+    assert _bits(M[0]) == _bits(M[1]) == _bits(M[2])
+
+
+def _pairwise(E):
+    """E[..., n - 1, :, :] @ ... @ E[..., 0, :, :] of one stack, pairwise: each
+    level multiplies neighbouring pairs and carries an odd last factor."""
+    while E.shape[-3] > 1:
+        n = E.shape[-3] - E.shape[-3] % 2
+        pairs = E[..., 1:n:2, :, :] @ E[..., 0:n:2, :, :]
+        E = pairs if n == E.shape[-3] else np.concatenate([pairs, E[..., n:, :, :]], axis=-3)
+    return E[..., 0, :, :]
+
+
+# runs of a stack share a level's product while no pair crosses two runs
+# (the step counts of one certification pass: 8, 16, 64 and 128 on a unit
+# cell); each run's product is its own pairwise product, bit for bit
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(1, 40), st.sampled_from([8, 16, 64, 128])),
+                min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_property_runs_reduce_as_each_run_alone(counts, cplx, seed):
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((2, 3, sum(counts), 2, 2))
+    if cplx:
+        E = E + 1j * rng.standard_normal(E.shape)
+    out, first = ode._reduce(E, counts), 0
+    assert len(out) == len(counts)
+    for T, m in zip(out, counts):
+        assert _bits(T) == _bits(_pairwise(E[:, :, first:first + m]))
+        first += m
+
+
+box_q = st.builds(lambda a, g: CompactPerturbation.box(a, a + 1.3, g),
+                  st.floats(-1.0, 0.5), st.floats(0.2, 2.0))
+
+
+def _certified(plan, lams):
+    """_certify's (T, density, err), or the message of the StepFailure it
+    raises, with overflow left to its checks as ode._transfer leaves it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ode._certify(plan, lams)
+    except StepFailure as exc:
+        return str(exc)
+
+
+# one lambda certifies in Python scalars, its first pass also at the density
+# the last one-lambda certification ended at: T, density and err are that
+# lambda's row of a two-lambda batch whatever is remembered, from nothing (8)
+# through every density the plan admits to one past _MAX_STEPS, cold and warm
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(smooth_V, st.one_of(st.none(), box_q, smooth_q), st.floats(-1.5, 0.5),
+       st.floats(0.3, 2.5), st.floats(-20.0, 500.0), st.floats(-20.0, 500.0))
+def test_property_one_lambda_is_its_batch_row_whatever_is_remembered(V, Q, lo, length, lam,
+                                                                     other):
+    system = ode._Hill(V, Q, 2.0)
+    xa, xb = (0.0, 1.0) if Q is None else (lo, lo + length)  # the monodromy, or a walk
+    plan = ode._Plan(system, [system.segments((xa, xb))])
+    remembered = [8]
+    while 2 * remembered[-1] * plan.length <= ode._MAX_STEPS:
+        remembered.append(2 * remembered[-1])
+    saved = ode._remembered
+    try:
+        for shift in (0.0, 1j * floquet.CS_STEP):
+            batch = _certified(ode._Plan(system, [system.segments((xa, xb))]),
+                               np.array([lam, other]) + shift)
+            assert not isinstance(batch, str), batch
+            for density in remembered:
+                ode._remembered = density
+                T, d, err = _certified(plan, np.array([lam]) + shift)
+                assert _bits(T) == _bits(batch[0][:1]) and d.tolist() == [batch[1][0]]
+                assert _bits(err) == _bits(batch[2][:1])
+                assert ode._remembered == d[0]
+    finally:
+        ode._remembered = saved
+
+
+@pytest.mark.parametrize("lam", [-1e6, -4e7])
+def test_one_lambda_fails_as_its_batch_whatever_is_remembered(lam, monkeypatch):
+    # at -1e6 the products overflow to inf, which the round's check names; at
+    # -4e7 math.cosh overflows inside the first pass at density 8, though not
+    # at a remembered 64, so that pass is made again at 8 alone
+    system = ode._Hill(MATHIEU)
+    plan = ode._Plan(system, [system.segments((0.0, 1.0))])
+    batch = _certified(plan, np.array([lam, 3.7]))
+    assert batch in ("transfer matrix is not finite (overflow)",
+                     "transfer matrix overflows (math range error)")
+    for remembered in (8, 64, 1024):
+        monkeypatch.setattr(ode, "_remembered", remembered)
+        assert _certified(plan, np.array([lam])) == batch
+        assert ode._remembered == remembered
+
+
+def test_shooting_samples_v_once_per_density(monkeypatch):
+    # each coupling alpha of a shooting walks V - alpha Q over supp Q: V and Q
+    # are sampled at the Gauss nodes once per step density, not per coupling,
+    # and a second shooting on the same V and Q samples nothing
+    Q = CompactPerturbation((-0.5, 1.5), PeriodicPotential.fourier(1.0, [0.5], [0.2]))
+    hill_samples, product = ode._Hill.samples, ode._product
+    samples, keys, alphas = [], set(), set()
+
+    def sampled(self, x):
+        if self.Q is Q:
+            samples.append(x.shape)
+        return hill_samples(self, x)
+
+    def counted(plan, lams, density, refines):
+        if plan.system.Q is Q:
+            alphas.add(plan.system.alpha)
+            keys.add((density, refines))
+        return product(plan, lams, density, refines)
+
+    monkeypatch.setattr(ode._Hill, "samples", sampled)
+    monkeypatch.setattr(ode, "_product", counted)
+    ode._sampled.cache_clear()
+    alpha = gap.solve_coupling(MATHIEU, Q, 9.8)  # lambda in Mathieu's second gap
+    assert len(samples) == len(keys) < len(alphas)
+    cold = len(samples)
+    assert gap.solve_coupling(MATHIEU, Q, 9.8) == alpha and len(samples) == cold
 
 
 # V - alpha Q on an exact segment is what the potentials evaluate at its
